@@ -8,7 +8,7 @@ All arithmetic is exact integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .errors import BudgetError
+from .errors import BudgetError, ProfileCheckError
 from .fields import Field, build_field
 from .galois_ring import GaloisRing, UnitDecomposition, build_ring
 from .families import (DifferenceFamily, ValidationReport, davis_family,
@@ -29,7 +29,7 @@ from .certify import (BoundReport, ComparisonResult, CosetCountReport,
                       wilson_profile_closed_form)
 
 __all__ = [
-    "BudgetError",
+    "BudgetError", "ProfileCheckError",
     "Field", "build_field",
     "GaloisRing", "UnitDecomposition", "build_ring",
     "DifferenceFamily", "ValidationReport", "davis_family", "feng_families",

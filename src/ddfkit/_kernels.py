@@ -8,7 +8,7 @@ in Python integers, so nothing here can silently overflow (the per-kernel
 counts are bounded by b^2 * v, far below 2^63 at the supported sizes).
 
 Kernels:
-  * diff_pair_hist      -- for every ordered base-block pair (i, j) and group
+  * diff_pair_hist      -- for each listed ordered base-block pair (i, j) and group
                            element d, tallies how often each multiplicity
                            N_d of d in the multiset D_i - D_j occurs
                            (the (i, i, 0) self-pair cell is excluded);
@@ -190,27 +190,47 @@ if _HAVE_NUMBA:
 # dispatch wrappers
 # ---------------------------------------------------------------------------
 
-def diff_pair_hist(blocks, base, digits, order, threads=1, force_backend=None):
+def _runs(pairs, weights):
+    """Maximal runs (lo, hi, weight) of consecutive pair indices sharing one weight."""
+    cut = np.flatnonzero((np.diff(pairs) != 1) | (np.diff(weights) != 0)) + 1
+    starts = np.concatenate(([0], cut))
+    stops = np.concatenate((cut, [len(pairs)]))
+    return [(int(pairs[s]), int(pairs[e - 1]) + 1, int(weights[s]))
+            for s, e in zip(starts, stops)]
+
+
+def diff_pair_hist(blocks, base, digits, order, threads=1, force_backend=None,
+                   pairs=None, weights=None):
     """Histogram over N of the (i, j, d) multiplicity cells (see module doc).
 
     Entry N counts the cells whose multiplicity is N; each cell stands for
-    `order` ordered block pairs of the developed design.  Work splits into
-    contiguous chunks of the b^2 pair indices; partial histograms merge by
-    addition, so any chunking yields identical results.
+    `order` ordered block pairs of the developed design.  `pairs` lists
+    ascending pair indices i*b + j, each standing for `weights` of them (an
+    orbit representative and its orbit size); by default every one of the
+    b^2 pairs counts once.  The kernels run on runs of consecutive indices
+    sharing a weight, and each partial histogram is scaled by that weight.
+    Work splits into contiguous chunks of the listed pairs; partial
+    histograms merge by addition, so any chunking yields identical results.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    b = blocks.shape[0]
-    total = b * b
+    b, k = blocks.shape
     impl = _diff_hist_nb if _pick(force_backend) == "numba" else _diff_hist_np
+    total = b * b if pairs is None else len(pairs)
+
+    def part(lo, hi):  # positions lo..hi of the listed pairs
+        runs = [(lo, hi, 1)] if pairs is None else _runs(pairs[lo:hi], weights[lo:hi])
+        hist = np.zeros(k + 1, dtype=np.int64)
+        for s, e, w in runs:
+            hist += w * impl(blocks, base, digits, order, s, e)
+        return hist
+
     threads = max(1, min(int(threads), total))
     if threads == 1:
-        return impl(blocks, base, digits, order, 0, total)
+        return part(0, total)
     bounds = np.linspace(0, total, threads + 1, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = ex.map(
-            lambda se: impl(blocks, base, digits, order, int(se[0]), int(se[1])),
-            zip(bounds[:-1], bounds[1:]),
-        )
+        parts = ex.map(lambda se: part(int(se[0]), int(se[1])),
+                       zip(bounds[:-1], bounds[1:]))
         return sum(parts)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime, primes_below
-from .designs import IntersectionProfile, profile_via_differences
+from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
 from .galois_ring import GaloisRing
 
@@ -239,12 +239,15 @@ def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily,
 
     Any key-set or multiplicity difference certifies nonisomorphism with the
     smallest differing key as witness; equal profiles are inconclusive
-    (profiles are not a complete invariant).
+    (profiles are not a complete invariant).  Both profiles must satisfy the
+    2-design identities for the declared lambda (ProfileCheckError if not).
     """
     if (fam_a.v, fam_a.b, fam_a.k) != (fam_b.v, fam_b.b, fam_b.k):
         raise ValueError("families must share (v, b, k)")
     pa = profile_via_differences(fam_a, threads=threads)
     pb = profile_via_differences(fam_b, threads=threads)
+    for fam, prof in ((fam_a, pa), (fam_b, pb)):
+        check_profile(prof, fam.v, fam.b, fam.k, fam.lam)
     keys_a, keys_b = set(pa.counts), set(pb.counts)
     sym = keys_a ^ keys_b
     if sym:

@@ -7,8 +7,8 @@ Construction names:
   gr-squares      Teichmüller-square cosets in GR(p^2, r)
   feng-1/2/3      the two-block partition families of F_{11^3}
 
-Exit codes: 0 = success / verdict produced, 1 = validation failure or budget
-exceeded, 2 = usage error.
+Exit codes: 0 = success / verdict produced, 1 = validation failure, budget
+exceeded or a failed profile self-check, 2 = usage error or malformed input.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, table_to_csv,
                         unknown_quadruples)
 from .certify import certificate, compare_designs, gate
-from .designs import (develop, design_to_text, load_design, profile_direct,
-                      profile_via_differences, resolve_threads, verify_2design)
-from .errors import BudgetError
+from .designs import (check_direct_budget, develop, design_to_text, load_design,
+                      profile_direct, profile_via_differences, resolve_threads,
+                      verify_2design)
+from .errors import BudgetError, ProfileCheckError
 from .families import (family_to_text, feng_families, load_family,
                        davis_family, squares_family, validate_ddf,
                        wilson_family)
@@ -69,8 +70,10 @@ def _family_from_args(args):
     if not args.kind or args.p is None:
         raise UsageError("loading a family file requires --kind and --p")
     with open(args.input) as fh:
-        v = int(fh.readline().split()[0])
-    return load_family(args.input, group_for(args.kind, args.p, v))
+        header = fh.readline().split()
+    if len(header) != 4:
+        raise UsageError("family header must be 'v k lambda b'")
+    return load_family(args.input, group_for(args.kind, args.p, int(header[0])))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -107,6 +110,8 @@ def cmd_profile(args) -> int:
         return 0
     fam = _family_from_args(args)
     threads = resolve_threads(args.threads)
+    if args.method != "differences":
+        check_direct_budget(fam.v * fam.b)
     if args.method == "direct":
         prof = profile_direct(develop(fam))
     elif args.method == "differences":
@@ -306,6 +311,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
+        return 1
+    except ProfileCheckError as exc:
+        sys.stderr.write(f"profile self-check failed: {exc}\n")
         return 1
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,7 +11,14 @@ Block-intersection profiles come from two independent routes:
     N_d of each group element d in the multiset of ordered element
     differences D_i - D_j determines |(D_i + a) & (D_j + b)| for the v
     ordered translate pairs with b - a = d; the (i, i, 0) cell is the
-    excluded self-pair.  Ordered totals are halved at the end.
+    excluded self-pair.  Ordered totals are halved at the end.  When the
+    family records multipliers, only one base pair per orbit of the group
+    they generate is walked, weighted by the orbit size: a unit m with
+    m*D_i = D_pi(i) is an additive automorphism, so (i, j) and
+    (pi(i), pi(j)) have the same multiplicity histogram.
+
+Every difference-route profile is checked against the exact counting
+identities of a developed family (see check_profile).
 
 Profile multiplicities are exact Python integers; the kernels return int64
 cell counts whose magnitude is bounded by b^2 * v, far inside int64 range.
@@ -23,11 +30,12 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field as dfield
+from math import comb
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetError
+from .errors import BudgetError, ProfileCheckError
 from .families import DifferenceFamily
 
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
@@ -117,11 +125,19 @@ def verify_2design(design: Design, lam: int):
     return False, (int(iu[w]), int(ju[w]))
 
 
+def check_direct_budget(blocks: int, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> None:
+    """Raise BudgetError when a direct profile of `blocks` blocks is over budget.
+
+    Callers that still have to develop a family check v*b here first, so an
+    oversized request fails before the block array is allocated.
+    """
+    if blocks > budget:
+        raise BudgetError(f"direct profile capped at {budget} blocks, got {blocks}")
+
+
 def profile_direct(design: Design, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> IntersectionProfile:
     """Pairwise scan over all C(B, 2) distinct-index block pairs."""
-    B = design.block_count
-    if B > budget:
-        raise BudgetError(f"direct profile capped at {budget} blocks, got {B}")
+    check_direct_budget(design.block_count, budget)
     hist = _kernels.block_intersection_hist(design.blocks, design.v)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
@@ -135,11 +151,107 @@ def resolve_threads(threads=None) -> int:
     return threads
 
 
+def _invertible_mod(matrix: np.ndarray, p: int) -> bool:
+    """Whether a square integer matrix is invertible modulo the prime p.
+
+    Over Z_(p^2) too a matrix is invertible iff it is invertible mod p.
+    """
+    rows = [[int(x) % p for x in row] for row in matrix]
+    n = len(rows)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return True
+
+
+def _block_permutation(fam: DifferenceFamily, matrix) -> np.ndarray:
+    """The permutation pi with m*D_i = D_pi(i), for m given by its digit matrix.
+
+    Raises ValueError unless the matrix is an additive automorphism that
+    maps the block set onto itself.
+    """
+    g = fam.group
+    mat = np.array(matrix, dtype=np.int64)
+    if mat.shape != (g.digits, g.digits) or not _invertible_mod(mat, g.p):
+        raise ValueError(f"family {fam.name!r}: multiplier is not an invertible "
+                         f"{g.digits}x{g.digits} digit matrix mod {g.base}")
+    base = fam.block_array()
+    owner = np.full(g.order, -1, dtype=np.int64)
+    owner[base] = np.arange(fam.b)[:, None]
+    # m is injective, so a k-row of images that all lie in block j is block j
+    image = g.pack_digits(g.digit_matrix(base) @ mat)
+    perm = owner[image[:, 0]]
+    if (perm < 0).any() or (owner[image] != perm[:, None]).any() \
+            or (np.bincount(perm, minlength=fam.b) != 1).any():
+        raise ValueError(f"family {fam.name!r}: multiplier does not permute the base blocks")
+    return perm
+
+
+def pair_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the multipliers on the ordered base pairs (i, j), as pair index i*b + j.
+
+    Returns (representatives, weights): the least pair index of each orbit,
+    ascending, and the orbit sizes, which sum to b^2.  With no multipliers
+    every pair is its own orbit.
+    """
+    b = fam.b
+    idx = np.arange(b * b, dtype=np.int64)
+    moves = []
+    for matrix in fam.multipliers:
+        perm = _block_permutation(fam, matrix)
+        moves.append(perm[idx // b] * b + perm[idx % b])
+    # label[x] is always a pair in x's orbit no larger than x.  Pulling the
+    # least label along move^(2^s) for 2^s < 2b makes it the least over x's
+    # cycle under that generator when the cycle is no longer than b (longer
+    # ones need more passes).  Once no generator changes any label, labels
+    # are constant on orbits and equal the orbit minimum.
+    label = idx
+    while True:
+        for move in moves:
+            step = move
+            for _ in range(b.bit_length()):
+                label = np.minimum(label, label[step])
+                step = step[step]
+        if all(np.array_equal(label, label[move]) for move in moves):
+            break
+    reps = np.flatnonzero(label == idx)
+    return reps, np.bincount(label, minlength=b * b)[reps]
+
+
+def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None) -> None:
+    """Check the exact counting identities of a developed family's profile.
+
+    With B = v*b blocks, each point on rho = b*k of them:
+    sum m_N = C(B, 2) and sum N*m_N = v*C(rho, 2) hold for every developed
+    family; for a 2-(v, k, lam) design also sum C(N, 2)*m_N = C(v, 2)*C(lam, 2).
+    Raises ProfileCheckError on the first identity that fails.
+    """
+    counts = profile.counts.items()
+    checks = [("sum m_N", sum(m for _, m in counts), comb(v * b, 2)),
+              ("sum N*m_N", sum(n * m for n, m in counts), v * comb(b * k, 2))]
+    if lam is not None:
+        checks.append(("sum C(N,2)*m_N", sum(comb(n, 2) * m for n, m in counts),
+                       comb(v, 2) * comb(lam, 2)))
+    for name, got, want in checks:
+        if got != want:
+            raise ProfileCheckError(f"{name} = {got}, expected {want} "
+                                    f"for (v, b, k, lambda) = ({v}, {b}, {k}, {lam})")
+
+
 def profile_via_differences(fam: DifferenceFamily, threads=None) -> IntersectionProfile:
     """Difference-multiset route; scales past the direct scan's budget."""
     g = fam.group
+    # without multipliers the kernel walks all b^2 pairs, as one run
+    reps, weights = pair_orbits(fam) if fam.multipliers else (None, None)
     hist = _kernels.diff_pair_hist(fam.block_array(), g.base, g.digits, g.order,
-                                   threads=resolve_threads(threads))
+                                   threads=resolve_threads(threads),
+                                   pairs=reps, weights=weights)
     counts = {}
     for n, cells in enumerate(hist):
         cells = int(cells)
@@ -147,9 +259,11 @@ def profile_via_differences(fam: DifferenceFamily, threads=None) -> Intersection
             continue
         ordered = g.order * cells  # each cell stands for v ordered block pairs
         if ordered % 2:
-            raise AssertionError("ordered pair total must be even")
+            raise ProfileCheckError("ordered pair total must be even")
         counts[n] = ordered // 2
-    return IntersectionProfile(counts)
+    profile = IntersectionProfile(counts)
+    check_profile(profile, fam.v, fam.b, fam.k)
+    return profile
 
 
 def intersection_numbers(profile: IntersectionProfile) -> list[int]:
@@ -264,6 +378,8 @@ def load_design(path) -> Design:
         raise ValueError("ragged block lines")
     if blocks.min(initial=0) < 0 or blocks.max(initial=0) >= v:
         raise ValueError("block entry out of range")
+    if (np.diff(blocks, axis=1) <= 0).any():
+        raise ValueError("every block must have k distinct entries in ascending order")
     unique = np.unique(blocks, axis=0)
     return Design(v=v, k=k, blocks=blocks, provenance=(),
                   has_duplicate_blocks=unique.shape[0] < count)

@@ -11,6 +11,13 @@ designs, profiles and exported files are deterministic:
 
 Blocks are stored as sorted encoding tuples; set semantics are enforced at
 construction.
+
+The cyclotomic and Teichmüller-coset constructions also record multipliers:
+units m with m*D_i = D_pi(i) for a permutation pi of the base blocks.  Each
+is stored as the digits x digits matrix of x -> m*x on digit vectors (row i
+holds the digits of m times the i-th basis element x^i), which is linear
+mod `base` in both fields and rings.  The difference route walks one base
+pair per orbit of the group they generate (see designs.pair_orbits).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ class DifferenceFamily:
     disjoint: bool
     near_complete: bool
     name: str = ""
+    multipliers: tuple = ()  # digit matrices of block-permuting unit multiplications
 
     @property
     def b(self) -> int:
@@ -70,7 +78,7 @@ def _structure_flags(blocks, v):
     return disjoint, near_complete
 
 
-def _make_family(group, blocks, k, lam, name):
+def _make_family(group, blocks, k, lam, name, multipliers=()):
     blocks = tuple(tuple(sorted(set(b))) for b in blocks)
     for b in blocks:
         if len(b) != k:
@@ -78,7 +86,25 @@ def _make_family(group, blocks, k, lam, name):
     disjoint, near_complete = _structure_flags(blocks, group.order)
     return DifferenceFamily(group=group, blocks=blocks, v=group.order, k=k,
                             lam=lam, disjoint=disjoint,
-                            near_complete=near_complete, name=name)
+                            near_complete=near_complete, name=name,
+                            multipliers=multipliers)
+
+
+def _multiplier(group, mul, m):
+    """Digit matrix of x -> m*x: row i holds the digits of m * x^i."""
+    return tuple(group.unpack(mul(m, group.base ** i)) for i in range(group.digits))
+
+
+def _ring_multipliers(ring):
+    """Digit matrices of xi and of the principal units 1 + p*x^i, i < r.
+
+    xi fixes T* and swaps the square and non-square cosets.  Since p^2 = 0,
+    (1 + p*x^i)(1 + p*alpha) = 1 + p*(alpha + x^i), so the principal units
+    act on the coset label alpha by translation in the residue field.
+    """
+    units = [ring.xi] + [ring.add(1, ring.scalar_p(ring.group.base ** i))
+                         for i in range(ring.r)]
+    return tuple(_multiplier(ring.group, ring.mul, u) for u in units)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +125,10 @@ def wilson_family(field: Field, e: int, name: str = "") -> DifferenceFamily:
     if f < 2:
         raise ValueError("require f = (q-1)/e >= 2")
     blocks = field.cyclotomic_classes(e)
-    return _make_family(field.group, blocks, f, f - 1, name or f"cyclotomic-e{e}")
+    # the primitive element maps C_i onto C_(i+1)
+    gen = _multiplier(field.group, field.mul, field.generator)
+    return _make_family(field.group, blocks, f, f - 1, name or f"cyclotomic-e{e}",
+                        (gen,))
 
 
 def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFamily:
@@ -117,7 +146,8 @@ def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFa
         u = ring.add(1, ring.scalar_p(alpha))
         blocks.append([ring.mul(u, t) for t in t_star])
     blocks.append([ring.scalar_p(t) for t in t_star])
-    return _make_family(ring.group, blocks, size - 1, size - 2, name)
+    return _make_family(ring.group, blocks, size - 1, size - 2, name,
+                        _ring_multipliers(ring))
 
 
 def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFamily:
@@ -134,7 +164,8 @@ def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFami
             u = ring.add(1, ring.scalar_p(alpha))
             blocks.append([ring.mul(u, t) for t in part])
         blocks.append([ring.scalar_p(t) for t in part])
-    return _make_family(ring.group, blocks, k, (ring.teich_size - 3) // 2, name)
+    return _make_family(ring.group, blocks, k, (ring.teich_size - 3) // 2, name,
+                        _ring_multipliers(ring))
 
 
 def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> DifferenceFamily:

@@ -166,3 +166,38 @@ def test_threads_flag_and_env(capsys, monkeypatch):
                         "--construction", "gr-teichmuller")
     assert code == 0
     assert out1 == out2
+
+
+def test_direct_budget_checked_before_develop(capsys, monkeypatch):
+    import ddfkit.cli
+
+    def develop_must_not_run(fam):
+        raise AssertionError("develop ran before the budget check")
+
+    monkeypatch.setattr(ddfkit.cli, "develop", develop_must_not_run)
+    for method in ("direct", "both"):
+        code, out, err = run(capsys, "profile", "--p", "7", "--r", "2",
+                             "--construction", "wilson-half", "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err == "budget exceeded: direct profile capped at 5000 blocks, got 240100\n"
+
+
+def test_empty_family_file_is_a_usage_error(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, _, err = run(capsys, "profile", "--input", str(empty),
+                       "--kind", "field", "--p", "5")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_design_rows_must_be_distinct_and_sorted(capsys, tmp_path):
+    for rows in ("0 0 1\n1 2 3\n", "0 2 1\n1 2 3\n"):
+        bad = tmp_path / "design.txt"
+        bad.write_text("4 2 3\n" + rows)
+        code, out, err = run(capsys, "profile", "--input", str(bad),
+                             "--design", "--method", "direct")
+        assert code == 2, rows
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -280,6 +280,10 @@ def test_design_load_rejects_bad_files(tmp_path):
     bad.write_text("9 2 2\n0 1\n0 11\n")
     with pytest.raises(ValueError):
         load_design(bad)
+    for row in ("0 0", "1 0"):  # repeated or unsorted entries
+        bad.write_text(f"9 2 2\n0 1\n{row}\n")
+        with pytest.raises(ValueError):
+            load_design(bad)
 
 
 def test_profile_file_roundtrip(tmp_path):
