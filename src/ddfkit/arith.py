@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 
+PRIME_TEST_LIMIT = 1 << 32
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (inputs stay below 2^32)."""
+    """Deterministic primality test by trial division, for n < 2^32.
+
+    Raises ValueError for larger n, where trial division has no useful bound.
+    """
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality test is limited to n < 2^32, got {n}")
     if n < 2:
         return False
     if n < 4:

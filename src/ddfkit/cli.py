@@ -23,9 +23,9 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, table_to_csv,
                         unknown_quadruples)
 from .certify import certificate, compare_designs, gate
-from .designs import (check_direct_budget, develop, design_to_text, load_design,
-                      profile_direct, profile_via_differences, resolve_threads,
-                      verify_2design)
+from .designs import (check_direct_budget, check_verify_budget, develop,
+                      design_to_text, load_design, profile_direct,
+                      profile_via_differences, resolve_threads, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_to_text, feng_families, load_family,
                        davis_family, squares_family, validate_ddf,
@@ -215,6 +215,7 @@ def cmd_verify(args) -> int:
     if report.offending_element is not None:
         sys.stdout.write(f"  witness element: {report.offending_element}\n")
     if not args.skip_design:
+        check_verify_budget(fam.v)
         design = develop(fam)
         passed, witness = verify_2design(design, fam.lam)
         sys.stdout.write(f"  2-design with lambda={fam.lam}: {passed}"

@@ -44,12 +44,14 @@ VERIFY_POINT_BUDGET = 1500
 
 @dataclass(frozen=True)
 class Design:
-    """An indexed block collection on points {0, ..., v-1}."""
+    """An indexed block collection on points {0, ..., v-1}.
+
+    A developed family stores D_i + t in row i*v + t.
+    """
 
     v: int
     k: int
     blocks: np.ndarray = dfield(repr=False)  # (B, k) int64, rows sorted
-    provenance: tuple = dfield(repr=False, default=())  # (base index, translate)
     has_duplicate_blocks: bool = False
 
     @property
@@ -101,9 +103,8 @@ def develop(fam: DifferenceFamily) -> Design:
         rows = g.add_arrays(base[i][None, :], translates[:, None])
         rows.sort(axis=1)
         out[i * v : (i + 1) * v] = rows
-    provenance = tuple((i, t) for i in range(b) for t in range(v))
     unique = np.unique(out, axis=0)
-    return Design(v=v, k=k, blocks=out, provenance=provenance,
+    return Design(v=v, k=k, blocks=out,
                   has_duplicate_blocks=unique.shape[0] < out.shape[0])
 
 
@@ -113,8 +114,7 @@ def verify_2design(design: Design, lam: int):
     Returns (True, None) or (False, witness_pair).
     """
     v = design.v
-    if v > VERIFY_POINT_BUDGET:
-        raise BudgetError(f"exhaustive pair counting capped at v <= {VERIFY_POINT_BUDGET}")
+    check_verify_budget(v)
     cnt = _kernels.pair_coverage(design.blocks, v).reshape(v, v)
     iu, ju = np.triu_indices(v, 1)
     vals = cnt[iu, ju]
@@ -123,6 +123,15 @@ def verify_2design(design: Design, lam: int):
         return True, None
     w = int(bad[0])
     return False, (int(iu[w]), int(ju[w]))
+
+
+def check_verify_budget(v: int, budget: int = VERIFY_POINT_BUDGET) -> None:
+    """Raise BudgetError when exhaustive pair counting on v points is over budget.
+
+    Callers that still have to develop a family check v here first.
+    """
+    if v > budget:
+        raise BudgetError(f"exhaustive pair counting capped at v <= {budget}")
 
 
 def check_direct_budget(blocks: int, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> None:
@@ -381,7 +390,7 @@ def load_design(path) -> Design:
     if (np.diff(blocks, axis=1) <= 0).any():
         raise ValueError("every block must have k distinct entries in ascending order")
     unique = np.unique(blocks, axis=0)
-    return Design(v=v, k=k, blocks=blocks, provenance=(),
+    return Design(v=v, k=k, blocks=blocks,
                   has_duplicate_blocks=unique.shape[0] < count)
 
 

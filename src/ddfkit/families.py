@@ -68,24 +68,26 @@ class ValidationReport:
     offending_element: int | None = None
 
 
-def _structure_flags(blocks, v):
-    total = sum(len(b) for b in blocks)
-    union = set()
-    for b in blocks:
-        union.update(b)
-    disjoint = len(union) == total
-    near_complete = disjoint and 0 not in union and total == v - 1
-    return disjoint, near_complete
+def _structure_flags(blocks: np.ndarray, v: int):
+    """(disjoint, near_complete) for a (b, k) array of blocks in a group of order v."""
+    seen = np.bincount(blocks.ravel(), minlength=v)
+    disjoint = bool(seen.max(initial=0) <= 1)
+    near_complete = disjoint and seen[0] == 0 and blocks.size == v - 1
+    return disjoint, bool(near_complete)
 
 
 def _make_family(group, blocks, k, lam, name, multipliers=()):
-    blocks = tuple(tuple(sorted(set(b))) for b in blocks)
-    for b in blocks:
-        if len(b) != k:
-            raise AssertionError("constructed block has the wrong size")
+    """Family from a (b, k) array of base blocks whose rows are ascending sets.
+
+    The constructions sort their rows; strictly ascending rows are sets, so
+    the check here stands in for a per-block set round trip.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if blocks.ndim != 2 or blocks.shape[1] != k or (np.diff(blocks, axis=1) <= 0).any():
+        raise AssertionError("constructed block is not an ascending set of k elements")
     disjoint, near_complete = _structure_flags(blocks, group.order)
-    return DifferenceFamily(group=group, blocks=blocks, v=group.order, k=k,
-                            lam=lam, disjoint=disjoint,
+    return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks.tolist())),
+                            v=group.order, k=k, lam=lam, disjoint=disjoint,
                             near_complete=near_complete, name=name,
                             multipliers=multipliers)
 
@@ -107,6 +109,25 @@ def _ring_multipliers(ring):
     return tuple(_multiplier(ring.group, ring.mul, u) for u in units)
 
 
+def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
+    """Per part: the cosets (1 + p*alpha)*part for alpha in T order, then p*part.
+
+    Rows come back sorted.  Multiplication by a unit u is the linear map of
+    its digit matrix, so each coset is one product digits(part) @ U mod p^2.
+    Entries stay below p^2, so a product entry is at most r*(p^2-1)^2,
+    below 2^52 for p^(2r) <= 2^26 and far inside int64.
+    """
+    g = ring.group
+    units = np.array([_multiplier(g, ring.mul, ring.add(1, ring.scalar_p(alpha)))
+                      for alpha in ring.teichmuller], dtype=np.int64)
+    rows = []
+    for part in parts:
+        digits = g.digit_matrix(np.asarray(part, dtype=np.int64))
+        rows.append(g.pack_digits(digits @ units))
+        rows.append(g.pack_digits(digits * ring.p)[None])
+    return np.sort(np.concatenate(rows), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -124,11 +145,10 @@ def wilson_family(field: Field, e: int, name: str = "") -> DifferenceFamily:
     f = (field.q - 1) // e
     if f < 2:
         raise ValueError("require f = (q-1)/e >= 2")
-    blocks = field.cyclotomic_classes(e)
     # the primitive element maps C_i onto C_(i+1)
     gen = _multiplier(field.group, field.mul, field.generator)
-    return _make_family(field.group, blocks, f, f - 1, name or f"cyclotomic-e{e}",
-                        (gen,))
+    return _make_family(field.group, field.class_array(e), f, f - 1,
+                        name or f"cyclotomic-e{e}", (gen,))
 
 
 def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFamily:
@@ -140,12 +160,7 @@ def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFa
     size = ring.teich_size
     if size < 3:
         raise ValueError("require p^r >= 3")
-    t_star = ring.teichmuller[1:]
-    blocks = []
-    for alpha in ring.teichmuller:
-        u = ring.add(1, ring.scalar_p(alpha))
-        blocks.append([ring.mul(u, t) for t in t_star])
-    blocks.append([ring.scalar_p(t) for t in t_star])
+    blocks = _teichmuller_coset_rows(ring, (ring.teichmuller[1:],))
     return _make_family(ring.group, blocks, size - 1, size - 2, name,
                         _ring_multipliers(ring))
 
@@ -156,16 +171,9 @@ def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFami
     The 2(p^r + 1) cosets of the subgroup of Teichmüller squares: a
     near-complete (p^2r, (p^r-1)/2, (p^r-3)/2) disjoint difference family.
     """
-    squares, non_squares = ring.square_split()
-    k = len(squares)
-    blocks = []
-    for part in (squares, non_squares):
-        for alpha in ring.teichmuller:
-            u = ring.add(1, ring.scalar_p(alpha))
-            blocks.append([ring.mul(u, t) for t in part])
-        blocks.append([ring.scalar_p(t) for t in part])
-    return _make_family(ring.group, blocks, k, (ring.teich_size - 3) // 2, name,
-                        _ring_multipliers(ring))
+    blocks = _teichmuller_coset_rows(ring, ring.square_split())
+    return _make_family(ring.group, blocks, (ring.teich_size - 1) // 2,
+                        (ring.teich_size - 3) // 2, name, _ring_multipliers(ring))
 
 
 def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> DifferenceFamily:
@@ -307,7 +315,8 @@ def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
         blocks.append(block)
     if lam * (v - 1) != b * k * (k - 1):
         raise ValueError("declared parameters violate lambda*(v-1) = b*k*(k-1)")
-    disjoint, near_complete = _structure_flags(blocks, v)
+    disjoint, near_complete = _structure_flags(
+        np.array(blocks, dtype=np.int64).reshape(b, k), v)
     return DifferenceFamily(group=group, blocks=tuple(blocks), v=v, k=k, lam=lam,
                             disjoint=disjoint, near_complete=near_complete,
                             name=name or "imported")

@@ -99,15 +99,15 @@ def is_primitive(f: list[int], p: int) -> bool:
 
 def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least (by c_0..c_{n-1}) monic primitive polynomial."""
-    for coeffs in itertools.product(range(p), repeat=n):
+    for c0 in range(1, p):
         # the norm of x is (-1)^n c_0, which must generate F_p^*
-        c0 = coeffs[0]
         norm = (-c0) % p if n % 2 else c0
-        if norm == 0 or multiplicative_order(norm, p, p - 1) != p - 1:
+        if multiplicative_order(norm, p, p - 1) != p - 1:
             continue
-        f = list(coeffs) + [1]
-        if is_primitive(f, p):
-            return tuple(f)
+        for rest in itertools.product(range(p), repeat=n - 1):
+            f = [c0, *rest, 1]
+            if is_primitive(f, p):
+                return tuple(f)
     raise AssertionError(f"no primitive polynomial found for p={p}, n={n}")
 
 
@@ -169,9 +169,12 @@ class Field:
         C_i = {generator^t : t = i (mod e)}; C_0 has order f = (q-1)/e and
         the classes partition the nonzero elements.
         """
-        self._coset_size(e)
-        exp = self.exp
-        return [tuple(sorted(int(exp[t]) for t in range(i, self.q - 1, e))) for i in range(e)]
+        return [tuple(c) for c in self.class_array(e).tolist()]
+
+    def class_array(self, e: int) -> np.ndarray:
+        """The cosets as an (e, f) array whose row i is C_i, ascending."""
+        f = self._coset_size(e)
+        return np.sort(self.exp.reshape(f, e).T, axis=1)
 
     def class_index(self, e: int) -> np.ndarray:
         """Array mapping each nonzero element to its coset index (0 stays -1)."""
@@ -183,6 +186,48 @@ class Field:
         if e < 1 or (self.q - 1) % e != 0:
             raise ValueError(f"e={e} does not divide q-1={self.q - 1}")
         return (self.q - 1) // e
+
+
+# digit rows per matrix product in _exp_table; bounds its temporaries
+_EXP_CHUNK = 1 << 16
+
+
+def _exp_table(group: AdditiveGroup, step: np.ndarray, q: int) -> np.ndarray:
+    """exp[t] = g^t for t < q-1, where `step` is the digit matrix of g.
+
+    Multiplying by g^m is the linear map given by step^m on digit rows, so
+    rows [m, 2m) are rows [0, m) times step^m: about log2(q) doublings.
+    Entries stay below p, so a product entry is at most n*(p-1)^2 < 2^41
+    for q <= 2^20, far inside int64.
+    """
+    p = group.p
+    exp = np.empty(q - 1, dtype=np.int64)
+    exp[0] = 1
+    m, power = 1, step
+    while m < q - 1:
+        count = min(m, q - 1 - m)
+        for lo in range(0, count, _EXP_CHUNK):
+            hi = min(lo + _EXP_CHUNK, count)
+            rows = group.digit_matrix(exp[lo:hi]) @ power
+            exp[m + lo : m + hi] = group.pack_digits(rows)
+        m += count
+        power = power @ power % p
+    if group.pack_digits(group.digit_matrix(exp[-1:]) @ step)[0] != 1:
+        raise AssertionError("generator order check failed during table build")
+    return exp
+
+
+def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of exp on the nonzero elements, with log[0] = -1.
+
+    Raises AssertionError unless exp hits every nonzero element exactly
+    once; exp has q-1 entries, so hitting all of them suffices.
+    """
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1, dtype=np.int64)
+    if (log[1:] < 0).any():
+        raise AssertionError("exp table is not a bijection onto the nonzero elements")
+    return log
 
 
 @lru_cache(maxsize=None)
@@ -198,19 +243,13 @@ def build_field(p: int, n: int) -> Field:
 
     modulus = least_primitive_poly(p, n)
     group = field_group(p, n)
-    gen_coeffs = _poly_x(n) if n >= 2 else [(-modulus[0]) % p]
-    generator = group.pack(gen_coeffs)
+    # companion matrix of the modulus: row i holds the digits of x * x^i, so
+    # the generator is the class of x (for n = 1, the root -c_0)
+    step = np.zeros((n, n), dtype=np.int64)
+    step[np.arange(n - 1), np.arange(1, n)] = 1
+    step[n - 1] = [(-c) % p for c in modulus[:n]]
+    generator = int(group.pack_digits(step[0]))
 
-    exp = np.zeros(q - 1, dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
-    cur = [1] + [0] * (n - 1)
-    for t in range(q - 1):
-        v = group.pack(cur)
-        exp[t] = v
-        log[v] = t
-        cur = poly_mulmod(cur, gen_coeffs, list(modulus), p)
-    if group.pack(cur) != 1:
-        raise AssertionError("generator order check failed during table build")
-
+    exp = _exp_table(group, step, q)
     return Field(p=p, n=n, q=q, modulus=modulus, generator=generator,
-                 group=group, exp=exp, log=log)
+                 group=group, exp=exp, log=_log_table(exp, q))

@@ -1,6 +1,8 @@
 """CLI grammar, exit codes, and byte-deterministic output."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +183,39 @@ def test_direct_budget_checked_before_develop(capsys, monkeypatch):
         assert code == 1
         assert out == ""
         assert err == "budget exceeded: direct profile capped at 5000 blocks, got 240100\n"
+
+
+def test_verify_budget_checked_before_develop(capsys, monkeypatch):
+    import ddfkit.cli
+
+    def develop_must_not_run(fam):
+        raise AssertionError("develop ran before the budget check")
+
+    monkeypatch.setattr(ddfkit.cli, "develop", develop_must_not_run)
+    code, out, err = run(capsys, "verify", "--construction", "wilson-half",
+                         "--p", "7", "--r", "2")
+    assert code == 1
+    assert out == ("family wilson-half: v=2401 k=24 lambda=23 b=100\n"
+                   "  difference family: True (observed lambda: 23)\n"
+                   "  disjoint: True  near-complete: True\n")
+    assert err == "budget exceeded: exhaustive pair counting capped at v <= 1500\n"
+    code, out, _ = run(capsys, "verify", "--construction", "wilson-half",
+                       "--p", "7", "--r", "2", "--skip-design")
+    assert code == 0
+    assert out.count("\n") == 3
+
+
+def test_huge_prime_is_rejected_at_once():
+    # a prime far above 2^32: trial division would never finish
+    huge = "1000000000000000003"
+    for argv in (["construct", "--construction", "wilson", "--p", huge, "--r", "1"],
+                 ["gate", "--p", huge, "--r", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "ddfkit.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 def test_empty_family_file_is_a_usage_error(capsys, tmp_path):

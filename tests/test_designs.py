@@ -26,12 +26,15 @@ def single_block_family(block=(1, 2)):
 # ---------------------------------------------------------------------------
 
 def test_develop_single_block_translation_orbit():
-    design = develop(single_block_family())
+    fam = single_block_family()
+    design = develop(fam)
     assert design.block_count == 5
     rows = {tuple(map(int, r)) for r in design.blocks}
     assert rows == {(1, 2), (2, 3), (3, 4), (0, 4), (0, 1)}
     assert not design.has_duplicate_blocks
-    assert design.provenance[:3] == ((0, 0), (0, 1), (0, 2))
+    # row idx is D_i + t with (i, t) = divmod(idx, v): here D_0 + 0, 1, 2
+    assert [divmod(idx, fam.v) for idx in range(3)] == [(0, 0), (0, 1), (0, 2)]
+    assert design.blocks[:3].tolist() == [[1, 2], [2, 3], [3, 4]]
 
 
 def test_develop_counts():
@@ -43,7 +46,9 @@ def test_develop_translate_contents():
     fam = davis_family(build_ring(3, 1))
     design = develop(fam)
     g = fam.group
-    for idx, (i, t) in enumerate(design.provenance):
+    assert design.block_count == fam.b * fam.v
+    for idx in range(design.block_count):
+        i, t = divmod(idx, fam.v)
         expected = sorted(g.add(x, t) for x in fam.blocks[i])
         assert list(map(int, design.blocks[idx])) == expected
 

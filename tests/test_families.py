@@ -5,7 +5,7 @@ import pytest
 from ddfkit import (build_field, build_ring, davis_family, feng_families,
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
-from ddfkit.families import DifferenceFamily, family_to_text
+from ddfkit.families import DifferenceFamily, _make_family, family_to_text
 from ddfkit.groups import field_group, group_for
 
 
@@ -100,6 +100,63 @@ def test_squares_refine_davis_blocks():
             parts = [h for h in half_sets if h <= set(block)]
             assert len(parts) == 2
             assert parts[0] | parts[1] == set(block)
+
+
+# ---------------------------------------------------------------------------
+# digit-matrix construction against scalar multiplication
+# ---------------------------------------------------------------------------
+
+def scalar_cyclotomic_blocks(field, e):
+    """C_i = g^i * C_0 by field.mul, with C_0 the set of e-th powers."""
+    powers = {field.pow(a, e) for a in range(1, field.q)}
+    shift, blocks = 1, []
+    for _ in range(e):
+        blocks.append(tuple(sorted(field.mul(shift, x) for x in powers)))
+        shift = field.mul(shift, field.generator)
+    return tuple(blocks)
+
+
+def scalar_coset_blocks(ring, parts):
+    """(1 + p*alpha)*part for alpha in T order, then p*part, by ring.mul."""
+    blocks = []
+    for part in parts:
+        for alpha in ring.teichmuller:
+            u = ring.add(1, ring.scalar_p(alpha))
+            blocks.append(tuple(sorted(ring.mul(u, x) for x in part)))
+        blocks.append(tuple(sorted(ring.scalar_p(x) for x in part)))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2), (3, 3), (7, 2), (11, 2)])
+def test_constructions_match_scalar_reference(p, r):
+    t = p ** r
+    field = build_field(p, 2 * r)
+    for e in (t + 1, 2 * (t + 1)):
+        fam = wilson_family(field, e)
+        assert fam.blocks == scalar_cyclotomic_blocks(field, e), e
+        assert fam.disjoint and fam.near_complete
+    ring = build_ring(p, r)
+    fam = davis_family(ring)
+    assert fam.blocks == scalar_coset_blocks(ring, (ring.teichmuller[1:],))
+    assert fam.disjoint and fam.near_complete
+    fam = squares_family(ring)
+    assert fam.blocks == scalar_coset_blocks(ring, ring.square_split())
+    assert fam.disjoint and fam.near_complete
+    assert all(type(x) is int for x in fam.blocks[0])
+
+
+def test_make_family_checks_rows():
+    g = field_group(5, 1)
+    for rows in ([[1, 1]], [[2, 1]], [[1, 2, 3]], [1, 2]):
+        with pytest.raises(AssertionError):
+            _make_family(g, rows, 2, 1, "bad")
+    fam = _make_family(g, [[1, 2], [2, 3]], 2, 1, "overlap")
+    assert not fam.disjoint and not fam.near_complete
+    fam = _make_family(g, [[0, 1], [2, 3]], 2, 1, "covers zero")
+    assert fam.disjoint and not fam.near_complete
+    fam = _make_family(g, [[1, 4], [2, 3]], 2, 1, "cosets")
+    assert fam.disjoint and fam.near_complete
+    assert fam.blocks == ((1, 4), (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Field construction, arithmetic and cyclotomic cosets."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from ddfkit import BudgetError, build_field
-from ddfkit.arith import prime_divisors
-from ddfkit.fields import is_irreducible, is_primitive, least_primitive_poly, poly_mulmod
+from ddfkit.arith import is_prime, prime_divisors, primes_below
+from ddfkit.fields import (_exp_table, _log_table, is_irreducible, is_primitive,
+                           least_primitive_poly, poly_mulmod)
+from ddfkit.groups import field_group
 
 
 def brute_order(a, modulus):
@@ -189,3 +194,63 @@ def test_build_errors():
         build_field(6, 2)
     with pytest.raises(BudgetError):
         build_field(2, 21)  # 2^21 > 2^20 budget
+
+
+def test_least_primitive_poly_is_lex_least():
+    # oracle: the first primitive polynomial in (c_0, ..., c_{n-1}) order,
+    # without the norm shortcut of the library search
+    for p, n in [(2, 4), (3, 3), (5, 2), (5, 3), (7, 3), (11, 2), (13, 2), (23, 2)]:
+        first = next(coeffs + (1,) for coeffs in itertools.product(range(p), repeat=n)
+                     if is_primitive(list(coeffs) + [1], p))
+        assert least_primitive_poly(p, n) == first
+
+
+def scalar_tables(p, n, modulus):
+    """exp and log by walking powers of the generator with poly_mulmod."""
+    q = p ** n
+    gen = [0, 1] + [0] * (n - 2) if n >= 2 else [(-modulus[0]) % p]
+    exp = np.zeros(q - 1, dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    cur = [1] + [0] * (n - 1)
+    for t in range(q - 1):
+        packed = sum(c * p ** i for i, c in enumerate(cur))
+        exp[t] = packed
+        log[packed] = t
+        cur = poly_mulmod(cur, gen, list(modulus), p)
+    assert cur == [1] + [0] * (n - 1)
+    return exp, log
+
+
+def test_tables_match_poly_mulmod_walk():
+    cases = [(p, n) for p in primes_below(40) for n in range(1, 5) if p ** n <= 30_000]
+    assert len(cases) == 41
+    for p, n in cases:
+        f = build_field(p, n)
+        exp, log = scalar_tables(p, n, f.modulus)
+        assert np.array_equal(f.exp, exp), (p, n)
+        assert np.array_equal(f.log, log), (p, n)
+        assert f.generator == exp[1 % (f.q - 1)]  # F_2 has exp = [1]
+
+
+def test_table_checks_reject_bad_tables():
+    with pytest.raises(AssertionError):  # 2 twice, 4 never
+        _log_table(np.array([1, 2, 2, 3], dtype=np.int64), 5)
+    with pytest.raises(AssertionError):  # hits 0, so misses a unit
+        _log_table(np.array([1, 0, 4, 3], dtype=np.int64), 5)
+    # the companion matrix of x^2 over F_3 is nilpotent: x^8 = 0, not 1
+    nilpotent = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    with pytest.raises(AssertionError):
+        _exp_table(field_group(3, 2), nilpotent, 9)
+    # 4 has order 2 in F_5: the order check passes, the bijection check fails
+    exp = _exp_table(field_group(5, 1), np.array([[4]], dtype=np.int64), 5)
+    assert exp.tolist() == [1, 4, 1, 4]
+    with pytest.raises(AssertionError):
+        _log_table(exp, 5)
+
+
+def test_is_prime_is_bounded():
+    assert is_prime(4_294_967_291)  # the largest prime below 2^32
+    assert not is_prime(4_294_967_295)
+    for n in (1 << 32, 1_000_000_000_000_000_003):
+        with pytest.raises(ValueError):
+            is_prime(n)
