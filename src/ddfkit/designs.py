@@ -125,13 +125,14 @@ def verify_2design(design: Design, lam: int):
     return False, (int(iu[w]), int(ju[w]))
 
 
-def check_verify_budget(v: int, budget: int = VERIFY_POINT_BUDGET) -> None:
+def check_verify_budget(v: int) -> None:
     """Raise BudgetError when exhaustive pair counting on v points is over budget.
 
     Callers that still have to develop a family check v here first.
     """
-    if v > budget:
-        raise BudgetError(f"exhaustive pair counting capped at v <= {budget}")
+    if v > VERIFY_POINT_BUDGET:
+        raise BudgetError(
+            f"exhaustive pair counting capped at v <= {VERIFY_POINT_BUDGET}")
 
 
 def check_direct_budget(blocks: int, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> None:

@@ -189,6 +189,7 @@ class Field:
 
 
 # digit rows per matrix product in _exp_table; bounds its temporaries
+# (build_field(2, 20) peaks at 72 MB with it and 275 MB without)
 _EXP_CHUNK = 1 << 16
 
 

@@ -33,7 +33,10 @@ def test_develop_single_block_translation_orbit():
     assert rows == {(1, 2), (2, 3), (3, 4), (0, 4), (0, 1)}
     assert not design.has_duplicate_blocks
     # row idx is D_i + t with (i, t) = divmod(idx, v): here D_0 + 0, 1, 2
-    assert [divmod(idx, fam.v) for idx in range(3)] == [(0, 0), (0, 1), (0, 2)]
+    for idx in range(3):
+        i, t = divmod(idx, fam.v)
+        expected = sorted(fam.group.add(x, t) for x in fam.blocks[i])
+        assert design.blocks[idx].tolist() == expected
     assert design.blocks[:3].tolist() == [[1, 2], [2, 3], [3, 4]]
 
 
