@@ -15,9 +15,8 @@ from .families import (DifferenceFamily, ValidationReport, davis_family,
                        feng_families, furino_family, load_family, save_family,
                        squares_family, validate_ddf, wilson_family)
 from .designs import (Design, IntersectionProfile, IsoResult, develop,
-                      intersection_numbers, iso_oracle, load_design,
-                      profile_direct, profile_via_differences, save_design,
-                      verify_2design)
+                      iso_oracle, load_design, profile_direct,
+                      profile_via_differences, save_design, verify_2design)
 from .cyclotomy import (CyclotomicTable, check_sum_relation,
                         closed_form_order_2e, closed_form_order_e,
                         count_summary, cyclotomic_table, dickson_counts,
@@ -35,9 +34,9 @@ __all__ = [
     "DifferenceFamily", "ValidationReport", "davis_family", "feng_families",
     "furino_family", "load_family", "save_family", "squares_family",
     "validate_ddf", "wilson_family",
-    "Design", "IntersectionProfile", "IsoResult", "develop",
-    "intersection_numbers", "iso_oracle", "load_design", "profile_direct",
-    "profile_via_differences", "save_design", "verify_2design",
+    "Design", "IntersectionProfile", "IsoResult", "develop", "iso_oracle",
+    "load_design", "profile_direct", "profile_via_differences", "save_design",
+    "verify_2design",
     "CyclotomicTable", "check_sum_relation", "closed_form_order_2e",
     "closed_form_order_e", "count_summary", "cyclotomic_table",
     "dickson_counts", "save_table", "unknown_quadruples",

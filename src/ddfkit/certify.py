@@ -233,8 +233,7 @@ class ComparisonResult:
     profile_b: IntersectionProfile
 
 
-def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily,
-                    threads=None) -> ComparisonResult:
+def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily) -> ComparisonResult:
     """Compare developed designs by their exact intersection profiles.
 
     Any key-set or multiplicity difference certifies nonisomorphism with the
@@ -244,8 +243,8 @@ def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily,
     """
     if (fam_a.v, fam_a.b, fam_a.k) != (fam_b.v, fam_b.b, fam_b.k):
         raise ValueError("families must share (v, b, k)")
-    pa = profile_via_differences(fam_a, threads=threads)
-    pb = profile_via_differences(fam_b, threads=threads)
+    pa = profile_via_differences(fam_a)
+    pb = profile_via_differences(fam_b)
     for fam, prof in ((fam_a, pa), (fam_b, pb)):
         check_profile(prof, fam.v, fam.b, fam.k, fam.lam)
     keys_a, keys_b = set(pa.counts), set(pb.counts)

@@ -18,14 +18,13 @@ import json
 import sys
 
 from . import __version__
-from . import _kernels
 from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, table_to_csv,
                         unknown_quadruples)
 from .certify import certificate, compare_designs, gate
 from .designs import (check_direct_budget, check_verify_budget, develop,
                       design_to_text, load_design, profile_direct,
-                      profile_via_differences, resolve_threads, verify_2design)
+                      profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_to_text, feng_families, load_family,
                        davis_family, squares_family, validate_ddf,
@@ -109,16 +108,15 @@ def cmd_profile(args) -> int:
         _write_out(prof.to_json() + "\n", args.out)
         return 0
     fam = _family_from_args(args)
-    threads = resolve_threads(args.threads)
     if args.method != "differences":
         check_direct_budget(fam.v * fam.b)
     if args.method == "direct":
         prof = profile_direct(develop(fam))
     elif args.method == "differences":
-        prof = profile_via_differences(fam, threads=threads)
+        prof = profile_via_differences(fam)
     else:  # both, with agreement check
         direct = profile_direct(develop(fam))
-        diff = profile_via_differences(fam, threads=threads)
+        diff = profile_via_differences(fam)
         if direct != diff:
             sys.stderr.write("profile methods disagree:\n"
                              f"  direct:      {direct.to_json()}\n"
@@ -194,7 +192,7 @@ def cmd_compare(args) -> int:
     fam_b = construction_family(args.b, args.p, args.r)
     if (fam_a.v, fam_a.b, fam_a.k) != (fam_b.v, fam_b.b, fam_b.k):
         raise UsageError("the chosen constructions have different (v, b, k)")
-    result = compare_designs(fam_a, fam_b, threads=resolve_threads(args.threads))
+    result = compare_designs(fam_a, fam_b)
     cert = certificate(args.p, args.r, fam_a, fam_b, result,
                        gate(args.p, args.r), __version__)
     _write_out(json.dumps(cert, indent=2) + "\n", args.out)
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(sp, with_design=True)
     sp.add_argument("--method", choices=("direct", "differences", "both"),
                     default="differences")
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_profile)
 
@@ -289,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int)
     sp.add_argument("--a", default="wilson-half", choices=CONSTRUCTIONS)
     sp.add_argument("--b", default="gr-squares", choices=CONSTRUCTIONS)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 

@@ -27,7 +27,6 @@ cell counts whose magnitude is bounded by b^2 * v, far inside int64 range.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from math import comb
@@ -40,6 +39,7 @@ from .families import DifferenceFamily
 
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
+DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,14 @@ class IntersectionProfile:
 
 
 def develop(fam: DifferenceFamily) -> Design:
-    """All v*b translates D_i + g, ordered by base index then translate."""
+    """All v*b translates D_i + g, ordered by base index then translate.
+
+    Raises BudgetError before allocating when v*b*k exceeds DEVELOP_ENTRY_BUDGET.
+    """
+    entries = fam.v * fam.b * fam.k
+    if entries > DEVELOP_ENTRY_BUDGET:
+        raise BudgetError(f"development capped at {DEVELOP_ENTRY_BUDGET} block "
+                          f"entries (v*b*k), got {entries}")
     g = fam.group
     v = g.order
     base = fam.block_array()
@@ -135,30 +142,22 @@ def check_verify_budget(v: int) -> None:
             f"exhaustive pair counting capped at v <= {VERIFY_POINT_BUDGET}")
 
 
-def check_direct_budget(blocks: int, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> None:
+def check_direct_budget(blocks: int) -> None:
     """Raise BudgetError when a direct profile of `blocks` blocks is over budget.
 
     Callers that still have to develop a family check v*b here first, so an
     oversized request fails before the block array is allocated.
     """
-    if blocks > budget:
-        raise BudgetError(f"direct profile capped at {budget} blocks, got {blocks}")
+    if blocks > PROFILE_DIRECT_BLOCK_BUDGET:
+        raise BudgetError(f"direct profile capped at {PROFILE_DIRECT_BLOCK_BUDGET} "
+                          f"blocks, got {blocks}")
 
 
-def profile_direct(design: Design, budget: int = PROFILE_DIRECT_BLOCK_BUDGET) -> IntersectionProfile:
+def profile_direct(design: Design) -> IntersectionProfile:
     """Pairwise scan over all C(B, 2) distinct-index block pairs."""
-    check_direct_budget(design.block_count, budget)
+    check_direct_budget(design.block_count)
     hist = _kernels.block_intersection_hist(design.blocks, design.v)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
-
-
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        env = os.environ.get("DDF_THREADS", "").strip()
-        threads = int(env) if env else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
 
 
 def _invertible_mod(matrix: np.ndarray, p: int) -> bool:
@@ -254,13 +253,12 @@ def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None
                                     f"for (v, b, k, lambda) = ({v}, {b}, {k}, {lam})")
 
 
-def profile_via_differences(fam: DifferenceFamily, threads=None) -> IntersectionProfile:
+def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
     """Difference-multiset route; scales past the direct scan's budget."""
     g = fam.group
-    # without multipliers the kernel walks all b^2 pairs, as one run
+    # without multipliers the kernel walks all b^2 pairs
     reps, weights = pair_orbits(fam) if fam.multipliers else (None, None)
     hist = _kernels.diff_pair_hist(fam.block_array(), g.base, g.digits, g.order,
-                                   threads=resolve_threads(threads),
                                    pairs=reps, weights=weights)
     counts = {}
     for n, cells in enumerate(hist):
@@ -274,11 +272,6 @@ def profile_via_differences(fam: DifferenceFamily, threads=None) -> Intersection
     profile = IntersectionProfile(counts)
     check_profile(profile, fam.v, fam.b, fam.k)
     return profile
-
-
-def intersection_numbers(profile: IntersectionProfile) -> list[int]:
-    """Keys with nonzero multiplicity, ascending."""
-    return profile.numbers()
 
 
 # ---------------------------------------------------------------------------

@@ -159,17 +159,6 @@ def test_construct_feng(capsys, tmp_path):
     assert fam_path.read_text().splitlines()[0] == "1331 665 664 2"
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, out1, _ = run(capsys, "profile", "--p", "5", "--r", "1",
-                        "--construction", "gr-teichmuller", "--threads", "2")
-    assert code == 0
-    monkeypatch.setenv("DDF_THREADS", "3")
-    code, out2, _ = run(capsys, "profile", "--p", "5", "--r", "1",
-                        "--construction", "gr-teichmuller")
-    assert code == 0
-    assert out1 == out2
-
-
 def test_direct_budget_checked_before_develop(capsys, monkeypatch):
     import ddfkit.cli
 
@@ -203,6 +192,26 @@ def test_verify_budget_checked_before_develop(capsys, monkeypatch):
                        "--p", "7", "--r", "2", "--skip-design")
     assert code == 0
     assert out.count("\n") == 3
+
+
+def test_develop_budget_checked_before_allocation(capsys, monkeypatch):
+    import ddfkit.designs
+    import numpy as np
+
+    class NoEmpty:  # the numpy namespace of designs.py, minus np.empty
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            raise AssertionError("develop allocated before the budget check")
+
+    monkeypatch.setattr(ddfkit.designs, "np", NoEmpty())
+    code, out, err = run(capsys, "develop", "--construction", "wilson-half",
+                         "--p", "1009", "--r", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("budget exceeded: development capped at 16777216 block entries")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_huge_prime_is_rejected_at_once():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddfkit import (BudgetError, build_field, build_ring, davis_family,
-                    develop, feng_families, intersection_numbers, iso_oracle,
+                    develop, feng_families, iso_oracle,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.designs import Design, IntersectionProfile
@@ -141,12 +141,12 @@ def test_partition_family_profile():
 
 
 def test_intersection_number_sets():
-    assert intersection_numbers(
-        profile_via_differences(wilson_family(build_field(5, 4), 52))) == [0, 1, 5, 6]
-    assert intersection_numbers(
-        profile_via_differences(squares_family(build_ring(5, 2)))) == [0, 1, 2, 5, 6]
-    assert intersection_numbers(
-        profile_via_differences(wilson_family(build_field(5, 4), 26))) == [0, 1, 23]
+    assert profile_via_differences(
+        wilson_family(build_field(5, 4), 52)).numbers() == [0, 1, 5, 6]
+    assert profile_via_differences(
+        squares_family(build_ring(5, 2))).numbers() == [0, 1, 2, 5, 6]
+    assert profile_via_differences(
+        wilson_family(build_field(5, 4), 26)).numbers() == [0, 1, 23]
 
 
 def small_family_zoo():

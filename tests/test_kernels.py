@@ -1,15 +1,11 @@
-"""Backend equivalence and hand-checked kernel results."""
+"""Kernel results against hand-checked examples and scalar references."""
 
-import os
-import subprocess
-import sys
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
-import pytest
 
 from ddfkit import _kernels
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.backend() == "numba" else [])
 
 
 def random_blocks(rng, b, k, v):
@@ -21,46 +17,82 @@ def test_diff_hist_single_block_z5():
     # base block {1, 2} in Z_5: the two nonzero differences 1 and 4 each occur
     # once, the remaining two d-values have multiplicity 0
     blocks = np.array([[1, 2]], dtype=np.int64)
-    for be in BACKENDS:
-        hist = _kernels.diff_pair_hist(blocks, 5, 1, 5, force_backend=be)
-        assert hist.tolist() == [2, 2, 0]
+    hist = _kernels.diff_pair_hist(blocks, 5, 1, 5)
+    assert hist.tolist() == [2, 2, 0]
 
 
 def test_intersect_hist_tiny():
     blocks = np.array([[0, 1], [0, 1], [1, 2]], dtype=np.int64)
-    for be in BACKENDS:
-        hist = _kernels.block_intersection_hist(blocks, 3, force_backend=be)
-        # pairs: (0,1) identical -> 2; (0,2) and (1,2) share point 1 -> 1
-        assert hist.tolist() == [0, 2, 1]
+    hist = _kernels.block_intersection_hist(blocks, 3)
+    # pairs: (0,1) identical -> 2; (0,2) and (1,2) share point 1 -> 1
+    assert hist.tolist() == [0, 2, 1]
 
 
 def test_pair_coverage_tiny():
     blocks = np.array([[0, 1, 2], [1, 2, 3]], dtype=np.int64)
-    for be in BACKENDS:
-        cnt = _kernels.pair_coverage(blocks, 4, force_backend=be).reshape(4, 4)
-        assert cnt[0, 1] == 1 and cnt[0, 2] == 1 and cnt[1, 2] == 2
-        assert cnt[1, 3] == 1 and cnt[2, 3] == 1 and cnt[0, 3] == 0
+    cnt = _kernels.pair_coverage(blocks, 4).reshape(4, 4)
+    assert cnt[0, 1] == 1 and cnt[0, 2] == 1 and cnt[1, 2] == 2
+    assert cnt[1, 3] == 1 and cnt[2, 3] == 1 and cnt[0, 3] == 0
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba backend unavailable")
-def test_backend_equivalence_random():
+def _group_sub(x, y, base, digits):
+    """x - y in Z_base^digits, on packed base-`base` digit encodings."""
+    out, mult = 0, 1
+    for _ in range(digits):
+        out += (x % base - y % base) % base * mult
+        x, y, mult = x // base, y // base, mult * base
+    return out
+
+
+def _diff_hist_reference(blocks, base, digits, pairs, weights):
+    b, k = blocks.shape
+    order = base ** digits
+    hist = [0] * (k + 1)
+    for pair, w in zip(pairs, weights):
+        i, j = divmod(pair, b)
+        per_d = Counter(_group_sub(int(x), int(y), base, digits)
+                        for x in blocks[i] for y in blocks[j])
+        for d in range(order):
+            if i == j and d == 0:
+                continue  # the excluded self-pair cell
+            hist[per_d[d]] += w
+    return hist
+
+
+def test_kernels_match_scalar_references():
     rng = np.random.default_rng(7)
     for base, digits in [(5, 2), (25, 1), (3, 3), (7, 2)]:
         v = base ** digits
-        blocks = random_blocks(rng, b=6, k=min(5, v // 2), v=v)
-        a = _kernels.diff_pair_hist(blocks, base, digits, v, force_backend="numba")
-        b = _kernels.diff_pair_hist(blocks, base, digits, v, force_backend="numpy")
-        assert a.tolist() == b.tolist()
-        ha = _kernels.block_intersection_hist(blocks, v, force_backend="numba")
-        hb = _kernels.block_intersection_hist(blocks, v, force_backend="numpy")
-        assert ha.tolist() == hb.tolist()
-        ca = _kernels.pair_coverage(blocks, v, force_backend="numba")
-        cb = _kernels.pair_coverage(blocks, v, force_backend="numpy")
-        assert np.array_equal(ca, cb)
+        b = 6
+        blocks = random_blocks(rng, b=b, k=min(5, v // 2), v=v)
+        case = (base, digits)
+
+        every = range(b * b)
+        hist = _kernels.diff_pair_hist(blocks, base, digits, v)
+        assert hist.tolist() == _diff_hist_reference(blocks, base, digits, every,
+                                                     [1] * b * b), case
+        pairs = np.sort(rng.choice(b * b, size=11, replace=False))
+        weights = rng.integers(1, 6, size=pairs.size)
+        hist = _kernels.diff_pair_hist(blocks, base, digits, v,
+                                       pairs=pairs, weights=weights)
+        assert hist.tolist() == _diff_hist_reference(
+            blocks, base, digits, pairs.tolist(), weights.tolist()), case
+
+        rows = [set(map(int, row)) for row in blocks]
+        ref = [0] * (blocks.shape[1] + 1)
+        for a, c in combinations(rows, 2):
+            ref[len(a & c)] += 1
+        assert _kernels.block_intersection_hist(blocks, v).tolist() == ref, case
+
+        cover = Counter(pair for row in rows for pair in combinations(sorted(row), 2))
+        cnt = _kernels.pair_coverage(blocks, v).reshape(v, v)
+        assert {(int(u), int(w)): int(cnt[u, w])
+                for u, w in zip(*np.nonzero(cnt))} == \
+            dict(cover), case
 
 
 def test_intersect_hist_wide_rows():
-    # force several 64-bit words per row to exercise the popcount path
+    # several 64-bit words per row
     rng = np.random.default_rng(11)
     blocks = random_blocks(rng, b=40, k=30, v=700)
     ref = np.zeros(31, dtype=np.int64)
@@ -68,36 +100,5 @@ def test_intersect_hist_wide_rows():
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             ref[len(rows[i] & rows[j])] += 1
-    for be in BACKENDS:
-        hist = _kernels.block_intersection_hist(blocks, 700, force_backend=be)
-        assert hist.tolist() == ref.tolist()
-
-
-def test_diff_hist_threading_is_deterministic():
-    rng = np.random.default_rng(3)
-    blocks = random_blocks(rng, b=9, k=4, v=49)
-    for be in BACKENDS:
-        one = _kernels.diff_pair_hist(blocks, 49, 1, 49, threads=1, force_backend=be)
-        four = _kernels.diff_pair_hist(blocks, 49, 1, 49, threads=4, force_backend=be)
-        assert one.tolist() == four.tolist()
-
-
-def test_force_backend_validation():
-    blocks = np.array([[0, 1]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        _kernels.diff_pair_hist(blocks, 2, 1, 2, force_backend="fortran")
-
-
-def test_env_flag_selects_backend():
-    probe = "from ddfkit._kernels import backend; print(backend())"
-    for value, expected in [("numpy", "numpy"), ("", _kernels.backend())]:
-        out = subprocess.run([sys.executable, "-c", probe],
-                             env={**os.environ, "DDF_BACKEND": value},
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == expected
-    bad = subprocess.run([sys.executable, "-c", probe],
-                         env={**os.environ, "DDF_BACKEND": "fortran"},
-                         capture_output=True, text=True)
-    assert bad.returncode != 0
-    assert "DDF_BACKEND" in bad.stderr
+    hist = _kernels.block_intersection_hist(blocks, 700)
+    assert hist.tolist() == ref.tolist()

@@ -28,8 +28,8 @@ def test_reduced_route_equals_full_loop(p, r):
     for name, fam in constructions(p, r).items():
         assert fam.multipliers, name
         full = dataclasses.replace(fam, multipliers=())
-        assert profile_via_differences(fam, threads=1) == \
-            profile_via_differences(full, threads=1), (p, r, name)
+        assert profile_via_differences(fam) == profile_via_differences(full), \
+            (p, r, name)
 
 
 @pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2), (73, 1)])
@@ -44,12 +44,6 @@ def test_orbit_counts(p, r):
         assert list(reps) == sorted(set(reps.tolist()))
     fam = constructions(p, r)["wilson"]
     assert len(pair_orbits(dataclasses.replace(fam, multipliers=()))[0]) == fam.b ** 2
-
-
-def test_thread_count_does_not_change_reduced_profile():
-    fam = squares_family(build_ring(7, 1))
-    one = profile_via_differences(fam, threads=1)
-    assert profile_via_differences(fam, threads=3) == one
 
 
 def test_multiplier_that_does_not_permute_blocks_is_rejected():
@@ -86,7 +80,7 @@ def test_reduced_route_matches_direct_on_cyclotomic_families(case):
     # every e with e | q-1 and f >= 2 whose development fits the direct budget
     p, n, e = case
     fam = wilson_family(build_field(p, n), e)
-    assert profile_via_differences(fam, threads=1) == profile_direct(develop(fam))
+    assert profile_via_differences(fam) == profile_direct(develop(fam))
 
 
 def test_planted_kernel_error_is_caught(monkeypatch, capsys):
