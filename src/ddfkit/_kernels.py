@@ -1,4 +1,4 @@
-"""Hot counting kernels: pure numpy, one thread.
+"""Hot counting kernels: pure numpy, one thread, whole-array passes.
 
 Every kernel takes an int64 block array as its first argument and returns
 exact int64 counts; callers finish the arithmetic in Python integers, so
@@ -6,12 +6,14 @@ nothing here can silently overflow (the per-kernel counts are bounded by
 b^2 * v, far below 2^63 at the supported sizes).
 
 Kernels:
-  * diff_pair_hist      -- for each listed ordered base-block pair (i, j) and group
-                           element d, tallies how often each multiplicity
-                           N_d of d in the multiset D_i - D_j occurs
-                           (the (i, i, 0) self-pair cell is excluded);
+  * diff_cell_hist      -- for listed group elements d, each standing for
+                           a weight of them, tallies how often each value
+                           of the cell N_d(i, j) = |D_i & (D_j + d)| occurs
+                           over the b^2 base-block pairs (i, j) (the
+                           (i, i, 0) self-pair cell is excluded);
   * block_intersection_hist -- pairwise |B_i & B_j| histogram over distinct
-                           block indices, via bit-packed rows;
+                           block indices, from Gram products of the 0/1
+                           incidence matrix;
   * pair_coverage       -- per point pair, in how many blocks it appears.
 """
 
@@ -19,53 +21,114 @@ from __future__ import annotations
 
 import numpy as np
 
+# Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
+# elements and b^2 cells stay near 2^16 int64 values (0.5 MB) ran fastest
+# among 2^14..2^20 on the feng families and on wilson-half (7,2) without
+# multipliers; a single d whose table is larger is a chunk of its own.
+_CHUNK = 1 << 16
+# Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
+# products and 8 MB of int64 copies, whatever the number of blocks.
+_GRAM_CELLS = 1 << 20
+
 
 def backend() -> str:
     """Name of the counting backend; numpy is the only one."""
     return "numpy"
 
 
-def diff_pair_hist(blocks, base, digits, order, pairs=None, weights=None):
-    """Histogram over N of the (i, j, d) multiplicity cells (see module doc).
+def _distinct(values):
+    """The distinct entries of a 1-D array, ascending.
 
-    Entry N counts the cells whose multiplicity is N; each cell stands for
-    `order` ordered block pairs of the developed design.  `pairs` lists pair
-    indices i*b + j, each standing for `weights` of them (an orbit
-    representative and its orbit size); by default every one of the b^2
-    pairs counts once.
+    np.unique would do, but its first call in a process took 13 ms on a
+    2-vCPU Xeon VM, more than a whole t = 25 profile.
+    """
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _point_layers(blocks, order):
+    """(L, order) array: row l maps a point y to the l-th block containing y, or b.
+
+    A disjoint family has one layer, which is the owner of each point.
+    """
+    b, k = blocks.shape
+    pts = blocks.ravel()
+    rows = np.arange(pts.size, dtype=np.int64) // k
+    layers = np.full((int(np.bincount(pts).max()), order), b, dtype=np.int64)
+    for layer in layers:
+        # one of the entries at each point lands; a point is in a block once
+        layer[pts] = rows
+        left = layer[pts] != rows
+        pts, rows = pts[left], rows[left]
+    return layers
+
+
+def diff_cell_hist(blocks, base, digits, order, reps, weights):
+    """Histogram over N of the (i, j, d) cells N_d(i, j) (see module doc).
+
+    The group is (Z_base)^digits of the given order, elements packed as
+    sum(c_l * base^l).  For each d in `reps` the b^2 cell table is one
+    bincount of row(x) * (b + 1) + layer(x - d) over the block elements x;
+    the table's cells are histogrammed and added `weights` times (an orbit
+    representative and its orbit size).  Each cell stands for `order`
+    ordered block pairs of the developed design.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
+    reps = np.asarray(reps, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
     b, k = blocks.shape
-    if pairs is None:
-        pairs, weights = range(b * b), [1] * (b * b)
+    layers = _point_layers(blocks, order)
     pows = base ** np.arange(digits, dtype=np.int64)
-    dig = (blocks[:, :, None] // pows) % base  # (b, k, digits)
-    hist = np.zeros(k + 1, dtype=np.int64)
-    for pair, w in zip(pairs, weights):
-        i, j = divmod(int(pair), b)
-        dd = (dig[i][:, None, :] - dig[j][None, :, :]) % base
-        d = (dd * pows).sum(axis=2).ravel()
-        if i == j:
-            d = d[d != 0]
-        cells = np.bincount(np.bincount(d, minlength=order), minlength=k + 1)
-        if i == j:
-            cells[0] -= 1  # d = 0 is not part of the d-space when i == j
-        hist += w * cells
-    return hist
+    pts = blocks.ravel()
+    # row l: digit l of each block element x, times base^l
+    pt_digits = np.ascontiguousarray(((pts[:, None] // pows) % base * pows).T)
+    cells = b * (b + 1)  # column b of row i counts the x in D_i with x - d in no block
+    chunk = max(1, _CHUNK // max(pts.size, cells))
+    offsets = np.arange(chunk, dtype=np.int64)[:, None] * cells \
+        + np.repeat(np.arange(b, dtype=np.int64) * (b + 1), k)
+    # a cell is at most k; a spare cell is at most k per layer
+    hist = np.zeros(layers.shape[0] * k + 1, dtype=np.int64)
+    for w in _distinct(weights):
+        group = reps[weights == w]
+        for s in range(0, group.size, chunk):
+            d = group[s:s + chunk]
+            d_digits = (d[:, None] // pows) % base * pows
+            # x - d, packed: the integer difference plus base^(l+1) for every
+            # digit l that borrows
+            shifted = pts[None, :] - d[:, None]
+            for l in range(digits):
+                shifted += (pt_digits[l][None, :] < d_digits[:, l, None]) * (base * pows[l])
+            table = np.bincount((offsets[:d.size] + layers[:, shifted]).ravel(),
+                                minlength=d.size * cells)
+            hist += w * (np.bincount(table, minlength=hist.size)
+                         - np.bincount(table[b::b + 1], minlength=hist.size))
+    hist[k] -= b * int(weights[reps == 0].sum())  # the (i, i, 0) self-pair cells
+    return hist[:k + 1]
 
 
-def block_intersection_hist(blocks, v):
-    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices."""
+def block_intersection_hist(blocks):
+    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
+
+    The points that occur are relabelled 0..u-1 (u <= B*k), so memory does
+    not depend on the size of the point set.  The intersection sizes are the
+    entries of the Gram matrix of the 0/1 incidence matrix, taken in chunks
+    of rows above the diagonal; every entry is an integer at most k, which
+    float32 represents exactly below 2^24.
+    """
     blocks = np.asarray(blocks, dtype=np.int64)
     B, k = blocks.shape
-    inc = np.zeros((B, ((v + 63) // 64) * 64), dtype=bool)
-    inc[np.arange(B)[:, None], blocks] = True
-    packed8 = np.packbits(inc, axis=1, bitorder="little")
+    pts = blocks.ravel()
+    points = _distinct(pts)
+    inc = np.zeros((B, points.size), dtype=np.float32 if k < 1 << 24 else np.float64)
+    inc[np.repeat(np.arange(B), k), np.searchsorted(points, pts)] = 1
     hist = np.zeros(k + 1, dtype=np.int64)
-    for i in range(B - 1):
-        anded = packed8[i] & packed8[i + 1 :]
-        sizes = np.bitwise_count(anded).sum(axis=1, dtype=np.int64)
-        hist += np.bincount(sizes, minlength=k + 1)
+    step = max(1, _GRAM_CELLS // max(B, 1))
+    for s in range(0, B - 1, step):
+        gram = inc[s:s + step] @ inc[s:].T  # rows s.., columns s..
+        r = gram.shape[0]
+        hist += np.bincount(gram[:, r:].astype(np.int64).ravel(), minlength=k + 1)
+        upper = gram[:, :r][np.triu_indices(r, 1)]
+        hist += np.bincount(upper.astype(np.int64), minlength=k + 1)
     return hist
 
 

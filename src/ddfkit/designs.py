@@ -5,17 +5,15 @@ indexed collection of exactly v*b blocks (translates counted with
 multiplicity); a flag reports whether any orbit collapsed into duplicates.
 Block-intersection profiles come from two independent routes:
 
-  * profile_direct: quadratic scan over all unordered pairs of distinct
-    block indices (bit-packed intersection counting);
-  * profile_via_differences: per ordered base pair (i, j), the multiplicity
-    N_d of each group element d in the multiset of ordered element
-    differences D_i - D_j determines |(D_i + a) & (D_j + b)| for the v
-    ordered translate pairs with b - a = d; the (i, i, 0) cell is the
-    excluded self-pair.  Ordered totals are halved at the end.  When the
-    family records multipliers, only one base pair per orbit of the group
-    they generate is walked, weighted by the orbit size: a unit m with
-    m*D_i = D_pi(i) is an additive automorphism, so (i, j) and
-    (pi(i), pi(j)) have the same multiplicity histogram.
+  * profile_direct: all unordered pairs of distinct block indices, from
+    Gram products of the 0/1 block incidence matrix; no group arithmetic;
+  * profile_via_differences: (D_i + a) & (D_j + c) has N_d(i, j) =
+    |D_i & (D_j + d)| points for d = c - a, so each cell (i, j, d) stands
+    for v ordered block pairs; the (i, i, 0) cells are excluded and ordered
+    totals are halved at the end.  The b^2 cells at d and at -d, and at d
+    and m*d for a multiplier m with m*D_i = D_pi(i), have the same
+    histogram, so one d per orbit of negation and the multipliers is
+    tabulated, weighted by the orbit size (see difference_orbits).
 
 Every difference-route profile is checked against the exact counting
 identities of a developed family (see check_profile).
@@ -110,9 +108,14 @@ def develop(fam: DifferenceFamily) -> Design:
         rows = g.add_arrays(base[i][None, :], translates[:, None])
         rows.sort(axis=1)
         out[i * v : (i + 1) * v] = rows
-    unique = np.unique(out, axis=0)
-    return Design(v=v, k=k, blocks=out,
-                  has_duplicate_blocks=unique.shape[0] < out.shape[0])
+    # D_i + g = D_j + h for (i, g) != (j, h) iff D_i - x = D_j - y for some
+    # distinct (i, x), (j, y) with x in D_i, y in D_j: a nontrivial
+    # stabiliser, or two base blocks that are translates.  Compare those b*k
+    # translates through 0, which are rows i*v + (-x) of the development.
+    through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, base)).ravel()]
+    through_zero = through_zero[np.lexsort(through_zero.T)]
+    repeated = (through_zero[1:] == through_zero[:-1]).all(axis=1).any()
+    return Design(v=v, k=k, blocks=out, has_duplicate_blocks=bool(repeated))
 
 
 def verify_2design(design: Design, lam: int):
@@ -156,7 +159,7 @@ def check_direct_budget(blocks: int) -> None:
 def profile_direct(design: Design) -> IntersectionProfile:
     """Pairwise scan over all C(B, 2) distinct-index block pairs."""
     check_direct_budget(design.block_count)
-    hist = _kernels.block_intersection_hist(design.blocks, design.v)
+    hist = _kernels.block_intersection_hist(design.blocks)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
@@ -202,35 +205,43 @@ def _block_permutation(fam: DifferenceFamily, matrix) -> np.ndarray:
     return perm
 
 
-def pair_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the multipliers on the ordered base pairs (i, j), as pair index i*b + j.
+def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits on the group elements d of negation and the multipliers.
 
-    Returns (representatives, weights): the least pair index of each orbit,
-    ascending, and the orbit sizes, which sum to b^2.  With no multipliers
-    every pair is its own orbit.
+    N_(-d)(i, j) = N_d(j, i), so the cell table at -d is the transpose of
+    the one at d; a multiplier m gives N_(m*d)(pi i, pi j) = N_d(i, j).
+    Either way the b^2 cells at d and at its image have the same histogram.
+    Returns (representatives, sizes): the least element of each orbit,
+    ascending, and the orbit sizes, which sum to v.  Each multiplier is
+    first checked to permute the base blocks (ValueError otherwise).
     """
-    b = fam.b
-    idx = np.arange(b * b, dtype=np.int64)
-    moves = []
+    g = fam.group
+    elems = np.arange(g.order, dtype=np.int64)
+    digits = g.digit_matrix(elems)
+    moves = [g.pack_digits(-digits)]
     for matrix in fam.multipliers:
-        perm = _block_permutation(fam, matrix)
-        moves.append(perm[idx // b] * b + perm[idx % b])
-    # label[x] is always a pair in x's orbit no larger than x.  Pulling the
-    # least label along move^(2^s) for 2^s < 2b makes it the least over x's
-    # cycle under that generator when the cycle is no longer than b (longer
-    # ones need more passes).  Once no generator changes any label, labels
-    # are constant on orbits and equal the orbit minimum.
-    label = idx
-    while True:
+        _block_permutation(fam, matrix)
+        moves.append(g.pack_digits(digits @ np.asarray(matrix, dtype=np.int64)))
+    # label[x] is always an element of x's orbit no larger than x.  Pulling
+    # the least label along move^(2^s) makes label[x] the least over 2^(s+1)
+    # steps of x's cycle; a step that changes nothing means every cycle of
+    # that move already carries one label.  Once a round over all moves
+    # changes nothing, labels are constant on orbits and equal the orbit
+    # minimum.
+    label = elems
+    changed = True
+    while changed:
+        changed = False
         for move in moves:
             step = move
-            for _ in range(b.bit_length()):
-                label = np.minimum(label, label[step])
+            while True:
+                pulled = np.minimum(label, label[step])
+                if np.array_equal(pulled, label):
+                    break
+                label, changed = pulled, True
                 step = step[step]
-        if all(np.array_equal(label, label[move]) for move in moves):
-            break
-    reps = np.flatnonzero(label == idx)
-    return reps, np.bincount(label, minlength=b * b)[reps]
+    reps = np.flatnonzero(label == elems)
+    return reps, np.bincount(label, minlength=g.order)[reps]
 
 
 def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None) -> None:
@@ -254,12 +265,11 @@ def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None
 
 
 def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
-    """Difference-multiset route; scales past the direct scan's budget."""
+    """Cell tables over orbits of d; scales past the direct scan's budget."""
     g = fam.group
-    # without multipliers the kernel walks all b^2 pairs
-    reps, weights = pair_orbits(fam) if fam.multipliers else (None, None)
-    hist = _kernels.diff_pair_hist(fam.block_array(), g.base, g.digits, g.order,
-                                   pairs=reps, weights=weights)
+    reps, sizes = difference_orbits(fam)
+    hist = _kernels.diff_cell_hist(fam.block_array(), g.base, g.digits, g.order,
+                                   reps, sizes)
     counts = {}
     for n, cells in enumerate(hist):
         cells = int(cells)
@@ -376,7 +386,10 @@ def load_design(path) -> Design:
     rows = [line.split() for line in tokens[1:] if line.strip()]
     if len(rows) != count:
         raise ValueError(f"expected {count} blocks, found {len(rows)}")
-    blocks = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+    try:
+        blocks = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("block entry out of range") from None
     if blocks.shape != (count, k):
         raise ValueError("ragged block lines")
     if blocks.min(initial=0) < 0 or blocks.max(initial=0) >= v:

@@ -16,8 +16,9 @@ The cyclotomic and Teichmüller-coset constructions also record multipliers:
 units m with m*D_i = D_pi(i) for a permutation pi of the base blocks.  Each
 is stored as the digits x digits matrix of x -> m*x on digit vectors (row i
 holds the digits of m times the i-th basis element x^i), which is linear
-mod `base` in both fields and rings.  The difference route walks one base
-pair per orbit of the group they generate (see designs.pair_orbits).
+mod `base` in both fields and rings.  The difference route tabulates one
+group element d per orbit of the group they generate, with negation (see
+designs.difference_orbits).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
-from .galois_ring import GaloisRing
+from .errors import BudgetError
+from .fields import FIELD_ORDER_BUDGET, Field
+from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
 from .groups import AdditiveGroup
 
 FENG_INDEX_SETS = (
@@ -300,6 +302,13 @@ def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
     v, k, lam, b = (int(x) for x in header)
     if group.order != v:
         raise ValueError(f"group order {group.order} does not match header v={v}")
+    # the constructions' table budgets cap a loaded group too, before any
+    # table of v entries is allocated
+    budget = FIELD_ORDER_BUDGET if group.kind == "field" else RING_ENCODING_BUDGET
+    if v > budget:
+        raise BudgetError(f"{group.kind} order {v} exceeds the table budget {budget}")
+    if b < 1 or k < 1:
+        raise ValueError("a family needs b >= 1 base blocks of k >= 1 elements")
     rows = [line.split() for line in tokens[1:] if line.strip()]
     if len(rows) != b:
         raise ValueError(f"expected {b} base blocks, found {len(rows)}")

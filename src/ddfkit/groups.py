@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import is_prime
+
 
 @lru_cache(maxsize=None)
 def _powers(base: int, digits: int) -> np.ndarray:
@@ -100,6 +102,8 @@ def group_for(kind: str, p: int, order: int) -> AdditiveGroup:
     Used when loading family files, whose header stores only v: the
     extension degree is the exact logarithm of the order.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     base = p if kind == "field" else p * p
     digits = 0
     m = 1

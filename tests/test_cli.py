@@ -1,10 +1,15 @@
 """CLI grammar, exit codes, and byte-deterministic output."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddfkit.cli import main
 
@@ -245,3 +250,109 @@ def test_design_rows_must_be_distinct_and_sorted(capsys, tmp_path):
         assert code == 2, rows
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_design_file_with_huge_point_labels(capsys, tmp_path):
+    # v = 2^40 in the header: only the points that occur are tabulated
+    path = tmp_path / "design.txt"
+    big = 2 ** 40 - 1
+    path.write_text(f"{2 ** 40} 3 2\n0 {big}\n1 {big}\n0 1\n")
+    code, out, err = run(capsys, "profile", "--input", str(path),
+                         "--design", "--method", "direct")
+    assert (code, out, err) == (0, '{"1":"3"}\n', "")
+
+
+# ---------------------------------------------------------------------------
+# malformed family and design files
+# ---------------------------------------------------------------------------
+
+def test_loaded_family_order_is_checked_before_tables(capsys, monkeypatch, tmp_path):
+    import ddfkit.families
+
+    def bincount_must_not_run(*args, **kwargs):
+        raise AssertionError("a table was built before the budget check")
+
+    monkeypatch.setattr(ddfkit.families.np, "bincount", bincount_must_not_run)
+    path = tmp_path / "family.txt"
+    path.write_text(f"{5 ** 12} 1 0 1\n3\n")  # k = 1, lambda = 0 fits any v
+    code, out, err = run(capsys, "profile", "--input", str(path),
+                         "--kind", "field", "--p", "5")
+    assert (code, out) == (1, "")
+    assert err == "budget exceeded: field order 244140625 exceeds the table budget 1048576\n"
+
+
+def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
+    path = tmp_path / "family.txt"
+    path.write_text("5 2 1 2\n1 4\n2 3\n")
+    for p in ("1", "0", "-5", "4"):  # p = 0 and 1 used to loop forever
+        code, out, err = run(capsys, "profile", "--input", str(path),
+                             "--kind", "field", "--p", p)
+        assert (code, out) == (2, ""), p
+        assert err == f"error: p = {p} is not a prime\n"
+    path.write_text("5 2 0 0\n")
+    code, _, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
+                       "--p", "5")
+    assert (code, err) == (2, "error: a family needs b >= 1 base blocks of k >= 1 elements\n")
+
+
+_SIZES = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 9, 25, 27, 5 ** 8, 3 ** 11,
+                                    5 ** 12, 3 ** 25]),
+                   st.integers(-50, 50), st.integers(2 ** 62, 2 ** 70),
+                   st.sampled_from([5 ** 30, 9 ** 40, -(2 ** 64)]))
+_TOKENS = st.one_of(st.integers(-3, 30), _SIZES.map(str).map(int),
+                    st.sampled_from(["x", "1.5", "-", "0x1f", "1e3", "nan", "½"]))
+
+
+def _line(tokens):
+    return " ".join(str(t) for t in tokens)
+
+
+@st.composite
+def file_texts(draw, header_len):
+    header = draw(st.lists(st.one_of(_SIZES, _TOKENS), min_size=0, max_size=header_len + 1))
+    if len(header) >= header_len and draw(st.booleans()):
+        # a plausible header keeps the row checks reachable
+        header = [draw(st.sampled_from([5, 7, 9, 25, 27, 5 ** 8, 5 ** 12]))] + \
+            [draw(st.integers(-1, 4)) for _ in range(header_len - 1)]
+    rows = draw(st.lists(st.lists(_TOKENS, min_size=0, max_size=5), max_size=5))
+    return "\n".join([_line(header)] + [_line(row) for row in rows]) + \
+        draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_texts(4), st.sampled_from([("field", "5"), ("field", "3"), ("ring", "5"),
+                                       ("field", "7"), ("ring", "3")]),
+       st.sampled_from([["profile"], ["profile", "--method", "both"], ["develop"],
+                        ["verify"], ["verify", "--skip-design"]]))
+def test_fuzzed_family_files_end_in_an_exit_code(text, source, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [*command, "--input", path, "--kind", source[0], "--p", source[1]]
+        if command[0] == "develop":
+            argv += ["--out", os.path.join(tmp, "design.txt")]
+        code, err = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_texts(3))
+@example(f"{2 ** 70} 1 2\n0 {2 ** 65}\n")  # an entry beyond int64
+def test_fuzzed_design_files_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, err = _run_quietly(["profile", "--input", path, "--design",
+                                  "--method", "direct"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     develop, feng_families, iso_oracle,
@@ -12,7 +13,7 @@ from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.designs import Design, IntersectionProfile
 from ddfkit.families import DifferenceFamily
-from ddfkit.groups import field_group
+from ddfkit.groups import field_group, ring_group
 
 
 def single_block_family(block=(1, 2)):
@@ -65,6 +66,43 @@ def test_develop_duplicate_flag():
     design = develop(fam)
     assert design.block_count == 4
     assert design.has_duplicate_blocks  # every translate of the full set repeats
+
+
+def _family(group, blocks):
+    k = len(blocks[0])
+    return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks)), v=group.order,
+                            k=k, lam=0, disjoint=False, near_complete=False)
+
+
+def _duplicates_by_unique(design):
+    return np.unique(design.blocks, axis=0).shape[0] < design.block_count
+
+
+@pytest.mark.parametrize("group, blocks, expected", [
+    (field_group(5, 1), [(1, 2)], False),
+    (field_group(7, 1), [(1, 2, 4), (3, 5, 6)], False),
+    (field_group(5, 1), [(1, 2), (2, 3)], True),  # D_1 = D_0 + 1
+    (field_group(3, 2), [(0, 1, 2)], True),  # a subgroup: D + 1 = D
+    (field_group(3, 2), [(1, 5), (0, 1)], False),
+    (ring_group(2, 2), [(1, 3), (0, 2)], True),  # {0, 2} + 2 = {0, 2}
+    (ring_group(2, 2), [(1, 2), (3, 4)], False),
+])
+def test_duplicate_flag_cases(group, blocks, expected):
+    design = develop(_family(group, blocks))
+    assert design.has_duplicate_blocks == _duplicates_by_unique(design) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([field_group(2, 2), field_group(5, 1), field_group(3, 2),
+                        field_group(2, 3), ring_group(2, 2), ring_group(3, 1)]),
+       st.data())
+def test_duplicate_flag_matches_unique(group, data):
+    k = data.draw(st.integers(1, min(4, group.order)))
+    block = st.lists(st.integers(0, group.order - 1), min_size=k, max_size=k,
+                     unique=True).map(sorted)
+    blocks = data.draw(st.lists(block, min_size=1, max_size=3))
+    design = develop(_family(group, blocks))
+    assert design.has_duplicate_blocks == _duplicates_by_unique(design)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,16 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+from ddfkit import (build_field, build_ring, develop, furino_family,
+                    profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
+from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, IntersectionProfile
+from ddfkit.families import DifferenceFamily
+from ddfkit.groups import field_group, ring_group
+
+from test_multipliers import cyclotomic_cases
 
 
 def random_blocks(rng, b, k, v):
@@ -17,13 +25,13 @@ def test_diff_hist_single_block_z5():
     # base block {1, 2} in Z_5: the two nonzero differences 1 and 4 each occur
     # once, the remaining two d-values have multiplicity 0
     blocks = np.array([[1, 2]], dtype=np.int64)
-    hist = _kernels.diff_pair_hist(blocks, 5, 1, 5)
+    hist = _kernels.diff_cell_hist(blocks, 5, 1, 5, np.arange(5), np.ones(5))
     assert hist.tolist() == [2, 2, 0]
 
 
 def test_intersect_hist_tiny():
     blocks = np.array([[0, 1], [0, 1], [1, 2]], dtype=np.int64)
-    hist = _kernels.block_intersection_hist(blocks, 3)
+    hist = _kernels.block_intersection_hist(blocks)
     # pairs: (0,1) identical -> 2; (0,2) and (1,2) share point 1 -> 1
     assert hist.tolist() == [0, 2, 1]
 
@@ -44,19 +52,49 @@ def _group_sub(x, y, base, digits):
     return out
 
 
-def _diff_hist_reference(blocks, base, digits, pairs, weights):
+def _diff_hist_reference(blocks, base, digits, ds, weights):
+    """Cell histogram over all b^2 base pairs and the listed d, with weights."""
     b, k = blocks.shape
-    order = base ** digits
     hist = [0] * (k + 1)
-    for pair, w in zip(pairs, weights):
-        i, j = divmod(pair, b)
-        per_d = Counter(_group_sub(int(x), int(y), base, digits)
-                        for x in blocks[i] for y in blocks[j])
-        for d in range(order):
-            if i == j and d == 0:
-                continue  # the excluded self-pair cell
-            hist[per_d[d]] += w
+    for i in range(b):
+        for j in range(b):
+            per_d = Counter(_group_sub(int(x), int(y), base, digits)
+                            for x in blocks[i] for y in blocks[j])
+            for d, w in zip(ds, weights):
+                if i == j and d == 0:
+                    continue  # the excluded self-pair cell
+                hist[per_d[d]] += w
     return hist
+
+
+def _diff_pair_hist(blocks, base, digits, order):
+    """The per-pair route: one difference multiset D_i - D_j per base pair.
+
+    For every ordered pair (i, j) it bincounts the k^2 differences over the
+    group and histograms the v multiplicities, excluding the (i, i, 0) cell.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    b, k = blocks.shape
+    pows = base ** np.arange(digits, dtype=np.int64)
+    dig = (blocks[:, :, None] // pows) % base  # (b, k, digits)
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for i in range(b):
+        for j in range(b):
+            dd = (dig[i][:, None, :] - dig[j][None, :, :]) % base
+            d = (dd * pows).sum(axis=2).ravel()
+            if i == j:
+                d = d[d != 0]
+            cells = np.bincount(np.bincount(d, minlength=order), minlength=k + 1)
+            if i == j:
+                cells[0] -= 1  # d = 0 is not part of the d-space when i == j
+            hist += cells
+    return hist
+
+
+def _per_pair_profile(fam):
+    g = fam.group
+    hist = _diff_pair_hist(fam.block_array(), g.base, g.digits, g.order)
+    return IntersectionProfile({n: g.order * int(c) // 2 for n, c in enumerate(hist)})
 
 
 def test_kernels_match_scalar_references():
@@ -64,25 +102,27 @@ def test_kernels_match_scalar_references():
     for base, digits in [(5, 2), (25, 1), (3, 3), (7, 2)]:
         v = base ** digits
         b = 6
+        # independent random rows: blocks overlap and may contain 0
         blocks = random_blocks(rng, b=b, k=min(5, v // 2), v=v)
         case = (base, digits)
 
-        every = range(b * b)
-        hist = _kernels.diff_pair_hist(blocks, base, digits, v)
+        every = np.arange(v)
+        hist = _kernels.diff_cell_hist(blocks, base, digits, v, every, np.ones(v))
         assert hist.tolist() == _diff_hist_reference(blocks, base, digits, every,
-                                                     [1] * b * b), case
-        pairs = np.sort(rng.choice(b * b, size=11, replace=False))
-        weights = rng.integers(1, 6, size=pairs.size)
-        hist = _kernels.diff_pair_hist(blocks, base, digits, v,
-                                       pairs=pairs, weights=weights)
+                                                     [1] * v), case
+        assert hist.tolist() == _diff_pair_hist(blocks, base, digits, v).tolist(), case
+        ds = np.sort(rng.choice(v, size=11, replace=False))
+        ds[0] = 0  # the self-pair exclusion is weighted too
+        weights = rng.integers(1, 6, size=ds.size)
+        hist = _kernels.diff_cell_hist(blocks, base, digits, v, ds, weights)
         assert hist.tolist() == _diff_hist_reference(
-            blocks, base, digits, pairs.tolist(), weights.tolist()), case
+            blocks, base, digits, ds.tolist(), weights.tolist()), case
 
         rows = [set(map(int, row)) for row in blocks]
         ref = [0] * (blocks.shape[1] + 1)
         for a, c in combinations(rows, 2):
             ref[len(a & c)] += 1
-        assert _kernels.block_intersection_hist(blocks, v).tolist() == ref, case
+        assert _kernels.block_intersection_hist(blocks).tolist() == ref, case
 
         cover = Counter(pair for row in rows for pair in combinations(sorted(row), 2))
         cnt = _kernels.pair_coverage(blocks, v).reshape(v, v)
@@ -91,8 +131,8 @@ def test_kernels_match_scalar_references():
             dict(cover), case
 
 
-def test_intersect_hist_wide_rows():
-    # several 64-bit words per row
+def test_intersect_hist_wide_rows(monkeypatch):
+    # many more points than blocks, and a Gram product split into row chunks
     rng = np.random.default_rng(11)
     blocks = random_blocks(rng, b=40, k=30, v=700)
     ref = np.zeros(31, dtype=np.int64)
@@ -100,5 +140,60 @@ def test_intersect_hist_wide_rows():
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             ref[len(rows[i] & rows[j])] += 1
-    hist = _kernels.block_intersection_hist(blocks, 700)
+    hist = _kernels.block_intersection_hist(blocks)
     assert hist.tolist() == ref.tolist()
+    monkeypatch.setattr(_kernels, "_GRAM_CELLS", 7 * 40)  # chunks of 7 rows
+    assert _kernels.block_intersection_hist(blocks).tolist() == ref.tolist()
+
+
+def test_intersect_hist_ignores_unused_points():
+    # labels far beyond any table size: only the points that occur count
+    blocks = np.array([[3, 2 ** 40 - 1], [5, 2 ** 40 - 1], [3, 5]], dtype=np.int64)
+    assert _kernels.block_intersection_hist(blocks).tolist() == [0, 3, 0]
+
+
+# ---------------------------------------------------------------------------
+# the difference route against the per-pair route and the direct scan
+# ---------------------------------------------------------------------------
+
+def _furino_cases():
+    # the Teichmüller subgroups of order >= 2 in GR(p^2, r) with p^r <= 13
+    cases = []
+    for p, r in [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2)]:
+        t = p ** r
+        cases += [(p, r, e) for e in range(1, t - 1) if (t - 1) % e == 0]
+    return cases
+
+
+@st.composite
+def loaded_families(draw):
+    """Random base blocks over a small field or ring group, as a file would load."""
+    kind, p, n = draw(st.sampled_from([("field", 5, 1), ("field", 2, 3), ("field", 3, 2),
+                                       ("field", 7, 1), ("ring", 3, 1), ("ring", 2, 2),
+                                       ("ring", 5, 1)]))
+    g = field_group(p, n) if kind == "field" else ring_group(p, n)
+    k = draw(st.integers(1, min(5, g.order - 1)))
+    block = st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k, unique=True)
+    blocks = draw(st.lists(block, min_size=1, max_size=4))
+    rows = tuple(tuple(sorted(row)) for row in blocks)
+    return DifferenceFamily(group=g, blocks=rows, v=g.order, k=k, lam=0,
+                            disjoint=False, near_complete=False, name="loaded")
+
+
+families = st.one_of(
+    st.sampled_from(cyclotomic_cases()).map(
+        lambda c: wilson_family(build_field(c[0], c[1]), c[2])),
+    st.sampled_from(_furino_cases()).map(
+        lambda c: furino_family(build_ring(c[0], c[1]),
+                                build_ring(c[0], c[1]).teichmuller[1::c[2]])),
+    loaded_families(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families)
+def test_difference_route_matches_per_pair_route_and_direct_scan(fam):
+    prof = profile_via_differences(fam)
+    assert prof == _per_pair_profile(fam), fam.name
+    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+        assert prof == profile_direct(develop(fam)), fam.name

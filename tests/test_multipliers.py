@@ -1,4 +1,4 @@
-"""Multiplier-orbit reduction of the difference route and its self-checks."""
+"""Orbit reduction of the difference route and its self-checks."""
 
 import dataclasses
 
@@ -10,7 +10,7 @@ from ddfkit import (ProfileCheckError, _kernels, build_field, build_ring,
                     compare_designs, davis_family, develop, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, check_profile, pair_orbits
+from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, check_profile, difference_orbits
 
 
 def constructions(p, r):
@@ -34,16 +34,22 @@ def test_reduced_route_equals_full_loop(p, r):
 
 @pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2), (73, 1)])
 def test_orbit_counts(p, r):
+    # fields: {0} and F*; rings: {0}, the units and pR \ {0}, whose least
+    # element is p
     t = p ** r
-    expected = {"wilson": t + 1, "wilson-half": 2 * (t + 1),
-                "gr-teichmuller": t + 3, "gr-squares": 2 * t + 6}
+    field_orbits = ([0, 1], [1, t * t - 1])
+    ring_orbits = ([0, 1, p], [1, t * (t - 1), t - 1])
+    expected = {"wilson": field_orbits, "wilson-half": field_orbits,
+                "gr-teichmuller": ring_orbits, "gr-squares": ring_orbits}
     for name, fam in constructions(p, r).items():
-        reps, weights = pair_orbits(fam)
-        assert len(reps) == expected[name], (p, r, name)
-        assert int(weights.sum()) == fam.b ** 2
-        assert list(reps) == sorted(set(reps.tolist()))
-    fam = constructions(p, r)["wilson"]
-    assert len(pair_orbits(dataclasses.replace(fam, multipliers=()))[0]) == fam.b ** 2
+        reps, sizes = difference_orbits(fam)
+        assert (reps.tolist(), sizes.tolist()) == expected[name], (p, r, name)
+    # without multipliers only negation acts: {0} and the pairs {d, -d}
+    fam = dataclasses.replace(constructions(p, r)["wilson"], multipliers=())
+    reps, sizes = difference_orbits(fam)
+    assert reps.size == (fam.v + 1) // 2 and int(sizes.sum()) == fam.v
+    g = fam.group
+    assert all(g.neg(int(d)) > d for d in reps[1:])
 
 
 def test_multiplier_that_does_not_permute_blocks_is_rejected():
@@ -59,7 +65,7 @@ def test_multiplier_that_does_not_permute_blocks_is_rejected():
         profile_via_differences(fam)
 
 
-def _cyclotomic_cases():
+def cyclotomic_cases():
     cases = []
     for p in range(2, 401):
         if not is_prime(p):
@@ -75,7 +81,7 @@ def _cyclotomic_cases():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(_cyclotomic_cases()))
+@given(st.sampled_from(cyclotomic_cases()))
 def test_reduced_route_matches_direct_on_cyclotomic_families(case):
     # every e with e | q-1 and f >= 2 whose development fits the direct budget
     p, n, e = case
@@ -84,14 +90,14 @@ def test_reduced_route_matches_direct_on_cyclotomic_families(case):
 
 
 def test_planted_kernel_error_is_caught(monkeypatch, capsys):
-    real = _kernels.diff_pair_hist
+    real = _kernels.diff_cell_hist
 
     def off_by_one(*args, **kwargs):
         hist = real(*args, **kwargs)
         hist[1] += 1
         return hist
 
-    monkeypatch.setattr(_kernels, "diff_pair_hist", off_by_one)
+    monkeypatch.setattr(_kernels, "diff_cell_hist", off_by_one)
     with pytest.raises(ProfileCheckError):
         profile_via_differences(squares_family(build_ring(5, 1)))
 
