@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import is_prime, primes_below
 from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
@@ -113,18 +115,6 @@ def gate(p: int, r: int) -> GateReport:
 # coset tallies and multiplicity bounds in GR(p^2, r)
 # ---------------------------------------------------------------------------
 
-def _difference_counter(ring: GaloisRing, left, right) -> dict[int, int]:
-    """Multiplicity of each d in the multiset {u - w : u in left, w in right, u != w}."""
-    counts: dict[int, int] = {}
-    for u in left:
-        for w in right:
-            if u == w:
-                continue
-            d = ring.sub(u, w)
-            counts[d] = counts.get(d, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
 class CosetCountReport:
     delta_squares: tuple[int, int]  # (square cosets, non-square cosets) in ΔT_S*
@@ -137,23 +127,24 @@ class CosetCountReport:
 def sn_coset_counts(ring: GaloisRing) -> CosetCountReport:
     """Tally square vs non-square cosets making up ΔT_S* and T_S* - T_N*.
 
-    Both multisets are unions of full cosets of T_S*; the tally divides each
-    side's element count by the coset size and checks the closed forms for
-    the two congruence classes of p^r mod 4.
+    Both multisets are unions of full cosets of T_S*; the multiplicity of
+    each difference d comes from one count over all pairs, and the tally
+    divides each parity's total by the coset size and checks the closed
+    forms for the two congruence classes of p^r mod 4.
     """
     squares, non_squares = ring.square_split()
     size = len(squares)
 
-    def tally(counts: dict[int, int]) -> tuple[int, int]:
-        by_parity = [0, 0]
-        for d, n in counts.items():
-            by_parity[ring.coset_parity(d)] += n
+    def tally(counts) -> tuple[int, int]:
+        d = np.flatnonzero(counts)
+        odd = ring.coset_parity(d) == 1
+        by_parity = int(counts[d[~odd]].sum()), int(counts[d[odd]].sum())
         if any(c % size for c in by_parity):
             raise AssertionError("difference multiset is not a union of cosets")
         return by_parity[0] // size, by_parity[1] // size
 
-    delta = tally(_difference_counter(ring, squares, squares))
-    cross = tally(_difference_counter(ring, squares, non_squares))
+    delta = tally(ring.group.difference_counts(squares, squares))
+    cross = tally(ring.group.difference_counts(squares, non_squares))
     t = ring.teich_size
     if t % 4 == 1:
         expected_delta = ((t - 5) // 4, (t - 1) // 4)
@@ -193,24 +184,27 @@ def bound_report(ring: GaloisRing) -> BoundReport:
         raise ValueError("bounds require odd p")
     if wieferich(p):
         raise ValueError("bounds require a non-Wieferich prime")
+    g = ring.group
     squares, non_squares = ring.square_split()
-    two_coset = {ring.add(s, s) for s in squares}  # 2 * T_S*
     residue4 = t % 4
     if residue4 == 1:
-        counts = _difference_counter(ring, squares, squares)
+        counts = g.difference_counts(squares, squares)
         upper = (t - 5) // 4
         upper_applicable = (t - 1) % 24 == 0
         name = "delta-squares"
-        in_scope = {d: n for d, n in counts.items()
-                    if d not in two_coset and ring.coset_parity(d) == 0}
     else:
-        counts = _difference_counter(ring, squares, non_squares)
+        counts = g.difference_counts(squares, non_squares)
         upper = (t + 1) // 4
         upper_applicable = (t - 1) % 24 == 18
         name = "squares-minus-nonsquares"
-        in_scope = {d: n for d, n in counts.items() if d not in two_coset}
+    two_coset = g.add_arrays(squares, squares)  # 2 * T_S*
+    counts[two_coset] = 0  # only d outside 2 * T_S* are bounded
+    d = np.flatnonzero(counts)
+    lemma_lower_ok = bool((counts[d] > 1).all())
+    if residue4 == 1:
+        d = d[ring.coset_parity(d) == 0]
+    in_scope = dict(zip(d.tolist(), counts[d].tolist()))
 
-    lemma_lower_ok = all(n > 1 for d, n in counts.items() if d not in two_coset)
     lo = min(in_scope.values()) if in_scope else None
     hi = max(in_scope.values()) if in_scope else None
     verdict = lemma_lower_ok and all(

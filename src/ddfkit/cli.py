@@ -147,7 +147,6 @@ def cmd_cyclo(args) -> int:
 
 
 def _closed_form_check(args, table) -> int:
-    q = args.p ** args.r
     # recover (base prime, half degree) so q = t^2 with t = base^half
     if args.r % 2:
         raise UsageError("closed forms apply to square-order fields only")

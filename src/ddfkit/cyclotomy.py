@@ -1,7 +1,9 @@
-"""Cyclotomic-number tables: brute force, closed forms, and consistency checks.
+"""Cyclotomic-number tables: exact counts, closed forms, and consistency checks.
 
 The cyclotomic number (i, j)_e counts |(C_i + 1) & C_j| for the cyclotomic
-cosets C_0..C_{e-1} of the e-th powers.  Closed-form tables may contain
+cosets C_0..C_{e-1} of the e-th powers: the cells at d = -1 of the
+difference route for the order-e coset family, counted exactly as one
+bincount of class(x) * e + class(x + 1).  Closed-form tables may contain
 unknown entries; those are first-class (None) values, never zeros, since
 conflating them would corrupt the order-e/order-2e sum relation.
 """
@@ -9,6 +11,8 @@ conflating them would corrupt the order-e/order-2e sum relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fields import Field, build_field
 
@@ -28,19 +32,17 @@ class CyclotomicTable:
 
 
 def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
-    """Brute-force table over all coset elements of F_q."""
-    f = (field.q - 1) // e if (field.q - 1) % e == 0 else None
-    if f is None:
-        raise ValueError(f"e={e} does not divide q-1={field.q - 1}")
+    """The exact order-e table of F_q, counted over every nonzero x at once.
+
+    Raises ValueError unless e divides q - 1.
+    """
     cls = field.class_index(e)
-    table = [[0] * e for _ in range(e)]
-    one = 1  # the multiplicative identity packs to encoding 1
-    for x in range(1, field.q):
-        y = field.add(x, one)
-        if y != 0:
-            table[cls[x]][cls[y]] += 1
-    return CyclotomicTable(e=e, q=field.q, f=f,
-                           values=tuple(tuple(row) for row in table))
+    x = np.arange(1, field.q, dtype=np.int64)
+    y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1
+    keep = y != 0
+    table = np.bincount(cls[x[keep]] * e + cls[y[keep]], minlength=e * e)
+    return CyclotomicTable(e=e, q=field.q, f=(field.q - 1) // e,
+                           values=tuple(map(tuple, table.reshape(e, e).tolist())))
 
 
 def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
@@ -111,29 +113,15 @@ def unknown_quadruples(table: CyclotomicTable) -> list[tuple]:
 def dickson_counts(p: int, r: int) -> tuple[int, int, int, int]:
     """Consecutive square/non-square counts (QQ, QN, NN, NQ) in F_{p^r}.
 
-    Brute-forced over the field and asserted against the classical closed
-    forms for both congruence classes of p^r mod 4.
+    These are the cells (0,0), (0,1), (1,1) and (1,0) of the order-2
+    cyclotomic table, asserted against the classical closed forms for both
+    congruence classes of p^r mod 4.
     """
     if p == 2:
         raise ValueError("consecutive-residue counts require odd p")
-    field = build_field(p, r)
-    q = field.q
-    squares = set(field.cyclotomic_classes(2)[0])
-    qq = qn = nn = nq = 0
-    for s in range(1, q):
-        succ = field.add(s, 1)
-        if succ == 0:
-            continue
-        if s in squares:
-            if succ in squares:
-                qq += 1
-            else:
-                qn += 1
-        else:
-            if succ in squares:
-                nq += 1
-            else:
-                nn += 1
+    table = cyclotomic_table(build_field(p, r), 2)
+    (qq, qn), (nq, nn) = table.values
+    q = table.q
     if q % 4 == 1:
         expected = ((q - 5) // 4, (q - 1) // 4, (q - 1) // 4, (q - 1) // 4)
     else:
@@ -177,7 +165,7 @@ def count_summary(table: CyclotomicTable) -> dict[int, int]:
         raise AssertionError("cell count does not match e^2")
     # tables of order p^r + 1 over F_{p^2r} carry known frequencies
     t = table.e - 1
-    if t >= 2 and t * t == table.q and t > 3:
+    if t > 3 and t * t == table.q:
         if freq.get(0) != 3 * t or freq.get(1) != t * (t - 1) or freq.get(t - 2) != 1:
             raise AssertionError("order-(p^r+1) frequency identities failed")
     return freq

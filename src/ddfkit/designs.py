@@ -182,18 +182,17 @@ def _invertible_mod(matrix: np.ndarray, p: int) -> bool:
     return True
 
 
-def _block_permutation(fam: DifferenceFamily, matrix) -> np.ndarray:
+def _block_permutation(fam: DifferenceFamily, matrix, base: np.ndarray) -> np.ndarray:
     """The permutation pi with m*D_i = D_pi(i), for m given by its digit matrix.
 
-    Raises ValueError unless the matrix is an additive automorphism that
-    maps the block set onto itself.
+    `base` is fam.block_array().  Raises ValueError unless the matrix is an
+    additive automorphism that maps the block set onto itself.
     """
     g = fam.group
     mat = np.array(matrix, dtype=np.int64)
     if mat.shape != (g.digits, g.digits) or not _invertible_mod(mat, g.p):
         raise ValueError(f"family {fam.name!r}: multiplier is not an invertible "
                          f"{g.digits}x{g.digits} digit matrix mod {g.base}")
-    base = fam.block_array()
     owner = np.full(g.order, -1, dtype=np.int64)
     owner[base] = np.arange(fam.b)[:, None]
     # m is injective, so a k-row of images that all lie in block j is block j
@@ -219,8 +218,9 @@ def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
     elems = np.arange(g.order, dtype=np.int64)
     digits = g.digit_matrix(elems)
     moves = [g.pack_digits(-digits)]
+    base = fam.block_array()
     for matrix in fam.multipliers:
-        _block_permutation(fam, matrix)
+        _block_permutation(fam, matrix, base)
         moves.append(g.pack_digits(digits @ np.asarray(matrix, dtype=np.int64)))
     # label[x] is always an element of x's orbit no larger than x.  Pulling
     # the least label along move^(2^s) makes label[x] the least over 2^(s+1)

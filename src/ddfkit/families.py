@@ -250,10 +250,8 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
     counts = np.zeros(g.order, dtype=np.int64)
     seen = np.zeros(g.order, dtype=np.int64)
     for block in fam.blocks:
-        arr = np.asarray(block, dtype=np.int64)
-        d = g.sub_arrays(arr[:, None], arr[None, :]).ravel()
-        counts += np.bincount(d[d != 0], minlength=g.order)
-        seen += np.bincount(arr, minlength=g.order)
+        counts += g.difference_counts(block, block)
+        seen += np.bincount(block, minlength=g.order)
 
     nonzero = counts[1:]
     constant = bool(nonzero.size) and int(nonzero.min()) == int(nonzero.max())

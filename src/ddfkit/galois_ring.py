@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import is_prime
 from .errors import BudgetError
 from .fields import build_field
@@ -160,12 +162,21 @@ class GaloisRing:
         non_squares = tuple(sorted(units[t] for t in range(1, len(units), 2)))
         return squares, non_squares
 
-    def coset_parity(self, u: int) -> int:
-        """0 if the unit u lies in a square coset of T_S*, 1 otherwise."""
-        a0 = self._teich_by_residue[self.residue(u)]
-        if a0 == 0:
+    def coset_parity(self, units) -> np.ndarray:
+        """Per unit u = xi^e * (1 + p*a): e mod 2, 0 for a square coset of T_S*.
+
+        xi^e is the element of T with u's residue mod p, so this is a lookup
+        by residue.  Raises ValueError if any entry is not a unit.
+        """
+        g = self.group
+        pows = self.p ** np.arange(self.r, dtype=np.int64)
+        residues = g.digit_matrix(np.array(self.teichmuller)) % self.p @ pows
+        parity = np.full(self.teich_size, -1, dtype=np.int64)  # -1: residue 0
+        parity[residues[1:]] = np.arange(self.teich_size - 1) % 2
+        parity = parity[g.digit_matrix(units) % self.p @ pows]
+        if (parity < 0).any():
             raise ValueError("coset parity is defined for units only")
-        return self.teich_log[a0] % 2
+        return parity
 
     def two_in_teichmuller(self) -> str:
         """Classify the ring element 2 relative to the Teichmüller group.

@@ -87,6 +87,13 @@ class AdditiveGroup:
     def sub_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.pack_digits(self.digit_matrix(a) - self.digit_matrix(b))
 
+    def difference_counts(self, left, right) -> np.ndarray:
+        """counts[d] = #{(u, w) in left x right : u - w = d}, pairs u = w left out."""
+        d = self.sub_arrays(np.asarray(left)[:, None], np.asarray(right)[None, :])
+        counts = np.bincount(d.ravel(), minlength=self.order)
+        counts[0] = 0  # u - w = 0 exactly when u = w
+        return counts
+
 
 def field_group(p: int, n: int) -> AdditiveGroup:
     return AdditiveGroup("field", p, n, p, n, p ** n)

@@ -1,8 +1,11 @@
 """Closed-form profiles, gate, coset tallies, bounds, comparison verdicts."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ddfkit import (bound_report, build_field, build_ring, certificate,
@@ -10,6 +13,7 @@ from ddfkit import (bound_report, build_field, build_ring, certificate,
                     profile_via_differences, sn_coset_counts, squares_family,
                     wieferich, wieferich_below, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
+from ddfkit.arith import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +157,95 @@ def test_bound_report_residue3_branch():
 def test_bound_report_rejects_wieferich():
     with pytest.raises(ValueError):
         bound_report(build_ring(1093, 1))
+
+
+def _difference_counter(ring, left, right):
+    """Scalar reference: the multiplicity of each d in the multiset
+    {u - w : u in left, w in right, u != w}."""
+    counts = {}
+    for u in left:
+        for w in right:
+            if u != w:
+                d = ring.sub(u, w)
+                counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def _parity(ring, u):
+    """Scalar reference: parity of the Teichmüller part of the unit u."""
+    return ring.teich_log[ring.unit_decompose(u).teich_part] % 2
+
+
+def _reference_reports(ring):
+    """Per-element tallies and in-scope multiplicities, as sn_coset_counts and
+    bound_report define them."""
+    squares, non_squares = ring.square_split()
+    size = len(squares)
+
+    def tally(counts):
+        by_parity = [0, 0]
+        for d, n in counts.items():
+            by_parity[_parity(ring, d)] += n
+        assert by_parity[0] % size == by_parity[1] % size == 0
+        return by_parity[0] // size, by_parity[1] // size
+
+    delta = _difference_counter(ring, squares, squares)
+    cross = _difference_counter(ring, squares, non_squares)
+    two_coset = {ring.add(s, s) for s in squares}
+    t = ring.teich_size
+    counts = delta if t % 4 == 1 else cross
+    outside = {d: n for d, n in counts.items() if d not in two_coset}
+    in_scope = {d: n for d, n in outside.items()
+                if t % 4 == 3 or _parity(ring, d) == 0}
+    lemma_lower_ok = all(n > 1 for n in outside.values())
+    return tally(delta), tally(cross), in_scope, lemma_lower_ok
+
+
+def _odd_non_wieferich_rings(limit):
+    for q in range(5, limit + 1, 2):
+        primes = factorize(q)
+        if len(set(primes)) == 1 and not wieferich(primes[0]):
+            yield primes[0], len(primes)
+
+
+def test_tallies_and_bounds_match_scalar_reference():
+    rings = list(_odd_non_wieferich_rings(49))
+    assert [p ** r for p, r in rings] == [5, 7, 9, 11, 13, 17, 19, 23, 25, 27,
+                                          29, 31, 37, 41, 43, 47, 49]
+    for p, r in rings:
+        ring = build_ring(p, r)
+        delta, cross, in_scope, lemma_lower_ok = _reference_reports(ring)
+        counts = sn_coset_counts(ring)
+        assert (counts.delta_squares, counts.squares_minus_nonsquares) == (delta, cross)
+        report = bound_report(ring)
+        assert report.multiplicities == in_scope, (p, r)
+        assert report.lemma_lower_ok == lemma_lower_ok, (p, r)
+        assert report.min_over_scope == min(in_scope.values(), default=None)
+        assert report.max_over_scope == max(in_scope.values(), default=None)
+
+
+def test_difference_counts_leaves_out_equal_pairs():
+    ring = build_ring(5, 2)
+    squares, non_squares = ring.square_split()
+    left = squares + non_squares[:3]
+    counts = ring.group.difference_counts(left, squares)
+    assert counts.shape == (ring.order,) and counts[0] == 0
+    assert counts.sum() == len(left) * len(squares) - len(squares)
+    expected = _difference_counter(ring, left, squares)
+    assert {int(d): int(counts[d]) for d in np.flatnonzero(counts)} == expected
+
+
+def test_reports_are_plain_json():
+    # the reports serialise as they are: Python int keys and values, no numpy
+    for p, r in [(5, 2), (7, 1), (23, 2)]:
+        ring = build_ring(p, r)
+        report = bound_report(ring)
+        assert report.multiplicities
+        assert all(type(d) is int and type(n) is int
+                   for d, n in report.multiplicities.items())
+        for obj in (sn_coset_counts(ring), report):
+            text = json.dumps(dataclasses.asdict(obj), sort_keys=True)
+            assert json.loads(text)
 
 
 # ---------------------------------------------------------------------------

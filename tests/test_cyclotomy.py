@@ -1,14 +1,61 @@
-"""Cyclotomic-number tables: brute force vs closed forms, Dickson counts."""
+"""Cyclotomic-number tables: vectorised counts vs a scalar reference and
+closed forms, Dickson counts."""
 
 import pytest
 
 from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e, count_summary,
                     cyclotomic_table, dickson_counts, unknown_quadruples)
+from ddfkit.arith import factorize
 from ddfkit.cyclotomy import CyclotomicTable, table_to_csv
 
 # (p, r) pairs indexed by t = p^r; tables live in F_{t^2}
 SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
+
+
+def _cyclotomic_reference(field, e, successors=None):
+    """The scalar table: one field.add per nonzero x, counted into cell
+    (class(x), class(x + 1)) when x + 1 != 0."""
+    cls = field.class_index(e)
+    if successors is None:
+        successors = [(x, field.add(x, 1)) for x in range(1, field.q)]
+    table = [[0] * e for _ in range(e)]
+    for x, y in successors:
+        if y != 0:
+            table[cls[x]][cls[y]] += 1
+    return tuple(tuple(row) for row in table)
+
+
+def _prime_powers(limit):
+    for q in range(2, limit + 1):
+        primes = factorize(q)
+        if len(set(primes)) == 1:
+            yield q, primes[0], len(primes)
+
+
+def test_table_matches_scalar_reference_every_field_to_2000():
+    # e = 1, the least e > 1, the largest e <= sqrt(q), and e = q - 1 where
+    # its (q - 1)^2 cells stay small
+    fields = 0
+    for q, p, n in _prime_powers(2000):
+        field = build_field(p, n)
+        successors = [(x, field.add(x, 1)) for x in range(1, q)]
+        divisors = [e for e in range(1, q) if (q - 1) % e == 0]
+        orders = {1, divisors[min(1, len(divisors) - 1)],
+                  max(e for e in divisors if e * e <= q)}
+        if q <= 512:
+            orders.add(q - 1)
+        for e in sorted(orders):
+            table = cyclotomic_table(field, e)
+            assert (table.e, table.q, table.f) == (e, q, (q - 1) // e), (q, e)
+            assert table.values == _cyclotomic_reference(field, e, successors), (q, e)
+        fields += 1
+    assert fields == 333
+
+
+def test_table_rejects_non_divisor():
+    with pytest.raises(ValueError):
+        cyclotomic_table(build_field(5, 2), 5)
 
 
 def test_brute_force_f9_order4():
@@ -35,8 +82,10 @@ def test_brute_force_f49_order8():
 def test_closed_form_order_e_matches_brute_force():
     for t, (p, r) in SUBFIELD_CASES.items():
         closed = closed_form_order_e(p, r)
-        brute = cyclotomic_table(build_field(p, 2 * r), t + 1)
+        field = build_field(p, 2 * r)
+        brute = cyclotomic_table(field, t + 1)
         assert closed.values == brute.values, f"t={t}"
+        assert closed.values == _cyclotomic_reference(field, t + 1), f"t={t}"
         assert closed.q == brute.q and closed.f == brute.f
 
 
@@ -53,7 +102,9 @@ def test_closed_form_order_2e_matches_brute_force():
     for t in (5, 7, 9, 13, 25):
         p, r = SUBFIELD_CASES[t]
         closed = closed_form_order_2e(p, r)
-        brute = cyclotomic_table(build_field(p, 2 * r), 2 * (t + 1))
+        field = build_field(p, 2 * r)
+        brute = cyclotomic_table(field, 2 * (t + 1))
+        assert brute.values == _cyclotomic_reference(field, 2 * (t + 1)), t
         for i in range(closed.e):
             for j in range(closed.e):
                 known = closed.entry(i, j)

@@ -1,5 +1,6 @@
 """Galois ring structure: Teichmüller set, decompositions, square split."""
 
+import numpy as np
 import pytest
 
 from ddfkit import BudgetError, build_ring
@@ -193,6 +194,23 @@ def test_two_is_ring_square_mod8():
         ring = build_ring(p, r)
         t = ring.teich_size
         assert (ring.coset_parity(2) == 0) == (t % 8 in (1, 7))
+
+
+def test_coset_parity_array_matches_per_element_calls():
+    for p, r in [(3, 1), (5, 1), (3, 2), (7, 1), (5, 2)]:
+        ring = build_ring(p, r)
+        units = np.array([u for u in range(ring.order) if ring.is_unit(u)])
+        parity = ring.coset_parity(units)
+        assert parity.tolist() == [int(ring.coset_parity(int(u))) for u in units]
+        # u = t * (1 + p*a) is in a square coset exactly when t = xi^even
+        assert parity.tolist() == [
+            ring.teich_log[ring.unit_decompose(int(u)).teich_part] % 2 for u in units]
+        assert parity.sum() * 2 == units.size
+        for non_unit in (0, p, ring.scalar_p(ring.xi)):
+            with pytest.raises(ValueError):
+                ring.coset_parity(non_unit)
+            with pytest.raises(ValueError):
+                ring.coset_parity(np.append(units[:5], non_unit))
 
 
 def test_teichmuller_differences_are_units():
