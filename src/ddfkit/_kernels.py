@@ -29,6 +29,8 @@ _CHUNK = 1 << 16
 # Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
 # products and 8 MB of int64 copies, whatever the number of blocks.
 _GRAM_CELLS = 1 << 20
+# Pair indices per bincount of pair_coverage: 32 MB of int64.
+_COVER_INDICES = 1 << 22
 
 
 def backend() -> str:
@@ -133,14 +135,19 @@ def block_intersection_hist(blocks):
 
 
 def pair_coverage(blocks, v):
-    """Flat (v*v,) array: entry u*v+w counts blocks containing both u and w (u < w)."""
+    """Flat (v*v,) array: entry u*v+w counts blocks containing both u and w (u < w).
+
+    Rows must be ascending.  The block array is transposed once to columns;
+    column i pairs with each later column j as cols[i] * v + cols[j], in
+    bincounts of at most max(_COVER_INDICES, B) indices.
+    """
     blocks = np.asarray(blocks, dtype=np.int64)
     B, k = blocks.shape
-    iu, ju = np.triu_indices(k, 1)
+    cols = np.ascontiguousarray(blocks.T)
     cnt = np.zeros(v * v, dtype=np.int64)
-    rows_per_chunk = max(1, (1 << 22) // max(iu.size, 1))
-    for s in range(0, B, rows_per_chunk):
-        chunk = blocks[s : s + rows_per_chunk]
-        flat = (chunk[:, iu] * v + chunk[:, ju]).ravel()
-        cnt += np.bincount(flat, minlength=v * v)
+    rows = max(1, _COVER_INDICES // max(B, 1))
+    for i in range(k - 1):
+        first = cols[i] * v
+        for j in range(i + 1, k, rows):
+            cnt += np.bincount((first + cols[j:j + rows]).ravel(), minlength=v * v)
     return cnt

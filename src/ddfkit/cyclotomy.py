@@ -5,16 +5,22 @@ cosets C_0..C_{e-1} of the e-th powers: the cells at d = -1 of the
 difference route for the order-e coset family, counted exactly as one
 bincount of class(x) * e + class(x + 1).  Closed-form tables may contain
 unknown entries; those are first-class (None) values, never zeros, since
-conflating them would corrupt the order-e/order-2e sum relation.
+conflating them would corrupt the order-e/order-2e sum relation.  The
+checks work on arrays: `table_arrays` gives the int64 cells with a mask of
+the known ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .errors import BudgetError
 from .fields import Field, build_field
+
+CYCLO_CELL_BUDGET = 2 ** 22  # e*e cells; admits every order-2(t+1) table to t = 1009
 
 
 @dataclass(frozen=True)
@@ -28,14 +34,18 @@ class CyclotomicTable:
         return self.values[i % self.e][j % self.e]
 
     def fully_known(self) -> bool:
-        return all(x is not None for row in self.values for x in row)
+        return not any(None in row for row in self.values)
 
 
 def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     """The exact order-e table of F_q, counted over every nonzero x at once.
 
-    Raises ValueError unless e divides q - 1.
+    Raises BudgetError before any allocation when e*e exceeds
+    CYCLO_CELL_BUDGET, and ValueError unless e divides q - 1.
     """
+    if e * e > CYCLO_CELL_BUDGET:
+        raise BudgetError(f"cyclotomic table capped at {CYCLO_CELL_BUDGET} cells (e*e), "
+                          f"got {e * e}")
     cls = field.class_index(e)
     x = np.arange(1, field.q, dtype=np.int64)
     y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1
@@ -94,20 +104,46 @@ def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
                            values=tuple(tuple(row) for row in values))
 
 
+def table_arrays(table: CyclotomicTable) -> tuple[np.ndarray, np.ndarray]:
+    """(values, known): the (e, e) int64 cells and the mask of known cells.
+
+    Unknown cells read 0 in `values`; compare them only under `known`.
+    """
+    e = table.e
+    cells = np.fromiter(chain.from_iterable(table.values), dtype=object,
+                        count=e * e).reshape(e, e)
+    known = cells != None  # noqa: E711 -- an elementwise test on arrays
+    cells[~known] = 0
+    return cells.astype(np.int64), known
+
+
+def quadruple_sums(values: np.ndarray) -> np.ndarray:
+    """(e, e) sums a[i,j] + a[i,j+e] + a[i+e,j] + a[i+e,j+e] of a (2e, 2e) array."""
+    e = values.shape[0] // 2
+    return values[:e, :e] + values[:e, e:] + values[e:, :e] + values[e:, e:]
+
+
+def quadruple_mask(known: np.ndarray) -> np.ndarray:
+    """(e, e) mask of the (i, j) with 1 <= i, j < e and i != j.
+
+    `known` is the (2e, 2e) known mask of an order-2e table.  Each masked
+    (i, j) stands for the quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)},
+    none of whose cells may be known (AssertionError otherwise).
+    """
+    e = known.shape[0] // 2
+    mask = ~np.eye(e, dtype=bool)
+    mask[0] = mask[:, 0] = False
+    if quadruple_sums(known)[mask].any():
+        raise AssertionError("quadruple cell unexpectedly known")
+    return mask
+
+
 def unknown_quadruples(table: CyclotomicTable) -> list[tuple]:
     """Index quadruples {(i,j), (i,j+e), (i+e,j), (i+e,j+e)} left unknown."""
-    n = table.e
-    e = n // 2
-    quads = []
-    for i in range(1, e):
-        for j in range(1, e):
-            if i == j:
-                continue
-            quads.append(((i, j), (i, j + e), (i + e, j), (i + e, j + e)))
-    for quad in quads:
-        if any(table.entry(i, j) is not None for i, j in quad):
-            raise AssertionError("quadruple cell unexpectedly known")
-    return quads
+    e = table.e // 2
+    rows, cols = np.nonzero(quadruple_mask(table_arrays(table)[1]))
+    return [((i, j), (i, j + e), (i + e, j), (i + e, j + e))
+            for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def dickson_counts(p: int, r: int) -> tuple[int, int, int, int]:
@@ -142,25 +178,24 @@ def check_sum_relation(table_e: CyclotomicTable, table_2e: CyclotomicTable):
     e = table_e.e
     if table_2e.e != 2 * e:
         raise ValueError("second table must have twice the order of the first")
-    if not (table_e.fully_known() and table_2e.fully_known()):
+    values_e, known_e = table_arrays(table_e)
+    values_2e, known_2e = table_arrays(table_2e)
+    if not (known_e.all() and known_2e.all()):
         raise ValueError("sum relation needs fully known tables")
-    for i in range(e):
-        for j in range(e):
-            total = (table_2e.entry(i, j) + table_2e.entry(i, j + e)
-                     + table_2e.entry(i + e, j) + table_2e.entry(i + e, j + e))
-            if table_e.entry(i, j) != total:
-                return False, (i, j)
-    return True, None
+    bad = np.flatnonzero(values_e != quadruple_sums(values_2e))
+    if bad.size == 0:
+        return True, None
+    return False, divmod(int(bad[0]), e)
 
 
 def count_summary(table: CyclotomicTable) -> dict[int, int]:
-    """Frequency map N -> number of cells equal to N; requires a known table."""
-    if not table.fully_known():
+    """Frequency map N -> number of cells equal to N, N ascending; requires a known table."""
+    values, known = table_arrays(table)
+    if not known.all():
         raise ValueError("count summary requires a fully known table")
-    freq: dict[int, int] = {}
-    for row in table.values:
-        for x in row:
-            freq[x] = freq.get(x, 0) + 1
+    counts = np.bincount(values.ravel())
+    present = np.flatnonzero(counts)
+    freq = dict(zip(present.tolist(), counts[present].tolist()))
     if sum(freq.values()) != table.e ** 2:
         raise AssertionError("cell count does not match e^2")
     # tables of order p^r + 1 over F_{p^2r} carry known frequencies

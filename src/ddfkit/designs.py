@@ -126,13 +126,11 @@ def verify_2design(design: Design, lam: int):
     v = design.v
     check_verify_budget(v)
     cnt = _kernels.pair_coverage(design.blocks, v).reshape(v, v)
-    iu, ju = np.triu_indices(v, 1)
-    vals = cnt[iu, ju]
-    bad = np.nonzero(vals != lam)[0]
+    # the first bad pair u < w in row-major order
+    bad = np.flatnonzero(np.triu(cnt != lam, 1))
     if bad.size == 0:
         return True, None
-    w = int(bad[0])
-    return False, (int(iu[w]), int(ju[w]))
+    return False, divmod(int(bad[0]), v)
 
 
 def check_verify_budget(v: int) -> None:

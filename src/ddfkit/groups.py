@@ -5,6 +5,12 @@ the coefficient vector (c_0, ..., c_{m-1}) packs to sum(c_i * base^i), with
 base = p for fields and base = p^2 for rings.  Addition in either structure
 is coefficient-wise modulo base, so one small descriptor covers both and the
 counting kernels never need to know which structure they are working in.
+
+On arrays, addition and subtraction use the carry/borrow form: a + b is the
+integer sum minus base^(l+1) for every digit l with a_l + b_l >= base, and
+a - b the integer difference plus base^(l+1) for every digit l with
+a_l < b_l.  Digits are taken from each operand before broadcasting, so no
+digit matrix of the broadcast shape is built.
 """
 
 from __future__ import annotations
@@ -82,10 +88,27 @@ class AdditiveGroup:
         return (digs % self.base * pows).sum(axis=-1)
 
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.pack_digits(self.digit_matrix(a) + self.digit_matrix(b))
+        """a + b, broadcast: the integer sum less base^(l+1) per carrying digit l."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.asarray(a + b)
+        for pow_l in _powers(self.base, self.digits).tolist():
+            b_l = b // pow_l % self.base
+            if b_l.any():  # digit l carries only where b_l > 0
+                np.subtract(out, pow_l * self.base, out=out,
+                            where=a // pow_l % self.base >= self.base - b_l)
+        return out[()]  # a scalar for 0-d operands
 
     def sub_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.pack_digits(self.digit_matrix(a) - self.digit_matrix(b))
+        """a - b, broadcast: the integer difference plus base^(l+1) per borrowing digit l."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.asarray(a - b)
+        for pow_l in _powers(self.base, self.digits).tolist():
+            b_l = b // pow_l % self.base
+            if b_l.any():  # digit l borrows only where b_l > 0
+                np.add(out, pow_l * self.base, out=out, where=a // pow_l % self.base < b_l)
+        return out[()]  # a scalar for 0-d operands
 
     def difference_counts(self, left, right) -> np.ndarray:
         """counts[d] = #{(u, w) in left x right : u - w = d}, pairs u = w left out."""

@@ -156,6 +156,60 @@ def test_cyclo_csv_and_checks(capsys, tmp_path):
     assert "order-2(t+1) closed form: PASS" in err
 
 
+def _corrupted(table, cells):
+    """The table with each (i, j) in `cells` raised by one."""
+    from ddfkit.cyclotomy import CyclotomicTable
+
+    rows = [list(row) for row in table.values]
+    for i, j in cells:
+        rows[i][j] += 1
+    return CyclotomicTable(e=table.e, q=table.q, f=table.f, values=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("e, cells", [
+    (20, [(0, 10)]),  # order 2(t+1), t = 9: a known cell off by one
+    (20, [(1, 2)]),  # the quadruple at (1, 2) sums to 2, known cells kept
+    (10, [(3, 5)]),  # order t+1: one cell changed
+])
+def test_closed_form_check_fails_on_corrupted_tables(capsys, monkeypatch, e, cells):
+    import ddfkit.cli
+
+    real = ddfkit.cli.cyclotomic_table
+    monkeypatch.setattr(ddfkit.cli, "cyclotomic_table",
+                        lambda field, order: _corrupted(real(field, order), cells))
+    code, _, err = run(capsys, "cyclo", "--p", "3", "--r", "4", "--e", str(e),
+                       "--check-closed-form")
+    assert code == 1
+    assert err.endswith("closed form: FAIL\n") and err.count("\n") == 1
+
+
+def test_cyclo_cell_budget_checked_before_allocation(capsys, monkeypatch):
+    import ddfkit.cyclotomy
+    import numpy as np
+
+    class NoBincount:  # the numpy namespace of cyclotomy.py, minus np.bincount
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, *args, **kwargs):
+            raise AssertionError("cyclotomic_table counted before the budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ddfkit.cyclotomy, "np", NoBincount())
+        code, out, err = run(capsys, "cyclo", "--p", "3", "--r", "8", "--e", "6560")
+    assert code == 1
+    assert out == ""
+    assert err == "budget exceeded: cyclotomic table capped at 4194304 cells (e*e), " \
+        "got 43033600\n"
+    # the 2e table of the sum relation is checked too
+    code, out, err = run(capsys, "cyclo", "--p", "3", "--r", "8", "--e", "1640",
+                         "--check-sum-relation")
+    assert code == 1
+    assert out == ""
+    assert err == "budget exceeded: cyclotomic table capped at 4194304 cells (e*e), " \
+        "got 10758400\n"
+
+
 def test_construct_feng(capsys, tmp_path):
     fam_path = tmp_path / "feng.txt"
     code, _, _ = run(capsys, "construct", "--construction", "feng-2",

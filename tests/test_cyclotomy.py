@@ -116,6 +116,21 @@ def test_closed_form_order_2e_matches_brute_force():
             assert vals == [0, 0, 0, 1], (t, quad)
 
 
+def test_unknown_quadruples_match_loop_reference():
+    for p, r in [(5, 1), (3, 2), (7, 1)]:
+        closed = closed_form_order_2e(p, r)
+        e = closed.e // 2
+        assert unknown_quadruples(closed) == [
+            ((i, j), (i, j + e), (i + e, j), (i + e, j + e))
+            for i in range(1, e) for j in range(1, e) if i != j]
+    rows = [list(row) for row in closed.values]
+    rows[2 + e][1] = 0  # one cell of the quadruple at (2, 1) becomes known
+    known_cell = CyclotomicTable(e=closed.e, q=closed.q, f=closed.f,
+                                 values=tuple(map(tuple, rows)))
+    with pytest.raises(AssertionError, match="quadruple cell unexpectedly known"):
+        unknown_quadruples(known_cell)
+
+
 def test_sum_relation():
     f9 = build_field(3, 2)
     ok, witness = check_sum_relation(cyclotomic_table(f9, 4), cyclotomic_table(f9, 8))
@@ -132,6 +147,7 @@ def test_sum_relation_detects_corruption():
     t2e = cyclotomic_table(f9, 8)
     rows = [list(r) for r in t2e.values]
     rows[1][2] += 1
+    rows[3][1] += 1  # a later cell in row-major order, an earlier one by columns
     corrupted = CyclotomicTable(e=t2e.e, q=t2e.q, f=t2e.f,
                                 values=tuple(tuple(r) for r in rows))
     ok, witness = check_sum_relation(te, corrupted)

@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -117,13 +119,14 @@ def test_verify_2design_passes():
 def test_verify_2design_fail_witness():
     design = develop(wilson_family(build_field(3, 2), 4))
     blocks = design.blocks.copy()
-    blocks[0] = np.array([0, 1])  # clobber one block
+    blocks[0] = np.array([0, 3])  # clobber one block: (0, 3) twice, (1, 2) never
     broken = Design(v=design.v, k=design.k, blocks=blocks)
     ok, witness = verify_2design(broken, 1)
     assert not ok
-    assert witness is not None
-    u, w = witness
-    assert 0 <= u < w < 9
+    # the first pair u < w, in row-major order, not in exactly one block
+    cover = Counter(pair for row in blocks.tolist() for pair in combinations(row, 2))
+    bad = [(u, w) for u in range(9) for w in range(u + 1, 9) if cover[u, w] != 1]
+    assert witness == bad[0], bad
 
 
 def test_verify_2design_budget():

@@ -1,0 +1,56 @@
+"""Packed-group array arithmetic against the scalar digit-by-digit reference."""
+
+import numpy as np
+import pytest
+
+from ddfkit.groups import field_group, ring_group
+
+GROUPS = {
+    "F_9": field_group(3, 2),
+    "F_27": field_group(3, 3),
+    "F_32": field_group(2, 5),
+    "Z_25": ring_group(5, 1),
+    "GR(9,2)": ring_group(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_array_arithmetic_on_every_element_pair(name):
+    g = GROUPS[name]
+    x = np.arange(g.order, dtype=np.int64)
+    sums = g.add_arrays(x[:, None], x[None, :])
+    diffs = g.sub_arrays(x[:, None], x[None, :])
+    assert sums.shape == diffs.shape == (g.order, g.order)
+    assert sums.tolist() == [[g.add(a, b) for b in range(g.order)] for a in range(g.order)]
+    assert diffs.tolist() == [[g.sub(a, b) for b in range(g.order)] for a in range(g.order)]
+
+
+@pytest.mark.parametrize("name", ["F_27", "GR(9,2)"])
+def test_array_arithmetic_broadcasts(name):
+    g = GROUPS[name]
+    rng = np.random.default_rng(5)
+    block = rng.choice(g.order, size=7, replace=False)  # (k,)
+    translates = np.arange(g.order)[:, None]  # (v, 1)
+    assert g.add_arrays(block, translates).tolist() == \
+        [[g.add(int(a), y) for a in block] for y in range(g.order)]
+    assert g.sub_arrays(block, translates).tolist() == \
+        [[g.sub(int(a), y) for a in block] for y in range(g.order)]
+    assert g.sub_arrays(translates, block).tolist() == \
+        [[g.sub(y, int(a)) for a in block] for y in range(g.order)]
+    # 0-d operands, as arrays or Python ints, give a scalar
+    for a, b in [(5, 22), (np.int64(22), 5), (np.array(17), np.array(0)), (0, 11)]:
+        assert np.ndim(g.add_arrays(a, b)) == 0
+        assert g.add_arrays(a, b) == g.add(int(a), int(b))
+        assert g.sub_arrays(a, b) == g.sub(int(a), int(b))
+    assert g.sub_arrays(0, block).tolist() == [g.neg(int(a)) for a in block]
+
+
+def test_array_arithmetic_random_pairs_in_f_2_20():
+    g = field_group(2, 20)
+    rng = np.random.default_rng(20)
+    a = rng.integers(0, g.order, size=3000)
+    b = rng.integers(0, g.order, size=3000)
+    a[:3], b[:3] = g.order - 1, [g.order - 1, 0, 1]  # every digit carries or borrows
+    assert g.add_arrays(a, b).tolist() == [g.add(int(x), int(y)) for x, y in zip(a, b)]
+    assert g.sub_arrays(a, b).tolist() == [g.sub(int(x), int(y)) for x, y in zip(a, b)]
+    assert g.add_arrays(a, 1).tolist() == [g.add(int(x), 1) for x in a]

@@ -43,6 +43,29 @@ def test_pair_coverage_tiny():
     assert cnt[1, 3] == 1 and cnt[2, 3] == 1 and cnt[0, 3] == 0
 
 
+def _coverage_reference(blocks, v):
+    cnt = np.zeros((v, v), dtype=np.int64)
+    for row in blocks.tolist():
+        for u, w in combinations(row, 2):
+            cnt[u, w] += 1
+    return cnt.ravel()
+
+
+def test_pair_coverage_edge_widths_and_split_bincounts(monkeypatch):
+    rng = np.random.default_rng(3)
+    single = random_blocks(rng, b=9, k=1, v=10)
+    assert _kernels.pair_coverage(single, 10).tolist() == [0] * 100
+    pairs = random_blocks(rng, b=30, k=2, v=10)
+    assert _kernels.pair_coverage(pairs, 10).tolist() == \
+        _coverage_reference(pairs, 10).tolist()
+    blocks = random_blocks(rng, b=50, k=7, v=20)
+    ref = _coverage_reference(blocks, 20).tolist()
+    # 3, 2 or 1 later columns per bincount; a bound below B still takes one
+    for bound in (150, 100, 1):
+        monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
+        assert _kernels.pair_coverage(blocks, 20).tolist() == ref, bound
+
+
 def _group_sub(x, y, base, digits):
     """x - y in Z_base^digits, on packed base-`base` digit encodings."""
     out, mult = 0, 1
