@@ -110,6 +110,12 @@ def table_arrays(table: CyclotomicTable) -> tuple[np.ndarray, np.ndarray]:
     Unknown cells read 0 in `values`; compare them only under `known`.
     """
     e = table.e
+    try:  # one pass when every cell is known; it stops at the first None
+        values = np.fromiter(chain.from_iterable(table.values), dtype=np.int64,
+                             count=e * e)
+        return values.reshape(e, e), np.ones((e, e), dtype=bool)
+    except TypeError:
+        pass
     cells = np.fromiter(chain.from_iterable(table.values), dtype=object,
                         count=e * e).reshape(e, e)
     known = cells != None  # noqa: E711 -- an elementwise test on arrays

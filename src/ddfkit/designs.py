@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetError, ProfileCheckError
-from .families import DifferenceFamily
+from .families import DifferenceFamily, rows_to_text
 
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
@@ -366,10 +366,7 @@ class _BudgetStop(Exception):
 # ---------------------------------------------------------------------------
 
 def design_to_text(design: Design) -> str:
-    lines = [f"{design.v} {design.block_count} {design.k}"]
-    for row in design.blocks:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    return rows_to_text(f"{design.v} {design.block_count} {design.k}", design.blocks)
 
 
 def save_design(design: Design, path) -> None:

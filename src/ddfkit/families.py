@@ -23,7 +23,7 @@ designs.difference_orbits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field as dfield
 
 import numpy as np
 
@@ -52,13 +52,23 @@ class DifferenceFamily:
     near_complete: bool
     name: str = ""
     multipliers: tuple = ()  # digit matrices of block-permuting unit multiplications
+    array: InitVar[np.ndarray | None] = None  # the blocks as a (b, k) array, if built
+    _array: np.ndarray = dfield(init=False, repr=False, compare=False)
+
+    def __post_init__(self, array):
+        if array is None:
+            array = np.array(self.blocks, dtype=np.int64).reshape(len(self.blocks), self.k)
+        array = array.view()
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
     def block_array(self) -> np.ndarray:
-        return np.array(self.blocks, dtype=np.int64)
+        """The blocks as a read-only (b, k) int64 array."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,7 @@ def _make_family(group, blocks, k, lam, name, multipliers=()):
     return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks.tolist())),
                             v=group.order, k=k, lam=lam, disjoint=disjoint,
                             near_complete=near_complete, name=name,
-                            multipliers=multipliers)
+                            multipliers=multipliers, array=blocks)
 
 
 def _multiplier(group, mul, m):
@@ -120,8 +130,11 @@ def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     below 2^52 for p^(2r) <= 2^26 and far inside int64.
     """
     g = ring.group
-    units = np.array([_multiplier(g, ring.mul, ring.add(1, ring.scalar_p(alpha)))
-                      for alpha in ring.teichmuller], dtype=np.int64)
+    teich = g.digit_matrix(np.array(ring.teichmuller, dtype=np.int64))
+    # 1 + p*alpha: the digits of p*alpha are multiples of p, so adding 1 never carries
+    principal = 1 + g.pack_digits(teich * ring.p)
+    basis = g.base ** np.arange(g.digits, dtype=np.int64)
+    units = g.digit_matrix(ring.mul_arrays(principal[:, None], basis))
     rows = []
     for part in parts:
         digits = g.digit_matrix(np.asarray(part, dtype=np.int64))
@@ -278,11 +291,42 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
 # file format: header "v k lambda b", one base block per line
 # ---------------------------------------------------------------------------
 
+# entries per formatting pass in rows_to_text; bounds its byte buffers
+_TEXT_CHUNK = 1 << 14
+
+
+def rows_to_text(header: str, rows: np.ndarray) -> str:
+    """The header line, then each row of a (b, k) array of non-negative
+    integers as space-separated decimals, one row per line.
+
+    Each pass takes a chunk of entries in the smallest unsigned dtype that
+    holds them and builds fixed-width ASCII digit columns plus a separator
+    column (a newline after every k-th entry), then drops the leading zeros
+    of each entry by a mask.
+    """
+    k = rows.shape[1]
+    flat = rows.ravel()
+    top = int(flat.max(initial=0))
+    width = len(str(top))
+    out = [f"{header}\n"]
+    for lo in range(0, flat.size, _TEXT_CHUNK):
+        rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top))
+        digits = np.empty((width + 1, rem.size), dtype=np.uint8)
+        keep = np.ones((width + 1, rem.size), dtype=bool)
+        for j in range(width - 1, -1, -1):
+            digits[j] = rem % 10
+            if j:  # the last digit always stays, so 0 prints as "0"
+                rem //= 10
+                keep[j - 1] = rem > 0
+        digits[:width] += ord("0")
+        digits[width] = ord(" ")
+        digits[width, (k - 1 - lo) % k :: k] = ord("\n")
+        out.append(digits.T[keep.T].tobytes().decode("ascii"))
+    return "".join(out)
+
+
 def family_to_text(fam: DifferenceFamily) -> str:
-    lines = [f"{fam.v} {fam.k} {fam.lam} {fam.b}"]
-    for block in fam.blocks:
-        lines.append(" ".join(str(x) for x in block))
-    return "\n".join(lines) + "\n"
+    return rows_to_text(f"{fam.v} {fam.k} {fam.lam} {fam.b}", fam.block_array())
 
 
 def save_family(fam: DifferenceFamily, path) -> None:
@@ -322,8 +366,8 @@ def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
         blocks.append(block)
     if lam * (v - 1) != b * k * (k - 1):
         raise ValueError("declared parameters violate lambda*(v-1) = b*k*(k-1)")
-    disjoint, near_complete = _structure_flags(
-        np.array(blocks, dtype=np.int64).reshape(b, k), v)
+    array = np.array(blocks, dtype=np.int64).reshape(b, k)
+    disjoint, near_complete = _structure_flags(array, v)
     return DifferenceFamily(group=group, blocks=tuple(blocks), v=v, k=k, lam=lam,
                             disjoint=disjoint, near_complete=near_complete,
-                            name=name or "imported")
+                            name=name or "imported", array=array)

@@ -174,7 +174,9 @@ class Field:
     def class_array(self, e: int) -> np.ndarray:
         """The cosets as an (e, f) array whose row i is C_i, ascending."""
         f = self._coset_size(e)
-        return np.sort(self.exp.reshape(f, e).T, axis=1)
+        classes = self.exp.reshape(f, e).T.copy()  # C order, so rows are contiguous
+        classes.sort(axis=1)
+        return classes
 
     def class_index(self, e: int) -> np.ndarray:
         """Array mapping each nonzero element to its coset index (0 stays -1)."""
@@ -188,8 +190,8 @@ class Field:
         return (self.q - 1) // e
 
 
-# digit rows per matrix product in _exp_table; bounds its temporaries
-# (build_field(2, 20) peaks at 72 MB with it and 275 MB without)
+# digit rows per matrix product or pack in _exp_table; bounds its int64
+# temporaries (build_field(2, 20) peaks at 69 MB with it and 245 MB without)
 _EXP_CHUNK = 1 << 16
 
 
@@ -198,23 +200,29 @@ def _exp_table(group: AdditiveGroup, step: np.ndarray, q: int) -> np.ndarray:
 
     Multiplying by g^m is the linear map given by step^m on digit rows, so
     rows [m, 2m) are rows [0, m) times step^m: about log2(q) doublings.
-    Entries stay below p, so a product entry is at most n*(p-1)^2 < 2^41
-    for q <= 2^20, far inside int64.
+    The rows stay digits (in the smallest dtype that holds base-1) between
+    doublings and are packed once at the end.  Entries stay below `base`,
+    so a product entry is at most digits*(base-1)^2, which is below 2^52
+    under both the field and the ring table budgets, far inside int64.
+    Serves rings too: with base p^2 and q = p^r it lists the powers of a
+    Teichmüller generator.  Raises AssertionError unless g^(q-1) = 1.
     """
-    p = group.p
-    exp = np.empty(q - 1, dtype=np.int64)
-    exp[0] = 1
+    base = group.base
+    rows = np.zeros((q - 1, group.digits), dtype=np.min_scalar_type(base - 1))
+    rows[0, 0] = 1
     m, power = 1, step
     while m < q - 1:
         count = min(m, q - 1 - m)
         for lo in range(0, count, _EXP_CHUNK):
             hi = min(lo + _EXP_CHUNK, count)
-            rows = group.digit_matrix(exp[lo:hi]) @ power
-            exp[m + lo : m + hi] = group.pack_digits(rows)
+            rows[m + lo : m + hi] = rows[lo:hi].astype(np.int64) @ power % base
         m += count
-        power = power @ power % p
-    if group.pack_digits(group.digit_matrix(exp[-1:]) @ step)[0] != 1:
+        power = power @ power % base
+    if group.pack_digits(rows[-1:].astype(np.int64) @ step)[0] != 1:
         raise AssertionError("generator order check failed during table build")
+    exp = np.empty(q - 1, dtype=np.int64)
+    for lo in range(0, q - 1, _EXP_CHUNK):
+        exp[lo : lo + _EXP_CHUNK] = group.pack_digits(rows[lo : lo + _EXP_CHUNK])
     return exp
 
 

@@ -2,11 +2,13 @@
 
 GR(p^2, r) = Z_{p^2}[x]/<f> where f is the field modulus for F_{p^r} with its
 coefficients reinterpreted modulo p^2 (a basic irreducible lift).  Elements
-pack base p^2 into a single integer.  The Teichmüller set T is computed by a
+pack base p^2 into a single integer.  The Teichmüller generator comes from a
 single Frobenius power: starting from the residue class a of x, xi = a^{p^r}
-already satisfies xi^{p^r} = xi at characteristic p^2, and T = {0} plus the
-powers of xi.  Construction asserts t^{p^r} = t for every t and that T maps
-bijectively onto the residue field.
+already satisfies xi^{p^r} = xi at characteristic p^2.  T = {0} plus the
+powers of xi, listed by doubling on digit rows (fields._exp_table), which
+also checks xi^(p^r - 1) = 1.  Construction then checks that T is distinct,
+that it maps bijectively onto the residue field, and t^{p^r} = t for every
+t at once, by square-and-multiply on the whole array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BudgetError
-from .fields import build_field
+from .fields import _exp_table, build_field
 from .groups import AdditiveGroup, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
@@ -81,6 +83,26 @@ class GaloisRing:
                 res[i - r + j] = (res[i - r + j] - c * mod[j]) % psq
         return self.group.pack(res[:r])
 
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """a * b, broadcast: digit convolution reduced by the modulus, mod p^2.
+
+        Entries stay below p^2, so a product sum is at most r*(p^2-1)^2,
+        below 2^52 within RING_ENCODING_BUDGET and far inside int64.
+        """
+        g, r, psq = self.group, self.r, self.char
+        ad = g.digit_matrix(a)
+        bd = g.digit_matrix(b)
+        shape = np.broadcast_shapes(ad.shape[:-1], bd.shape[:-1])
+        res = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
+        for i in range(r):
+            res[..., i : i + r] += ad[..., i : i + 1] * bd
+        res %= psq
+        mod = np.array(self.modulus[:r], dtype=np.int64)
+        for i in range(2 * r - 2, r - 1, -1):  # x^i = -sum_j mod_j x^(i-r+j)
+            res[..., i - r : i] -= res[..., i : i + 1] * mod
+            res[..., i - r : i] %= psq
+        return g.pack_digits(res[..., :r])[()]  # a scalar for 0-d operands
+
     def pow(self, a: int, e: int) -> int:
         result = 1
         acc = a
@@ -90,6 +112,11 @@ class GaloisRing:
             acc = self.mul(acc, acc)
             e >>= 1
         return result
+
+    def _residues(self, a) -> np.ndarray:
+        """Images in the residue field F_{p^r}, packed base p, of an array."""
+        pows = self.p ** np.arange(self.r, dtype=np.int64)
+        return self.group.digit_matrix(a) % self.p @ pows
 
     def is_unit(self, a: int) -> bool:
         return any(d % self.p for d in self.group.unpack(a))
@@ -168,12 +195,10 @@ class GaloisRing:
         xi^e is the element of T with u's residue mod p, so this is a lookup
         by residue.  Raises ValueError if any entry is not a unit.
         """
-        g = self.group
-        pows = self.p ** np.arange(self.r, dtype=np.int64)
-        residues = g.digit_matrix(np.array(self.teichmuller)) % self.p @ pows
+        residues = self._residues(np.array(self.teichmuller))
         parity = np.full(self.teich_size, -1, dtype=np.int64)  # -1: residue 0
         parity[residues[1:]] = np.arange(self.teich_size - 1) % 2
-        parity = parity[g.digit_matrix(units) % self.p @ pows]
+        parity = parity[self._residues(units)]
         if (parity < 0).any():
             raise ValueError("coset parity is defined for units only")
         return parity
@@ -218,24 +243,47 @@ def build_ring(p: int, r: int) -> GaloisRing:
         a = (-modulus[0]) % (p * p)
     xi = proto.pow(a, p ** r)
 
-    size = p ** r
-    teich = [0, 1]
-    cur = 1
-    for _ in range(size - 2):
-        cur = proto.mul(cur, xi)
-        teich.append(cur)
-    if proto.mul(cur, xi) != 1:
-        raise AssertionError("xi does not have order p^r - 1")
-    if len(set(teich)) != size:
-        raise AssertionError("Teichmüller elements are not distinct")
-    for t in teich:
-        if proto.pow(t, size) != t:
-            raise AssertionError(f"Teichmüller check t^(p^r) = t failed for {t}")
-    residues = {proto.residue(t): t for t in teich}
-    if len(residues) != size:
-        raise AssertionError("Teichmüller set does not map bijectively mod p")
-
-    teich_log = {t: e for e, t in enumerate(teich[1:])}
+    teich = _teichmuller_set(proto, xi)
+    residues = proto._residues(teich).tolist()
+    teich = teich.tolist()
     return GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,
                       group=group, xi=xi, teichmuller=tuple(teich),
-                      teich_log=teich_log, _teich_by_residue=residues)
+                      teich_log=dict(zip(teich[1:], range(len(teich) - 1))),
+                      _teich_by_residue=dict(zip(residues, teich)))
+
+
+def _teichmuller_set(ring: GaloisRing, xi: int) -> np.ndarray:
+    """T = (0, 1, xi, xi^2, ..., xi^(p^r - 2)) as an int64 array.
+
+    The powers are listed by doubling with xi's digit matrix (row i holds
+    the digits of xi * x^i), which raises AssertionError unless
+    xi^(p^r - 1) = 1; T is then checked by _check_teichmuller.
+    """
+    g = ring.group
+    step = g.digit_matrix(ring.mul_arrays(xi, g.base ** np.arange(ring.r, dtype=np.int64)))
+    teich = np.concatenate(([0], _exp_table(g, step, ring.teich_size)))
+    _check_teichmuller(ring, teich)
+    return teich
+
+
+def _check_teichmuller(ring: GaloisRing, teich: np.ndarray) -> None:
+    """Raise AssertionError unless `teich` is the Teichmüller set.
+
+    Its p^r elements must be distinct, map bijectively onto the residue
+    field, and satisfy t^(p^r) = t, each checked for every t at once.
+    """
+    size = ring.teich_size
+    ascending = np.sort(teich)
+    if teich.size != size or (ascending[1:] == ascending[:-1]).any():
+        raise AssertionError("Teichmüller elements are not distinct")
+    if (np.bincount(ring._residues(teich), minlength=size) != 1).any():
+        raise AssertionError("Teichmüller set does not map bijectively mod p")
+    power, acc, e = np.ones_like(teich), teich, size
+    while e:
+        if e & 1:
+            power = ring.mul_arrays(power, acc)
+        acc = ring.mul_arrays(acc, acc)
+        e >>= 1
+    bad = np.flatnonzero(power != teich)
+    if bad.size:
+        raise AssertionError(f"Teichmüller check t^(p^r) = t failed for {int(teich[bad[0]])}")

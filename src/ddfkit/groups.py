@@ -85,7 +85,7 @@ class AdditiveGroup:
 
     def pack_digits(self, digs: np.ndarray) -> np.ndarray:
         pows = _powers(self.base, self.digits)
-        return (digs % self.base * pows).sum(axis=-1)
+        return (digs % self.base) @ pows
 
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b, broadcast: the integer sum less base^(l+1) per carrying digit l."""

@@ -276,10 +276,14 @@ def test_develop_budget_checked_before_allocation(capsys, monkeypatch):
 def test_huge_prime_is_rejected_at_once():
     # a prime far above 2^32: trial division would never finish
     huge = "1000000000000000003"
+    # the child imports ddfkit from this checkout, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     for argv in (["construct", "--construction", "wilson", "--p", huge, "--r", "1"],
                  ["gate", "--p", huge, "--r", "1"]):
         proc = subprocess.run([sys.executable, "-m", "ddfkit.cli", *argv],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -1,13 +1,14 @@
 """Cyclotomic-number tables: vectorised counts vs a scalar reference and
 closed forms, Dickson counts."""
 
+import numpy as np
 import pytest
 
 from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e, count_summary,
                     cyclotomic_table, dickson_counts, unknown_quadruples)
 from ddfkit.arith import factorize
-from ddfkit.cyclotomy import CyclotomicTable, table_to_csv
+from ddfkit.cyclotomy import CyclotomicTable, table_arrays, table_to_csv
 
 # (p, r) pairs indexed by t = p^r; tables live in F_{t^2}
 SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
@@ -56,6 +57,20 @@ def test_table_matches_scalar_reference_every_field_to_2000():
 def test_table_rejects_non_divisor():
     with pytest.raises(ValueError):
         cyclotomic_table(build_field(5, 2), 5)
+
+
+def test_table_arrays_match_cells():
+    known_table = cyclotomic_table(build_field(5, 2), 8)
+    partial = closed_form_order_2e(5, 1)
+    assert not partial.fully_known()
+    for table in (known_table, partial):
+        values, known = table_arrays(table)
+        assert values.dtype == np.int64 and values.shape == (table.e, table.e)
+        for i in range(table.e):
+            for j in range(table.e):
+                cell = table.entry(i, j)
+                assert known[i, j] == (cell is not None)
+                assert values[i, j] == (0 if cell is None else cell)
 
 
 def test_brute_force_f9_order4():

@@ -1,11 +1,16 @@
 """Difference-family constructions, validation and file round-trips."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from ddfkit import (build_field, build_ring, davis_family, feng_families,
+from ddfkit import (build_field, build_ring, davis_family, develop, feng_families,
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
-from ddfkit.families import DifferenceFamily, _make_family, family_to_text
+from ddfkit import families
+from ddfkit.designs import design_to_text
+from ddfkit.families import DifferenceFamily, _make_family, family_to_text, rows_to_text
 from ddfkit.groups import field_group, group_for
 
 
@@ -337,3 +342,61 @@ def test_family_load_group_mismatch(tmp_path):
     save_family(fam, path)
     with pytest.raises(ValueError):
         load_family(path, group_for("field", 5, 5))
+
+
+def scalar_rows_text(header, rows):
+    """The writer rows_to_text replaced: one str() per entry."""
+    lines = [header]
+    for row in rows:
+        lines.append(" ".join(str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, families._TEXT_CHUNK])
+def test_rows_to_text_matches_scalar_writer(monkeypatch, chunk):
+    # chunks of 1 and 3 entries split rows of 2 or more
+    monkeypatch.setattr(families, "_TEXT_CHUNK", chunk)
+    cases = [
+        [[0]],
+        [[0, 9, 10], [1, 99, 100], [9, 10, 11]],  # 9/10 and 99/100 digit boundaries
+        [[7], [0], [10], [99], [100]],  # k = 1
+        [[0, 1, 9, 10, 99, 100, 101, 999, 1000, 12345]],  # a single row
+        [[255, 256], [65535, 65536], [2 ** 32 - 1, 2 ** 32]],  # dtype widths
+        np.arange(0, 7 * 180, 7).reshape(12, 15),
+    ]
+    for rows in cases:
+        rows = np.array(rows, dtype=np.int64)
+        assert rows_to_text("9 8 7", rows) == scalar_rows_text("9 8 7", rows), rows
+
+
+def test_text_writers_match_scalar_writer():
+    fams = [wilson_family(build_field(5, 2), 4), davis_family(build_ring(3, 2)),
+            squares_family(build_ring(5, 1)), feng_families(build_field(11, 3))[0]]
+    for fam in fams:
+        header = f"{fam.v} {fam.k} {fam.lam} {fam.b}"
+        assert family_to_text(fam) == scalar_rows_text(header, fam.blocks), fam.name
+        design = develop(fam)
+        header = f"{design.v} {design.block_count} {design.k}"
+        assert design_to_text(design) == scalar_rows_text(header, design.blocks), fam.name
+
+
+def test_block_array_is_the_read_only_block_table(tmp_path):
+    built = squares_family(build_ring(5, 1))
+    save_family(built, tmp_path / "fam.txt")
+    fams = [wilson_family(build_field(3, 2), 4), built,
+            load_family(tmp_path / "fam.txt", group_for("ring", 5, 25)),
+            DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), v=7,
+                             k=2, lam=0, disjoint=True, near_complete=False),
+            dataclasses.replace(built, lam=0)]
+    for fam in fams:
+        arr = fam.block_array()
+        assert arr.dtype == np.int64 and arr.shape == (fam.b, fam.k)
+        assert np.array_equal(arr, np.array(fam.blocks))
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+        assert fam.block_array() is arr
+    # the stored table is not shared with the caller's array
+    rows = np.array([[1, 4], [2, 3]], dtype=np.int64)
+    _make_family(field_group(5, 1), rows, 2, 1, "cosets")
+    assert rows.flags.writeable

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ddfkit import BudgetError, build_ring
-from ddfkit.galois_ring import TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE
+from ddfkit.arith import is_prime
+from ddfkit.galois_ring import (TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE,
+                                _check_teichmuller, _teichmuller_set)
 
 
 def test_build_ring_z25():
@@ -230,3 +232,60 @@ def test_build_errors():
         build_ring(2, 1)  # p^r = 2 < 3
     with pytest.raises(BudgetError):
         build_ring(251, 2)
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 1), (3, 3)])
+def test_mul_arrays_matches_scalar_mul(p, r):
+    ring = build_ring(p, r)
+    elems = np.arange(ring.order, dtype=np.int64)
+    table = ring.mul_arrays(elems[:, None], elems[None, :])
+    expected = [[ring.mul(a, b) for b in range(ring.order)] for a in range(ring.order)]
+    assert table.tolist() == expected
+    # broadcasting: a scalar against an array, and two scalars
+    assert ring.mul_arrays(ring.xi, elems).tolist() == [ring.mul(ring.xi, b) for b in elems]
+    assert ring.mul_arrays(elems[-1], ring.xi) == ring.mul(ring.order - 1, ring.xi)
+    assert ring.mul_arrays(elems.reshape(-1, 1, p), 2).shape == (ring.order // p, 1, p)
+
+
+def scalar_teichmuller(ring):
+    """xi = a^(p^r) and T = 0, 1, xi, xi^2, ... by scalar ring.mul."""
+    p, r = ring.p, ring.r
+    a = ring.group.pack([0, 1] + [0] * (r - 2)) if r >= 2 else (-ring.modulus[0]) % (p * p)
+    xi = ring.pow(a, p ** r)
+    teich, cur = [0, 1], 1
+    for _ in range(p ** r - 2):
+        cur = ring.mul(cur, xi)
+        teich.append(cur)
+    assert ring.mul(cur, xi) == 1
+    return xi, tuple(teich)
+
+
+def test_teichmuller_set_matches_scalar_power_loop():
+    cases = [(p, r) for p in range(3, 50, 2) if is_prime(p)
+             for r in range(1, 4) if p ** r <= 49]
+    assert len(cases) == 18  # every odd prime power up to 49
+    for p, r in cases:
+        ring = build_ring(p, r)
+        xi, teich = scalar_teichmuller(ring)
+        assert ring.xi == xi and ring.teichmuller == teich, (p, r)
+        assert ring.teich_log == {t: e for e, t in enumerate(teich[1:])}
+        assert ring._teich_by_residue == {ring.residue(t): t for t in teich}
+        assert all(type(t) is int for t in ring.teichmuller)
+
+
+def test_teichmuller_checks_reject_bad_sets():
+    ring = build_ring(5, 1)
+    assert ring.teichmuller == (0, 1, 18, 24, 7)
+    # the residue class a = 23 of x, not lifted: a^4 = 16, not 1 (mod 25)
+    with pytest.raises(AssertionError, match="order"):
+        _teichmuller_set(ring, 23)
+    # xi^2 has order 2, so the order check passes and T repeats itself
+    with pytest.raises(AssertionError, match="distinct"):
+        _teichmuller_set(ring, ring.mul(ring.xi, ring.xi))
+    # 6 = 1 (mod 5): distinct elements, two of them with residue 1
+    with pytest.raises(AssertionError, match="bijectively"):
+        _check_teichmuller(ring, np.array([0, 1, 18, 24, 6]))
+    # 23 = 18 (mod 5) replaces 18: distinct residues, but 23^5 = 18 (mod 25)
+    with pytest.raises(AssertionError, match="failed for 23"):
+        _check_teichmuller(ring, np.array([0, 1, 23, 24, 7]))
+    _check_teichmuller(ring, np.array(ring.teichmuller))
