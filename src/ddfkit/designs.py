@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetError, ProfileCheckError
-from .families import DifferenceFamily, rows_to_text
+from .families import DifferenceFamily, read_rows, rows_to_text
 
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
@@ -113,9 +113,13 @@ def develop(fam: DifferenceFamily) -> Design:
     # stabiliser, or two base blocks that are translates.  Compare those b*k
     # translates through 0, which are rows i*v + (-x) of the development.
     through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, base)).ravel()]
-    through_zero = through_zero[np.lexsort(through_zero.T)]
-    repeated = (through_zero[1:] == through_zero[:-1]).all(axis=1).any()
-    return Design(v=v, k=k, blocks=out, has_duplicate_blocks=bool(repeated))
+    return Design(v=v, k=k, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
+
+
+def _has_repeated_rows(rows: np.ndarray) -> bool:
+    """Whether two rows of an (n, k) int64 array are equal, sorted as byte strings."""
+    keys = np.sort(np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}"), axis=None)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def verify_2design(design: Design, lam: int):
@@ -376,24 +380,10 @@ def save_design(design: Design, path) -> None:
 
 def load_design(path) -> Design:
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    v, count, k = (int(x) for x in tokens[0].split())
-    rows = [line.split() for line in tokens[1:] if line.strip()]
-    if len(rows) != count:
-        raise ValueError(f"expected {count} blocks, found {len(rows)}")
-    try:
-        blocks = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
-    except OverflowError:
-        raise ValueError("block entry out of range") from None
-    if blocks.shape != (count, k):
-        raise ValueError("ragged block lines")
-    if blocks.min(initial=0) < 0 or blocks.max(initial=0) >= v:
-        raise ValueError("block entry out of range")
-    if (np.diff(blocks, axis=1) <= 0).any():
-        raise ValueError("every block must have k distinct entries in ascending order")
-    unique = np.unique(blocks, axis=0)
-    return Design(v=v, k=k, blocks=blocks,
-                  has_duplicate_blocks=unique.shape[0] < count)
+        lines = fh.read().split("\n")
+    v, count, k = (int(x) for x in lines[0].split())
+    blocks = read_rows(lines[1:], count, k, v)
+    return Design(v=v, k=k, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
 
 
 def save_profile(profile: IntersectionProfile, path) -> None:

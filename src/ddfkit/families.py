@@ -9,8 +9,8 @@ designs, profiles and exported files are deterministic:
   * split families: square cosets in that alpha order, then p*T_S*, then the
     non-square cosets, then p*T_N*.
 
-Blocks are stored as sorted encoding tuples; set semantics are enforced at
-construction.
+A family keeps its blocks only as one read-only (b, k) int64 array of
+encodings whose rows are strictly ascending, so each row is a set.
 
 The cyclotomic and Teichmüller-coset constructions also record multipliers:
 units m with m*D_i = D_pi(i) for a permutation pi of the base blocks.  Each
@@ -24,6 +24,7 @@ designs.difference_orbits).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field as dfield
+from itertools import chain
 
 import numpy as np
 
@@ -39,12 +40,15 @@ FENG_INDEX_SETS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceFamily:
-    """Base blocks over an additive group, with declared (v, k, lambda)."""
+    """Base blocks over an additive group, with declared (v, k, lambda).
+
+    `blocks` is any (b, k) integer array-like, kept only as block_array().
+    """
 
     group: AdditiveGroup
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: InitVar[np.ndarray]
     v: int
     k: int
     lam: int
@@ -52,19 +56,17 @@ class DifferenceFamily:
     near_complete: bool
     name: str = ""
     multipliers: tuple = ()  # digit matrices of block-permuting unit multiplications
-    array: InitVar[np.ndarray | None] = None  # the blocks as a (b, k) array, if built
-    _array: np.ndarray = dfield(init=False, repr=False, compare=False)
+    _array: np.ndarray = dfield(init=False, repr=False)
 
-    def __post_init__(self, array):
-        if array is None:
-            array = np.array(self.blocks, dtype=np.int64).reshape(len(self.blocks), self.k)
-        array = array.view()
+    def __post_init__(self, blocks):
+        # a view, so the caller's array stays writable
+        array = np.asarray(blocks, dtype=np.int64).reshape(len(blocks), self.k)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self._array.shape[0]
 
     def block_array(self) -> np.ndarray:
         """The blocks as a read-only (b, k) int64 array."""
@@ -80,12 +82,12 @@ class ValidationReport:
     offending_element: int | None = None
 
 
-def _structure_flags(blocks: np.ndarray, v: int):
-    """(disjoint, near_complete) for a (b, k) array of blocks in a group of order v."""
+def _occupancy(blocks: np.ndarray, v: int):
+    """(seen, disjoint, near_complete) of a (b, k) block array; seen[x] counts x."""
     seen = np.bincount(blocks.ravel(), minlength=v)
     disjoint = bool(seen.max(initial=0) <= 1)
     near_complete = disjoint and seen[0] == 0 and blocks.size == v - 1
-    return disjoint, bool(near_complete)
+    return seen, disjoint, bool(near_complete)
 
 
 def _make_family(group, blocks, k, lam, name, multipliers=()):
@@ -97,11 +99,10 @@ def _make_family(group, blocks, k, lam, name, multipliers=()):
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.ndim != 2 or blocks.shape[1] != k or (np.diff(blocks, axis=1) <= 0).any():
         raise AssertionError("constructed block is not an ascending set of k elements")
-    disjoint, near_complete = _structure_flags(blocks, group.order)
-    return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks.tolist())),
-                            v=group.order, k=k, lam=lam, disjoint=disjoint,
-                            near_complete=near_complete, name=name,
-                            multipliers=multipliers, array=blocks)
+    _, disjoint, near_complete = _occupancy(blocks, group.order)
+    return DifferenceFamily(group=group, blocks=blocks, v=group.order, k=k, lam=lam,
+                            disjoint=disjoint, near_complete=near_complete, name=name,
+                            multipliers=multipliers)
 
 
 def _multiplier(group, mul, m):
@@ -238,19 +239,23 @@ def feng_families(field: Field) -> tuple[DifferenceFamily, ...]:
     """
     if field.q != 1331:
         raise ValueError("the partition families are defined over F_{11^3}")
-    classes = field.cyclotomic_classes(14)
+    classes = field.class_array(14)
     out = []
     for fam_idx, idx in enumerate(FENG_INDEX_SETS, start=1):
-        first = sorted(x for i in idx for x in classes[i])
-        second = sorted(x for i in range(14) if i not in idx for x in classes[i])
-        out.append(_make_family(field.group, [first, second], 665, 664,
-                                f"feng-{fam_idx}"))
+        blocks = np.stack([np.sort(classes[list(idx)], axis=None),
+                           np.sort(np.delete(classes, idx, axis=0), axis=None)])
+        out.append(_make_family(field.group, blocks, 665, 664, f"feng-{fam_idx}"))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+# within-block differences per validate_ddf pass, over whole blocks or, when
+# k^2 exceeds it, over a slice of one block's left operand
+_VALIDATE_PASS = 1 << 22
+
 
 def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
     """Brute-force check of the difference-family property.
@@ -260,18 +265,20 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
     near-completeness from scratch.
     """
     g = fam.group
+    blocks = fam.block_array()
+    b, k = blocks.shape
+    rows = max(1, _VALIDATE_PASS // max(k * k, 1))
+    cols = max(1, _VALIDATE_PASS // max(k, 1))
     counts = np.zeros(g.order, dtype=np.int64)
-    seen = np.zeros(g.order, dtype=np.int64)
-    for block in fam.blocks:
-        counts += g.difference_counts(block, block)
-        seen += np.bincount(block, minlength=g.order)
+    for r0 in range(0, b, rows):
+        part = blocks[r0 : r0 + rows]
+        for c0 in range(0, k, cols):
+            d = g.sub_arrays(part[:, c0 : c0 + cols, None], part[:, None, :])
+            counts += np.bincount(d.ravel(), minlength=g.order)
+    seen, disjoint, near_complete = _occupancy(blocks, g.order)
 
     nonzero = counts[1:]
     constant = bool(nonzero.size) and int(nonzero.min()) == int(nonzero.max())
-    observed = int(nonzero[0]) if constant else None
-
-    disjoint = bool(seen.max(initial=0) <= 1)
-    near_complete = disjoint and seen[0] == 0 and int(seen.sum()) == g.order - 1
 
     offending = None
     if not disjoint:
@@ -281,7 +288,7 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
         offending = int(np.nonzero(nonzero != mode)[0][0]) + 1
 
     return ValidationReport(is_difference_family=constant,
-                            observed_lambda=observed,
+                            observed_lambda=int(nonzero[0]) if constant else None,
                             disjoint=disjoint,
                             near_complete=near_complete,
                             offending_element=offending)
@@ -334,11 +341,31 @@ def save_family(fam: DifferenceFamily, path) -> None:
         fh.write(family_to_text(fam))
 
 
+def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
+    """The non-blank lines as a (count, k) int64 array of strictly ascending
+    rows with entries in [0, v); ValueError for any other text."""
+    rows = [line.split() for line in lines if line.strip()]
+    if len(rows) != count:
+        raise ValueError(f"expected {count} blocks, found {len(rows)}")
+    if count < 1 or k < 1 or any(len(row) != k for row in rows):
+        raise ValueError(f"expected at least one block line, each of k = {k} >= 1 entries")
+    try:
+        array = np.fromiter(map(int, chain.from_iterable(rows)), dtype=np.int64,
+                            count=count * k).reshape(count, k)
+    except OverflowError:
+        raise ValueError("block entry out of range") from None
+    if array.min() < 0 or int(array.max()) >= v:
+        raise ValueError("block entry out of range")
+    if (np.diff(array, axis=1) <= 0).any():
+        raise ValueError("every block must have k distinct entries in ascending order")
+    return array
+
+
 def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
     """Read a family file and validate its declared invariants on load."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
+        lines = fh.read().split("\n")
+    header = lines[0].split()
     if len(header) != 4:
         raise ValueError("family header must be 'v k lambda b'")
     v, k, lam, b = (int(x) for x in header)
@@ -351,23 +378,10 @@ def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
         raise BudgetError(f"{group.kind} order {v} exceeds the table budget {budget}")
     if b < 1 or k < 1:
         raise ValueError("a family needs b >= 1 base blocks of k >= 1 elements")
-    rows = [line.split() for line in tokens[1:] if line.strip()]
-    if len(rows) != b:
-        raise ValueError(f"expected {b} base blocks, found {len(rows)}")
-    blocks = []
-    for row in rows:
-        block = tuple(int(x) for x in row)
-        if len(block) != k or len(set(block)) != k:
-            raise ValueError("every base block must have k distinct elements")
-        if any(x < 0 or x >= v for x in block):
-            raise ValueError("block entry out of range")
-        if list(block) != sorted(block):
-            raise ValueError("block entries must be sorted")
-        blocks.append(block)
+    blocks = read_rows(lines[1:], b, k, v)
     if lam * (v - 1) != b * k * (k - 1):
         raise ValueError("declared parameters violate lambda*(v-1) = b*k*(k-1)")
-    array = np.array(blocks, dtype=np.int64).reshape(b, k)
-    disjoint, near_complete = _structure_flags(array, v)
-    return DifferenceFamily(group=group, blocks=tuple(blocks), v=v, k=k, lam=lam,
+    _, disjoint, near_complete = _occupancy(blocks, v)
+    return DifferenceFamily(group=group, blocks=blocks, v=v, k=k, lam=lam,
                             disjoint=disjoint, near_complete=near_complete,
-                            name=name or "imported", array=array)
+                            name=name or "imported")

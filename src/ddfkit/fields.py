@@ -163,16 +163,12 @@ class Field:
         return range(self.q)
 
     # -- cyclotomic cosets ------------------------------------------------
-    def cyclotomic_classes(self, e: int) -> list[tuple[int, ...]]:
-        """The e cosets C_0..C_{e-1} of the subgroup of e-th powers.
-
-        C_i = {generator^t : t = i (mod e)}; C_0 has order f = (q-1)/e and
-        the classes partition the nonzero elements.
-        """
-        return [tuple(c) for c in self.class_array(e).tolist()]
-
     def class_array(self, e: int) -> np.ndarray:
-        """The cosets as an (e, f) array whose row i is C_i, ascending."""
+        """The e cosets of the e-th powers as an (e, f) array, row i ascending.
+
+        Row i is C_i = {generator^t : t = i (mod e)}; C_0 is the subgroup of
+        order f = (q-1)/e and the rows partition the nonzero elements.
+        """
         f = self._coset_size(e)
         classes = self.exp.reshape(f, e).T.copy()  # C order, so rows are contiguous
         classes.sort(axis=1)

@@ -273,17 +273,21 @@ def test_develop_budget_checked_before_allocation(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _child_env():
+    """The environment for a child interpreter that imports ddfkit from this
+    checkout, installed or not."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_huge_prime_is_rejected_at_once():
     # a prime far above 2^32: trial division would never finish
     huge = "1000000000000000003"
-    # the child imports ddfkit from this checkout, installed or not
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     for argv in (["construct", "--construction", "wilson", "--p", huge, "--r", "1"],
                  ["gate", "--p", huge, "--r", "1"]):
         proc = subprocess.run([sys.executable, "-m", "ddfkit.cli", *argv],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=_child_env())
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -318,6 +322,44 @@ def test_design_file_with_huge_point_labels(capsys, tmp_path):
     code, out, err = run(capsys, "profile", "--input", str(path),
                          "--design", "--method", "direct")
     assert (code, out, err) == (0, '{"1":"3"}\n', "")
+
+
+def test_design_profile_never_imports_numpy_ma(tmp_path):
+    # np.unique(axis=0) imports numpy.ma on its first call in a process
+    design, profile = tmp_path / "design.txt", tmp_path / "profile.json"
+    assert main(["develop", "--construction", "gr-squares", "--p", "5", "--r", "1",
+                 "--out", str(design)]) == 0
+    child = ("import sys\n"
+             "from ddfkit.cli import main\n"
+             "code = main(['profile', '--input', sys.argv[1], '--design',\n"
+             "             '--method', 'direct', '--out', sys.argv[2]])\n"
+             "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child, str(design), str(profile)],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+    assert profile.read_text().startswith("{")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_verify_of_one_large_block_runs_in_bounded_memory(tmp_path):
+    # one block of all v - 1 nonzero elements of Z_10007: a (v, v-1, v-2)
+    # family whose k^2 = 10^8 differences (800 MB as int64) exceed the
+    # 512 MiB of address space the child may add after importing ddfkit
+    v = 10007
+    path = tmp_path / "family.txt"
+    path.write_text(f"{v} {v - 1} {v - 2} 1\n" + " ".join(map(str, range(1, v))) + "\n")
+    child = ("import os, resource, sys\n"
+             "from ddfkit.cli import main\n"
+             "mapped = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2 ** 29, resource.RLIM_INFINITY))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, "verify", "--input", str(path),
+                           "--kind", "field", "--p", str(v), "--skip-design"],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "difference family: True (observed lambda: 10005)" in proc.stdout
+    assert "disjoint: True  near-complete: True" in proc.stdout
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

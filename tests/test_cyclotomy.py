@@ -233,7 +233,7 @@ def test_row_sum_rule():
                       ((7, 2), 2), ((3, 4), 8), ((7, 4), 50), ((7, 4), 100)]:
         field = build_field(p, n)
         table = cyclotomic_table(field, e)
-        classes = field.cyclotomic_classes(e)
+        classes = field.class_array(e).tolist()
         minus_one = field.neg(1)
         for i in range(e):
             row_sum = sum(table.entry(i, j) for j in range(e))

@@ -38,7 +38,7 @@ def test_develop_single_block_translation_orbit():
     # row idx is D_i + t with (i, t) = divmod(idx, v): here D_0 + 0, 1, 2
     for idx in range(3):
         i, t = divmod(idx, fam.v)
-        expected = sorted(fam.group.add(x, t) for x in fam.blocks[i])
+        expected = sorted(fam.group.add(x, t) for x in fam.block_array()[i].tolist())
         assert design.blocks[idx].tolist() == expected
     assert design.blocks[:3].tolist() == [[1, 2], [2, 3], [3, 4]]
 
@@ -55,7 +55,7 @@ def test_develop_translate_contents():
     assert design.block_count == fam.b * fam.v
     for idx in range(design.block_count):
         i, t = divmod(idx, fam.v)
-        expected = sorted(g.add(x, t) for x in fam.blocks[i])
+        expected = sorted(g.add(x, t) for x in fam.block_array()[i].tolist())
         assert list(map(int, design.blocks[idx])) == expected
 
 

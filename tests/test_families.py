@@ -1,17 +1,25 @@
 """Difference-family constructions, validation and file round-trips."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddfkit import (build_field, build_ring, davis_family, develop, feng_families,
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
 from ddfkit import families
 from ddfkit.designs import design_to_text
-from ddfkit.families import DifferenceFamily, _make_family, family_to_text, rows_to_text
-from ddfkit.groups import field_group, group_for
+from ddfkit.families import (DifferenceFamily, ValidationReport, _make_family,
+                             family_to_text, rows_to_text)
+from ddfkit.groups import field_group, group_for, ring_group
+
+
+def block_rows(fam):
+    """The blocks as tuples of Python ints, for comparison with scalar references."""
+    return tuple(map(tuple, fam.block_array().tolist()))
 
 
 def assert_valid(fam):
@@ -66,7 +74,7 @@ def test_wilson_parameter_errors():
 def test_davis_gr9_exact_blocks():
     # direct expansion mod 9: (1+3a)T* for a in (0, 1, 8), then 3T*
     fam = davis_family(build_ring(3, 1))
-    assert fam.blocks == ((1, 8), (4, 5), (2, 7), (3, 6))
+    assert block_rows(fam) == ((1, 8), (4, 5), (2, 7), (3, 6))
     assert (fam.v, fam.k, fam.lam) == (9, 2, 1)
     assert_valid(fam)
 
@@ -100,8 +108,8 @@ def test_squares_refine_davis_blocks():
     for p, r in [(5, 1), (5, 2), (7, 1)]:
         davis = davis_family(build_ring(p, r))
         halves = squares_family(build_ring(p, r))
-        half_sets = [set(b) for b in halves.blocks]
-        for block in davis.blocks:
+        half_sets = [set(b) for b in block_rows(halves)]
+        for block in block_rows(davis):
             parts = [h for h in half_sets if h <= set(block)]
             assert len(parts) == 2
             assert parts[0] | parts[1] == set(block)
@@ -138,16 +146,15 @@ def test_constructions_match_scalar_reference(p, r):
     field = build_field(p, 2 * r)
     for e in (t + 1, 2 * (t + 1)):
         fam = wilson_family(field, e)
-        assert fam.blocks == scalar_cyclotomic_blocks(field, e), e
+        assert block_rows(fam) == scalar_cyclotomic_blocks(field, e), e
         assert fam.disjoint and fam.near_complete
     ring = build_ring(p, r)
     fam = davis_family(ring)
-    assert fam.blocks == scalar_coset_blocks(ring, (ring.teichmuller[1:],))
+    assert block_rows(fam) == scalar_coset_blocks(ring, (ring.teichmuller[1:],))
     assert fam.disjoint and fam.near_complete
     fam = squares_family(ring)
-    assert fam.blocks == scalar_coset_blocks(ring, ring.square_split())
+    assert block_rows(fam) == scalar_coset_blocks(ring, ring.square_split())
     assert fam.disjoint and fam.near_complete
-    assert all(type(x) is int for x in fam.blocks[0])
 
 
 def test_make_family_checks_rows():
@@ -161,7 +168,7 @@ def test_make_family_checks_rows():
     assert fam.disjoint and not fam.near_complete
     fam = _make_family(g, [[1, 4], [2, 3]], 2, 1, "cosets")
     assert fam.disjoint and fam.near_complete
-    assert fam.blocks == ((1, 4), (2, 3))
+    assert block_rows(fam) == ((1, 4), (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,7 @@ def test_furino_reproduces_teichmuller_cosets():
     ring = build_ring(5, 1)
     fam = furino_family(ring, ring.teichmuller[1:])
     davis = davis_family(ring)
-    assert {frozenset(b) for b in fam.blocks} == {frozenset(b) for b in davis.blocks}
+    assert set(map(frozenset, block_rows(fam))) == set(map(frozenset, block_rows(davis)))
 
 
 def test_furino_reproduces_square_cosets():
@@ -180,7 +187,7 @@ def test_furino_reproduces_square_cosets():
     squares, _ = ring.square_split()
     fam = furino_family(ring, squares)
     halves = squares_family(ring)
-    assert {frozenset(b) for b in fam.blocks} == {frozenset(b) for b in halves.blocks}
+    assert set(map(frozenset, block_rows(fam))) == set(map(frozenset, block_rows(halves)))
 
 
 def test_furino_cube_subgroup_gr49():
@@ -214,7 +221,7 @@ def test_feng_block_sizes_and_validation():
     assert len(fams) == 3
     for fam in fams:
         assert (fam.v, fam.k, fam.lam, fam.b) == (1331, 665, 664, 2)
-        assert all(len(b) == 665 for b in fam.blocks)
+        assert fam.block_array().shape == (2, 665)
         assert_valid(fam)
 
 
@@ -222,10 +229,10 @@ def test_feng_cut_recovers_cyclotomic_family():
     field = build_field(11, 3)
     fams = feng_families(field)
     wilson = wilson_family(field, 14)
-    classes = {frozenset(c) for c in field.cyclotomic_classes(14)}
-    assert {frozenset(b) for b in wilson.blocks} == classes
+    classes = set(map(frozenset, field.class_array(14).tolist()))
+    assert set(map(frozenset, block_rows(wilson))) == classes
     for fam in fams:
-        for block in fam.blocks:
+        for block in block_rows(fam):
             pieces = {cls for cls in classes if cls <= set(block)}
             assert len(pieces) == 7
             covered = set()
@@ -262,6 +269,74 @@ def test_validate_flags_nonconstant_counts():
     assert report.offending_element is not None
 
 
+def scalar_validate(fam):
+    """The per-block validate_ddf loop that whole-array passes replaced."""
+    g = fam.group
+    counts = np.zeros(g.order, dtype=np.int64)
+    seen = np.zeros(g.order, dtype=np.int64)
+    for block in block_rows(fam):
+        counts += g.difference_counts(block, block)
+        seen += np.bincount(block, minlength=g.order)
+    nonzero = counts[1:]
+    constant = bool(nonzero.size) and int(nonzero.min()) == int(nonzero.max())
+    disjoint = bool(seen.max(initial=0) <= 1)
+    offending = None
+    if not disjoint:
+        offending = int(np.nonzero(seen > 1)[0][0])
+    elif not constant:
+        mode = int(np.bincount(nonzero).argmax())
+        offending = int(np.nonzero(nonzero != mode)[0][0]) + 1
+    return ValidationReport(
+        is_difference_family=constant,
+        observed_lambda=int(nonzero[0]) if constant else None,
+        disjoint=disjoint,
+        near_complete=disjoint and seen[0] == 0 and int(seen.sum()) == g.order - 1,
+        offending_element=offending)
+
+
+def all_constructions():
+    ring = build_ring(7, 1)
+    return [wilson_family(build_field(3, 2), 4), wilson_family(build_field(5, 2), 6),
+            wilson_family(build_field(5, 4), 52), davis_family(build_ring(3, 2)),
+            squares_family(build_ring(5, 2)), squares_family(build_ring(11, 1)),
+            furino_family(ring, ring.teichmuller[1::3]),
+            *feng_families(build_field(11, 3))]
+
+
+@pytest.mark.parametrize("pass_size", [1, 3, 7, 50, families._VALIDATE_PASS])
+def test_validate_matches_scalar_reference_on_constructions(monkeypatch, pass_size):
+    # small passes split blocks by rows of their left operand
+    monkeypatch.setattr(families, "_VALIDATE_PASS", pass_size)
+    for fam in all_constructions():
+        assert validate_ddf(fam) == scalar_validate(fam), fam.name
+
+
+@st.composite
+def block_families(draw):
+    """Base blocks that may overlap, repeat or miss the difference property."""
+    kind, p, n = draw(st.sampled_from([("field", 5, 1), ("field", 2, 3), ("field", 3, 2),
+                                       ("field", 13, 1), ("ring", 3, 1), ("ring", 2, 2),
+                                       ("ring", 5, 1)]))
+    g = field_group(p, n) if kind == "field" else ring_group(p, n)
+    k = draw(st.integers(1, min(6, g.order)))
+    block = st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k, unique=True)
+    blocks = draw(st.lists(block.map(sorted), min_size=1, max_size=5))
+    return DifferenceFamily(group=g, blocks=blocks, v=g.order, k=k, lam=0,
+                            disjoint=False, near_complete=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_families(), st.sampled_from([1, 2, 5, 16, families._VALIDATE_PASS]))
+def test_validate_matches_scalar_reference_on_random_blocks(fam, pass_size):
+    saved = families._VALIDATE_PASS
+    families._VALIDATE_PASS = pass_size
+    try:
+        report = validate_ddf(fam)
+    finally:
+        families._VALIDATE_PASS = saved
+    assert report == scalar_validate(fam)
+
+
 def test_parameter_identity_all_constructions():
     fams = [
         wilson_family(build_field(3, 2), 4),
@@ -274,10 +349,10 @@ def test_parameter_identity_all_constructions():
     ]
     for fam in fams:
         assert fam.lam * (fam.v - 1) == fam.b * fam.k * (fam.k - 1)
-        total = sum(len(b) for b in fam.blocks)
+        total = sum(len(b) for b in block_rows(fam))
         assert total == fam.v - 1  # blocks partition the nonzero elements
         union = set()
-        for b in fam.blocks:
+        for b in block_rows(fam):
             union.update(b)
         assert union == set(range(1, fam.v))
 
@@ -309,7 +384,7 @@ def test_family_roundtrip(tmp_path):
     path = tmp_path / "fam.txt"
     save_family(fam, path)
     loaded = load_family(path, group_for("ring", 5, 25))
-    assert loaded.blocks == fam.blocks
+    assert np.array_equal(loaded.block_array(), fam.block_array())
     assert (loaded.v, loaded.k, loaded.lam, loaded.b) == (fam.v, fam.k, fam.lam, fam.b)
     assert loaded.disjoint and loaded.near_complete
 
@@ -374,7 +449,7 @@ def test_text_writers_match_scalar_writer():
             squares_family(build_ring(5, 1)), feng_families(build_field(11, 3))[0]]
     for fam in fams:
         header = f"{fam.v} {fam.k} {fam.lam} {fam.b}"
-        assert family_to_text(fam) == scalar_rows_text(header, fam.blocks), fam.name
+        assert family_to_text(fam) == scalar_rows_text(header, block_rows(fam)), fam.name
         design = develop(fam)
         header = f"{design.v} {design.block_count} {design.k}"
         assert design_to_text(design) == scalar_rows_text(header, design.blocks), fam.name
@@ -382,21 +457,39 @@ def test_text_writers_match_scalar_writer():
 
 def test_block_array_is_the_read_only_block_table(tmp_path):
     built = squares_family(build_ring(5, 1))
-    save_family(built, tmp_path / "fam.txt")
-    fams = [wilson_family(build_field(3, 2), 4), built,
-            load_family(tmp_path / "fam.txt", group_for("ring", 5, 25)),
+    save_family(built, tmp_path / "ring.txt")
+    field_fam = wilson_family(build_field(3, 2), 4)
+    save_family(field_fam, tmp_path / "field.txt")
+    ring = build_ring(7, 1)
+    fams = [field_fam, built, davis_family(build_ring(3, 2)),
+            furino_family(ring, ring.teichmuller[1::3]), *feng_families(build_field(11, 3)),
+            load_family(tmp_path / "ring.txt", group_for("ring", 5, 25)),
+            load_family(tmp_path / "field.txt", group_for("field", 3, 9)),
             DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), v=7,
                              k=2, lam=0, disjoint=True, near_complete=False),
-            dataclasses.replace(built, lam=0)]
+            dataclasses.replace(built, blocks=built.block_array(), lam=0)]
     for fam in fams:
         arr = fam.block_array()
         assert arr.dtype == np.int64 and arr.shape == (fam.b, fam.k)
-        assert np.array_equal(arr, np.array(fam.blocks))
+        assert type(fam.b) is int
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0
         assert fam.block_array() is arr
+        assert not hasattr(fam, "blocks")
     # the stored table is not shared with the caller's array
     rows = np.array([[1, 4], [2, 3]], dtype=np.int64)
     _make_family(field_group(5, 1), rows, 2, 1, "cosets")
     assert rows.flags.writeable
+
+
+def test_family_holds_only_its_block_array():
+    field = build_field(13, 4)
+    tracemalloc.start()
+    try:
+        fam = wilson_family(field, 2 * (13 ** 2 + 1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.block_array().nbytes == 8 * (13 ** 4 - 1)
+    assert held <= 1.5 * fam.block_array().nbytes

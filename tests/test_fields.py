@@ -120,30 +120,28 @@ def test_cyclotomic_classes_f5():
     f = build_field(5, 1)
     # squares mod 5 by exhaustion: {1, 4}; non-squares {2, 3}
     assert sorted(a * a % 5 for a in range(1, 5)) == [1, 1, 4, 4]
-    assert f.cyclotomic_classes(2) == [(1, 4), (2, 3)]
+    assert f.class_array(2).tolist() == [[1, 4], [2, 3]]
 
 
 def test_cyclotomic_classes_f9_e4():
     f = build_field(3, 2)
-    classes = f.cyclotomic_classes(4)
-    assert len(classes) == 4
-    assert all(len(c) == 2 for c in classes)
-    union = sorted(x for c in classes for x in c)
-    assert union == list(range(1, 9))
+    classes = f.class_array(4)
+    assert classes.shape == (4, 2)
+    assert sorted(classes.ravel().tolist()) == list(range(1, 9))
 
 
 def test_cyclotomic_classes_f625_e52():
     f = build_field(5, 4)
-    classes = f.cyclotomic_classes(52)
-    assert len(classes) == 52
-    assert all(len(c) == 12 for c in classes)
+    classes = f.class_array(52)
+    assert classes.shape == (52, 12) and classes.dtype == np.int64
+    assert (np.diff(classes, axis=1) > 0).all()
 
 
 def test_cyclotomic_classes_structure():
     # C_0 is the subgroup of e-th powers; C_i = generator^i * C_0
     for (p, n), e in [((3, 2), 4), ((5, 1), 2), ((7, 1), 3)]:
         f = build_field(p, n)
-        classes = f.cyclotomic_classes(e)
+        classes = f.class_array(e).tolist()
         powers = {f.pow(a, e) for a in range(1, f.q)}
         assert set(classes[0]) == powers
         for i in range(1, e):
@@ -153,7 +151,7 @@ def test_cyclotomic_classes_structure():
 
 def test_cyclotomic_classes_divisibility_error():
     with pytest.raises(ValueError):
-        build_field(5, 1).cyclotomic_classes(3)
+        build_field(5, 1).class_array(3)
 
 
 def test_frobenius_additivity():

@@ -13,6 +13,11 @@ from ddfkit.arith import is_prime
 from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, check_profile, difference_orbits
 
 
+def with_changes(fam, **changes):
+    """dataclasses.replace for a family, whose blocks are an init-only argument."""
+    return dataclasses.replace(fam, blocks=fam.block_array(), **changes)
+
+
 def constructions(p, r):
     t = p ** r
     return {
@@ -27,7 +32,7 @@ def constructions(p, r):
 def test_reduced_route_equals_full_loop(p, r):
     for name, fam in constructions(p, r).items():
         assert fam.multipliers, name
-        full = dataclasses.replace(fam, multipliers=())
+        full = with_changes(fam, multipliers=())
         assert profile_via_differences(fam) == profile_via_differences(full), \
             (p, r, name)
 
@@ -45,7 +50,7 @@ def test_orbit_counts(p, r):
         reps, sizes = difference_orbits(fam)
         assert (reps.tolist(), sizes.tolist()) == expected[name], (p, r, name)
     # without multipliers only negation acts: {0} and the pairs {d, -d}
-    fam = dataclasses.replace(constructions(p, r)["wilson"], multipliers=())
+    fam = with_changes(constructions(p, r)["wilson"], multipliers=())
     reps, sizes = difference_orbits(fam)
     assert reps.size == (fam.v + 1) // 2 and int(sizes.sum()) == fam.v
     g = fam.group
@@ -59,9 +64,9 @@ def test_multiplier_that_does_not_permute_blocks_is_rejected():
     wrong_shape = ((1,),)
     for bad in (shear, singular, wrong_shape):
         with pytest.raises(ValueError):
-            profile_via_differences(dataclasses.replace(fam, multipliers=(bad,)))
+            profile_via_differences(with_changes(fam, multipliers=(bad,)))
     identity = ((1, 0), (0, 1))
-    assert profile_via_differences(dataclasses.replace(fam, multipliers=(identity,))) == \
+    assert profile_via_differences(with_changes(fam, multipliers=(identity,))) == \
         profile_via_differences(fam)
 
 
@@ -113,7 +118,7 @@ def test_compare_checks_the_lambda_identity():
     fam = squares_family(build_ring(5, 1))
     other = wilson_family(build_field(5, 2), 12)
     compare_designs(other, fam)
-    wrong = dataclasses.replace(fam, lam=fam.lam + 1)
+    wrong = with_changes(fam, lam=fam.lam + 1)
     with pytest.raises(ProfileCheckError, match="C\\(N,2\\)"):
         compare_designs(other, wrong)
 
