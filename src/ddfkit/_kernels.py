@@ -112,25 +112,37 @@ def block_intersection_hist(blocks):
     """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
 
     The points that occur are relabelled 0..u-1 (u <= B*k), so memory does
-    not depend on the size of the point set.  The intersection sizes are the
-    entries of the Gram matrix of the 0/1 incidence matrix, taken in chunks
-    of rows above the diagonal; every entry is an integer at most k, which
-    float32 represents exactly below 2^24.
+    not depend on the size of the point set: by occupancy when every label
+    is below B*k, as in every developed design, else by sorting.  The sizes
+    are the entries of the Gram matrix of the 0/1 incidence matrix, integers
+    at most k (exact in float32 below 2^24), in chunks of r rows from the
+    diagonal on; a chunk's symmetric r x r square counts each pair twice.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     B, k = blocks.shape
     pts = blocks.ravel()
-    points = _distinct(pts)
-    inc = np.zeros((B, points.size), dtype=np.float32 if k < 1 << 24 else np.float64)
-    inc[np.repeat(np.arange(B), k), np.searchsorted(points, pts)] = 1
+    if pts.max(initial=-1) < pts.size:
+        used = np.bincount(pts) > 0
+        cols, u = (np.cumsum(used) - 1)[pts], int(np.count_nonzero(used))
+    else:
+        points = _distinct(pts)
+        cols, u = np.searchsorted(points, pts), points.size
+    inc = np.zeros(B * u, dtype=np.float32 if k < 1 << 24 else np.float64)
+    inc[cols.reshape(B, k) + np.arange(0, B * u, u, dtype=np.int64)[:, None]] = 1
+    inc = inc.reshape(B, u)
     hist = np.zeros(k + 1, dtype=np.int64)
     step = max(1, _GRAM_CELLS // max(B, 1))
+    products = np.empty(min(step, B) * B, dtype=inc.dtype)  # both reused by every chunk
+    cells = np.empty(products.size, dtype=np.int64)
     for s in range(0, B - 1, step):
-        gram = inc[s:s + step] @ inc[s:].T  # rows s.., columns s..
-        r = gram.shape[0]
-        hist += np.bincount(gram[:, r:].astype(np.int64).ravel(), minlength=k + 1)
-        upper = gram[:, :r][np.triu_indices(r, 1)]
-        hist += np.bincount(upper.astype(np.int64), minlength=k + 1)
+        r, c = min(step, B - s), B - s  # rows s.., columns s..
+        gram = cells[:r * c].reshape(r, c)
+        np.copyto(gram, np.matmul(inc[s:s + r], inc[s:].T,
+                                  out=products[:r * c].reshape(r, c)), casting="unsafe")
+        square = gram[:, :r]
+        hist += np.bincount(gram.ravel(), minlength=k + 1) \
+            - (np.bincount(square.ravel(), minlength=k + 1)
+               + np.bincount(square.diagonal(), minlength=k + 1)) // 2
     return hist
 
 

@@ -3,38 +3,58 @@
 The cyclotomic number (i, j)_e counts |(C_i + 1) & C_j| for the cyclotomic
 cosets C_0..C_{e-1} of the e-th powers: the cells at d = -1 of the
 difference route for the order-e coset family, counted exactly as one
-bincount of class(x) * e + class(x + 1).  Closed-form tables may contain
-unknown entries; those are first-class (None) values, never zeros, since
-conflating them would corrupt the order-e/order-2e sum relation.  The
-checks work on arrays: `table_arrays` gives the int64 cells with a mask of
-the known ones.
+bincount of class(x) * e + class(x + 1).  A table keeps its cells as one
+read-only (e, e) int64 array with a read-only bool `known` mask.  Closed
+forms may leave cells unknown; those are masked out (and stored as 0),
+never read as zeros, since conflating them would corrupt the
+order-e/order-2e sum relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import BudgetError
+from .families import rows_to_text
 from .fields import Field, build_field
 
 CYCLO_CELL_BUDGET = 2 ** 22  # e*e cells; admits every order-2(t+1) table to t = 1009
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclotomicTable:
+    """The order-e table of F_q with coset size f = (q-1)/e.
+
+    `cells` is any (e, e) integer array-like and `known` an (e, e) bool
+    mask (default: every cell known); unknown cells must hold 0.  Both are
+    kept as read-only views.
+    """
+
     e: int
     q: int
-    f: int  # coset size (q-1)/e
-    values: tuple  # e rows of e entries, each int or None for unknown
+    f: int
+    cells: np.ndarray
+    known: np.ndarray | None = None
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.int64).reshape(self.e, self.e)
+        known = np.ones((self.e, self.e), dtype=bool) if self.known is None \
+            else np.asarray(self.known, dtype=bool).reshape(self.e, self.e)
+        if cells[~known].any():
+            raise ValueError("unknown cells must hold 0")
+        for name, array in (("cells", cells), ("known", known)):
+            array.flags.writeable = False  # a view, so the caller's array stays writable
+            object.__setattr__(self, name, array)
 
     def entry(self, i: int, j: int):
-        return self.values[i % self.e][j % self.e]
+        """Cell (i, j), indices mod e, as an int; None when unknown."""
+        i, j = i % self.e, j % self.e
+        return int(self.cells[i, j]) if self.known[i, j] else None
 
     def fully_known(self) -> bool:
-        return not any(None in row for row in self.values)
+        return bool(self.known.all())
 
 
 def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
@@ -51,8 +71,7 @@ def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1
     keep = y != 0
     table = np.bincount(cls[x[keep]] * e + cls[y[keep]], minlength=e * e)
-    return CyclotomicTable(e=e, q=field.q, f=(field.q - 1) // e,
-                           values=tuple(map(tuple, table.reshape(e, e).tolist())))
+    return CyclotomicTable(e=e, q=field.q, f=(field.q - 1) // e, cells=table)
 
 
 def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
@@ -63,12 +82,11 @@ def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
     """
     t = p ** r
     e = t + 1
-    values = [[1] * e for _ in range(e)]
-    for i in range(e):
-        values[0][i] = values[i][0] = values[i][i] = 0
-    values[0][0] = t - 2
-    return CyclotomicTable(e=e, q=t * t, f=t - 1,
-                           values=tuple(tuple(row) for row in values))
+    cells = np.ones((e, e), dtype=np.int64)
+    cells[0] = cells[:, 0] = 0
+    np.fill_diagonal(cells, 0)
+    cells[0, 0] = t - 2
+    return CyclotomicTable(e=e, q=t * t, f=t - 1, cells=cells)
 
 
 def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
@@ -86,41 +104,17 @@ def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
     t = p ** r
     e = t + 1
     n = 2 * e
-    values: list[list] = [[None] * n for _ in range(n)]
-    if t % 4 == 1:
-        values[0][0] = (t - 5) // 4
-        values[0][e] = values[e][0] = values[e][e] = (t - 1) // 4
+    known = np.zeros((n, n), dtype=bool)
+    known[::e] = known[:, ::e] = True  # rows and columns 0 and e
+    np.fill_diagonal(known, True)
+    rows = np.arange(n)
+    known[rows, (rows + e) % n] = True
+    cells = np.zeros((n, n), dtype=np.int64)
+    if t % 4 == 1:  # cells (0,0), (0,e), (e,0), (e,e)
+        cells[::e, ::e] = [[(t - 5) // 4, (t - 1) // 4], [(t - 1) // 4, (t - 1) // 4]]
     else:
-        values[0][e] = (t + 1) // 4
-        values[0][0] = values[e][0] = values[e][e] = (t - 3) // 4
-    for i in range(n):
-        if i in (0, e):
-            continue
-        values[0][i] = values[i][0] = 0
-        values[i][e] = values[e][i] = 0
-        values[i][i] = 0
-        values[i][(i + e) % n] = 0
-    return CyclotomicTable(e=n, q=t * t, f=(t - 1) // 2,
-                           values=tuple(tuple(row) for row in values))
-
-
-def table_arrays(table: CyclotomicTable) -> tuple[np.ndarray, np.ndarray]:
-    """(values, known): the (e, e) int64 cells and the mask of known cells.
-
-    Unknown cells read 0 in `values`; compare them only under `known`.
-    """
-    e = table.e
-    try:  # one pass when every cell is known; it stops at the first None
-        values = np.fromiter(chain.from_iterable(table.values), dtype=np.int64,
-                             count=e * e)
-        return values.reshape(e, e), np.ones((e, e), dtype=bool)
-    except TypeError:
-        pass
-    cells = np.fromiter(chain.from_iterable(table.values), dtype=object,
-                        count=e * e).reshape(e, e)
-    known = cells != None  # noqa: E711 -- an elementwise test on arrays
-    cells[~known] = 0
-    return cells.astype(np.int64), known
+        cells[::e, ::e] = [[(t - 3) // 4, (t + 1) // 4], [(t - 3) // 4, (t - 3) // 4]]
+    return CyclotomicTable(e=n, q=t * t, f=(t - 1) // 2, cells=cells, known=known)
 
 
 def quadruple_sums(values: np.ndarray) -> np.ndarray:
@@ -147,7 +141,7 @@ def quadruple_mask(known: np.ndarray) -> np.ndarray:
 def unknown_quadruples(table: CyclotomicTable) -> list[tuple]:
     """Index quadruples {(i,j), (i,j+e), (i+e,j), (i+e,j+e)} left unknown."""
     e = table.e // 2
-    rows, cols = np.nonzero(quadruple_mask(table_arrays(table)[1]))
+    rows, cols = np.nonzero(quadruple_mask(table.known))
     return [((i, j), (i, j + e), (i + e, j), (i + e, j + e))
             for i, j in zip(rows.tolist(), cols.tolist())]
 
@@ -162,7 +156,7 @@ def dickson_counts(p: int, r: int) -> tuple[int, int, int, int]:
     if p == 2:
         raise ValueError("consecutive-residue counts require odd p")
     table = cyclotomic_table(build_field(p, r), 2)
-    (qq, qn), (nq, nn) = table.values
+    qq, qn, nq, nn = (int(x) for x in table.cells.flat)
     q = table.q
     if q % 4 == 1:
         expected = ((q - 5) // 4, (q - 1) // 4, (q - 1) // 4, (q - 1) // 4)
@@ -184,11 +178,9 @@ def check_sum_relation(table_e: CyclotomicTable, table_2e: CyclotomicTable):
     e = table_e.e
     if table_2e.e != 2 * e:
         raise ValueError("second table must have twice the order of the first")
-    values_e, known_e = table_arrays(table_e)
-    values_2e, known_2e = table_arrays(table_2e)
-    if not (known_e.all() and known_2e.all()):
+    if not (table_e.fully_known() and table_2e.fully_known()):
         raise ValueError("sum relation needs fully known tables")
-    bad = np.flatnonzero(values_e != quadruple_sums(values_2e))
+    bad = np.flatnonzero(table_e.cells != quadruple_sums(table_2e.cells))
     if bad.size == 0:
         return True, None
     return False, divmod(int(bad[0]), e)
@@ -196,10 +188,9 @@ def check_sum_relation(table_e: CyclotomicTable, table_2e: CyclotomicTable):
 
 def count_summary(table: CyclotomicTable) -> dict[int, int]:
     """Frequency map N -> number of cells equal to N, N ascending; requires a known table."""
-    values, known = table_arrays(table)
-    if not known.all():
+    if not table.fully_known():
         raise ValueError("count summary requires a fully known table")
-    counts = np.bincount(values.ravel())
+    counts = np.bincount(table.cells.ravel())
     present = np.flatnonzero(counts)
     freq = dict(zip(present.tolist(), counts[present].tolist()))
     if sum(freq.values()) != table.e ** 2:
@@ -213,10 +204,12 @@ def count_summary(table: CyclotomicTable) -> dict[int, int]:
 
 
 def table_to_csv(table: CyclotomicTable) -> str:
-    lines = [f"{table.e},{table.f},{table.q}"]
-    for row in table.values:
-        lines.append(",".join("?" if x is None else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """Header line "e,f,q", then the e rows of cells, "?" for an unknown cell."""
+    header = f"{table.e},{table.f},{table.q}"
+    if table.fully_known():
+        return rows_to_text(header, table.cells, sep=",")
+    text = np.where(table.known, table.cells.astype(str), "?")
+    return "\n".join([header] + [",".join(row) for row in text]) + "\n"
 
 
 def save_table(table: CyclotomicTable, path) -> None:

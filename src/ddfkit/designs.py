@@ -38,6 +38,7 @@ from .families import DifferenceFamily, read_rows, rows_to_text
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
+DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
 
 
 @dataclass(frozen=True)
@@ -267,9 +268,18 @@ def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None
 
 
 def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
-    """Cell tables over orbits of d; scales past the direct scan's budget."""
+    """Cell tables over orbits of d; scales past the direct scan's budget.
+
+    Raises BudgetError before the kernel when orbits * b*k exceed
+    DIFF_ELEMENT_BUDGET; a family without multipliers, such as a loaded
+    file, has about v/2 orbits.
+    """
     g = fam.group
     reps, sizes = difference_orbits(fam)
+    elements = reps.size * fam.b * fam.k
+    if elements > DIFF_ELEMENT_BUDGET:
+        raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
+                          f"elements (orbits * b * k), got {elements}")
     hist = _kernels.diff_cell_hist(fam.block_array(), g.base, g.digits, g.order,
                                    reps, sizes)
     counts = {}

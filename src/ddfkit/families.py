@@ -302,9 +302,10 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
 _TEXT_CHUNK = 1 << 14
 
 
-def rows_to_text(header: str, rows: np.ndarray) -> str:
+def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
     """The header line, then each row of a (b, k) array of non-negative
-    integers as space-separated decimals, one row per line.
+    integers as decimals separated by `sep` (one ASCII character), one row
+    per line.
 
     Each pass takes a chunk of entries in the smallest unsigned dtype that
     holds them and builds fixed-width ASCII digit columns plus a separator
@@ -326,7 +327,7 @@ def rows_to_text(header: str, rows: np.ndarray) -> str:
                 rem //= 10
                 keep[j - 1] = rem > 0
         digits[:width] += ord("0")
-        digits[width] = ord(" ")
+        digits[width] = ord(sep)
         digits[width, (k - 1 - lo) % k :: k] = ord("\n")
         out.append(digits.T[keep.T].tobytes().decode("ascii"))
     return "".join(out)

@@ -160,10 +160,10 @@ def _corrupted(table, cells):
     """The table with each (i, j) in `cells` raised by one."""
     from ddfkit.cyclotomy import CyclotomicTable
 
-    rows = [list(row) for row in table.values]
+    raised = table.cells.copy()
     for i, j in cells:
-        rows[i][j] += 1
-    return CyclotomicTable(e=table.e, q=table.q, f=table.f, values=tuple(map(tuple, rows)))
+        raised[i, j] += 1
+    return CyclotomicTable(e=table.e, q=table.q, f=table.f, cells=raised)
 
 
 @pytest.mark.parametrize("e, cells", [
@@ -271,6 +271,33 @@ def test_develop_budget_checked_before_allocation(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("budget exceeded: development capped at 16777216 block entries")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_difference_budget_checked_before_kernel(capsys, monkeypatch, tmp_path):
+    # a loaded family carries no multipliers: (25 + 1)/2 orbit representatives
+    # of b*k = 12*2 block elements, where the construction's multipliers leave 2
+    import ddfkit.designs
+
+    def kernel_must_not_run(*args):
+        raise AssertionError("diff_cell_hist ran before the budget check")
+
+    fam_path = tmp_path / "fam.txt"
+    assert run(capsys, "construct", "--construction", "wilson-half", "--p", "5",
+               "--r", "1", "--out", str(fam_path))[0] == 0
+    loaded = ["profile", "--input", str(fam_path), "--kind", "field", "--p", "5"]
+    code, expected, _ = run(capsys, *loaded)
+    assert code == 0
+    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 13 * 24)
+    assert run(capsys, *loaded) == (0, expected, "")
+    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 13 * 24 - 1)
+    assert run(capsys, "profile", "--construction", "wilson-half",
+               "--p", "5", "--r", "1") == (0, expected, "")
+    monkeypatch.setattr(ddfkit.designs._kernels, "diff_cell_hist", kernel_must_not_run)
+    code, out, err = run(capsys, *loaded)
+    assert code == 1
+    assert out == ""
+    assert err == ("budget exceeded: difference route capped at 311 shifted elements "
+                   "(orbits * b * k), got 312\n")
 
 
 def _child_env():

@@ -8,7 +8,7 @@ from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e, count_summary,
                     cyclotomic_table, dickson_counts, unknown_quadruples)
 from ddfkit.arith import factorize
-from ddfkit.cyclotomy import CyclotomicTable, table_arrays, table_to_csv
+from ddfkit.cyclotomy import CyclotomicTable, table_to_csv
 
 # (p, r) pairs indexed by t = p^r; tables live in F_{t^2}
 SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
@@ -25,6 +25,52 @@ def _cyclotomic_reference(field, e, successors=None):
         if y != 0:
             table[cls[x]][cls[y]] += 1
     return tuple(tuple(row) for row in table)
+
+
+def _rows(table):
+    """The table as tuples of rows, None for an unknown cell."""
+    return tuple(tuple(table.entry(i, j) for j in range(table.e)) for i in range(table.e))
+
+
+def _closed_form_order_e_reference(p, r):
+    """The order-(t+1) closed form built cell by cell as nested lists."""
+    t = p ** r
+    e = t + 1
+    values = [[1] * e for _ in range(e)]
+    for i in range(e):
+        values[0][i] = values[i][0] = values[i][i] = 0
+    values[0][0] = t - 2
+    return tuple(tuple(row) for row in values)
+
+
+def _closed_form_order_2e_reference(p, r):
+    """The order-2(t+1) closed form built cell by cell, None when unknown."""
+    t = p ** r
+    e = t + 1
+    n = 2 * e
+    values = [[None] * n for _ in range(n)]
+    if t % 4 == 1:
+        values[0][0] = (t - 5) // 4
+        values[0][e] = values[e][0] = values[e][e] = (t - 1) // 4
+    else:
+        values[0][e] = (t + 1) // 4
+        values[0][0] = values[e][0] = values[e][e] = (t - 3) // 4
+    for i in range(n):
+        if i in (0, e):
+            continue
+        values[0][i] = values[i][0] = 0
+        values[i][e] = values[e][i] = 0
+        values[i][i] = 0
+        values[i][(i + e) % n] = 0
+    return tuple(tuple(row) for row in values)
+
+
+def _csv_reference(table):
+    """CSV text joined cell by cell, "?" for an unknown cell."""
+    lines = [f"{table.e},{table.f},{table.q}"]
+    for row in _rows(table):
+        lines.append(",".join("?" if x is None else str(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def _prime_powers(limit):
@@ -49,7 +95,7 @@ def test_table_matches_scalar_reference_every_field_to_2000():
         for e in sorted(orders):
             table = cyclotomic_table(field, e)
             assert (table.e, table.q, table.f) == (e, q, (q - 1) // e), (q, e)
-            assert table.values == _cyclotomic_reference(field, e, successors), (q, e)
+            assert _rows(table) == _cyclotomic_reference(field, e, successors), (q, e)
         fields += 1
     assert fields == 333
 
@@ -62,15 +108,25 @@ def test_table_rejects_non_divisor():
 def test_table_arrays_match_cells():
     known_table = cyclotomic_table(build_field(5, 2), 8)
     partial = closed_form_order_2e(5, 1)
-    assert not partial.fully_known()
+    assert known_table.fully_known() and not partial.fully_known()
     for table in (known_table, partial):
-        values, known = table_arrays(table)
-        assert values.dtype == np.int64 and values.shape == (table.e, table.e)
+        assert table.cells.dtype == np.int64 and table.known.dtype == bool
+        assert table.cells.shape == table.known.shape == (table.e, table.e)
+        for array in (table.cells, table.known):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
         for i in range(table.e):
             for j in range(table.e):
                 cell = table.entry(i, j)
-                assert known[i, j] == (cell is not None)
-                assert values[i, j] == (0 if cell is None else cell)
+                assert table.known[i, j] == (cell is not None)
+                assert table.cells[i, j] == (0 if cell is None else cell)
+    # the caller's arrays stay writable; an unknown cell must hold 0
+    cells, known = np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=bool)
+    CyclotomicTable(e=2, q=5, f=2, cells=cells, known=known)
+    cells[0, 1] = 1
+    with pytest.raises(ValueError, match="unknown cells must hold 0"):
+        CyclotomicTable(e=2, q=5, f=2, cells=cells, known=known)
 
 
 def test_brute_force_f9_order4():
@@ -99,8 +155,8 @@ def test_closed_form_order_e_matches_brute_force():
         closed = closed_form_order_e(p, r)
         field = build_field(p, 2 * r)
         brute = cyclotomic_table(field, t + 1)
-        assert closed.values == brute.values, f"t={t}"
-        assert closed.values == _cyclotomic_reference(field, t + 1), f"t={t}"
+        assert np.array_equal(closed.cells, brute.cells), f"t={t}"
+        assert _rows(closed) == _cyclotomic_reference(field, t + 1), f"t={t}"
         assert closed.q == brute.q and closed.f == brute.f
 
 
@@ -119,7 +175,7 @@ def test_closed_form_order_2e_matches_brute_force():
         closed = closed_form_order_2e(p, r)
         field = build_field(p, 2 * r)
         brute = cyclotomic_table(field, 2 * (t + 1))
-        assert brute.values == _cyclotomic_reference(field, 2 * (t + 1)), t
+        assert _rows(brute) == _cyclotomic_reference(field, 2 * (t + 1)), t
         for i in range(closed.e):
             for j in range(closed.e):
                 known = closed.entry(i, j)
@@ -138,10 +194,10 @@ def test_unknown_quadruples_match_loop_reference():
         assert unknown_quadruples(closed) == [
             ((i, j), (i, j + e), (i + e, j), (i + e, j + e))
             for i in range(1, e) for j in range(1, e) if i != j]
-    rows = [list(row) for row in closed.values]
-    rows[2 + e][1] = 0  # one cell of the quadruple at (2, 1) becomes known
+    known = closed.known.copy()
+    known[2 + e, 1] = True  # one cell of the quadruple at (2, 1) becomes known
     known_cell = CyclotomicTable(e=closed.e, q=closed.q, f=closed.f,
-                                 values=tuple(map(tuple, rows)))
+                                 cells=closed.cells, known=known)
     with pytest.raises(AssertionError, match="quadruple cell unexpectedly known"):
         unknown_quadruples(known_cell)
 
@@ -160,11 +216,10 @@ def test_sum_relation_detects_corruption():
     f9 = build_field(3, 2)
     te = cyclotomic_table(f9, 4)
     t2e = cyclotomic_table(f9, 8)
-    rows = [list(r) for r in t2e.values]
-    rows[1][2] += 1
-    rows[3][1] += 1  # a later cell in row-major order, an earlier one by columns
-    corrupted = CyclotomicTable(e=t2e.e, q=t2e.q, f=t2e.f,
-                                values=tuple(tuple(r) for r in rows))
+    cells = t2e.cells.copy()
+    cells[1, 2] += 1
+    cells[3, 1] += 1  # a later cell in row-major order, an earlier one by columns
+    corrupted = CyclotomicTable(e=t2e.e, q=t2e.q, f=t2e.f, cells=cells)
     ok, witness = check_sum_relation(te, corrupted)
     assert not ok
     assert witness == (1, 2)
@@ -247,3 +302,26 @@ def test_csv_export():
     assert csv.splitlines()[0] == "2,2,5"
     partial = closed_form_order_2e(5, 1)
     assert "?" in table_to_csv(partial)
+    # fully known tables (through the chunked formatter, whose 2^14-entry
+    # chunks split a row at e = 130) and tables with unknown cells against
+    # the cell-by-cell join
+    tables = [cyclotomic_table(build_field(p, n), e)
+              for p, n, e in [(5, 1, 1), (3, 2, 4), (7, 2, 16), (17, 2, 96), (3, 4, 80)]]
+    tables += [cyclotomic_table(build_field(131, 1), 130), closed_form_order_e(13, 1)]
+    tables += [closed_form_order_2e(p, r) for p, r in [(3, 1), (5, 1), (7, 1), (3, 2)]]
+    for table in tables:
+        assert table_to_csv(table) == _csv_reference(table), (table.q, table.e)
+
+
+def test_closed_forms_match_cell_by_cell_references():
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                 (2, 4), (5, 2), (3, 4)]:
+        t = p ** r
+        closed = closed_form_order_e(p, r)
+        assert (closed.e, closed.q, closed.f) == (t + 1, t * t, t - 1)
+        assert _rows(closed) == _closed_form_order_e_reference(p, r), t
+        if p == 2:
+            continue
+        closed = closed_form_order_2e(p, r)
+        assert (closed.e, closed.q, closed.f) == (2 * (t + 1), t * t, (t - 1) // 2)
+        assert _rows(closed) == _closed_form_order_2e_reference(p, r), t

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -167,6 +168,32 @@ def test_intersect_hist_wide_rows(monkeypatch):
     assert hist.tolist() == ref.tolist()
     monkeypatch.setattr(_kernels, "_GRAM_CELLS", 7 * 40)  # chunks of 7 rows
     assert _kernels.block_intersection_hist(blocks).tolist() == ref.tolist()
+
+
+@st.composite
+def block_arrays(draw):
+    """(B, k) arrays of ascending rows; labels below k (every point used),
+    below B*k (the occupancy relabel, with unused points) or far above it
+    (the sort path)."""
+    count = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([k, count * k, 3 * count * k, 2 ** 40]))
+    block = st.lists(st.integers(0, top - 1), min_size=k, max_size=k, unique=True)
+    return np.sort(np.array(draw(st.lists(block, min_size=count, max_size=count)),
+                            dtype=np.int64), axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_arrays(), st.integers(1, 3))
+def test_intersect_hist_matches_pair_loop(blocks, rows_per_chunk):
+    rows = [frozenset(row) for row in blocks.tolist()]
+    ref = [0] * (blocks.shape[1] + 1)
+    for a, c in combinations(rows, 2):
+        ref[len(a & c)] += 1
+    assert _kernels.block_intersection_hist(blocks).tolist() == ref
+    # several chunks, each starting with an r x r square on the diagonal
+    with mock.patch.object(_kernels, "_GRAM_CELLS", rows_per_chunk * blocks.shape[0]):
+        assert _kernels.block_intersection_hist(blocks).tolist() == ref
 
 
 def test_intersect_hist_ignores_unused_points():
