@@ -23,8 +23,8 @@ import numpy as np
 
 # Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
 # elements and b^2 cells stay near 2^16 int64 values (0.5 MB) ran fastest
-# among 2^14..2^20 on the feng families and on wilson-half (7,2) without
-# multipliers; a single d whose table is larger is a chunk of its own.
+# among 2^14..2^20 on the feng families and on wilson-half (7,2) over all
+# negation orbits; a single d whose table is larger is a chunk of its own.
 _CHUNK = 1 << 16
 # Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
 # products and 8 MB of int64 copies, whatever the number of blocks.

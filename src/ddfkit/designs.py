@@ -11,9 +11,10 @@ Block-intersection profiles come from two independent routes:
     |D_i & (D_j + d)| points for d = c - a, so each cell (i, j, d) stands
     for v ordered block pairs; the (i, i, 0) cells are excluded and ordered
     totals are halved at the end.  The b^2 cells at d and at -d, and at d
-    and m*d for a multiplier m with m*D_i = D_pi(i), have the same
-    histogram, so one d per orbit of negation and the multipliers is
-    tabulated, weighted by the orbit size (see difference_orbits).
+    and m*d for a unit m with m*D_i = D_pi(i), have the same histogram, so
+    one d per orbit is tabulated, weighted by the orbit size: the orbits of
+    the whole unit group when its generators permute the base blocks, else
+    of negation alone (see difference_orbits).
 
 Every difference-route profile is checked against the exact counting
 identities of a developed family (see check_profile).
@@ -34,6 +35,8 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ProfileCheckError
 from .families import DifferenceFamily, read_rows, rows_to_text
+from .fields import build_field
+from .galois_ring import build_ring
 
 PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
@@ -117,9 +120,14 @@ def develop(fam: DifferenceFamily) -> Design:
     return Design(v=v, k=k, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
 
 
+def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of an (n, k) int64 array as byte strings, sorted."""
+    return np.sort(np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}"), axis=None)
+
+
 def _has_repeated_rows(rows: np.ndarray) -> bool:
-    """Whether two rows of an (n, k) int64 array are equal, sorted as byte strings."""
-    keys = np.sort(np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}"), axis=None)
+    """Whether two rows of an (n, k) int64 array are equal."""
+    keys = _sorted_row_keys(rows)
     return bool((keys[1:] == keys[:-1]).any())
 
 
@@ -166,85 +174,77 @@ def profile_direct(design: Design) -> IntersectionProfile:
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
-def _invertible_mod(matrix: np.ndarray, p: int) -> bool:
-    """Whether a square integer matrix is invertible modulo the prime p.
+def _unit_images(group, x: np.ndarray):
+    """Yield the images of the elements x under generators of the unit group.
 
-    Over Z_(p^2) too a matrix is invertible iff it is invertible mod p.
+    A field's generator is its primitive element g: g*x is one gather
+    exp[(log x + 1) mod (q-1)], with 0 fixed.  GR(p^2, r) has the units
+    T*(1 + pR), generated by xi and the principal units 1 + p*x^i, i < r,
+    since (1 + p*a)(1 + p*c) = 1 + p*(a + c).
     """
-    rows = [[int(x) % p for x in row] for row in matrix]
-    n = len(rows)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return False
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv % p
-            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-    return True
+    if group.kind == "field":
+        field = build_field(group.p, group.ext)
+        yield np.where(x == 0, 0, field.exp[(field.log[x] + 1) % (field.q - 1)])
+        return
+    ring = build_ring(group.p, group.ext)
+    for unit in [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]:
+        yield ring.mul_arrays(unit, x)
 
 
-def _block_permutation(fam: DifferenceFamily, matrix, base: np.ndarray) -> np.ndarray:
-    """The permutation pi with m*D_i = D_pi(i), for m given by its digit matrix.
+def _units_permute_blocks(fam: DifferenceFamily) -> bool:
+    """Whether every generator u of the unit group maps the multiset of base
+    blocks onto itself: the sorted rows u*D_i, compared as byte strings,
+    are the rows D_i.  Exact for overlapping blocks too, and no
+    point-to-block table of v entries is built.
 
-    `base` is fam.block_array().  Raises ValueError unless the matrix is an
-    additive automorphism that maps the block set onto itself.
+    The units of Z_4 are +-1, so negation alone already acts there.
     """
     g = fam.group
-    mat = np.array(matrix, dtype=np.int64)
-    if mat.shape != (g.digits, g.digits) or not _invertible_mod(mat, g.p):
-        raise ValueError(f"family {fam.name!r}: multiplier is not an invertible "
-                         f"{g.digits}x{g.digits} digit matrix mod {g.base}")
-    owner = np.full(g.order, -1, dtype=np.int64)
-    owner[base] = np.arange(fam.b)[:, None]
-    # m is injective, so a k-row of images that all lie in block j is block j
-    image = g.pack_digits(g.digit_matrix(base) @ mat)
-    perm = owner[image[:, 0]]
-    if (perm < 0).any() or (owner[image] != perm[:, None]).any() \
-            or (np.bincount(perm, minlength=fam.b) != 1).any():
-        raise ValueError(f"family {fam.name!r}: multiplier does not permute the base blocks")
-    return perm
+    if g.kind == "ring" and g.p ** g.ext < 3:
+        return False
+    base = fam.block_array()
+    keys = _sorted_row_keys(base)
+    return all(np.array_equal(_sorted_row_keys(np.sort(image, axis=1)), keys)
+               for image in _unit_images(g, base))
 
 
 def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits on the group elements d of negation and the multipliers.
+    """Orbits on the group elements d of all units when they permute the base
+    blocks, else of negation alone.
 
     N_(-d)(i, j) = N_d(j, i), so the cell table at -d is the transpose of
-    the one at d; a multiplier m gives N_(m*d)(pi i, pi j) = N_d(i, j).
-    Either way the b^2 cells at d and at its image have the same histogram.
-    Returns (representatives, sizes): the least element of each orbit,
-    ascending, and the orbit sizes, which sum to v.  Each multiplier is
-    first checked to permute the base blocks (ValueError otherwise).
+    the one at d; a unit m with m*D_i = D_pi(i) gives
+    N_(m*d)(pi i, pi j) = N_d(i, j).  Either way the b^2 cells at d and at
+    its image have the same histogram.  The unit orbits are {0} and F* in a
+    field, and {0}, the units and pR minus 0 in GR(p^2, r).  Returns
+    (representatives, sizes): the least element of each orbit, ascending,
+    and the orbit sizes, which sum to v.
+
+    Raises BudgetError, before any array of v entries is built for the
+    orbits, when orbits * b*k exceed DIFF_ELEMENT_BUDGET.
     """
     g = fam.group
-    elems = np.arange(g.order, dtype=np.int64)
-    digits = g.digit_matrix(elems)
-    moves = [g.pack_digits(-digits)]
-    base = fam.block_array()
-    for matrix in fam.multipliers:
-        _block_permutation(fam, matrix, base)
-        moves.append(g.pack_digits(digits @ np.asarray(matrix, dtype=np.int64)))
-    # label[x] is always an element of x's orbit no larger than x.  Pulling
-    # the least label along move^(2^s) makes label[x] the least over 2^(s+1)
-    # steps of x's cycle; a step that changes nothing means every cycle of
-    # that move already carries one label.  Once a round over all moves
-    # changes nothing, labels are constant on orbits and equal the orbit
-    # minimum.
-    label = elems
-    changed = True
-    while changed:
-        changed = False
-        for move in moves:
-            step = move
-            while True:
-                pulled = np.minimum(label, label[step])
-                if np.array_equal(pulled, label):
-                    break
-                label, changed = pulled, True
-                step = step[step]
-    reps = np.flatnonzero(label == elems)
-    return reps, np.bincount(label, minlength=g.order)[reps]
+    v, t = g.order, g.p ** g.ext
+    units = _units_permute_blocks(fam)
+    if units:
+        reps, sizes = ([0, 1], [1, v - 1]) if g.kind == "field" else \
+            ([0, 1, g.p], [1, v - t, t - 1])
+        count = len(reps)
+    else:
+        # d = -d for d = 0 alone when p is odd, for every d of a p = 2 field,
+        # and for the 2^r elements of 2*GR(4, r)
+        fixed = 1 if g.p % 2 else v if g.kind == "field" else t
+        count = (v + fixed) // 2
+    elements = count * fam.b * fam.k
+    if elements > DIFF_ELEMENT_BUDGET:
+        raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
+                          f"elements (orbits * b * k), got {elements}")
+    if units:
+        return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+    elems = np.arange(v, dtype=np.int64)
+    neg = g.sub_arrays(0, elems)
+    reps = np.flatnonzero(elems <= neg)
+    return reps, np.where(neg[reps] == reps, 1, 2)
 
 
 def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None) -> None:
@@ -271,15 +271,11 @@ def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
     """Cell tables over orbits of d; scales past the direct scan's budget.
 
     Raises BudgetError before the kernel when orbits * b*k exceed
-    DIFF_ELEMENT_BUDGET; a family without multipliers, such as a loaded
-    file, has about v/2 orbits.
+    DIFF_ELEMENT_BUDGET; a family whose blocks the units do not permute
+    has about v/2 orbits.
     """
     g = fam.group
     reps, sizes = difference_orbits(fam)
-    elements = reps.size * fam.b * fam.k
-    if elements > DIFF_ELEMENT_BUDGET:
-        raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
-                          f"elements (orbits * b * k), got {elements}")
     hist = _kernels.diff_cell_hist(fam.block_array(), g.base, g.digits, g.order,
                                    reps, sizes)
     counts = {}

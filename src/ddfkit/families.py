@@ -12,12 +12,10 @@ designs, profiles and exported files are deterministic:
 A family keeps its blocks only as one read-only (b, k) int64 array of
 encodings whose rows are strictly ascending, so each row is a set.
 
-The cyclotomic and Teichmüller-coset constructions also record multipliers:
-units m with m*D_i = D_pi(i) for a permutation pi of the base blocks.  Each
-is stored as the digits x digits matrix of x -> m*x on digit vectors (row i
-holds the digits of m times the i-th basis element x^i), which is linear
-mod `base` in both fields and rings.  The difference route tabulates one
-group element d per orbit of the group they generate, with negation (see
+A family records no multipliers.  Every unit m maps each base block of the
+cyclotomic, Teichmüller-coset, furino and feng-1 families onto a base
+block (m*D_i = D_pi(i)); the difference route finds this from the blocks
+themselves, for constructed and loaded families alike (see
 designs.difference_orbits).
 """
 
@@ -55,7 +53,6 @@ class DifferenceFamily:
     disjoint: bool
     near_complete: bool
     name: str = ""
-    multipliers: tuple = ()  # digit matrices of block-permuting unit multiplications
     _array: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self, blocks):
@@ -90,7 +87,7 @@ def _occupancy(blocks: np.ndarray, v: int):
     return seen, disjoint, bool(near_complete)
 
 
-def _make_family(group, blocks, k, lam, name, multipliers=()):
+def _make_family(group, blocks, k, lam, name):
     """Family from a (b, k) array of base blocks whose rows are ascending sets.
 
     The constructions sort their rows; strictly ascending rows are sets, so
@@ -101,25 +98,7 @@ def _make_family(group, blocks, k, lam, name, multipliers=()):
         raise AssertionError("constructed block is not an ascending set of k elements")
     _, disjoint, near_complete = _occupancy(blocks, group.order)
     return DifferenceFamily(group=group, blocks=blocks, v=group.order, k=k, lam=lam,
-                            disjoint=disjoint, near_complete=near_complete, name=name,
-                            multipliers=multipliers)
-
-
-def _multiplier(group, mul, m):
-    """Digit matrix of x -> m*x: row i holds the digits of m * x^i."""
-    return tuple(group.unpack(mul(m, group.base ** i)) for i in range(group.digits))
-
-
-def _ring_multipliers(ring):
-    """Digit matrices of xi and of the principal units 1 + p*x^i, i < r.
-
-    xi fixes T* and swaps the square and non-square cosets.  Since p^2 = 0,
-    (1 + p*x^i)(1 + p*alpha) = 1 + p*(alpha + x^i), so the principal units
-    act on the coset label alpha by translation in the residue field.
-    """
-    units = [ring.xi] + [ring.add(1, ring.scalar_p(ring.group.base ** i))
-                         for i in range(ring.r)]
-    return tuple(_multiplier(ring.group, ring.mul, u) for u in units)
+                            disjoint=disjoint, near_complete=near_complete, name=name)
 
 
 def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
@@ -161,10 +140,8 @@ def wilson_family(field: Field, e: int, name: str = "") -> DifferenceFamily:
     f = (field.q - 1) // e
     if f < 2:
         raise ValueError("require f = (q-1)/e >= 2")
-    # the primitive element maps C_i onto C_(i+1)
-    gen = _multiplier(field.group, field.mul, field.generator)
     return _make_family(field.group, field.class_array(e), f, f - 1,
-                        name or f"cyclotomic-e{e}", (gen,))
+                        name or f"cyclotomic-e{e}")
 
 
 def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFamily:
@@ -177,8 +154,7 @@ def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFa
     if size < 3:
         raise ValueError("require p^r >= 3")
     blocks = _teichmuller_coset_rows(ring, (ring.teichmuller[1:],))
-    return _make_family(ring.group, blocks, size - 1, size - 2, name,
-                        _ring_multipliers(ring))
+    return _make_family(ring.group, blocks, size - 1, size - 2, name)
 
 
 def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFamily:
@@ -189,7 +165,7 @@ def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFami
     """
     blocks = _teichmuller_coset_rows(ring, ring.square_split())
     return _make_family(ring.group, blocks, (ring.teich_size - 1) // 2,
-                        (ring.teich_size - 3) // 2, name, _ring_multipliers(ring))
+                        (ring.teich_size - 3) // 2, name)
 
 
 def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> DifferenceFamily:

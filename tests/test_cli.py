@@ -273,31 +273,60 @@ def test_develop_budget_checked_before_allocation(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _sheared(src, dst, p):
+    """Copy a family file over F_(p^n), n >= 2, through the additive
+    automorphism that adds coefficient 0 to coefficient 1, re-sorting rows."""
+    def shear(x):
+        c0, c1 = x % p, x // p % p
+        return x + ((c0 + c1) % p - c1) * p
+
+    header, *rows = src.read_text().splitlines()
+    rows = [sorted(shear(int(x)) for x in row.split()) for row in rows]
+    dst.write_text("".join(f"{line}\n" for line in
+                           [header] + [" ".join(map(str, row)) for row in rows]))
+
+
 def test_difference_budget_checked_before_kernel(capsys, monkeypatch, tmp_path):
-    # a loaded family carries no multipliers: (25 + 1)/2 orbit representatives
-    # of b*k = 12*2 block elements, where the construction's multipliers leave 2
+    # no unit permutes the blocks of a sheared wilson-half (3,2) family, so
+    # negation alone leaves (81 + 1)/2 orbit representatives of b*k = 20*4
+    # block elements, where the construction's unit orbits are 2
     import ddfkit.designs
 
     def kernel_must_not_run(*args):
         raise AssertionError("diff_cell_hist ran before the budget check")
 
-    fam_path = tmp_path / "fam.txt"
-    assert run(capsys, "construct", "--construction", "wilson-half", "--p", "5",
-               "--r", "1", "--out", str(fam_path))[0] == 0
-    loaded = ["profile", "--input", str(fam_path), "--kind", "field", "--p", "5"]
+    built, fam_path = tmp_path / "built.txt", tmp_path / "fam.txt"
+    assert run(capsys, "construct", "--construction", "wilson-half", "--p", "3",
+               "--r", "2", "--out", str(built))[0] == 0
+    _sheared(built, fam_path, 3)
+    loaded = ["profile", "--input", str(fam_path), "--kind", "field", "--p", "3"]
     code, expected, _ = run(capsys, *loaded)
     assert code == 0
-    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 13 * 24)
+    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 41 * 80)
     assert run(capsys, *loaded) == (0, expected, "")
-    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 13 * 24 - 1)
+    monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", 41 * 80 - 1)
     assert run(capsys, "profile", "--construction", "wilson-half",
-               "--p", "5", "--r", "1") == (0, expected, "")
+               "--p", "3", "--r", "2") == (0, expected, "")
+    assert run(capsys, "profile", "--input", str(built), "--kind", "field",
+               "--p", "3") == (0, expected, "")
     monkeypatch.setattr(ddfkit.designs._kernels, "diff_cell_hist", kernel_must_not_run)
     code, out, err = run(capsys, *loaded)
     assert code == 1
     assert out == ""
-    assert err == ("budget exceeded: difference route capped at 311 shifted elements "
-                   "(orbits * b * k), got 312\n")
+    assert err == ("budget exceeded: difference route capped at 3279 shifted elements "
+                   "(orbits * b * k), got 3280\n")
+
+
+def test_tiny_loaded_families_keep_their_profiles(capsys, tmp_path):
+    # Z_4, too small for GR(4, 1) to be built, whose units +-1 negation
+    # covers; and one block of F_2, whose only unit is 1
+    z4, f2 = tmp_path / "z4.txt", tmp_path / "f2.txt"
+    z4.write_text("4 1 0 3\n1\n2\n3\n")
+    f2.write_text("2 1 0 1\n1\n")
+    assert run(capsys, "profile", "--input", str(z4), "--kind", "ring", "--p", "2") == \
+        (0, '{"0":"54","1":"12"}\n', "")
+    assert run(capsys, "profile", "--input", str(f2), "--kind", "field", "--p", "2") == \
+        (0, '{"0":"1"}\n', "")
 
 
 def _child_env():

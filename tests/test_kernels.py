@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from ddfkit import (build_field, build_ring, develop, furino_family,
                     profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
-from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, IntersectionProfile
+from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, IntersectionProfile, difference_orbits
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
-from test_multipliers import cyclotomic_cases
+from test_multipliers import cyclotomic_cases, labelled_orbits
 
 
 def random_blocks(rng, b, k, v):
@@ -220,7 +220,7 @@ def loaded_families(draw):
     """Random base blocks over a small field or ring group, as a file would load."""
     kind, p, n = draw(st.sampled_from([("field", 5, 1), ("field", 2, 3), ("field", 3, 2),
                                        ("field", 7, 1), ("ring", 3, 1), ("ring", 2, 2),
-                                       ("ring", 5, 1)]))
+                                       ("ring", 5, 1), ("ring", 2, 1)]))
     g = field_group(p, n) if kind == "field" else ring_group(p, n)
     k = draw(st.integers(1, min(5, g.order - 1)))
     block = st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k, unique=True)
@@ -243,6 +243,56 @@ families = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(families)
 def test_difference_route_matches_per_pair_route_and_direct_scan(fam):
+    prof = profile_via_differences(fam)
+    assert prof == _per_pair_profile(fam), fam.name
+    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+        assert prof == profile_direct(develop(fam)), fam.name
+
+
+@st.composite
+def unit_orbit_families(draw):
+    """The distinct images u*D of one union D of unit cosets sH (plus 0 at
+    times) under every unit u, as a file would load them, so every unit
+    permutes the blocks; or a near miss, with one element of one block
+    swapped for an element outside it."""
+    kind, p, n = draw(st.sampled_from([("field", 5, 1), ("field", 7, 1), ("field", 2, 3),
+                                       ("field", 3, 2), ("field", 2, 4), ("ring", 3, 1),
+                                       ("ring", 5, 1), ("ring", 2, 2)]))
+    if kind == "field":
+        alg = build_field(p, n)  # the field or ring, for its mul and pow
+        g, gen, order = alg.group, alg.generator, alg.q - 1
+        units = range(1, g.order)
+    else:
+        alg = build_ring(p, n)
+        g, gen, order = alg.group, alg.xi, alg.teich_size - 1
+        units = [x for x in g.elements() if alg.is_unit(x)]
+    e = draw(st.sampled_from([e for e in range(1, order + 1) if order % e == 0]))
+    subgroup = [alg.pow(gen, e * j) for j in range(order // e)]
+    cosets = draw(st.lists(st.integers(1, g.order - 1), min_size=1, max_size=2))
+    union = {alg.mul(s, h) for s in cosets for h in subgroup} | \
+        ({0} if draw(st.booleans()) else set())
+    rows = sorted({tuple(sorted(alg.mul(u, x) for x in union)) for u in units})
+    name = "unit-orbit"
+    if len(union) < g.order and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from([x for x in g.elements() if x not in row]))
+        rows[i], name = tuple(sorted(row)), "near-miss"
+    return g, rows, name  # not a family, which hypothesis cannot print
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_orbit_families())
+def test_unit_discovery_on_unit_orbit_families_and_near_misses(case):
+    g, rows, name = case
+    fam = DifferenceFamily(group=g, blocks=rows, v=g.order, k=len(rows[0]), lam=0,
+                           disjoint=False, near_complete=False, name=name)
+    reps, sizes = difference_orbits(fam)
+    if fam.name == "unit-orbit":
+        assert reps.tolist() == ([0, 1] if fam.group.kind == "field" else [0, 1, fam.group.p])
+    ref_reps, ref_sizes = labelled_orbits(fam)
+    assert (reps.tolist(), sizes.tolist()) == (ref_reps.tolist(), ref_sizes.tolist())
     prof = profile_via_differences(fam)
     assert prof == _per_pair_profile(fam), fam.name
     if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:

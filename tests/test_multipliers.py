@@ -1,43 +1,117 @@
 """Orbit reduction of the difference route and its self-checks."""
 
 import dataclasses
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfkit import (ProfileCheckError, _kernels, build_field, build_ring,
-                    compare_designs, davis_family, develop, profile_direct,
+from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernels,
+                    build_field, build_ring, compare_designs, davis_family, develop,
+                    feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, check_profile, difference_orbits
+from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, _unit_images, check_profile,
+                            difference_orbits)
+from ddfkit.families import DifferenceFamily
+from ddfkit.groups import field_group, ring_group
 
 
 def with_changes(fam, **changes):
     """dataclasses.replace for a family, whose blocks are an init-only argument."""
-    return dataclasses.replace(fam, blocks=fam.block_array(), **changes)
+    return dataclasses.replace(fam, **{"blocks": fam.block_array(), **changes})
+
+
+def swapped(fam):
+    """The family with the first elements of its first two blocks exchanged."""
+    rows = fam.block_array().copy()
+    rows[[0, 1], 0] = rows[[1, 0], 0]
+    return with_changes(fam, blocks=np.sort(rows, axis=1), name="swapped")
 
 
 def constructions(p, r):
     t = p ** r
-    return {
-        "wilson": wilson_family(build_field(p, 2 * r), t + 1),
-        "wilson-half": wilson_family(build_field(p, 2 * r), 2 * (t + 1)),
-        "gr-teichmuller": davis_family(build_ring(p, r)),
-        "gr-squares": squares_family(build_ring(p, r)),
-    }
+    fams = {"wilson": wilson_family(build_field(p, 2 * r), t + 1),
+            "gr-teichmuller": davis_family(build_ring(p, r))}
+    if p > 2:  # 2(t + 1) divides t^2 - 1, and T* splits into squares, for odd p only
+        fams["wilson-half"] = wilson_family(build_field(p, 2 * r), 2 * (t + 1))
+        fams["gr-squares"] = squares_family(build_ring(p, r))
+    return fams
 
 
-@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2)])
+def unit_generators(g):
+    """Scalar maps x -> u*x for the generators u of the unit group of g's
+    field or ring, from Field.mul and GaloisRing.mul; none for Z_4, whose
+    units +-1 negation already covers."""
+    if g.kind == "field":
+        field = build_field(g.p, g.ext)
+        return [partial(field.mul, field.generator)]
+    if g.p ** g.ext < 3:
+        return []
+    ring = build_ring(g.p, g.ext)
+    units = [ring.xi] + [ring.add(1, ring.scalar_p(g.base ** i)) for i in range(ring.r)]
+    return [partial(ring.mul, u) for u in units]
+
+
+def labelled_orbits(fam):
+    """Scalar reference for difference_orbits: the orbits of negation and,
+    when every generator maps the block multiset onto itself, of the unit
+    generators, labelled by doubling along each move's permutation."""
+    g = fam.group
+    blocks = Counter(frozenset(row) for row in fam.block_array().tolist())
+    gens = unit_generators(g)
+    moves = [np.array([g.neg(x) for x in g.elements()])]
+    if all(Counter(frozenset(map(m, blk)) for blk in blocks.elements()) == blocks
+           for m in gens):
+        moves += [np.array([m(x) for x in g.elements()]) for m in gens]
+    # label[x] is always an element of x's orbit no larger than x.  Pulling
+    # the least label along move^(2^s) makes label[x] the least over 2^(s+1)
+    # steps of x's cycle; a step that changes nothing means every cycle of
+    # that move already carries one label.  Once a round over all moves
+    # changes nothing, labels are constant on orbits and equal the orbit
+    # minimum.
+    elems = np.arange(g.order)
+    label = elems
+    changed = True
+    while changed:
+        changed = False
+        for move in moves:
+            step = move
+            while True:
+                pulled = np.minimum(label, label[step])
+                if np.array_equal(pulled, label):
+                    break
+                label, changed = pulled, True
+                step = step[step]
+    reps = np.flatnonzero(label == elems)
+    return reps, np.bincount(label, minlength=g.order)[reps]
+
+
+def assert_orbits_match_labeller(fam):
+    reps, sizes = difference_orbits(fam)
+    ref_reps, ref_sizes = labelled_orbits(fam)
+    assert (reps.tolist(), sizes.tolist()) == (ref_reps.tolist(), ref_sizes.tolist()), \
+        fam.name
+
+
+def full_loop_profile(fam):
+    """The difference-route profile over every d, each of weight 1."""
+    g = fam.group
+    hist = _kernels.diff_cell_hist(fam.block_array(), g.base, g.digits, g.order,
+                                   np.arange(g.order), np.ones(g.order))
+    return IntersectionProfile({n: g.order * int(c) // 2 for n, c in enumerate(hist)})
+
+
+@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2), (2, 2), (2, 3)])
 def test_reduced_route_equals_full_loop(p, r):
     for name, fam in constructions(p, r).items():
-        assert fam.multipliers, name
-        full = with_changes(fam, multipliers=())
-        assert profile_via_differences(fam) == profile_via_differences(full), \
-            (p, r, name)
+        assert difference_orbits(fam)[0].size <= 3, name
+        assert profile_via_differences(fam) == full_loop_profile(fam), (p, r, name)
 
 
-@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2), (73, 1)])
+@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (7, 2), (73, 1), (2, 2), (2, 3)])
 def test_orbit_counts(p, r):
     # fields: {0} and F*; rings: {0}, the units and pR \ {0}, whose least
     # element is p
@@ -49,25 +123,92 @@ def test_orbit_counts(p, r):
     for name, fam in constructions(p, r).items():
         reps, sizes = difference_orbits(fam)
         assert (reps.tolist(), sizes.tolist()) == expected[name], (p, r, name)
-    # without multipliers only negation acts: {0} and the pairs {d, -d}
-    fam = with_changes(constructions(p, r)["wilson"], multipliers=())
+        assert_orbits_match_labeller(fam)
+    # with two elements swapped no unit permutes the blocks, and only
+    # negation acts: {0} and the pairs {d, -d}, or every d alone when p = 2
+    fam = swapped(constructions(p, r)["wilson"])
     reps, sizes = difference_orbits(fam)
-    assert reps.size == (fam.v + 1) // 2 and int(sizes.sum()) == fam.v
     g = fam.group
-    assert all(g.neg(int(d)) > d for d in reps[1:])
+    if p > 2:
+        assert reps.size == (fam.v + 1) // 2 and int(sizes.sum()) == fam.v
+        assert all(g.neg(int(d)) > d for d in reps[1:])
+    else:
+        assert (reps.tolist(), sizes.tolist()) == (list(range(fam.v)), [1] * fam.v)
+    assert_orbits_match_labeller(fam)
 
 
-def test_multiplier_that_does_not_permute_blocks_is_rejected():
-    fam = wilson_family(build_field(3, 2), 2)  # squares and non-squares of F_9
-    shear = ((1, 1), (0, 1))  # an additive automorphism of F_9 that is no multiplication
-    singular = ((1, 0), (0, 0))
-    wrong_shape = ((1,),)
-    for bad in (shear, singular, wrong_shape):
-        with pytest.raises(ValueError):
-            profile_via_differences(with_changes(fam, multipliers=(bad,)))
-    identity = ((1, 0), (0, 1))
-    assert profile_via_differences(with_changes(fam, multipliers=(identity,))) == \
-        profile_via_differences(fam)
+def test_feng_and_furino_orbits_match_labeller():
+    # the primitive element swaps feng-1's two blocks and moves the others'
+    fengs = feng_families(build_field(11, 3))
+    assert [difference_orbits(fam)[0].size for fam in fengs] == [2, 666, 666]
+    for fam in fengs:
+        assert_orbits_match_labeller(fam)
+    # every unit permutes the cosets of a Teichmüller subgroup
+    for p, r, e in [(5, 1, 1), (5, 1, 2), (7, 1, 3), (3, 2, 4), (2, 2, 1)]:
+        ring = build_ring(p, r)
+        fam = furino_family(ring, ring.teichmuller[1::e])
+        assert difference_orbits(fam)[0].tolist() == [0, 1, p], (p, r, e)
+        assert_orbits_match_labeller(fam)
+
+
+def xi_fixed_family(ring):
+    """The single block (1+p)T* of GR(p^2, r)."""
+    one_plus_p = ring.add(1, ring.scalar_p(1))
+    block = sorted(ring.mul(one_plus_p, x) for x in ring.teichmuller[1:])
+    return DifferenceFamily(group=ring.group, blocks=(block,), v=ring.order,
+                            k=len(block), lam=0, disjoint=True, near_complete=False)
+
+
+@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (2, 2)])
+def test_block_fixed_by_xi_alone_gets_negation_orbits(p, r):
+    # xi fixes the block, 1 + p moves it, so the unit group does not
+    # permute it and only negation acts
+    ring = build_ring(p, r)
+    fam = xi_fixed_family(ring)
+    block = fam.block_array()[0].tolist()
+    one_plus_p = ring.add(1, ring.scalar_p(1))
+    assert sorted(ring.mul(ring.xi, x) for x in block) == block
+    assert sorted(ring.mul(one_plus_p, x) for x in block) != block
+    fixed = 1 if p > 2 else 2 ** r  # the d with d = -d
+    assert difference_orbits(fam)[0].size == (ring.order + fixed) // 2
+    assert_orbits_match_labeller(fam)
+    assert profile_via_differences(fam) == profile_direct(develop(fam))
+
+
+def test_budget_counts_the_orbits_before_building_them(monkeypatch):
+    # the closed-form orbit count checked against the budget is the count
+    # the orbit arrays then have: unit orbits, and negation orbits for odd
+    # p, p = 2 fields and GR(4, r)
+    import ddfkit.designs
+
+    fams = [xi_fixed_family(build_ring(2, 2))]
+    fams += [fam for p, r in [(5, 1), (2, 2), (2, 3)] for fam in constructions(p, r).values()]
+    fams += [swapped(constructions(p, r)["wilson"]) for p, r in [(5, 1), (2, 2)]]
+    counts = [difference_orbits(fam)[0].size * fam.b * fam.k for fam in fams]
+    for fam, elements in zip(fams, counts):
+        monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", elements)
+        difference_orbits(fam)
+        monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", elements - 1)
+        with pytest.raises(BudgetError, match=f"got {elements}$"):
+            difference_orbits(fam)
+
+
+@pytest.mark.parametrize("kind, p, n", [("field", 5, 2), ("field", 2, 4), ("field", 7, 1),
+                                        ("ring", 5, 1), ("ring", 3, 2), ("ring", 2, 2),
+                                        ("ring", 2, 3)])
+def test_unit_images_match_multiplication(kind, p, n):
+    g = field_group(p, n) if kind == "field" else ring_group(p, n)
+    x = np.arange(g.order).reshape(p, -1)  # the images keep the shape
+    images = [image.ravel().tolist() for image in _unit_images(g, x)]
+    gens = [[m(a) for a in g.elements()] for m in unit_generators(g)]
+    assert images == gens
+    # the generators reach every unit from 1: the field's q - 1 nonzero
+    # elements, or the ring's p^2r - p^r elements outside pR
+    reached, frontier = {1}, [1]
+    while frontier:
+        frontier = list({image[a] for a in frontier for image in gens} - reached)
+        reached.update(frontier)
+    assert len(reached) == (g.order - 1 if kind == "field" else g.order - p ** n)
 
 
 def cyclotomic_cases():
@@ -144,13 +285,3 @@ def test_shifted_profile_fails_only_the_lambda_identity():
     with pytest.raises(ProfileCheckError):
         check_profile(planted, 25, 12, 2, 1)
     check_profile(prof, 25, 12, 2, 1)
-
-
-def test_block_permutation_matches_multiplication():
-    field = build_field(5, 2)
-    fam = wilson_family(field, 6)
-    g = fam.group
-    mat = np.array(fam.multipliers[0])
-    x = np.arange(g.order)
-    image = g.pack_digits(g.digit_matrix(x) @ mat)
-    assert image.tolist() == [field.mul(int(a), field.generator) for a in x]
