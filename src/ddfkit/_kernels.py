@@ -82,8 +82,10 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     layers = _point_layers(blocks, order)
     pows = base ** np.arange(digits, dtype=np.int64)
     pts = blocks.ravel()
-    # row l: digit l of each block element x, times base^l
-    pt_digits = np.ascontiguousarray(((pts[:, None] // pows) % base * pows).T)
+    # row l: digit l of each block element x, in the narrowest dtype that holds it
+    pt_digits = np.empty((digits, pts.size), dtype=np.min_scalar_type(base - 1))
+    for l, pow_l in enumerate(pows.tolist()):
+        pt_digits[l] = pts // pow_l % base
     cells = b * (b + 1)  # column b of row i counts the x in D_i with x - d in no block
     chunk = max(1, _CHUNK // max(pts.size, cells))
     offsets = np.arange(chunk, dtype=np.int64)[:, None] * cells \
@@ -94,7 +96,7 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
         group = reps[weights == w]
         for s in range(0, group.size, chunk):
             d = group[s:s + chunk]
-            d_digits = (d[:, None] // pows) % base * pows
+            d_digits = (d[:, None] // pows) % base
             # x - d, packed: the integer difference plus base^(l+1) for every
             # digit l that borrows
             shifted = pts[None, :] - d[:, None]

@@ -10,7 +10,7 @@ implicitly assume the four key polynomials are pairwise distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,6 +81,8 @@ def wieferich_below(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GateReport:
+    """The fields in order are the keys of `ddf gate`'s JSON."""
+
     p: int
     r: int
     p_odd: bool
@@ -255,9 +257,6 @@ def certificate(p: int, r: int, fam_a: DifferenceFamily, fam_b: DifferenceFamily
                 result: ComparisonResult, gate_report: GateReport,
                 tool_version: str) -> dict:
     """JSON-ready nonisomorphism certificate with a fixed field order."""
-    def profile_obj(prof):
-        return {str(n): str(prof.counts[n]) for n in prof.numbers()}
-
     return {
         "parameters": {
             "p": p,
@@ -269,15 +268,10 @@ def certificate(p: int, r: int, fam_a: DifferenceFamily, fam_b: DifferenceFamily
             "family_a": fam_a.name,
             "family_b": fam_b.name,
         },
-        "gate": {
-            "p_odd": gate_report.p_odd,
-            "mod24": gate_report.mod24,
-            "wieferich": gate_report.wieferich,
-            "applies": gate_report.applies,
-            "reasons": list(gate_report.reasons),
-        },
-        "profile_a": profile_obj(result.profile_a),
-        "profile_b": profile_obj(result.profile_b),
+        "gate": {key: value for key, value in asdict(gate_report).items()
+                 if key not in ("p", "r")},
+        "profile_a": result.profile_a.to_dict(),
+        "profile_b": result.profile_b.to_dict(),
         "verdict": result.status,
         "witness": result.witness,
         "tool_version": tool_version,

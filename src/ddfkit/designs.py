@@ -52,9 +52,12 @@ class Design:
     """
 
     v: int
-    k: int
     blocks: np.ndarray = dfield(repr=False)  # (B, k) int64, rows sorted
     has_duplicate_blocks: bool = False
+
+    @property
+    def k(self) -> int:
+        return int(self.blocks.shape[1])
 
     @property
     def block_count(self) -> int:
@@ -82,10 +85,13 @@ class IntersectionProfile:
         inner = ", ".join(f"{n}: {self.counts[n]}" for n in self.numbers())
         return f"IntersectionProfile({{{inner}}})"
 
+    def to_dict(self) -> dict[str, str]:
+        """Ascending keys and multiplicities, both as decimal strings."""
+        return {str(n): str(self.counts[n]) for n in self.numbers()}
+
     def to_json(self) -> str:
-        """Compact JSON with ascending keys and decimal-string multiplicities."""
-        ordered = {str(n): str(self.counts[n]) for n in self.numbers()}
-        return json.dumps(ordered, separators=(",", ":"))
+        """Compact JSON of to_dict()."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "IntersectionProfile":
@@ -117,7 +123,7 @@ def develop(fam: DifferenceFamily) -> Design:
     # stabiliser, or two base blocks that are translates.  Compare those b*k
     # translates through 0, which are rows i*v + (-x) of the development.
     through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, base)).ravel()]
-    return Design(v=v, k=k, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
+    return Design(v=v, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
 
 
 def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
@@ -389,7 +395,7 @@ def load_design(path) -> Design:
         lines = fh.read().split("\n")
     v, count, k = (int(x) for x in lines[0].split())
     blocks = read_rows(lines[1:], count, k, v)
-    return Design(v=v, k=k, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
+    return Design(v=v, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
 
 
 def save_profile(profile: IntersectionProfile, path) -> None:

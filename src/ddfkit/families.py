@@ -9,8 +9,11 @@ designs, profiles and exported files are deterministic:
   * split families: square cosets in that alpha order, then p*T_S*, then the
     non-square cosets, then p*T_N*.
 
-A family keeps its blocks only as one read-only (b, k) int64 array of
-encodings whose rows are strictly ascending, so each row is a set.
+A family stores its group, its blocks, its lambda and a name, nothing
+else.  It keeps its blocks only as one read-only (b, k) int64 array of
+encodings whose rows are strictly ascending, so each row is a set; v, k
+and b are read off the group and the array, and disjointness and
+near-completeness are reported by validate_ddf.
 
 A family records no multipliers.  Every unit m maps each base block of the
 cyclotomic, Teichmüller-coset, furino and feng-1 families onto a base
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import BudgetError
 from .fields import FIELD_ORDER_BUDGET, Field
 from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
-from .groups import AdditiveGroup
+from .groups import AdditiveGroup, group_for
 
 FENG_INDEX_SETS = (
     (0, 2, 4, 6, 8, 10, 12),
@@ -40,26 +43,31 @@ FENG_INDEX_SETS = (
 
 @dataclass(frozen=True, eq=False)
 class DifferenceFamily:
-    """Base blocks over an additive group, with declared (v, k, lambda).
+    """Base blocks over an additive group, with a declared lambda.
 
-    `blocks` is any (b, k) integer array-like, kept only as block_array().
+    `blocks` is any (b, k) integer array-like, kept only as block_array();
+    v is the group's order, and k and b are the array's shape.
     """
 
     group: AdditiveGroup
     blocks: InitVar[np.ndarray]
-    v: int
-    k: int
     lam: int
-    disjoint: bool
-    near_complete: bool
     name: str = ""
     _array: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self, blocks):
         # a view, so the caller's array stays writable
-        array = np.asarray(blocks, dtype=np.int64).reshape(len(blocks), self.k)
+        array = np.asarray(blocks, dtype=np.int64).reshape(len(blocks), -1)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
+
+    @property
+    def v(self) -> int:
+        return self.group.order
+
+    @property
+    def k(self) -> int:
+        return self._array.shape[1]
 
     @property
     def b(self) -> int:
@@ -79,14 +87,6 @@ class ValidationReport:
     offending_element: int | None = None
 
 
-def _occupancy(blocks: np.ndarray, v: int):
-    """(seen, disjoint, near_complete) of a (b, k) block array; seen[x] counts x."""
-    seen = np.bincount(blocks.ravel(), minlength=v)
-    disjoint = bool(seen.max(initial=0) <= 1)
-    near_complete = disjoint and seen[0] == 0 and blocks.size == v - 1
-    return seen, disjoint, bool(near_complete)
-
-
 def _make_family(group, blocks, k, lam, name):
     """Family from a (b, k) array of base blocks whose rows are ascending sets.
 
@@ -96,9 +96,7 @@ def _make_family(group, blocks, k, lam, name):
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.ndim != 2 or blocks.shape[1] != k or (np.diff(blocks, axis=1) <= 0).any():
         raise AssertionError("constructed block is not an ascending set of k elements")
-    _, disjoint, near_complete = _occupancy(blocks, group.order)
-    return DifferenceFamily(group=group, blocks=blocks, v=group.order, k=k, lam=lam,
-                            disjoint=disjoint, near_complete=near_complete, name=name)
+    return DifferenceFamily(group=group, blocks=blocks, lam=lam, name=name)
 
 
 def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
@@ -237,8 +235,8 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
     """Brute-force check of the difference-family property.
 
     Counts every ordered within-block difference and checks the count map is
-    constant on the nonzero elements; also recomputes disjointness and
-    near-completeness from scratch.
+    constant on the nonzero elements; also reports disjointness and
+    near-completeness, which a family does not store.
     """
     g = fam.group
     blocks = fam.block_array()
@@ -251,7 +249,9 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
         for c0 in range(0, k, cols):
             d = g.sub_arrays(part[:, c0 : c0 + cols, None], part[:, None, :])
             counts += np.bincount(d.ravel(), minlength=g.order)
-    seen, disjoint, near_complete = _occupancy(blocks, g.order)
+    seen = np.bincount(blocks.ravel(), minlength=g.order)
+    disjoint = bool(seen.max(initial=0) <= 1)
+    near_complete = bool(disjoint and seen[0] == 0 and blocks.size == g.order - 1)
 
     nonzero = counts[1:]
     constant = bool(nonzero.size) and int(nonzero.min()) == int(nonzero.max())
@@ -338,16 +338,16 @@ def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
     return array
 
 
-def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
-    """Read a family file and validate its declared invariants on load."""
+def load_family(path, kind: str, p: int) -> DifferenceFamily:
+    """Read a family file over the group of the given kind and prime whose
+    order is the header's v, and validate its declared invariants on load."""
     with open(path) as fh:
         lines = fh.read().split("\n")
     header = lines[0].split()
     if len(header) != 4:
         raise ValueError("family header must be 'v k lambda b'")
+    group = group_for(kind, p, int(header[0]))
     v, k, lam, b = (int(x) for x in header)
-    if group.order != v:
-        raise ValueError(f"group order {group.order} does not match header v={v}")
     # the constructions' table budgets cap a loaded group too, before any
     # table of v entries is allocated
     budget = FIELD_ORDER_BUDGET if group.kind == "field" else RING_ENCODING_BUDGET
@@ -358,7 +358,4 @@ def load_family(path, group: AdditiveGroup, name: str = "") -> DifferenceFamily:
     blocks = read_rows(lines[1:], b, k, v)
     if lam * (v - 1) != b * k * (k - 1):
         raise ValueError("declared parameters violate lambda*(v-1) = b*k*(k-1)")
-    _, disjoint, near_complete = _occupancy(blocks, v)
-    return DifferenceFamily(group=group, blocks=blocks, v=v, k=k, lam=lam,
-                            disjoint=disjoint, near_complete=near_complete,
-                            name=name or "imported")
+    return DifferenceFamily(group=group, blocks=blocks, lam=lam, name="imported")

@@ -214,7 +214,7 @@ def test_criterion_10d_isomorphism_oracle():
             perm = list(range(design.v))
             rng.shuffle(perm)
             relabeled = np.sort(np.vectorize(perm.__getitem__)(design.blocks), axis=1)
-            other = Design(v=design.v, k=design.k, blocks=relabeled.astype(np.int64))
+            other = Design(v=design.v, blocks=relabeled.astype(np.int64))
             res = iso_oracle(design, other, node_budget=500_000)
             assert res.status == "mapping", fam.name
             transported = Counter(

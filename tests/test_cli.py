@@ -62,6 +62,10 @@ def test_gate_report(capsys):
     report = json.loads(out)
     assert report["applies"] is False
     assert report["mod24"] == 6
+    # the keys in GateReport's field order, two-space indent
+    assert out == ('{\n  "p": 7,\n  "r": 1,\n  "p_odd": true,\n  "mod24": 6,\n'
+                   '  "wieferich": false,\n  "applies": false,\n  "reasons": [\n'
+                   '    "p^r - 1 = 6 (mod 24), not 0"\n  ]\n}\n')
 
 
 def test_byte_determinism(capsys):
@@ -137,6 +141,15 @@ def test_verify_detects_invalid_family(capsys, tmp_path):
                        "--kind", "field", "--p", "5")
     assert code == 1
     assert "difference family: False" in out
+    bad.write_text("5 2 1 2\n1 2\n2 3\n")  # 2 lies in both blocks
+    code, out, _ = run(capsys, "verify", "--input", str(bad),
+                       "--kind", "field", "--p", "5")
+    assert code == 1
+    assert out == ("family imported: v=5 k=2 lambda=1 b=2\n"
+                   "  difference family: False (observed lambda: None)\n"
+                   "  disjoint: False  near-complete: False\n"
+                   "  witness element: 2\n"
+                   "  2-design with lambda=1: False (witness pair (0, 1))\n")
 
 
 def test_cyclo_csv_and_checks(capsys, tmp_path):
@@ -449,6 +462,15 @@ def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
     code, _, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
                        "--p", "5")
     assert (code, err) == (2, "error: a family needs b >= 1 base blocks of k >= 1 elements\n")
+    path.write_text("9 2 1 4\n1 8\n4 5\n2 7\n3 6\n")  # GR(9), loaded as a field
+    code, out, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
+                         "--p", "5")
+    assert (code, out, err) == (2, "", "error: order 9 is not a power of 5\n")
+    path.write_text("x 2 1 2\n1 4\n2 3\n")
+    code, out, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
+                         "--p", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
 
 
 _SIZES = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 9, 25, 27, 5 ** 8, 3 ** 11,

@@ -20,8 +20,7 @@ from ddfkit.groups import field_group, ring_group
 
 def single_block_family(block=(1, 2)):
     g = field_group(5, 1)
-    return DifferenceFamily(group=g, blocks=(tuple(block),), v=5, k=len(block),
-                            lam=1, disjoint=True, near_complete=False)
+    return DifferenceFamily(group=g, blocks=(tuple(block),), lam=1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +62,14 @@ def test_develop_duplicate_flag():
     # base block = full nonzero part of Z_5 minus nothing is not constructible
     # here; instead force duplicates with the two-element block {0, 2}ish orbit
     g = field_group(2, 2)  # Z_2 x Z_2: translating {0,1} by 1 gives {0,1} again? no
-    fam = DifferenceFamily(group=g, blocks=((0, 1, 2, 3),), v=4, k=4, lam=4,
-                           disjoint=True, near_complete=False)
+    fam = DifferenceFamily(group=g, blocks=((0, 1, 2, 3),), lam=4)
     design = develop(fam)
     assert design.block_count == 4
     assert design.has_duplicate_blocks  # every translate of the full set repeats
 
 
 def _family(group, blocks):
-    k = len(blocks[0])
-    return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks)), v=group.order,
-                            k=k, lam=0, disjoint=False, near_complete=False)
+    return DifferenceFamily(group=group, blocks=tuple(map(tuple, blocks)), lam=0)
 
 
 def _duplicates_by_unique(design):
@@ -120,7 +116,7 @@ def test_verify_2design_fail_witness():
     design = develop(wilson_family(build_field(3, 2), 4))
     blocks = design.blocks.copy()
     blocks[0] = np.array([0, 3])  # clobber one block: (0, 3) twice, (1, 2) never
-    broken = Design(v=design.v, k=design.k, blocks=blocks)
+    broken = Design(v=design.v, blocks=blocks)
     ok, witness = verify_2design(broken, 1)
     assert not ok
     # the first pair u < w, in row-major order, not in exactly one block
@@ -132,7 +128,7 @@ def test_verify_2design_fail_witness():
 def test_verify_2design_budget():
     fam = single_block_family()
     design = develop(fam)
-    big = Design(v=2000, k=2, blocks=design.blocks)
+    big = Design(v=2000, blocks=design.blocks)
     with pytest.raises(BudgetError):
         verify_2design(big, 1)
 
@@ -150,7 +146,7 @@ def test_profile_direct_keys_and_total():
 
 def test_profile_direct_identical_blocks():
     blocks = np.array([[0, 1], [0, 1]], dtype=np.int64)
-    prof = profile_direct(Design(v=3, k=2, blocks=blocks))
+    prof = profile_direct(Design(v=3, blocks=blocks))
     assert prof.counts == {2: 1}
 
 
@@ -162,7 +158,7 @@ def test_profile_direct_wilson_f9():
 def test_profile_direct_budget():
     blocks = np.tile(np.array([[0, 1]], dtype=np.int64), (5001, 1))
     with pytest.raises(BudgetError):
-        profile_direct(Design(v=3, k=2, blocks=blocks))
+        profile_direct(Design(v=3, blocks=blocks))
 
 
 def test_published_profiles_reproduce():
@@ -239,8 +235,7 @@ def test_profile_invariant_under_point_relabeling():
             perm = list(range(design.v))
             rng.shuffle(perm)
             relabeled = np.sort(np.vectorize(perm.__getitem__)(design.blocks), axis=1)
-            shuffled = Design(v=design.v, k=design.k,
-                              blocks=relabeled.astype(np.int64))
+            shuffled = Design(v=design.v, blocks=relabeled.astype(np.int64))
             assert profile_direct(shuffled) == base
 
 
@@ -257,7 +252,7 @@ def test_profile_json_roundtrip():
 
 def relabel(design, perm):
     relabeled = np.sort(np.vectorize(perm.__getitem__)(design.blocks), axis=1)
-    return Design(v=design.v, k=design.k, blocks=relabeled.astype(np.int64))
+    return Design(v=design.v, blocks=relabeled.astype(np.int64))
 
 
 def test_iso_oracle_identity():

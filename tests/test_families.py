@@ -1,6 +1,7 @@
 """Difference-family constructions, validation and file round-trips."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,10 @@ from ddfkit import (build_field, build_ring, davis_family, develop, feng_familie
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
 from ddfkit import families
-from ddfkit.designs import design_to_text
+from ddfkit.designs import Design, design_to_text
 from ddfkit.families import (DifferenceFamily, ValidationReport, _make_family,
                              family_to_text, rows_to_text)
-from ddfkit.groups import field_group, group_for, ring_group
+from ddfkit.groups import field_group, ring_group
 
 
 def block_rows(fam):
@@ -26,8 +27,8 @@ def assert_valid(fam):
     report = validate_ddf(fam)
     assert report.is_difference_family, report
     assert report.observed_lambda == fam.lam
-    assert report.disjoint and fam.disjoint
-    assert report.near_complete and fam.near_complete
+    assert report.disjoint
+    assert report.near_complete
     return report
 
 
@@ -147,14 +148,17 @@ def test_constructions_match_scalar_reference(p, r):
     for e in (t + 1, 2 * (t + 1)):
         fam = wilson_family(field, e)
         assert block_rows(fam) == scalar_cyclotomic_blocks(field, e), e
-        assert fam.disjoint and fam.near_complete
+        report = validate_ddf(fam)
+        assert report.disjoint and report.near_complete
     ring = build_ring(p, r)
     fam = davis_family(ring)
     assert block_rows(fam) == scalar_coset_blocks(ring, (ring.teichmuller[1:],))
-    assert fam.disjoint and fam.near_complete
+    report = validate_ddf(fam)
+    assert report.disjoint and report.near_complete
     fam = squares_family(ring)
     assert block_rows(fam) == scalar_coset_blocks(ring, ring.square_split())
-    assert fam.disjoint and fam.near_complete
+    report = validate_ddf(fam)
+    assert report.disjoint and report.near_complete
 
 
 def test_make_family_checks_rows():
@@ -162,12 +166,13 @@ def test_make_family_checks_rows():
     for rows in ([[1, 1]], [[2, 1]], [[1, 2, 3]], [1, 2]):
         with pytest.raises(AssertionError):
             _make_family(g, rows, 2, 1, "bad")
-    fam = _make_family(g, [[1, 2], [2, 3]], 2, 1, "overlap")
-    assert not fam.disjoint and not fam.near_complete
-    fam = _make_family(g, [[0, 1], [2, 3]], 2, 1, "covers zero")
-    assert fam.disjoint and not fam.near_complete
+    report = validate_ddf(_make_family(g, [[1, 2], [2, 3]], 2, 1, "overlap"))
+    assert not report.disjoint and not report.near_complete
+    report = validate_ddf(_make_family(g, [[0, 1], [2, 3]], 2, 1, "covers zero"))
+    assert report.disjoint and not report.near_complete
     fam = _make_family(g, [[1, 4], [2, 3]], 2, 1, "cosets")
-    assert fam.disjoint and fam.near_complete
+    report = validate_ddf(fam)
+    assert report.disjoint and report.near_complete
     assert block_rows(fam) == ((1, 4), (2, 3))
 
 
@@ -252,8 +257,7 @@ def test_feng_requires_f1331():
 
 def test_validate_flags_duplicate_element():
     g = field_group(5, 1)
-    fam = DifferenceFamily(group=g, blocks=((1, 2), (2, 3)), v=5, k=2, lam=1,
-                           disjoint=False, near_complete=False)
+    fam = DifferenceFamily(group=g, blocks=((1, 2), (2, 3)), lam=1)
     report = validate_ddf(fam)
     assert not report.disjoint
     assert report.offending_element == 2
@@ -261,8 +265,7 @@ def test_validate_flags_duplicate_element():
 
 def test_validate_flags_nonconstant_counts():
     g = field_group(5, 1)
-    fam = DifferenceFamily(group=g, blocks=((1, 2),), v=5, k=2, lam=1,
-                           disjoint=True, near_complete=False)
+    fam = DifferenceFamily(group=g, blocks=((1, 2),), lam=1)
     report = validate_ddf(fam)
     assert not report.is_difference_family
     assert report.observed_lambda is None
@@ -321,8 +324,7 @@ def block_families(draw):
     k = draw(st.integers(1, min(6, g.order)))
     block = st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k, unique=True)
     blocks = draw(st.lists(block.map(sorted), min_size=1, max_size=5))
-    return DifferenceFamily(group=g, blocks=blocks, v=g.order, k=k, lam=0,
-                            disjoint=False, near_complete=False)
+    return DifferenceFamily(group=g, blocks=blocks, lam=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,10 +385,12 @@ def test_family_roundtrip(tmp_path):
     fam = squares_family(build_ring(5, 1))
     path = tmp_path / "fam.txt"
     save_family(fam, path)
-    loaded = load_family(path, group_for("ring", 5, 25))
+    loaded = load_family(path, "ring", 5)
     assert np.array_equal(loaded.block_array(), fam.block_array())
     assert (loaded.v, loaded.k, loaded.lam, loaded.b) == (fam.v, fam.k, fam.lam, fam.b)
-    assert loaded.disjoint and loaded.near_complete
+    assert loaded.group == fam.group and loaded.name == "imported"
+    report = validate_ddf(loaded)
+    assert report.disjoint and report.near_complete
 
 
 def test_family_text_deterministic():
@@ -395,7 +399,6 @@ def test_family_text_deterministic():
 
 
 def test_family_load_rejects_bad_files(tmp_path):
-    g = group_for("field", 5, 5)
     cases = {
         "bad-header.txt": "5 2 1\n1 2\n",
         "wrong-count.txt": "5 2 1 2\n1 2\n",
@@ -408,7 +411,7 @@ def test_family_load_rejects_bad_files(tmp_path):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ValueError):
-            load_family(path, g)
+            load_family(path, "field", 5)
 
 
 def test_family_load_group_mismatch(tmp_path):
@@ -416,7 +419,7 @@ def test_family_load_group_mismatch(tmp_path):
     path = tmp_path / "fam.txt"
     save_family(fam, path)
     with pytest.raises(ValueError):
-        load_family(path, group_for("field", 5, 5))
+        load_family(path, "field", 5)
 
 
 def scalar_rows_text(header, rows):
@@ -463,10 +466,9 @@ def test_block_array_is_the_read_only_block_table(tmp_path):
     ring = build_ring(7, 1)
     fams = [field_fam, built, davis_family(build_ring(3, 2)),
             furino_family(ring, ring.teichmuller[1::3]), *feng_families(build_field(11, 3)),
-            load_family(tmp_path / "ring.txt", group_for("ring", 5, 25)),
-            load_family(tmp_path / "field.txt", group_for("field", 3, 9)),
-            DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), v=7,
-                             k=2, lam=0, disjoint=True, near_complete=False),
+            load_family(tmp_path / "ring.txt", "ring", 5),
+            load_family(tmp_path / "field.txt", "field", 3),
+            DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), lam=0),
             dataclasses.replace(built, blocks=built.block_array(), lam=0)]
     for fam in fams:
         arr = fam.block_array()
@@ -481,6 +483,19 @@ def test_block_array_is_the_read_only_block_table(tmp_path):
     rows = np.array([[1, 4], [2, 3]], dtype=np.int64)
     _make_family(field_group(5, 1), rows, 2, 1, "cosets")
     assert rows.flags.writeable
+
+
+def test_family_and_design_store_only_what_cannot_be_derived():
+    assert list(inspect.signature(DifferenceFamily).parameters) == \
+        ["group", "blocks", "lam", "name"]
+    assert list(inspect.signature(Design).parameters) == \
+        ["v", "blocks", "has_duplicate_blocks"]
+    fam = davis_family(build_ring(3, 1))
+    design = develop(fam)
+    assert (fam.v, fam.k, fam.b, design.k) == (9, 2, 4, 2)
+    for obj, name in ((fam, "v"), (fam, "k"), (fam, "b"), (design, "k")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
 
 
 def test_family_holds_only_its_block_array():

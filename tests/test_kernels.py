@@ -1,7 +1,9 @@
 """Kernel results against hand-checked examples and scalar references."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -226,8 +228,7 @@ def loaded_families(draw):
     block = st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k, unique=True)
     blocks = draw(st.lists(block, min_size=1, max_size=4))
     rows = tuple(tuple(sorted(row)) for row in blocks)
-    return DifferenceFamily(group=g, blocks=rows, v=g.order, k=k, lam=0,
-                            disjoint=False, near_complete=False, name="loaded")
+    return DifferenceFamily(group=g, blocks=rows, lam=0, name="loaded")
 
 
 families = st.one_of(
@@ -286,8 +287,7 @@ def unit_orbit_families(draw):
 @given(unit_orbit_families())
 def test_unit_discovery_on_unit_orbit_families_and_near_misses(case):
     g, rows, name = case
-    fam = DifferenceFamily(group=g, blocks=rows, v=g.order, k=len(rows[0]), lam=0,
-                           disjoint=False, near_complete=False, name=name)
+    fam = DifferenceFamily(group=g, blocks=rows, lam=0, name=name)
     reps, sizes = difference_orbits(fam)
     if fam.name == "unit-orbit":
         assert reps.tolist() == ([0, 1] if fam.group.kind == "field" else [0, 1, fam.group.p])
@@ -297,3 +297,18 @@ def test_unit_discovery_on_unit_orbit_families_and_near_misses(case):
     assert prof == _per_pair_profile(fam), fam.name
     if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
         assert prof == profile_direct(develop(fam)), fam.name
+
+
+def test_difference_route_peak_memory_at_sixteen_digits():
+    # wilson over F_(2^16), e = 257: 16 digits and b*k = 65535 block elements,
+    # so (digits, b*k) int64 digit rows alone would take 8 MiB
+    fam = wilson_family(build_field(2, 16), 257)
+    difference_orbits(fam)  # builds and caches the field's tables
+    tracemalloc.start()
+    try:
+        prof = profile_via_differences(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.total() == comb(fam.v * fam.b, 2)
+    assert peak < 8 << 20, peak

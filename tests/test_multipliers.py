@@ -155,8 +155,7 @@ def xi_fixed_family(ring):
     """The single block (1+p)T* of GR(p^2, r)."""
     one_plus_p = ring.add(1, ring.scalar_p(1))
     block = sorted(ring.mul(one_plus_p, x) for x in ring.teichmuller[1:])
-    return DifferenceFamily(group=ring.group, blocks=(block,), v=ring.order,
-                            k=len(block), lam=0, disjoint=True, near_complete=False)
+    return DifferenceFamily(group=ring.group, blocks=(block,), lam=0)
 
 
 @pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (2, 2)])
@@ -268,8 +267,7 @@ def test_identities_hold_on_imported_non_design():
     # two disjoint blocks in Z_7 that are no difference family still profile
     from ddfkit.families import DifferenceFamily
     from ddfkit.groups import field_group
-    fam = DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), v=7,
-                           k=2, lam=1, disjoint=True, near_complete=False)
+    fam = DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), lam=1)
     assert profile_via_differences(fam) == profile_direct(develop(fam))
 
 
