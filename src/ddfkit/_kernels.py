@@ -13,8 +13,9 @@ Kernels:
                            (i, i, 0) self-pair cell is excluded);
   * block_intersection_hist -- pairwise |B_i & B_j| histogram over distinct
                            block indices, from Gram products of the 0/1
-                           incidence matrix;
-  * pair_coverage       -- per point pair, in how many blocks it appears.
+                           incidence matrix, in byte-wide cells when k < 256;
+  * pair_coverage       -- per point pair u < w, in how many blocks it
+                           appears, in a triangular table of v(v-1)/2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 # negation orbits; a single d whose table is larger is a chunk of its own.
 _CHUNK = 1 << 16
 # Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
-# products and 8 MB of int64 copies, whatever the number of blocks.
+# products and 1 MB of uint8 copies (8 MB of int64 when k >= 256), whatever
+# the number of blocks.
 _GRAM_CELLS = 1 << 20
 # Pair indices per bincount of pair_coverage: 32 MB of int64.
 _COVER_INDICES = 1 << 22
@@ -110,6 +112,24 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     return hist[:k + 1]
 
 
+def _cell_hist(cells, k):
+    """Histogram of the values 0..k of a 1-D array of Gram cells.
+
+    uint8 cells (k < 256) are bincounted two at a time: a uint16 view reads
+    each pair as one value lo + 256*hi <= 257*k, and the (k + 1, 256) joint
+    table is summed over both bytes.  Any other dtype is bincounted as it is.
+    """
+    if cells.dtype != np.uint8:
+        return np.bincount(cells, minlength=k + 1)
+    cells = np.ascontiguousarray(cells)
+    even = cells.size & ~1
+    joint = np.bincount(cells[:even].view(np.uint16), minlength=256 * (k + 1))
+    joint = joint.reshape(k + 1, 256)[:, :k + 1]
+    hist = joint.sum(axis=0) + joint.sum(axis=1)
+    hist[cells[even:]] += 1  # the odd cell out, if any
+    return hist
+
+
 def block_intersection_hist(blocks):
     """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
 
@@ -119,6 +139,7 @@ def block_intersection_hist(blocks):
     are the entries of the Gram matrix of the 0/1 incidence matrix, integers
     at most k (exact in float32 below 2^24), in chunks of r rows from the
     diagonal on; a chunk's symmetric r x r square counts each pair twice.
+    The entries are copied into uint8 cells when k < 256, else int64.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     B, k = blocks.shape
@@ -135,33 +156,37 @@ def block_intersection_hist(blocks):
     hist = np.zeros(k + 1, dtype=np.int64)
     step = max(1, _GRAM_CELLS // max(B, 1))
     products = np.empty(min(step, B) * B, dtype=inc.dtype)  # both reused by every chunk
-    cells = np.empty(products.size, dtype=np.int64)
+    cells = np.empty(products.size, dtype=np.uint8 if k < 256 else np.int64)
     for s in range(0, B - 1, step):
         r, c = min(step, B - s), B - s  # rows s.., columns s..
         gram = cells[:r * c].reshape(r, c)
         np.copyto(gram, np.matmul(inc[s:s + r], inc[s:].T,
                                   out=products[:r * c].reshape(r, c)), casting="unsafe")
         square = gram[:, :r]
-        hist += np.bincount(gram.ravel(), minlength=k + 1) \
-            - (np.bincount(square.ravel(), minlength=k + 1)
+        hist += _cell_hist(gram.ravel(), k) \
+            - (_cell_hist(square.ravel(), k)
                + np.bincount(square.diagonal(), minlength=k + 1)) // 2
     return hist
 
 
 def pair_coverage(blocks, v):
-    """Flat (v*v,) array: entry u*v+w counts blocks containing both u and w (u < w).
+    """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
+    containing both u and w, for u < w; the pairs are in row-major order.
 
     Rows must be ascending.  The block array is transposed once to columns;
-    column i pairs with each later column j as cols[i] * v + cols[j], in
-    bincounts of at most max(_COVER_INDICES, B) indices.
+    column i pairs with each later column j as start(cols[i]) + cols[j],
+    start(u) = u(2v-u-1)/2 - u - 1, in bincounts of at most
+    max(_COVER_INDICES, B) indices.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     B, k = blocks.shape
     cols = np.ascontiguousarray(blocks.T)
-    cnt = np.zeros(v * v, dtype=np.int64)
+    pairs = v * (v - 1) // 2
+    cnt = np.zeros(pairs, dtype=np.int64)
     rows = max(1, _COVER_INDICES // max(B, 1))
     for i in range(k - 1):
-        first = cols[i] * v
+        u = cols[i]
+        start = u * (2 * v - u - 1) // 2 - u - 1
         for j in range(i + 1, k, rows):
-            cnt += np.bincount((first + cols[j:j + rows]).ravel(), minlength=v * v)
+            cnt += np.bincount((start + cols[j:j + rows]).ravel(), minlength=pairs)
     return cnt

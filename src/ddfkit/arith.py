@@ -48,6 +48,15 @@ def prime_divisors(n: int) -> list[int]:
     return sorted(set(factorize(n)))
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    factors = factorize(n)
+    out = [1]
+    for ell in sorted(set(factors)):
+        out = [d * ell ** e for d in out for e in range(factors.count(ell) + 1)]
+    return sorted(out)
+
+
 def primes_below(limit: int) -> list[int]:
     """All primes < limit, via a numpy sieve."""
     if limit <= 2:

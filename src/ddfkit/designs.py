@@ -13,8 +13,9 @@ Block-intersection profiles come from two independent routes:
     totals are halved at the end.  The b^2 cells at d and at -d, and at d
     and m*d for a unit m with m*D_i = D_pi(i), have the same histogram, so
     one d per orbit is tabulated, weighted by the orbit size: the orbits of
-    the whole unit group when its generators permute the base blocks, else
-    of negation alone (see difference_orbits).
+    negation and of the multipliers found on the base blocks, a subgroup
+    <g^j0> of F_q* or the whole unit group of a ring (see
+    difference_orbits).
 
 Every difference-route profile is checked against the exact counting
 identities of a developed family (see check_profile).
@@ -28,11 +29,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field as dfield
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from . import _kernels
+from .arith import divisors
 from .errors import BudgetError, ProfileCheckError
 from .families import DifferenceFamily, read_rows, rows_to_text
 from .fields import build_field
@@ -131,6 +133,12 @@ def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
     return np.sort(np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}"), axis=None)
 
 
+def _image_keys(image: np.ndarray) -> np.ndarray:
+    """The rows of an (n, k) image of blocks, each sorted, as sorted byte
+    strings, to compare with _sorted_row_keys of the blocks."""
+    return _sorted_row_keys(np.sort(image, axis=1))
+
+
 def _has_repeated_rows(rows: np.ndarray) -> bool:
     """Whether two rows of an (n, k) int64 array are equal."""
     keys = _sorted_row_keys(rows)
@@ -144,12 +152,16 @@ def verify_2design(design: Design, lam: int):
     """
     v = design.v
     check_verify_budget(v)
-    cnt = _kernels.pair_coverage(design.blocks, v).reshape(v, v)
-    # the first bad pair u < w in row-major order
-    bad = np.flatnonzero(np.triu(cnt != lam, 1))
+    bad = np.flatnonzero(_kernels.pair_coverage(design.blocks, v) != lam)
     if bad.size == 0:
         return True, None
-    return False, divmod(int(bad[0]), v)
+    # the table is in row-major order, row u starting at u(2v-u-1)/2, so
+    # its first bad entry is the first bad pair u < w in that order
+    at = int(bad[0])
+    rows = np.arange(v, dtype=np.int64)
+    starts = rows * (2 * v - rows - 1) // 2
+    u = int(np.searchsorted(starts, at, side="right")) - 1
+    return False, (u, at - int(starts[u]) + u + 1)
 
 
 def check_verify_budget(v: int) -> None:
@@ -180,73 +192,106 @@ def profile_direct(design: Design) -> IntersectionProfile:
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
-def _unit_images(group, x: np.ndarray):
-    """Yield the images of the elements x under generators of the unit group.
+def _scaled(field, x: np.ndarray, j: int) -> np.ndarray:
+    """g^j * x for the field's primitive element g, elementwise: one gather
+    exp[(log x + j) mod (q-1)], with 0 fixed."""
+    return np.where(x == 0, 0, field.exp[(field.log[x] + j) % (field.q - 1)])
 
-    A field's generator is its primitive element g: g*x is one gather
-    exp[(log x + 1) mod (q-1)], with 0 fixed.  GR(p^2, r) has the units
-    T*(1 + pR), generated by xi and the principal units 1 + p*x^i, i < r,
-    since (1 + p*a)(1 + p*c) = 1 + p*(a + c).
+
+def _field_multiplier_step(fam: DifferenceFamily, field) -> int:
+    """The least j0 > 0 for which g^j0 maps the multiset of base blocks onto
+    itself: the sorted rows g^j0 * D_i, compared as byte strings, are the
+    rows D_i.
+
+    The j that do form a subgroup of Z_(q-1), so j0 is its least divisor
+    that does, and j = q-1, the identity, always does.  Each candidate is
+    tried on the first block alone, whose image is looked up among the
+    blocks' byte keys; only a hit is tried on every block.
     """
-    if group.kind == "field":
-        field = build_field(group.p, group.ext)
-        yield np.where(x == 0, 0, field.exp[(field.log[x] + 1) % (field.q - 1)])
-        return
+    base = fam.block_array()
+    keys = _sorted_row_keys(base)
+    *candidates, identity = divisors(field.q - 1)
+    for j in candidates:
+        key = _image_keys(_scaled(field, base[:1], j))
+        at = int(np.searchsorted(keys, key)[0])
+        if at < keys.size and keys[at] == key[0] and \
+                np.array_equal(_image_keys(_scaled(field, base, j)), keys):
+            return j
+    return identity
+
+
+def _unit_images(group, x: np.ndarray):
+    """Yield the images of the elements x under generators of the unit group
+    of GR(p^2, r): xi and the principal units 1 + p*x^i, i < r, since
+    T*(1 + pR) is the unit group and (1 + p*a)(1 + p*c) = 1 + p*(a + c).
+    """
     ring = build_ring(group.p, group.ext)
     for unit in [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]:
         yield ring.mul_arrays(unit, x)
 
 
 def _units_permute_blocks(fam: DifferenceFamily) -> bool:
-    """Whether every generator u of the unit group maps the multiset of base
-    blocks onto itself: the sorted rows u*D_i, compared as byte strings,
-    are the rows D_i.  Exact for overlapping blocks too, and no
-    point-to-block table of v entries is built.
+    """Whether every generator u of a ring's unit group maps the multiset of
+    base blocks onto itself, compared as _field_multiplier_step does.
 
     The units of Z_4 are +-1, so negation alone already acts there.
     """
     g = fam.group
-    if g.kind == "ring" and g.p ** g.ext < 3:
+    if g.p ** g.ext < 3:
         return False
     base = fam.block_array()
     keys = _sorted_row_keys(base)
-    return all(np.array_equal(_sorted_row_keys(np.sort(image, axis=1)), keys)
-               for image in _unit_images(g, base))
+    return all(np.array_equal(_image_keys(image), keys) for image in _unit_images(g, base))
 
 
 def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits on the group elements d of all units when they permute the base
-    blocks, else of negation alone.
+    """Orbits on the group elements d of negation and the multipliers found
+    on the base blocks.
 
     N_(-d)(i, j) = N_d(j, i), so the cell table at -d is the transpose of
     the one at d; a unit m with m*D_i = D_pi(i) gives
     N_(m*d)(pi i, pi j) = N_d(i, j).  Either way the b^2 cells at d and at
-    its image have the same histogram.  The unit orbits are {0} and F* in a
-    field, and {0}, the units and pR minus 0 in GR(p^2, r).  Returns
-    (representatives, sizes): the least element of each orbit, ascending,
-    and the orbit sizes, which sum to v.
+    its image have the same histogram.
+
+    In F_q the multipliers are <g^j0> (see _field_multiplier_step) and
+    -1 = g^((q-1)/2) for odd p, so with them negation generates <g^m>,
+    m = gcd(j0, (q-1)/2), or m = j0 when p = 2.  The orbits are {0} and
+    the m cosets of <g^m>: d != 0 is labelled log d mod m.  m = 1 when
+    every unit permutes the blocks, and m = (q-1)/2 when negation acts
+    alone.  In GR(p^2, r) they are {0}, the units and pR minus 0 when the
+    whole unit group permutes the blocks, else the negation pairs
+    {d, -d}.  Returns (representatives, sizes): the least element of
+    each orbit, ascending, and the orbit sizes, which sum to v.
 
     Raises BudgetError, before any array of v entries is built for the
     orbits, when orbits * b*k exceed DIFF_ELEMENT_BUDGET.
     """
     g = fam.group
     v, t = g.order, g.p ** g.ext
-    units = _units_permute_blocks(fam)
-    if units:
-        reps, sizes = ([0, 1], [1, v - 1]) if g.kind == "field" else \
-            ([0, 1, g.p], [1, v - t, t - 1])
-        count = len(reps)
+    if g.kind == "field":
+        field = build_field(g.p, g.ext)
+        j0 = _field_multiplier_step(fam, field)
+        m = j0 if g.p == 2 else gcd(j0, (v - 1) // 2)
+        count = 1 + m
     else:
-        # d = -d for d = 0 alone when p is odd, for every d of a p = 2 field,
-        # and for the 2^r elements of 2*GR(4, r)
-        fixed = 1 if g.p % 2 else v if g.kind == "field" else t
-        count = (v + fixed) // 2
+        units = _units_permute_blocks(fam)
+        # d = -d for d = 0 alone when p is odd, and for the 2^r elements
+        # of 2*GR(4, r)
+        count = 3 if units else (v + (1 if g.p % 2 else t)) // 2
     elements = count * fam.b * fam.k
     if elements > DIFF_ELEMENT_BUDGET:
         raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
                           f"elements (orbits * b * k), got {elements}")
+    if g.kind == "field":
+        if m == 1:
+            return np.array([0, 1], dtype=np.int64), np.array([1, v - 1], dtype=np.int64)
+        # column c of exp, read as ((q-1)/m, m) rows, is the coset log d = c mod m
+        reps = np.sort(field.exp.reshape(-1, m).min(axis=0))
+        return np.concatenate(([0], reps)), \
+            np.concatenate(([1], np.full(m, (v - 1) // m, dtype=np.int64)))
     if units:
-        return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+        return np.array([0, 1, g.p], dtype=np.int64), \
+            np.array([1, v - t, t - 1], dtype=np.int64)
     elems = np.arange(v, dtype=np.int64)
     neg = g.sub_arrays(0, elems)
     reps = np.flatnonzero(elems <= neg)
@@ -277,8 +322,8 @@ def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
     """Cell tables over orbits of d; scales past the direct scan's budget.
 
     Raises BudgetError before the kernel when orbits * b*k exceed
-    DIFF_ELEMENT_BUDGET; a family whose blocks the units do not permute
-    has about v/2 orbits.
+    DIFF_ELEMENT_BUDGET; a family that only negation permutes has about
+    v/2 orbits.
     """
     g = fam.group
     reps, sizes = difference_orbits(fam)

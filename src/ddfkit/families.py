@@ -17,9 +17,9 @@ near-completeness are reported by validate_ddf.
 
 A family records no multipliers.  Every unit m maps each base block of the
 cyclotomic, Teichmüller-coset, furino and feng-1 families onto a base
-block (m*D_i = D_pi(i)); the difference route finds this from the blocks
-themselves, for constructed and loaded families alike (see
-designs.difference_orbits).
+block (m*D_i = D_pi(i)), and g^7 does so for feng-2 and feng-3; the
+difference route finds this from the blocks themselves, for constructed
+and loaded families alike (see designs.difference_orbits).
 """
 
 from __future__ import annotations
@@ -76,6 +76,16 @@ class DifferenceFamily:
     def block_array(self) -> np.ndarray:
         """The blocks as a read-only (b, k) int64 array."""
         return self._array
+
+    def __repr__(self):
+        """The constructor call, with the blocks as nested lists of rows."""
+        return (f"DifferenceFamily(group={self.group!r}, blocks={self._array.tolist()!r}, "
+                f"lam={self.lam!r}, name={self.name!r})")
+
+    def _repr_pretty_(self, printer, cycle):
+        """Pretty printers (IPython's, hypothesis's) print the repr; their
+        dataclass fallback would look up `blocks`, which is init-only."""
+        printer.text(repr(self))
 
 
 @dataclass(frozen=True)

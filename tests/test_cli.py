@@ -300,9 +300,10 @@ def _sheared(src, dst, p):
 
 
 def test_difference_budget_checked_before_kernel(capsys, monkeypatch, tmp_path):
-    # no unit permutes the blocks of a sheared wilson-half (3,2) family, so
-    # negation alone leaves (81 + 1)/2 orbit representatives of b*k = 20*4
-    # block elements, where the construction's unit orbits are 2
+    # no unit outside F_3* = {+-1} permutes the blocks of a sheared
+    # wilson-half (3,2) family, so negation alone leaves (81 + 1)/2 orbit
+    # representatives of b*k = 20*4 block elements, where the
+    # construction's unit orbits are 2
     import ddfkit.designs
 
     def kernel_must_not_run(*args):

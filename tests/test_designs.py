@@ -125,6 +125,31 @@ def test_verify_2design_fail_witness():
     assert witness == bad[0], bad
 
 
+def _first_bad_pair_row_major(design, lam):
+    """The first (u, w), u < w, of a v x v pair table scanned row by row
+    whose pair is not in exactly lam blocks."""
+    v = design.v
+    cnt = np.zeros((v, v), dtype=np.int64)
+    for row in design.blocks.tolist():
+        for u, w in combinations(row, 2):
+            cnt[u, w] += 1
+    bad = np.flatnonzero(np.triu(cnt != lam, 1))
+    return divmod(int(bad[0]), v) if bad.size else None
+
+
+@pytest.mark.parametrize("corner", ["first", "last"])
+def test_verify_2design_witness_at_the_table_corners(corner):
+    # the blocks of 2-(5, 2, 1) are all ten pairs; one extra block covers
+    # the first pair (0, 1) or the last pair (v-2, v-1) of the triangular
+    # table twice, and no other pair is off
+    design = develop(wilson_family(build_field(5, 1), 2))
+    v = design.v
+    pair = (0, 1) if corner == "first" else (v - 2, v - 1)
+    broken = Design(v=v, blocks=np.vstack([design.blocks, pair]))
+    assert verify_2design(broken, 1) == (False, pair)
+    assert _first_bad_pair_row_major(broken, 1) == pair
+
+
 def test_verify_2design_budget():
     fam = single_block_family()
     design = develop(fam)

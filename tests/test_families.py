@@ -393,6 +393,22 @@ def test_family_roundtrip(tmp_path):
     assert report.disjoint and report.near_complete
 
 
+def test_family_prints_its_blocks():
+    # a falsifying example must show the family it drew: the repr is the
+    # constructor call, and hypothesis's printer uses it too
+    from hypothesis.vendor.pretty import pretty
+
+    fam = DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), lam=1,
+                           name="drawn")
+    text = ("DifferenceFamily(group=AdditiveGroup(kind='field', p=7, ext=1, base=7, "
+            "digits=1, order=7), blocks=[[1, 2], [3, 5]], lam=1, name='drawn')")
+    assert repr(fam) == text
+    assert pretty(fam) == text
+    again = eval(text, {"DifferenceFamily": DifferenceFamily, "AdditiveGroup": type(fam.group)})
+    assert again.group == fam.group and again.lam == 1 and again.name == "drawn"
+    assert np.array_equal(again.block_array(), fam.block_array())
+
+
 def test_family_text_deterministic():
     fam = davis_family(build_ring(3, 1))
     assert family_to_text(fam) == "9 2 1 4\n1 8\n4 5\n2 7\n3 6\n"

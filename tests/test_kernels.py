@@ -7,6 +7,7 @@ from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddfkit import (build_field, build_ring, develop, furino_family,
@@ -41,28 +42,28 @@ def test_intersect_hist_tiny():
 
 def test_pair_coverage_tiny():
     blocks = np.array([[0, 1, 2], [1, 2, 3]], dtype=np.int64)
-    cnt = _kernels.pair_coverage(blocks, 4).reshape(4, 4)
-    assert cnt[0, 1] == 1 and cnt[0, 2] == 1 and cnt[1, 2] == 2
-    assert cnt[1, 3] == 1 and cnt[2, 3] == 1 and cnt[0, 3] == 0
+    # the pairs u < w of 4 points in row-major order:
+    # (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    assert _kernels.pair_coverage(blocks, 4).tolist() == [1, 1, 0, 2, 1, 1]
 
 
 def _coverage_reference(blocks, v):
-    cnt = np.zeros((v, v), dtype=np.int64)
-    for row in blocks.tolist():
-        for u, w in combinations(row, 2):
-            cnt[u, w] += 1
-    return cnt.ravel()
+    """Per pair u < w, in row-major order, the blocks containing both."""
+    cover = Counter(pair for row in blocks.tolist() for pair in combinations(row, 2))
+    return [cover[pair] for pair in combinations(range(v), 2)]
 
 
 def test_pair_coverage_edge_widths_and_split_bincounts(monkeypatch):
     rng = np.random.default_rng(3)
     single = random_blocks(rng, b=9, k=1, v=10)
-    assert _kernels.pair_coverage(single, 10).tolist() == [0] * 100
+    assert _kernels.pair_coverage(single, 10).tolist() == [0] * 45
+    # one point, so no pair; two points, so one pair in every block
+    assert _kernels.pair_coverage(np.zeros((3, 1), dtype=np.int64), 1).tolist() == []
+    assert _kernels.pair_coverage(np.array([[0, 1]] * 3), 2).tolist() == [3]
     pairs = random_blocks(rng, b=30, k=2, v=10)
-    assert _kernels.pair_coverage(pairs, 10).tolist() == \
-        _coverage_reference(pairs, 10).tolist()
+    assert _kernels.pair_coverage(pairs, 10).tolist() == _coverage_reference(pairs, 10)
     blocks = random_blocks(rng, b=50, k=7, v=20)
-    ref = _coverage_reference(blocks, 20).tolist()
+    ref = _coverage_reference(blocks, 20)
     # 3, 2 or 1 later columns per bincount; a bound below B still takes one
     for bound in (150, 100, 1):
         monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
@@ -151,9 +152,8 @@ def test_kernels_match_scalar_references():
         assert _kernels.block_intersection_hist(blocks).tolist() == ref, case
 
         cover = Counter(pair for row in rows for pair in combinations(sorted(row), 2))
-        cnt = _kernels.pair_coverage(blocks, v).reshape(v, v)
-        assert {(int(u), int(w)): int(cnt[u, w])
-                for u, w in zip(*np.nonzero(cnt))} == \
+        cnt = _kernels.pair_coverage(blocks, v).tolist()
+        assert {pair: c for pair, c in zip(combinations(range(v), 2), cnt) if c} == \
             dict(cover), case
 
 
@@ -170,6 +170,23 @@ def test_intersect_hist_wide_rows(monkeypatch):
     assert hist.tolist() == ref.tolist()
     monkeypatch.setattr(_kernels, "_GRAM_CELLS", 7 * 40)  # chunks of 7 rows
     assert _kernels.block_intersection_hist(blocks).tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_intersect_hist_either_side_of_byte_cells(monkeypatch, k):
+    # k = 255 is the largest k with uint8 cells, whose pairs then reach the
+    # top uint16 value 257*255 = 65535; k = 256 takes int64 cells
+    rng = np.random.default_rng(k)
+    blocks = random_blocks(rng, b=7, k=k, v=k + 20)
+    blocks[6] = blocks[0]  # one pair meets in all k points
+    rows = [set(row) for row in blocks.tolist()]
+    ref = [0] * (k + 1)
+    for a, c in combinations(rows, 2):
+        ref[len(a & c)] += 1
+    assert ref[k] == 1
+    assert _kernels.block_intersection_hist(blocks).tolist() == ref
+    monkeypatch.setattr(_kernels, "_GRAM_CELLS", 3 * 7)  # chunks of 21 and 12 cells
+    assert _kernels.block_intersection_hist(blocks).tolist() == ref
 
 
 @st.composite
@@ -280,14 +297,12 @@ def unit_orbit_families(draw):
         row[draw(st.integers(0, len(row) - 1))] = draw(
             st.sampled_from([x for x in g.elements() if x not in row]))
         rows[i], name = tuple(sorted(row)), "near-miss"
-    return g, rows, name  # not a family, which hypothesis cannot print
+    return DifferenceFamily(group=g, blocks=rows, lam=0, name=name)
 
 
 @settings(max_examples=60, deadline=None)
 @given(unit_orbit_families())
-def test_unit_discovery_on_unit_orbit_families_and_near_misses(case):
-    g, rows, name = case
-    fam = DifferenceFamily(group=g, blocks=rows, lam=0, name=name)
+def test_unit_discovery_on_unit_orbit_families_and_near_misses(fam):
     reps, sizes = difference_orbits(fam)
     if fam.name == "unit-orbit":
         assert reps.tolist() == ([0, 1] if fam.group.kind == "field" else [0, 1, fam.group.p])

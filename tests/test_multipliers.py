@@ -13,8 +13,8 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, _unit_images, check_profile,
-                            difference_orbits)
+from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, _scaled, _unit_images,
+                            check_profile, difference_orbits)
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
@@ -41,13 +41,10 @@ def constructions(p, r):
     return fams
 
 
-def unit_generators(g):
+def ring_unit_generators(g):
     """Scalar maps x -> u*x for the generators u of the unit group of g's
-    field or ring, from Field.mul and GaloisRing.mul; none for Z_4, whose
-    units +-1 negation already covers."""
-    if g.kind == "field":
-        field = build_field(g.p, g.ext)
-        return [partial(field.mul, field.generator)]
+    ring, from GaloisRing.mul; none for Z_4, whose units +-1 negation
+    already covers."""
     if g.p ** g.ext < 3:
         return []
     ring = build_ring(g.p, g.ext)
@@ -55,17 +52,36 @@ def unit_generators(g):
     return [partial(ring.mul, u) for u in units]
 
 
+def permutes(move, blocks):
+    """Whether the scalar map `move` maps the Counter of blocks onto itself."""
+    return Counter(frozenset(map(move, blk)) for blk in blocks.elements()) == blocks
+
+
+def field_multiplier_step(field, blocks):
+    """Scalar j0: the least j dividing q-1 for which x -> g^j * x, from
+    Field.pow and Field.mul, maps the Counter of blocks onto itself."""
+    n = field.q - 1
+    return next(j for j in range(1, n + 1) if n % j == 0 and
+                permutes(partial(field.mul, field.pow(field.generator, j)), blocks))
+
+
 def labelled_orbits(fam):
-    """Scalar reference for difference_orbits: the orbits of negation and,
-    when every generator maps the block multiset onto itself, of the unit
-    generators, labelled by doubling along each move's permutation."""
+    """Scalar reference for difference_orbits: the orbits of negation and
+    of the multipliers that map the block multiset onto itself, labelled by
+    doubling along each move's permutation.  In a field the multiplier
+    move is x -> g^j0 * x (see field_multiplier_step); in a ring it is
+    every unit generator when all of them permute the blocks."""
     g = fam.group
     blocks = Counter(frozenset(row) for row in fam.block_array().tolist())
-    gens = unit_generators(g)
+    if g.kind == "field":
+        field = build_field(g.p, g.ext)
+        gens = [partial(field.mul, field.pow(field.generator,
+                                             field_multiplier_step(field, blocks)))]
+    else:
+        gens = ring_unit_generators(g)
+        gens = gens if all(permutes(m, blocks) for m in gens) else []
     moves = [np.array([g.neg(x) for x in g.elements()])]
-    if all(Counter(frozenset(map(m, blk)) for blk in blocks.elements()) == blocks
-           for m in gens):
-        moves += [np.array([m(x) for x in g.elements()]) for m in gens]
+    moves += [np.array([m(x) for x in g.elements()]) for m in gens]
     # label[x] is always an element of x's orbit no larger than x.  Pulling
     # the least label along move^(2^s) makes label[x] the least over 2^(s+1)
     # steps of x's cycle; a step that changes nothing means every cycle of
@@ -138,9 +154,11 @@ def test_orbit_counts(p, r):
 
 
 def test_feng_and_furino_orbits_match_labeller():
-    # the primitive element swaps feng-1's two blocks and moves the others'
+    # the primitive element g swaps feng-1's two blocks; g^7 fixes each of
+    # feng-2's and feng-3's, whose index sets are unions of classes mod 7,
+    # so with negation d != 0 falls into gcd(7, 665) = 7 orbits
     fengs = feng_families(build_field(11, 3))
-    assert [difference_orbits(fam)[0].size for fam in fengs] == [2, 666, 666]
+    assert [difference_orbits(fam)[0].size for fam in fengs] == [2, 8, 8]
     for fam in fengs:
         assert_orbits_match_labeller(fam)
     # every unit permutes the cosets of a Teichmüller subgroup
@@ -176,13 +194,15 @@ def test_block_fixed_by_xi_alone_gets_negation_orbits(p, r):
 
 def test_budget_counts_the_orbits_before_building_them(monkeypatch):
     # the closed-form orbit count checked against the budget is the count
-    # the orbit arrays then have: unit orbits, and negation orbits for odd
-    # p, p = 2 fields and GR(4, r)
+    # the orbit arrays then have: unit orbits, the 1 + m orbits of a field
+    # family, and negation orbits for odd p, p = 2 fields and GR(4, r)
     import ddfkit.designs
 
     fams = [xi_fixed_family(build_ring(2, 2))]
     fams += [fam for p, r in [(5, 1), (2, 2), (2, 3)] for fam in constructions(p, r).values()]
     fams += [swapped(constructions(p, r)["wilson"]) for p, r in [(5, 1), (2, 2)]]
+    # 1 + m orbits for a proper multiplier subgroup <g^j0> of a field
+    fams += [linearly_relabelled(constructions(5, 2)["wilson-half"], 2)]
     counts = [difference_orbits(fam)[0].size * fam.b * fam.k for fam in fams]
     for fam, elements in zip(fams, counts):
         monkeypatch.setattr(ddfkit.designs, "DIFF_ELEMENT_BUDGET", elements)
@@ -198,9 +218,17 @@ def test_budget_counts_the_orbits_before_building_them(monkeypatch):
 def test_unit_images_match_multiplication(kind, p, n):
     g = field_group(p, n) if kind == "field" else ring_group(p, n)
     x = np.arange(g.order).reshape(p, -1)  # the images keep the shape
-    images = [image.ravel().tolist() for image in _unit_images(g, x)]
-    gens = [[m(a) for a in g.elements()] for m in unit_generators(g)]
-    assert images == gens
+    if kind == "field":
+        # the gathers that try g^j on the blocks, for j = 1 and for j = 3
+        field = build_field(p, n)
+        images = [_scaled(field, x, j).ravel().tolist() for j in (1, 3)]
+        scalar = [[field.mul(field.pow(field.generator, j), a) for a in g.elements()]
+                  for j in (1, 3)]
+        gens = scalar[:1]
+    else:
+        images = [image.ravel().tolist() for image in _unit_images(g, x)]
+        scalar = gens = [[m(a) for a in g.elements()] for m in ring_unit_generators(g)]
+    assert images == scalar
     # the generators reach every unit from 1: the field's q - 1 nonzero
     # elements, or the ring's p^2r - p^r elements outside pR
     reached, frontier = {1}, [1]
@@ -208,6 +236,39 @@ def test_unit_images_match_multiplication(kind, p, n):
         frontier = list({image[a] for a in frontier for image in gens} - reached)
         reached.update(frontier)
     assert len(reached) == (g.order - 1 if kind == "field" else g.order - p ** n)
+
+
+def linearly_relabelled(fam, seed):
+    """The family with every element's digit vector over F_p multiplied by
+    a seeded invertible matrix: an additive automorphism of F_(p^n), which
+    commutes with the scalars F_p*."""
+    g = fam.group
+    rng = np.random.default_rng(seed)
+    digits = g.digit_matrix(np.arange(g.order))
+    while True:
+        image = g.pack_digits(digits @ rng.integers(0, g.p, size=(g.digits, g.digits)))
+        if np.bincount(image, minlength=g.order).max() == 1:  # a bijection
+            break
+    return with_changes(fam, blocks=np.sort(image[fam.block_array()], axis=1),
+                        name="relabelled")
+
+
+# r = 2: at r = 1 the blocks are cosets of a subgroup of F_p*, which the
+# relabelling leaves as they are
+@pytest.mark.parametrize("name, p, r, seed", [("wilson-half", 3, 2, 1), ("wilson-half", 5, 2, 2),
+                                              ("wilson-half", 7, 2, 3), ("wilson", 5, 2, 4)])
+def test_linearly_relabelled_wilson_keeps_the_scalar_multipliers(name, p, r, seed):
+    built = constructions(p, r)[name]
+    fam = linearly_relabelled(built, seed)
+    reps, sizes = difference_orbits(fam)
+    assert_orbits_match_labeller(fam)
+    # F_p* = <g^((q-1)/(p-1))> still permutes the blocks, so every orbit
+    # but {0} is a union of F_p*-orbits of size p - 1
+    assert sizes[0] == 1 and (sizes[1:] % (p - 1) == 0).all()
+    assert reps.size < (fam.v + 1) // 2 or p == 3  # F_3* = {+-1} is negation
+    assert profile_via_differences(fam) == profile_via_differences(built)
+    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+        assert profile_via_differences(fam) == profile_direct(develop(fam))
 
 
 def cyclotomic_cases():
