@@ -12,13 +12,19 @@ Kernels:
                            over the b^2 base-block pairs (i, j) (the
                            (i, i, 0) self-pair cell is excluded);
   * block_intersection_hist -- pairwise |B_i & B_j| histogram over distinct
-                           block indices, from Gram products of the 0/1
+                           block indices: for sparse designs from the
+                           binomial moments sum_S C(lam_S, 2) of the point
+                           subsets S the blocks share, with no block pair
+                           formed, else from Gram products of the 0/1
                            incidence matrix, in byte-wide cells when k < 256;
+                           no group arithmetic either way;
   * pair_coverage       -- per point pair u < w, in how many blocks it
                            appears, in a triangular table of v(v-1)/2.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -31,6 +37,9 @@ _CHUNK = 1 << 16
 # products and 1 MB of uint8 copies (8 MB of int64 when k >= 256), whatever
 # the number of blocks.
 _GRAM_CELLS = 1 << 20
+# Subset keys per level of block_intersection_hist's moment route: 8 MB of
+# int64, held with its parts, its sorted copy and the level before it.
+_SUBSET_KEYS = 1 << 20
 # Pair indices per bincount of pair_coverage: 32 MB of int64.
 _COVER_INDICES = 1 << 22
 
@@ -130,19 +139,13 @@ def _cell_hist(cells, k):
     return hist
 
 
-def block_intersection_hist(blocks):
-    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
+def _relabel(blocks):
+    """(cols, u): the (B, k) block array with the points that occur relabelled
+    0..u-1 in their order, u <= B*k.
 
-    The points that occur are relabelled 0..u-1 (u <= B*k), so memory does
-    not depend on the size of the point set: by occupancy when every label
-    is below B*k, as in every developed design, else by sorting.  The sizes
-    are the entries of the Gram matrix of the 0/1 incidence matrix, integers
-    at most k (exact in float32 below 2^24), in chunks of r rows from the
-    diagonal on; a chunk's symmetric r x r square counts each pair twice.
-    The entries are copied into uint8 cells when k < 256, else int64.
+    By occupancy when every label is below B*k, as in every developed
+    design, else by sorting, so memory does not depend on the point labels.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    B, k = blocks.shape
     pts = blocks.ravel()
     if pts.max(initial=-1) < pts.size:
         used = np.bincount(pts) > 0
@@ -150,8 +153,20 @@ def block_intersection_hist(blocks):
     else:
         points = _distinct(pts)
         cols, u = np.searchsorted(points, pts), points.size
+    return cols.reshape(blocks.shape), u
+
+
+def _gram_hist(cols, u):
+    """Histogram of |B_i & B_j| from Gram products of the 0/1 incidence matrix.
+
+    `cols` holds points 0..u-1, rows in any order.  The sizes are integers
+    at most k (exact in float32 below 2^24), in chunks of r rows from the
+    diagonal on; a chunk's symmetric r x r square counts each pair twice.
+    The entries are copied into uint8 cells when k < 256, else int64.
+    """
+    B, k = cols.shape
     inc = np.zeros(B * u, dtype=np.float32 if k < 1 << 24 else np.float64)
-    inc[cols.reshape(B, k) + np.arange(0, B * u, u, dtype=np.int64)[:, None]] = 1
+    inc[cols + np.arange(0, B * u, u, dtype=np.int64)[:, None]] = 1
     inc = inc.reshape(B, u)
     hist = np.zeros(k + 1, dtype=np.int64)
     step = max(1, _GRAM_CELLS // max(B, 1))
@@ -167,6 +182,60 @@ def block_intersection_hist(blocks):
             - (_cell_hist(square.ravel(), k)
                + np.bincount(square.diagonal(), minlength=k + 1)) // 2
     return hist
+
+
+def _moment_hist(cols, u):
+    """Histogram of |B_i & B_j| from the binomial moments of the numbers.
+
+    A j-subset S of points in lam_S blocks lies in C(lam_S, 2) block pairs,
+    and a pair meeting in N points shares C(N, j) j-subsets, so
+    M_j = sum_S C(lam_S, 2) = sum_N C(N, j) m_N.  Level j packs each block's
+    j-subsets x_1 < ... < x_j (rows sorted, any order given) as the key
+    sum x_i u^(j-i), exact while u^j < 2^63: a (j-1)-subset's key times u
+    plus a later point.  lam_S is a run of equal sorted keys.  The first
+    M_j = 0 ends the levels, as no larger subset then lies in two blocks;
+    binomial inversion gives m_N = sum_(j>=N) (-1)^(j-N) C(j, N) M_j for
+    N >= 1, and m_0 is the rest of C(B, 2).  No block pair is formed.
+    """
+    B, k = cols.shape
+    rows = np.sort(cols, axis=1)
+    moments = [0]  # M_j at index j
+    # the keys of level j - 1, a column per subset, and each subset's last position
+    keys, last = np.zeros((B, 1), dtype=np.int64), np.array([-1])
+    for j in range(1, k + 1):
+        parts = [keys[:, last < q] * u + rows[:, q, None] for q in range(j - 1, k)]
+        last = np.repeat(np.arange(j - 1, k), [part.shape[1] for part in parts])
+        keys = np.concatenate(parts, axis=1)
+        flat = np.sort(keys, axis=None)
+        # a run of lam equal keys is lam - 1 consecutive equal neighbours
+        same = np.flatnonzero(flat[1:] == flat[:-1])
+        ends = np.flatnonzero(np.diff(same) != 1)
+        runs = np.diff(np.concatenate(([-1], ends, [same.size - 1])))  # lam - 1 each
+        moment = int((runs * (runs + 1)).sum()) // 2
+        if moment == 0:
+            break
+        moments.append(moment)
+    hist = [sum((-1) ** (j - n) * comb(j, n) * moments[j] for j in range(n, len(moments)))
+            for n in range(1, k + 1)]
+    return np.array([comb(B, 2) - sum(hist)] + hist, dtype=np.int64)
+
+
+def block_intersection_hist(blocks):
+    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
+
+    The points that occur are relabelled 0..u-1 (see _relabel).  The moment
+    route (_moment_hist) runs when its subset keys, B*(2^k - 1) over all
+    levels, are no more than the C(B, 2) Gram cells, when one level's keys,
+    at most B*C(k, k//2), fit in _SUBSET_KEYS, and when u^k < 2^63 keeps
+    every key exact; the Gram route (_gram_hist) runs otherwise.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    cols, u = _relabel(blocks)
+    B, k = cols.shape
+    if B * (2 ** k - 1) <= comb(B, 2) and B * comb(k, k // 2) <= _SUBSET_KEYS \
+            and u ** k < 2 ** 63:
+        return _moment_hist(cols, u)
+    return _gram_hist(cols, u)
 
 
 def pair_coverage(blocks, v):

@@ -98,6 +98,8 @@ def gate(p: int, r: int) -> GateReport:
     Applies exactly when p is odd, p is not Wieferich, and 24 divides
     p^r - 1; the reasons list names each failed clause.
     """
+    if r < 1:
+        raise ValueError("extension degree must be >= 1")
     p_odd = p % 2 == 1
     mod24 = (p ** r - 1) % 24
     wf = wieferich(p)

@@ -97,10 +97,9 @@ def cmd_develop(args) -> int:
 
 def cmd_profile(args) -> int:
     if args.input and args.design:
-        design = load_design(args.input)
         if args.method != "direct":
             raise UsageError("a design file only supports --method direct")
-        prof = profile_direct(design)
+        prof = profile_direct(load_design(args.input))
         _write_out(prof.to_json() + "\n", args.out)
         return 0
     fam = _family_from_args(args)
@@ -125,7 +124,7 @@ def cmd_profile(args) -> int:
 
 def cmd_cyclo(args) -> int:
     field = build_field(args.p, args.r)
-    if (field.q - 1) % args.e:
+    if args.e < 1 or (field.q - 1) % args.e:
         raise UsageError(f"e={args.e} does not divide q-1={field.q - 1}")
     table = cyclotomic_table(field, args.e)
     status = 0

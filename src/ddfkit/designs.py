@@ -6,7 +6,10 @@ multiplicity); a flag reports whether any orbit collapsed into duplicates.
 Block-intersection profiles come from two independent routes:
 
   * profile_direct: all unordered pairs of distinct block indices, from
-    Gram products of the 0/1 block incidence matrix; no group arithmetic;
+    the point subsets the blocks share (the binomial moments
+    M_j = sum_N C(N, j) m_N, inverted) when the design is sparse, else
+    from Gram products of the 0/1 block incidence matrix; no group
+    arithmetic either way (see _kernels.block_intersection_hist);
   * profile_via_differences: (D_i + a) & (D_j + c) has N_d(i, j) =
     |D_i & (D_j + d)| points for d = c - a, so each cell (i, j, d) stands
     for v ordered block pairs; the (i, i, 0) cells are excluded and ordered
@@ -186,7 +189,8 @@ def check_direct_budget(blocks: int) -> None:
 
 
 def profile_direct(design: Design) -> IntersectionProfile:
-    """Pairwise scan over all C(B, 2) distinct-index block pairs."""
+    """Histogram over all C(B, 2) distinct-index block pairs, from the
+    blocks alone (see _kernels.block_intersection_hist)."""
     check_direct_budget(design.block_count)
     hist = _kernels.block_intersection_hist(design.blocks)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
@@ -304,6 +308,8 @@ def check_profile(profile: IntersectionProfile, v: int, b: int, k: int, lam=None
     With B = v*b blocks, each point on rho = b*k of them:
     sum m_N = C(B, 2) and sum N*m_N = v*C(rho, 2) hold for every developed
     family; for a 2-(v, k, lam) design also sum C(N, 2)*m_N = C(v, 2)*C(lam, 2).
+    The last two are the binomial moments M_1 and M_2 that the direct
+    route's moment kernel counts from shared points and point pairs.
     Raises ProfileCheckError on the first identity that fails.
     """
     counts = profile.counts.items()
@@ -438,7 +444,10 @@ def save_design(design: Design, path) -> None:
 def load_design(path) -> Design:
     with open(path) as fh:
         lines = fh.read().split("\n")
-    v, count, k = (int(x) for x in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError("design header must be 'v b k'")
+    v, count, k = (int(x) for x in header)
     blocks = read_rows(lines[1:], count, k, v)
     return Design(v=v, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
 

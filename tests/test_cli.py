@@ -96,6 +96,18 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("e", ["0", "-1"])
+def test_cyclo_rejects_e_below_one(capsys, e):
+    code, out, err = run(capsys, "cyclo", "--p", "5", "--r", "2", "--e", e)
+    assert (code, out, err) == (2, "", f"error: e={e} does not divide q-1=24\n")
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_gate_rejects_degree_below_one(capsys, r):
+    code, out, err = run(capsys, "gate", "--p", "5", "--r", r)
+    assert (code, out, err) == (2, "", "error: extension degree must be >= 1\n")
+
+
 def test_construct_develop_verify_roundtrip(capsys, tmp_path):
     fam_path = tmp_path / "fam.txt"
     code, _, _ = run(capsys, "construct", "--construction", "wilson",
@@ -382,6 +394,23 @@ def test_design_rows_must_be_distinct_and_sorted(capsys, tmp_path):
         assert code == 2, rows
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", ["", "9 2", "9 2 2 1"])
+def test_design_file_header_is_a_usage_error(capsys, tmp_path, header):
+    bad = tmp_path / "design.txt"
+    bad.write_text(f"{header}\n0 1\n0 2\n" if header else "")
+    code, out, err = run(capsys, "profile", "--input", str(bad), "--design",
+                         "--method", "direct")
+    assert (code, out, err) == (2, "", "error: design header must be 'v b k'\n")
+
+
+@pytest.mark.parametrize("method", ["both", "differences"])
+def test_design_method_is_checked_before_the_file_is_read(capsys, tmp_path, method):
+    # the file does not exist: reading it first would end in an i/o error
+    code, out, err = run(capsys, "profile", "--input", str(tmp_path / "missing.txt"),
+                         "--design", "--method", method)
+    assert (code, out, err) == (2, "", "error: a design file only supports --method direct\n")
 
 
 def test_design_file_with_huge_point_labels(capsys, tmp_path):

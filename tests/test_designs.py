@@ -13,7 +13,8 @@ from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     develop, feng_families, iso_oracle,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
-from ddfkit.designs import Design, IntersectionProfile
+from ddfkit.cli import construction_family
+from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
@@ -235,6 +236,31 @@ def test_profile_methods_agree_at_desk_scale():
         assert direct == via_diff, fam.name
 
 
+def construction_families_within_direct_budget():
+    """Every construction family with v*b <= PROFILE_DIRECT_BLOCK_BUDGET.
+
+    wilson and gr-teichmuller have b = t + 1 and need t >= 3 (t <= 16 is
+    within budget); the half constructions have b = 2(t + 1) and need odd
+    t >= 5 (t <= 13); the three feng families have v*b = 2662.
+    """
+    fams = [construction_family(name, p, r)
+            for name in ("wilson", "gr-teichmuller")
+            for p, r in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                         (2, 4)]]
+    fams += [construction_family(name, p, r)
+             for name in ("wilson-half", "gr-squares")
+             for p, r in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]]
+    fams += [construction_family(f"feng-{i}", None, None) for i in (1, 2, 3)]
+    assert all(fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET for fam in fams)
+    return fams
+
+
+def test_direct_route_matches_differences_on_every_construction_within_budget():
+    for fam in construction_families_within_direct_budget():
+        assert profile_direct(develop(fam)) == profile_via_differences(fam), \
+            (fam.name, fam.v, fam.b)
+
+
 def test_profile_total_is_block_pair_count():
     for fam in small_family_zoo():
         prof = profile_via_differences(fam)
@@ -353,6 +379,14 @@ def test_design_load_rejects_bad_files(tmp_path):
         bad.write_text(f"9 2 2\n0 1\n{row}\n")
         with pytest.raises(ValueError):
             load_design(bad)
+
+
+@pytest.mark.parametrize("header", ["", "9 2", "9 2 2 1"])
+def test_design_load_names_the_header(tmp_path, header):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header}\n0 1\n0 2\n" if header else "")
+    with pytest.raises(ValueError, match="^design header must be 'v b k'$"):
+        load_design(bad)
 
 
 def test_profile_file_roundtrip(tmp_path):

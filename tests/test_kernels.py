@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ddfkit import (build_field, build_ring, develop, furino_family,
                     profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
+from ddfkit.cli import construction_family
 from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, IntersectionProfile, difference_orbits
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
@@ -23,6 +24,25 @@ from test_multipliers import cyclotomic_cases, labelled_orbits
 def random_blocks(rng, b, k, v):
     rows = [rng.choice(v, size=k, replace=False) for _ in range(b)]
     return np.sort(np.array(rows, dtype=np.int64), axis=1)
+
+
+def gram(blocks):
+    """The Gram route's histogram, whichever route the selection would take."""
+    return _kernels._gram_hist(*_kernels._relabel(np.asarray(blocks, dtype=np.int64))).tolist()
+
+
+def moments(blocks):
+    """The moment route's histogram, whichever route the selection would take."""
+    return _kernels._moment_hist(*_kernels._relabel(np.asarray(blocks, dtype=np.int64))).tolist()
+
+
+def pair_loop(blocks):
+    """|B_i & B_j| over the unordered pairs of distinct block indices, one by one."""
+    rows = [set(row) for row in np.asarray(blocks).tolist()]
+    ref = [0] * (np.shape(blocks)[1] + 1)
+    for a, c in combinations(rows, 2):
+        ref[len(a & c)] += 1
+    return ref
 
 
 def test_diff_hist_single_block_z5():
@@ -37,7 +57,7 @@ def test_intersect_hist_tiny():
     blocks = np.array([[0, 1], [0, 1], [1, 2]], dtype=np.int64)
     hist = _kernels.block_intersection_hist(blocks)
     # pairs: (0,1) identical -> 2; (0,2) and (1,2) share point 1 -> 1
-    assert hist.tolist() == [0, 2, 1]
+    assert hist.tolist() == gram(blocks) == moments(blocks) == [0, 2, 1]
 
 
 def test_pair_coverage_tiny():
@@ -145,12 +165,11 @@ def test_kernels_match_scalar_references():
         assert hist.tolist() == _diff_hist_reference(
             blocks, base, digits, ds.tolist(), weights.tolist()), case
 
-        rows = [set(map(int, row)) for row in blocks]
-        ref = [0] * (blocks.shape[1] + 1)
-        for a, c in combinations(rows, 2):
-            ref[len(a & c)] += 1
+        ref = pair_loop(blocks)
         assert _kernels.block_intersection_hist(blocks).tolist() == ref, case
+        assert gram(blocks) == moments(blocks) == ref, case
 
+        rows = [set(map(int, row)) for row in blocks]
         cover = Counter(pair for row in rows for pair in combinations(sorted(row), 2))
         cnt = _kernels.pair_coverage(blocks, v).tolist()
         assert {pair: c for pair, c in zip(combinations(range(v), 2), cnt) if c} == \
@@ -161,15 +180,10 @@ def test_intersect_hist_wide_rows(monkeypatch):
     # many more points than blocks, and a Gram product split into row chunks
     rng = np.random.default_rng(11)
     blocks = random_blocks(rng, b=40, k=30, v=700)
-    ref = np.zeros(31, dtype=np.int64)
-    rows = [set(map(int, row)) for row in blocks]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            ref[len(rows[i] & rows[j])] += 1
-    hist = _kernels.block_intersection_hist(blocks)
-    assert hist.tolist() == ref.tolist()
+    ref = pair_loop(blocks)
+    assert gram(blocks) == ref
     monkeypatch.setattr(_kernels, "_GRAM_CELLS", 7 * 40)  # chunks of 7 rows
-    assert _kernels.block_intersection_hist(blocks).tolist() == ref.tolist()
+    assert gram(blocks) == ref
 
 
 @pytest.mark.parametrize("k", [255, 256])
@@ -179,46 +193,95 @@ def test_intersect_hist_either_side_of_byte_cells(monkeypatch, k):
     rng = np.random.default_rng(k)
     blocks = random_blocks(rng, b=7, k=k, v=k + 20)
     blocks[6] = blocks[0]  # one pair meets in all k points
-    rows = [set(row) for row in blocks.tolist()]
-    ref = [0] * (k + 1)
-    for a, c in combinations(rows, 2):
-        ref[len(a & c)] += 1
+    ref = pair_loop(blocks)
     assert ref[k] == 1
-    assert _kernels.block_intersection_hist(blocks).tolist() == ref
+    assert gram(blocks) == ref
     monkeypatch.setattr(_kernels, "_GRAM_CELLS", 3 * 7)  # chunks of 21 and 12 cells
-    assert _kernels.block_intersection_hist(blocks).tolist() == ref
+    assert gram(blocks) == ref
 
 
 @st.composite
 def block_arrays(draw):
-    """(B, k) arrays of ascending rows; labels below k (every point used),
-    below B*k (the occupancy relabel, with unused points) or far above it
-    (the sort path)."""
+    """(B, k) arrays of rows with distinct entries, ascending or as drawn;
+    labels below k (every point used), below B*k (the occupancy relabel,
+    with unused points) or far above it (the sort path)."""
     count = draw(st.integers(1, 7))
     k = draw(st.integers(1, 5))
     top = draw(st.sampled_from([k, count * k, 3 * count * k, 2 ** 40]))
     block = st.lists(st.integers(0, top - 1), min_size=k, max_size=k, unique=True)
-    return np.sort(np.array(draw(st.lists(block, min_size=count, max_size=count)),
-                            dtype=np.int64), axis=1)
+    blocks = np.array(draw(st.lists(block, min_size=count, max_size=count)), dtype=np.int64)
+    return np.sort(blocks, axis=1) if draw(st.booleans()) else blocks
 
 
 @settings(max_examples=150, deadline=None)
 @given(block_arrays(), st.integers(1, 3))
 def test_intersect_hist_matches_pair_loop(blocks, rows_per_chunk):
-    rows = [frozenset(row) for row in blocks.tolist()]
-    ref = [0] * (blocks.shape[1] + 1)
-    for a, c in combinations(rows, 2):
-        ref[len(a & c)] += 1
+    ref = pair_loop(blocks)
     assert _kernels.block_intersection_hist(blocks).tolist() == ref
+    assert moments(blocks) == ref
+    assert gram(blocks) == ref
     # several chunks, each starting with an r x r square on the diagonal
     with mock.patch.object(_kernels, "_GRAM_CELLS", rows_per_chunk * blocks.shape[0]):
-        assert _kernels.block_intersection_hist(blocks).tolist() == ref
+        assert gram(blocks) == ref
 
 
 def test_intersect_hist_ignores_unused_points():
     # labels far beyond any table size: only the points that occur count
     blocks = np.array([[3, 2 ** 40 - 1], [5, 2 ** 40 - 1], [3, 5]], dtype=np.int64)
     assert _kernels.block_intersection_hist(blocks).tolist() == [0, 3, 0]
+    assert gram(blocks) == moments(blocks) == [0, 3, 0]
+
+
+def _route(blocks):
+    """The helper block_intersection_hist calls for `blocks`: "moment" or "gram"."""
+    taken = []
+    with mock.patch.object(_kernels, "_moment_hist",
+                           side_effect=lambda *a: taken.append("moment")), \
+            mock.patch.object(_kernels, "_gram_hist",
+                              side_effect=lambda *a: taken.append("gram")):
+        _kernels.block_intersection_hist(blocks)
+    return taken[0]
+
+
+def _cyclic_rows(b, k, u):
+    """b rows of k consecutive points mod u, rows ascending; every point is
+    used when b*k >= u."""
+    return np.sort((np.arange(b)[:, None] * k + np.arange(k)) % u, axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_route_selection_at_key_count_edge(k):
+    # B*(2^k - 1) subset keys against C(B, 2) Gram cells: equal at B = 2^(k+1) - 1
+    edge = 2 ** (k + 1) - 1
+    for b, route in [(edge - 1, "gram"), (edge, "moment")]:
+        blocks = _cyclic_rows(b, k, b * k)
+        assert _route(blocks) == route, b
+        assert gram(blocks) == moments(blocks) == pair_loop(blocks)
+
+
+def test_route_selection_at_level_and_exactness_edges(monkeypatch):
+    # one level of keys: B*C(k, k//2) against _SUBSET_KEYS
+    blocks = _cyclic_rows(300, 6, 100)
+    level = 300 * comb(6, 3)
+    monkeypatch.setattr(_kernels, "_SUBSET_KEYS", level)
+    assert _route(blocks) == "moment"
+    monkeypatch.setattr(_kernels, "_SUBSET_KEYS", level - 1)
+    assert _route(blocks) == "gram"
+    monkeypatch.undo()
+    # exact keys: u^k < 2^63, so 511 points of 7-subsets pack and 512 do not
+    for u, route in [(511, "moment"), (512, "gram")]:
+        blocks = _cyclic_rows(300, 7, u)
+        assert _route(blocks) == route, u
+        assert gram(blocks) == pair_loop(blocks), u
+    assert moments(_cyclic_rows(300, 7, 511)) == pair_loop(_cyclic_rows(300, 7, 511))
+
+
+def test_construction_routes():
+    # gr-squares (13,1), 4732 blocks of 6, takes the moment route; feng-1,
+    # 2662 blocks of 665, the Gram route
+    squares = develop(construction_family("gr-squares", 13, 1)).blocks
+    feng = develop(construction_family("feng-1", None, None)).blocks
+    assert (_route(squares), _route(feng)) == ("moment", "gram")
 
 
 # ---------------------------------------------------------------------------
