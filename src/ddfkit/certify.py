@@ -101,7 +101,7 @@ def gate(p: int, r: int) -> GateReport:
     if r < 1:
         raise ValueError("extension degree must be >= 1")
     p_odd = p % 2 == 1
-    mod24 = (p ** r - 1) % 24
+    mod24 = (pow(p, r, 24) - 1) % 24
     wf = wieferich(p)
     reasons = []
     if not p_odd:

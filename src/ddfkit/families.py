@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetError
-from .fields import FIELD_ORDER_BUDGET, Field
+from .fields import _EXP_CHUNK, FIELD_ORDER_BUDGET, Field
 from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
 from .groups import AdditiveGroup, group_for
 
@@ -112,23 +112,31 @@ def _make_family(group, blocks, k, lam, name):
 def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     """Per part: the cosets (1 + p*alpha)*part for alpha in T order, then p*part.
 
-    Rows come back sorted.  Multiplication by a unit u is the linear map of
-    its digit matrix, so each coset is one product digits(part) @ U mod p^2.
-    Entries stay below p^2, so a product entry is at most r*(p^2-1)^2,
-    below 2^52 for p^(2r) <= 2^26 and far inside int64.
+    Rows come back sorted, in one (b, k) array.  Multiplication by a unit
+    is the linear map of its digit matrix, so the cosets of one part are
+    the part's digit columns mapped by every unit at once
+    (AdditiveGroup.map_columns), in chunks of about _EXP_CHUNK accumulator
+    entries, packed straight into their rows.
     """
-    g = ring.group
+    g, size = ring.group, ring.teich_size
     teich = g.digit_matrix(np.array(ring.teichmuller, dtype=np.int64))
     # 1 + p*alpha: the digits of p*alpha are multiples of p, so adding 1 never carries
     principal = 1 + g.pack_digits(teich * ring.p)
     basis = g.base ** np.arange(g.digits, dtype=np.int64)
     units = g.digit_matrix(ring.mul_arrays(principal[:, None], basis))
-    rows = []
-    for part in parts:
+    k = len(parts[0])
+    rows = np.empty((len(parts) * (size + 1), k), dtype=np.int64)
+    chunk = max(1, _EXP_CHUNK // (g.digits * k))
+    for i, part in enumerate(parts):
         digits = g.digit_matrix(np.asarray(part, dtype=np.int64))
-        rows.append(g.pack_digits(digits @ units))
-        rows.append(g.pack_digits(digits * ring.p)[None])
-    return np.sort(np.concatenate(rows), axis=1)
+        top = i * (size + 1)
+        cols = digits.T.astype(np.min_scalar_type(g.base - 1))
+        for lo in range(0, size, chunk):
+            hi = min(lo + chunk, size)
+            rows[top + lo : top + hi] = g.pack_columns(g.map_columns(units[lo:hi], cols))
+        rows[top + size] = g.pack_digits(digits * ring.p)
+    rows.sort(axis=1)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ degree n over F_p, ordered by its coefficient sequence (c_0, ..., c_{n-1}).
 This fixed choice makes every downstream artifact (families, profiles,
 exported files) reproducible byte for byte; any other primitive polynomial
 would give isomorphic structures.  The residue class of x is the stored
-generator, and full exp/log tables are precomputed (orders here stay small,
-so table memory is trivial).
+generator, and full exp/log tables are precomputed: 16 bytes per element,
+so 16 MB at the budget's top, q = 2^20.
 """
 
 from __future__ import annotations
@@ -186,62 +186,69 @@ class Field:
         return (self.q - 1) // e
 
 
-# digit rows per matrix product or pack in _exp_table; bounds its int64
-# temporaries (build_field(2, 20) peaks at 69 MB with it and 245 MB without)
+# accumulator entries (digits x columns) per doubling chunk in _exp_table:
+# small enough to stay in cache, and a bound on the temporaries.  With it
+# build_field(2, 20) peaks at 57 MB RSS (28 MB traced), with whole-table
+# chunks at 79 MB (50 MB traced) and no faster
 _EXP_CHUNK = 1 << 16
 
 
 def _exp_table(group: AdditiveGroup, step: np.ndarray, q: int) -> np.ndarray:
     """exp[t] = g^t for t < q-1, where `step` is the digit matrix of g.
 
-    Multiplying by g^m is the linear map given by step^m on digit rows, so
-    rows [m, 2m) are rows [0, m) times step^m: about log2(q) doublings.
-    The rows stay digits (in the smallest dtype that holds base-1) between
-    doublings and are packed once at the end.  Entries stay below `base`,
-    so a product entry is at most digits*(base-1)^2, which is below 2^52
-    under both the field and the ring table budgets, far inside int64.
-    Serves rings too: with base p^2 and q = p^r it lists the powers of a
-    Teichmüller generator.  Raises AssertionError unless g^(q-1) = 1.
+    The powers are held as digit columns, cols[l, t] = digit l of g^t, in
+    the smallest dtype that holds base-1.  Multiplying by g^m is the linear
+    map given by step^m, so columns [m, 2m) are columns [0, m) mapped by
+    step^m (AdditiveGroup.map_columns): about log2(q) doublings.  The
+    columns are packed once at the end.  Serves rings too: with base p^2
+    and q = p^r it lists the powers of a Teichmüller generator.  Raises
+    AssertionError unless g^(q-1) = 1.
     """
-    base = group.base
-    rows = np.zeros((q - 1, group.digits), dtype=np.min_scalar_type(base - 1))
-    rows[0, 0] = 1
+    cols = np.zeros((group.digits, q - 1), dtype=np.min_scalar_type(group.base - 1))
+    cols[0, 0] = 1
+    chunk = max(1, _EXP_CHUNK // group.digits)
     m, power = 1, step
     while m < q - 1:
         count = min(m, q - 1 - m)
-        for lo in range(0, count, _EXP_CHUNK):
-            hi = min(lo + _EXP_CHUNK, count)
-            rows[m + lo : m + hi] = rows[lo:hi].astype(np.int64) @ power % base
+        for lo in range(0, count, chunk):
+            hi = min(lo + chunk, count)
+            group.map_columns(power, cols[:, lo:hi], out=cols[:, m + lo : m + hi])
         m += count
-        power = power @ power % base
-    if group.pack_digits(rows[-1:].astype(np.int64) @ step)[0] != 1:
+        power = power @ power % group.base
+    if group.pack_columns(group.map_columns(step, cols[:, -1:]))[0] != 1:
         raise AssertionError("generator order check failed during table build")
-    exp = np.empty(q - 1, dtype=np.int64)
-    for lo in range(0, q - 1, _EXP_CHUNK):
-        exp[lo : lo + _EXP_CHUNK] = group.pack_digits(rows[lo : lo + _EXP_CHUNK])
-    return exp
+    return group.pack_columns(cols)
 
 
 def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
     """Inverse of exp on the nonzero elements, with log[0] = -1.
 
     Raises AssertionError unless exp hits every nonzero element exactly
-    once; exp has q-1 entries, so hitting all of them suffices.
+    once; exp has q-1 entries, so hitting all of them suffices.  The
+    scatter runs in int32, which holds every exponent within
+    FIELD_ORDER_BUDGET and takes a third of the int64 time at q = 23^4.
     """
-    log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(q - 1, dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int32)
+    log[exp] = np.arange(q - 1, dtype=np.int32)
     if (log[1:] < 0).any():
         raise AssertionError("exp table is not a bijection onto the nonzero elements")
-    return log
+    return log.astype(np.int64)
 
 
-@lru_cache(maxsize=None)
+# tables kept alive: one `compare` builds at most three (F_{t^2}, F_t and
+# GR(t^2)), and a sweep over t must not keep every earlier table
+TABLE_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_field(p: int, n: int) -> Field:
     """Construct F_{p^n}; deterministic across runs (see module docstring)."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be >= 1")
+    if n >= FIELD_ORDER_BUDGET.bit_length():  # p^n >= 2^n, so not even formed
+        raise BudgetError(f"field order {p}^{n} exceeds table budget {FIELD_ORDER_BUDGET}")
     q = p ** n
     if q > FIELD_ORDER_BUDGET:
         raise BudgetError(f"field order {q} exceeds table budget {FIELD_ORDER_BUDGET}")

@@ -5,10 +5,10 @@ coefficients reinterpreted modulo p^2 (a basic irreducible lift).  Elements
 pack base p^2 into a single integer.  The Teichmüller generator comes from a
 single Frobenius power: starting from the residue class a of x, xi = a^{p^r}
 already satisfies xi^{p^r} = xi at characteristic p^2.  T = {0} plus the
-powers of xi, listed by doubling on digit rows (fields._exp_table), which
-also checks xi^(p^r - 1) = 1.  Construction then checks that T is distinct,
-that it maps bijectively onto the residue field, and t^{p^r} = t for every
-t at once, by square-and-multiply on the whole array.
+powers of xi, listed by doubling on digit columns (fields._exp_table),
+which also checks xi^(p^r - 1) = 1.  Construction then checks that T is
+distinct, that it maps bijectively onto the residue field, and
+t^{p^r} = t for every t at once, by square-and-multiply on the whole array.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BudgetError
-from .fields import _exp_table, build_field
+from .fields import TABLE_CACHE_SIZE, _exp_table, build_field
 from .groups import AdditiveGroup, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
@@ -218,11 +218,13 @@ class GaloisRing:
         return TWO_SQUARE if self.teich_log[2] % 2 == 0 else TWO_NONSQUARE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_ring(p: int, r: int) -> GaloisRing:
     """Construct GR(p^2, r); deterministic via the field modulus choice."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    if 2 * r >= RING_ENCODING_BUDGET.bit_length():  # p^(2r) >= 4^r, so not even formed
+        raise BudgetError(f"ring encoding space {p}^{2 * r} exceeds budget {RING_ENCODING_BUDGET}")
     if p ** r < 3:
         raise ValueError("require p^r >= 3")
     order = (p * p) ** r

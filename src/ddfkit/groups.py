@@ -87,6 +87,40 @@ class AdditiveGroup:
         pows = _powers(self.base, self.digits)
         return (digs % self.base) @ pows
 
+    # -- digit columns: cols[..., l, s] is digit l of element s ----------
+    def map_columns(self, matrix: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
+        """Digit columns of the images of `cols` under linear maps, mod base.
+
+        matrix[..., l, :] holds the digits of the image of base^l, so digit j
+        of an image is sum_l matrix[..., l, j] * cols[l] mod base: one
+        broadcast multiply-add per digit l, over every map in the leading
+        axes at once.  cols has shape (digits, w) and entries below base;
+        the result has shape matrix.shape[:-2] + (digits, w) and cols'
+        dtype, or is written into `out`.  A sum is at most
+        digits*(base-1)^2 (below 2^52 under the field and ring budgets), so
+        it accumulates in the narrowest unsigned dtype that holds that bound:
+        uint8 for F_(2^n), uint16 for F_(23^4), uint64 for GR(8191^2, 1).
+        """
+        base, n = self.base, self.digits
+        acc_dtype = np.min_scalar_type(n * (base - 1) ** 2)
+        coeffs = np.asarray(matrix).astype(acc_dtype)[..., None]
+        acc = coeffs[..., 0, :, :] * cols[0]
+        for ell in range(1, n):
+            acc += coeffs[..., ell, :, :] * cols[ell]
+        if out is None:
+            out = np.empty(acc.shape, dtype=cols.dtype)
+        # acc mod base as acc - base*(acc // base): numpy divides by a scalar
+        # on a fast path that np.remainder lacks (3x at int32)
+        return np.subtract(acc, acc // base * base, out=out, casting="unsafe")
+
+    def pack_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The int64 encodings of digit columns (digits on axis -2), by Horner."""
+        packed = cols[..., -1, :].astype(np.int64)
+        for ell in range(self.digits - 2, -1, -1):
+            packed *= self.base
+            packed += cols[..., ell, :]
+        return packed
+
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b, broadcast: the integer sum less base^(l+1) per carrying digit l."""
         a = np.asarray(a, dtype=np.int64)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -106,6 +107,30 @@ def test_cyclo_rejects_e_below_one(capsys, e):
 def test_gate_rejects_degree_below_one(capsys, r):
     code, out, err = run(capsys, "gate", "--p", "5", "--r", r)
     assert (code, out, err) == (2, "", "error: extension degree must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compare",), "field order 3^20000000 exceeds table budget 1048576"),
+    (("construct", "--construction", "gr-squares"),
+     "ring encoding space 3^20000000 exceeds budget 67108864"),
+])
+def test_huge_degree_meets_the_budget_before_the_power(capsys, argv, message):
+    # 3^(10^7) has 4.8 million digits: forming it took 13-17 s, and printing
+    # it ended in Python's 4300-digit conversion limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--p", "3", "--r", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"budget exceeded: {message}\n")
+
+
+def test_gate_at_a_huge_degree_reduces_mod_24(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gate", "--p", "3", "--r", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == ('{\n  "p": 3,\n  "r": 10000000,\n  "p_odd": true,\n  "mod24": 8,\n'
+                   '  "wieferich": false,\n  "applies": false,\n  "reasons": [\n'
+                   '    "p^r - 1 = 8 (mod 24), not 0"\n  ]\n}\n')
 
 
 def test_construct_develop_verify_roundtrip(capsys, tmp_path):

@@ -161,6 +161,19 @@ def test_constructions_match_scalar_reference(p, r):
     assert report.disjoint and report.near_complete
 
 
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_coset_rows_in_small_chunks_match_scalar_reference(monkeypatch, chunk):
+    # the constructions above fit one chunk of cosets; here each chunk holds
+    # one coset, or two with a shorter last chunk, so every chunk edge is met
+    monkeypatch.setattr(families, "_EXP_CHUNK", chunk)
+    for p, r in [(5, 2), (3, 3)]:
+        ring = build_ring(p, r)
+        fam = davis_family(ring)
+        assert block_rows(fam) == scalar_coset_blocks(ring, (ring.teichmuller[1:],))
+        fam = squares_family(ring)
+        assert block_rows(fam) == scalar_coset_blocks(ring, ring.square_split())
+
+
 def test_make_family_checks_rows():
     g = field_group(5, 1)
     for rows in ([[1, 1]], [[2, 1]], [[1, 2, 3]], [1, 2]):

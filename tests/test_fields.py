@@ -1,5 +1,6 @@
 """Field construction, arithmetic and cyclotomic cosets."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from ddfkit import BudgetError, build_field
 from ddfkit.arith import is_prime, prime_divisors, primes_below
-from ddfkit.fields import (_exp_table, _log_table, is_irreducible, is_primitive,
-                           least_primitive_poly, poly_mulmod)
+from ddfkit.fields import (TABLE_CACHE_SIZE, _exp_table, _log_table, is_irreducible,
+                           is_primitive, least_primitive_poly, poly_mulmod)
 from ddfkit.groups import field_group
 
 
@@ -228,6 +229,56 @@ def test_tables_match_poly_mulmod_walk():
         assert np.array_equal(f.exp, exp), (p, n)
         assert np.array_equal(f.log, log), (p, n)
         assert f.generator == exp[1 % (f.q - 1)]  # F_2 has exp = [1]
+
+
+def assert_one_step(group, step, table):
+    """table[t+1] = g*table[t] for every t, wrapping to table[0] = 1.
+
+    One product with `step`, the digit matrix of g, on all digits of each
+    entry: no doubling, in chunks that bound the int64 digit matrices.
+    """
+    following = np.roll(table, -1)
+    for lo in range(0, table.size, 1 << 16):
+        digits = group.digit_matrix(table[lo : lo + (1 << 16)])
+        assert np.array_equal(group.pack_digits(digits @ step),
+                              following[lo : lo + (1 << 16)]), lo
+
+
+def companion(f):
+    """Row l holds the digits of g * x^l, for the generator g = x."""
+    n = f.n
+    step = np.zeros((n, n), dtype=np.int64)
+    step[np.arange(n - 1), np.arange(1, n)] = 1
+    step[n - 1] = [(-c) % f.p for c in f.modulus[:n]]
+    return step
+
+
+@pytest.mark.parametrize("p, n", [(2, 17), (3, 11)])
+def test_tables_past_one_chunk_take_one_step_per_entry(p, n):
+    # q - 1 = 131071 and 177146 entries: more than one doubling chunk
+    f = build_field(p, n)
+    assert_one_step(f.group, companion(f), f.exp)
+    assert np.array_equal(f.log[f.exp], np.arange(f.q - 1))
+
+
+@pytest.mark.parametrize("p, n, digest", [
+    (2, 20, "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222"),
+    (3, 12, "9f603c59fd6c914ceb8bf06d1bba4936019dba1432bd265768876335775a123f"),
+    (1009, 2, "d1c6d408907e8f1299b11c05e1a6734d81af310eb9d17f2a66b98c8863fec5aa"),
+], ids=["2-20", "3-12", "1009-2"])
+def test_tables_at_the_budget_top_are_pinned(p, n, digest):
+    # SHA-256 of the little-endian int64 exp table, as the int64 digit-row
+    # doubling built it
+    exp = build_field(p, n).exp
+    assert exp.dtype == np.dtype("<i8")
+    assert hashlib.sha256(exp.tobytes()).hexdigest() == digest
+
+
+def test_field_cache_is_bounded():
+    for n in range(1, TABLE_CACHE_SIZE + 3):
+        build_field(3, n)
+        assert build_field.cache_info().currsize <= TABLE_CACHE_SIZE
+    assert build_field.cache_info().maxsize == TABLE_CACHE_SIZE
 
 
 def test_table_checks_reject_bad_tables():

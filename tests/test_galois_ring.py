@@ -5,6 +5,7 @@ import pytest
 
 from ddfkit import BudgetError, build_ring
 from ddfkit.arith import is_prime
+from ddfkit.fields import TABLE_CACHE_SIZE
 from ddfkit.galois_ring import (TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE,
                                 _check_teichmuller, _teichmuller_set)
 
@@ -271,6 +272,24 @@ def test_teichmuller_set_matches_scalar_power_loop():
         assert ring.teich_log == {t: e for e, t in enumerate(teich[1:])}
         assert ring._teich_by_residue == {ring.residue(t): t for t in teich}
         assert all(type(t) is int for t in ring.teichmuller)
+
+
+@pytest.mark.parametrize("p", [251, 1009, 8191])
+def test_teichmuller_lists_with_wide_sums_take_one_step(p):
+    # r*(p^2 - 1)^2 >= 2^31, past int32: p = 251 has 16-bit digits and
+    # sums up to 3.97e9, and p = 8191 needs 64-bit sums; each listed power
+    # times xi, by the digit convolution, is the next
+    ring = build_ring(p, 1)
+    units = np.array(ring.teichmuller[1:])
+    assert np.array_equal(ring.mul_arrays(ring.xi, units), np.roll(units, -1))
+    assert units[0] == 1 and len(set(units.tolist())) == p - 1
+
+
+def test_ring_cache_is_bounded():
+    for p in (3, 5, 7, 11, 13, 17, 19)[: TABLE_CACHE_SIZE + 2]:
+        build_ring(p, 1)
+        assert build_ring.cache_info().currsize <= TABLE_CACHE_SIZE
+    assert build_ring.cache_info().maxsize == TABLE_CACHE_SIZE
 
 
 def test_teichmuller_checks_reject_bad_sets():

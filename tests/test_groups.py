@@ -54,3 +54,33 @@ def test_array_arithmetic_random_pairs_in_f_2_20():
     assert g.add_arrays(a, b).tolist() == [g.add(int(x), int(y)) for x, y in zip(a, b)]
     assert g.sub_arrays(a, b).tolist() == [g.sub(int(x), int(y)) for x, y in zip(a, b)]
     assert g.add_arrays(a, 1).tolist() == [g.add(int(x), 1) for x in a]
+
+
+@pytest.mark.parametrize("g", [field_group(2, 20), field_group(1009, 2), ring_group(23, 2),
+                               ring_group(3, 2), ring_group(251, 1), ring_group(8191, 1)],
+                         ids=["F_2^20", "F_1009^2", "GR(23^2,2)", "GR(9,2)", "GR(251^2,1)",
+                              "GR(8191^2,1)"])
+def test_digit_columns_match_the_row_product(g):
+    # sums in uint8 for F_2^20 and GR(9,2), uint32 for the next three and
+    # uint64 for GR(8191^2, 1); GR(251^2, 1) has 16-bit digits and sums up
+    # to 3.97e9, past int32.  All-(base-1) maps and columns reach the
+    # largest sum, digits*(base-1)^2
+    rng = np.random.default_rng(g.order % 1000)
+    n = g.digits
+    maps = rng.integers(0, g.base, size=(3, n, n))
+    maps[0] = g.base - 1
+    elements = rng.integers(0, g.order, size=50)
+    elements[0] = g.order - 1
+    rows = g.digit_matrix(elements)  # (50, n)
+    cols = rows.T.astype(np.min_scalar_type(g.base - 1))
+    images = g.map_columns(maps, cols)
+    assert images.shape == (3, n, 50) and images.dtype == cols.dtype
+    # the reference: Python-int rows times each map, mod base
+    expected = [(rows.astype(object) @ m.astype(object) % g.base).T for m in maps]
+    assert images.astype(object).tolist() == [e.tolist() for e in expected]
+    assert g.pack_columns(cols).tolist() == elements.tolist()
+    assert g.pack_columns(images).tolist() == [g.pack_digits(e.T.astype(np.int64)).tolist()
+                                               for e in expected]
+    out = np.empty((n, 50), dtype=cols.dtype)
+    assert g.map_columns(maps[1], cols, out=out) is out
+    assert np.array_equal(out, images[1])
