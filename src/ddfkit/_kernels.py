@@ -1,9 +1,13 @@
 """Hot counting kernels: pure numpy, one thread, whole-array passes.
 
-Every kernel takes an int64 block array as its first argument and returns
-exact int64 counts; callers finish the arithmetic in Python integers, so
-nothing here can silently overflow (the per-kernel counts are bounded by
-b^2 * v, far below 2^63 at the supported sizes).
+Every kernel takes a block array of non-negative integers as its first
+argument, in any integer dtype but uint64: a developed or loaded design
+comes in the narrowest unsigned dtype that holds its points (see
+designs.point_dtype), and the kernels read it as it is, widening only the
+slices they compute offsets from.  They return exact int64 counts; callers
+finish the arithmetic in Python integers, so nothing here can silently
+overflow (the per-kernel counts are bounded by b^2 * v, far below 2^63 at
+the supported sizes).
 
 Kernels:
   * diff_cell_hist      -- for listed group elements d, each standing for
@@ -16,7 +20,8 @@ Kernels:
                            binomial moments sum_S C(lam_S, 2) of the point
                            subsets S the blocks share, with no block pair
                            formed, else from Gram products of the 0/1
-                           incidence matrix, in byte-wide cells when k < 256;
+                           incidence matrix, in uint8 cells when k < 256
+                           and uint16 cells below 2^16;
                            no group arithmetic either way;
   * pair_coverage       -- per point pair u < w, in how many blocks it
                            appears, in a triangular table of v(v-1)/2.
@@ -34,7 +39,7 @@ import numpy as np
 # negation orbits; a single d whose table is larger is a chunk of its own.
 _CHUNK = 1 << 16
 # Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
-# products and 1 MB of uint8 copies (8 MB of int64 when k >= 256), whatever
+# products and 1 MB of uint8 copies (2 MB of uint16 when k >= 256), whatever
 # the number of blocks.
 _GRAM_CELLS = 1 << 20
 # Subset keys per level of block_intersection_hist's moment route: 8 MB of
@@ -143,35 +148,44 @@ def _relabel(blocks):
     """(cols, u): the (B, k) block array with the points that occur relabelled
     0..u-1 in their order, u <= B*k.
 
-    By occupancy when every label is below B*k, as in every developed
-    design, else by sorting, so memory does not depend on the point labels.
+    By occupancy when every label is below B*k, else by sorting, so memory
+    does not depend on the point labels.  When the labels already are
+    exactly 0..u-1, as in every developed design, the block array itself
+    comes back; new labels are in the narrowest unsigned dtype that holds
+    u - 1.
     """
     pts = blocks.ravel()
-    if pts.max(initial=-1) < pts.size:
+    if pts.max(initial=0) < max(pts.size, 1):
         used = np.bincount(pts) > 0
-        cols, u = (np.cumsum(used) - 1)[pts], int(np.count_nonzero(used))
+        u = int(np.count_nonzero(used))
+        if u == used.size:
+            return blocks, u
+        labels = (np.cumsum(used) - 1).astype(np.min_scalar_type(u - 1))
+        cols = labels[pts]
     else:
         points = _distinct(pts)
-        cols, u = np.searchsorted(points, pts), points.size
+        u = points.size
+        cols = np.searchsorted(points, pts).astype(np.min_scalar_type(u - 1))
     return cols.reshape(blocks.shape), u
 
 
 def _gram_hist(cols, u):
     """Histogram of |B_i & B_j| from Gram products of the 0/1 incidence matrix.
 
-    `cols` holds points 0..u-1, rows in any order.  The sizes are integers
-    at most k (exact in float32 below 2^24), in chunks of r rows from the
-    diagonal on; a chunk's symmetric r x r square counts each pair twice.
-    The entries are copied into uint8 cells when k < 256, else int64.
+    `cols` holds points 0..u-1, rows in any order, and is scattered into
+    the (B, u) incidence matrix by a broadcast (row, col) index.  The sizes
+    are integers at most k (exact in float32 below 2^24), in chunks of r
+    rows from the diagonal on; a chunk's symmetric r x r square counts each
+    pair twice.  The entries are copied into the narrowest unsigned cells
+    that hold k: uint8 when k < 256, uint16 below 2^16.
     """
     B, k = cols.shape
-    inc = np.zeros(B * u, dtype=np.float32 if k < 1 << 24 else np.float64)
-    inc[cols + np.arange(0, B * u, u, dtype=np.int64)[:, None]] = 1
-    inc = inc.reshape(B, u)
+    inc = np.zeros((B, u), dtype=np.float32 if k < 1 << 24 else np.float64)
+    inc[np.arange(B)[:, None], cols] = 1
     hist = np.zeros(k + 1, dtype=np.int64)
     step = max(1, _GRAM_CELLS // max(B, 1))
     products = np.empty(min(step, B) * B, dtype=inc.dtype)  # both reused by every chunk
-    cells = np.empty(products.size, dtype=np.uint8 if k < 256 else np.int64)
+    cells = np.empty(products.size, dtype=np.min_scalar_type(k))
     for s in range(0, B - 1, step):
         r, c = min(step, B - s), B - s  # rows s.., columns s..
         gram = cells[:r * c].reshape(r, c)
@@ -229,8 +243,7 @@ def block_intersection_hist(blocks):
     at most B*C(k, k//2), fit in _SUBSET_KEYS, and when u^k < 2^63 keeps
     every key exact; the Gram route (_gram_hist) runs otherwise.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    cols, u = _relabel(blocks)
+    cols, u = _relabel(np.asarray(blocks))
     B, k = cols.shape
     if B * (2 ** k - 1) <= comb(B, 2) and B * comb(k, k // 2) <= _SUBSET_KEYS \
             and u ** k < 2 ** 63:
@@ -242,19 +255,20 @@ def pair_coverage(blocks, v):
     """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
     containing both u and w, for u < w; the pairs are in row-major order.
 
-    Rows must be ascending.  The block array is transposed once to columns;
-    column i pairs with each later column j as start(cols[i]) + cols[j],
+    Rows must be ascending.  The block array is transposed once to columns
+    in its own dtype; column i, widened to int64 alone, pairs with each
+    later column j as start(cols[i]) + cols[j],
     start(u) = u(2v-u-1)/2 - u - 1, in bincounts of at most
     max(_COVER_INDICES, B) indices.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
+    blocks = np.asarray(blocks)
     B, k = blocks.shape
     cols = np.ascontiguousarray(blocks.T)
     pairs = v * (v - 1) // 2
     cnt = np.zeros(pairs, dtype=np.int64)
     rows = max(1, _COVER_INDICES // max(B, 1))
     for i in range(k - 1):
-        u = cols[i]
+        u = cols[i].astype(np.int64)
         start = u * (2 * v - u - 1) // 2 - u - 1
         for j in range(i + 1, k, rows):
             cnt += np.bincount((start + cols[j:j + rows]).ravel(), minlength=pairs)

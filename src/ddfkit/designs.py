@@ -47,6 +47,10 @@ PROFILE_DIRECT_BLOCK_BUDGET = 5000
 VERIFY_POINT_BUDGET = 1500
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
+# Translate entries per chunk of base blocks in develop: one digit's sums
+# and their mask stay near 0.5 MB; a block whose v*k is larger is a chunk
+# of its own.
+_DEVELOP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,9 @@ class Design:
     """
 
     v: int
-    blocks: np.ndarray = dfield(repr=False)  # (B, k) int64, rows sorted
+    # (B, k), rows sorted; point_dtype(v) when developed or loaded, and the
+    # kernels read any non-negative integer dtype but uint64
+    blocks: np.ndarray = dfield(repr=False)
     has_duplicate_blocks: bool = False
 
     @property
@@ -104,8 +110,21 @@ class IntersectionProfile:
         return cls({int(n): int(m) for n, m in raw.items()})
 
 
+def point_dtype(v: int) -> np.dtype:
+    """The dtype of a design's block array on v points: the narrowest
+    unsigned dtype that holds v-1, uint8 to uint32, else int64 (numpy
+    promotes uint64 with int64 to float64, and bincount refuses uint64)."""
+    return np.min_scalar_type(v - 1) if v <= 1 << 32 else np.dtype(np.int64)
+
+
 def develop(fam: DifferenceFamily) -> Design:
     """All v*b translates D_i + g, ordered by base index then translate.
+
+    The block array has point_dtype(v).  Digit l of x + g is x_l + g_l,
+    less base when that reaches base; each chunk of base blocks holds one
+    digit's (chunk, v, k) sums at a time, folded by Horner into its rows
+    of the output, whose every partial value is below v.  The rows are
+    sorted in place.
 
     Raises BudgetError before allocating when v*b*k exceeds DEVELOP_ENTRY_BUDGET.
     """
@@ -114,26 +133,39 @@ def develop(fam: DifferenceFamily) -> Design:
         raise BudgetError(f"development capped at {DEVELOP_ENTRY_BUDGET} block "
                           f"entries (v*b*k), got {entries}")
     g = fam.group
-    v = g.order
-    base = fam.block_array()
-    b, k = base.shape
-    out = np.empty((v * b, k), dtype=np.int64)
-    translates = np.arange(v, dtype=np.int64)
-    for i in range(b):
-        rows = g.add_arrays(base[i][None, :], translates[:, None])
-        rows.sort(axis=1)
-        out[i * v : (i + 1) * v] = rows
+    v, base = g.order, g.base
+    blocks = fam.block_array()
+    b, k = blocks.shape
+    out = np.empty((b, v, k), dtype=point_dtype(v))
+    # digit l on axis 0, in a dtype that holds the sum of two digits
+    digit_dtype = np.min_scalar_type(2 * (base - 1))
+    block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 0).astype(digit_dtype)
+    translate_digits = g.digit_matrix(np.arange(v)).T.astype(digit_dtype)
+    chunk = max(1, _DEVELOP_CHUNK // (v * k))
+    for lo in range(0, b, chunk):
+        rows = out[lo : lo + chunk]
+        for ell in range(g.digits - 1, -1, -1):
+            sums = block_digits[ell, lo : lo + chunk, None, :] + translate_digits[ell, :, None]
+            np.subtract(sums, base, out=sums, where=sums >= base)
+            if ell < g.digits - 1:
+                rows *= base
+                rows += sums
+            else:
+                rows[...] = sums
+        rows.sort(axis=2)
+    out = out.reshape(b * v, k)
     # D_i + g = D_j + h for (i, g) != (j, h) iff D_i - x = D_j - y for some
     # distinct (i, x), (j, y) with x in D_i, y in D_j: a nontrivial
     # stabiliser, or two base blocks that are translates.  Compare those b*k
     # translates through 0, which are rows i*v + (-x) of the development.
-    through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, base)).ravel()]
+    through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, blocks)).ravel()]
     return Design(v=v, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
 
 
 def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
-    """The rows of an (n, k) int64 array as byte strings, sorted."""
-    return np.sort(np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}"), axis=None)
+    """The rows of an (n, k) integer array as byte strings, sorted."""
+    return np.sort(np.ascontiguousarray(rows).view(f"V{rows.itemsize * rows.shape[1]}"),
+                   axis=None)
 
 
 def _image_keys(image: np.ndarray) -> np.ndarray:
@@ -143,7 +175,7 @@ def _image_keys(image: np.ndarray) -> np.ndarray:
 
 
 def _has_repeated_rows(rows: np.ndarray) -> bool:
-    """Whether two rows of an (n, k) int64 array are equal."""
+    """Whether two rows of an (n, k) integer array are equal."""
     keys = _sorted_row_keys(rows)
     return bool((keys[1:] == keys[:-1]).any())
 
@@ -448,7 +480,7 @@ def load_design(path) -> Design:
     if len(header) != 3:
         raise ValueError("design header must be 'v b k'")
     v, count, k = (int(x) for x in header)
-    blocks = read_rows(lines[1:], count, k, v)
+    blocks = read_rows(lines[1:], count, k, v).astype(point_dtype(v))
     return Design(v=v, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
 
 

@@ -11,7 +11,6 @@ so 16 MB at the budget's top, q = 2^20.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 
@@ -80,33 +79,74 @@ def is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _x_generates(f: list[int], p: int) -> bool:
+    """Whether x has order q-1 modulo the irreducible f of degree n >= 2."""
+    n = len(f) - 1
+    q = p ** n
+    x = _poly_x(n)
+    one = [1] + [0] * (n - 1)
+    return all(poly_powmod(x, (q - 1) // ell, f, p) != one for ell in prime_divisors(q - 1))
+
+
 def is_primitive(f: list[int], p: int) -> bool:
     """True iff f is irreducible and its residue class of x generates F_{p^n}^*."""
     n = len(f) - 1
     if n == 1:
         root = (-f[0]) % p
         return root != 0 and multiplicative_order(root, p, p - 1) == p - 1
-    if not is_irreducible(f, p):
-        return False
-    q = p ** n
-    x = _poly_x(n)
-    one = [1] + [0] * (n - 1)
-    for ell in prime_divisors(q - 1):
-        if poly_powmod(x, (q - 1) // ell, f, p) == one:
-            return False
-    return True
+    return is_irreducible(f, p) and _x_generates(f, p)
+
+
+# Candidates times roots in the largest chunk of _rootless: 512 KB of int64.
+_ROOT_CELLS = 1 << 16
+
+
+def _rootless(c0: int, p: int, n: int):
+    """Yield the monic [c0, c_1, ..., c_(n-1), 1] with no root in F_p, in
+    lexicographic order of (c_1, ..., c_(n-1)), for n >= 2 and c0 != 0.
+
+    Each chunk of candidates is evaluated at every a in F_p* by one Horner
+    pass over a (candidates, p-1) array mod p; a = 0 is never a root, as
+    c0 != 0.  Chunks start at 8 candidates and double up to _ROOT_CELLS
+    values, since the search mostly ends within the first few dozen.
+    """
+    count = p ** (n - 1)
+    places = p ** np.arange(n - 2, -1, -1, dtype=np.int64)  # c_1 is the leading place
+    roots = np.arange(1, p, dtype=np.int64)
+    lo, size = 0, 8
+    while lo < count:
+        hi = min(lo + size, count)
+        coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // places % p
+        values = np.ones((hi - lo, p - 1), dtype=np.int64)
+        for j in range(n - 2, -1, -1):
+            values *= roots
+            values += coeffs[:, j, None]
+            values %= p
+        values *= roots
+        values += c0
+        values %= p
+        for at in np.flatnonzero((values != 0).all(axis=1)).tolist():
+            yield [c0, *coeffs[at].tolist(), 1]
+        lo, size = hi, max(size, min(2 * size, _ROOT_CELLS // (p - 1)))
 
 
 def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
-    """Lexicographically least (by c_0..c_{n-1}) monic primitive polynomial."""
+    """Lexicographically least (by c_0..c_{n-1}) monic primitive polynomial.
+
+    For n >= 2 the candidates with a root in F_p, which have a linear
+    factor, are dropped first (see _rootless).  Below degree 4 a reducible
+    polynomial has a linear factor, so a rootless one is irreducible and
+    only the order of x is left to test.
+    """
     for c0 in range(1, p):
         # the norm of x is (-1)^n c_0, which must generate F_p^*
         norm = (-c0) % p if n % 2 else c0
         if multiplicative_order(norm, p, p - 1) != p - 1:
             continue
-        for rest in itertools.product(range(p), repeat=n - 1):
-            f = [c0, *rest, 1]
-            if is_primitive(f, p):
+        if n == 1:
+            return (c0, 1)  # x + c0 has the root -c0 = norm, a generator
+        for f in _rootless(c0, p, n):
+            if (n <= 3 or is_irreducible(f, p)) and _x_generates(f, p):
                 return tuple(f)
     raise AssertionError(f"no primitive polynomial found for p={p}, n={n}")
 

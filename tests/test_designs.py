@@ -14,8 +14,9 @@ from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.cli import construction_family
-from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile
-from ddfkit.families import DifferenceFamily
+from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile,
+                           point_dtype)
+from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, ring_group
 
 
@@ -57,6 +58,45 @@ def test_develop_translate_contents():
         i, t = divmod(idx, fam.v)
         expected = sorted(g.add(x, t) for x in fam.block_array()[i].tolist())
         assert list(map(int, design.blocks[idx])) == expected
+
+
+def _scalar_develop(fam):
+    """Row i*v + t is the sorted D_i + t, by the group's scalar add."""
+    g = fam.group
+    return [sorted(g.add(x, t) for x in row) for row in fam.block_array().tolist()
+            for t in range(g.order)]
+
+
+def test_develop_loaded_paley_family_over_f251(tmp_path):
+    # the nonzero squares of F_251, 251 = 3 mod 4: a (251, 125, 62) difference
+    # set; with n = 1 a translate's digit sums reach 250 + 250 = 500, past uint8
+    field = build_field(251, 1)
+    squares = sorted({field.mul(x, x) for x in range(1, 251)})
+    path = tmp_path / "paley.txt"
+    save_family(DifferenceFamily(group=field.group, blocks=(squares,), lam=62), path)
+    fam = load_family(path, "field", 251)
+    design = develop(fam)
+    assert design.blocks.dtype == np.uint8
+    assert design.blocks.tolist() == _scalar_develop(fam)
+    assert verify_2design(design, 62) == (True, None)
+
+
+def test_develop_ring_family_in_uint16():
+    # three base blocks of gr-squares over GR(5^2, 2): v = 625 points, two
+    # digits in base 25
+    built = squares_family(build_ring(5, 2))
+    fam = DifferenceFamily(group=built.group, blocks=built.block_array()[:3], lam=0)
+    design = develop(fam)
+    assert design.blocks.dtype == np.uint16
+    assert design.blocks.tolist() == _scalar_develop(fam)
+
+
+@pytest.mark.parametrize("v, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
+                                      (1 << 16, np.uint16), ((1 << 16) + 1, np.uint32),
+                                      (1 << 32, np.uint32), ((1 << 32) + 1, np.int64),
+                                      (10 ** 30, np.int64)])
+def test_point_dtype_holds_every_point(v, dtype):
+    assert point_dtype(v) == dtype
 
 
 def test_develop_duplicate_flag():
@@ -363,8 +403,19 @@ def test_design_roundtrip(tmp_path):
     loaded = load_design(path)
     assert loaded.v == design.v and loaded.k == design.k
     assert np.array_equal(loaded.blocks, design.blocks)
+    assert loaded.blocks.dtype == design.blocks.dtype == np.uint8
     text = path.read_text()
     assert text.startswith("9 36 2\n")
+
+
+def test_design_load_keeps_labels_past_uint32(tmp_path):
+    # a header v past 2^32 loads its rows as int64, which every kernel reads
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{10 ** 12} 3 2\n0 1\n1 2\n0 {10 ** 12 - 1}\n")
+    design = load_design(path)
+    assert design.blocks.dtype == np.int64
+    assert design.blocks[2].tolist() == [0, 10 ** 12 - 1]
+    assert profile_direct(design) == IntersectionProfile({0: 1, 1: 2})
 
 
 def test_design_load_rejects_bad_files(tmp_path):

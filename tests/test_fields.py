@@ -6,10 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from ddfkit import BudgetError, build_field
-from ddfkit.arith import is_prime, prime_divisors, primes_below
-from ddfkit.fields import (TABLE_CACHE_SIZE, _exp_table, _log_table, is_irreducible,
-                           is_primitive, least_primitive_poly, poly_mulmod)
+from ddfkit import BudgetError, build_field, fields
+from ddfkit.arith import is_prime, multiplicative_order, prime_divisors, primes_below
+from ddfkit.fields import (_ROOT_CELLS, TABLE_CACHE_SIZE, _exp_table, _log_table, _rootless,
+                           is_irreducible, is_primitive, least_primitive_poly, poly_mulmod)
 from ddfkit.groups import field_group
 
 
@@ -202,6 +202,40 @@ def test_least_primitive_poly_is_lex_least():
         first = next(coeffs + (1,) for coeffs in itertools.product(range(p), repeat=n)
                      if is_primitive(list(coeffs) + [1], p))
         assert least_primitive_poly(p, n) == first
+
+
+def unfiltered_least_primitive_poly(p, n):
+    """The library search with no root pre-filter: every candidate with a
+    generating norm goes through is_primitive, in the same order."""
+    for c0 in range(1, p):
+        norm = (-c0) % p if n % 2 else c0
+        if multiplicative_order(norm, p, p - 1) != p - 1:
+            continue
+        for rest in itertools.product(range(p), repeat=n - 1):
+            if is_primitive([c0, *rest, 1], p):
+                return (c0, *rest, 1)
+    raise AssertionError((p, n))
+
+
+GRID = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 13) if p ** n <= 3 ** 12]
+
+
+@pytest.mark.parametrize("p, n", GRID)
+def test_least_primitive_poly_matches_the_unfiltered_search(p, n):
+    assert least_primitive_poly(p, n) == unfiltered_least_primitive_poly(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 7), (3, 2), (3, 3), (3, 5), (5, 2), (5, 4),
+                                  (7, 3), (13, 2), (13, 3)])
+@pytest.mark.parametrize("cells", [_ROOT_CELLS, 1])
+def test_rootless_keeps_exactly_the_candidates_without_a_root(p, n, cells, monkeypatch):
+    # cells = 1 keeps every chunk at 8 candidates, so chunk edges fall throughout
+    monkeypatch.setattr(fields, "_ROOT_CELLS", cells)
+    for c0 in range(1, p):
+        want = [[c0, *rest, 1] for rest in itertools.product(range(p), repeat=n - 1)
+                if all(sum(c * a ** i for i, c in enumerate([c0, *rest, 1])) % p
+                       for a in range(1, p))]
+        assert list(_rootless(c0, p, n)) == want, c0
 
 
 def scalar_tables(p, n, modulus):

@@ -28,12 +28,12 @@ def random_blocks(rng, b, k, v):
 
 def gram(blocks):
     """The Gram route's histogram, whichever route the selection would take."""
-    return _kernels._gram_hist(*_kernels._relabel(np.asarray(blocks, dtype=np.int64))).tolist()
+    return _kernels._gram_hist(*_kernels._relabel(np.asarray(blocks))).tolist()
 
 
 def moments(blocks):
     """The moment route's histogram, whichever route the selection would take."""
-    return _kernels._moment_hist(*_kernels._relabel(np.asarray(blocks, dtype=np.int64))).tolist()
+    return _kernels._moment_hist(*_kernels._relabel(np.asarray(blocks))).tolist()
 
 
 def pair_loop(blocks):
@@ -88,6 +88,56 @@ def test_pair_coverage_edge_widths_and_split_bincounts(monkeypatch):
     for bound in (150, 100, 1):
         monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
         assert _kernels.pair_coverage(blocks, 20).tolist() == ref, bound
+
+
+@st.composite
+def drawn_blocks(draw):
+    """An int64 (B, k) array of ascending rows on v points, and v: dense or
+    sparse labels, from uint8 to uint32 points."""
+    v = draw(st.sampled_from([1, 2, 9, 200, 256, 257, 1000, 70000]))
+    k = draw(st.integers(1, min(6, v)))
+    row = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    return np.array(draw(st.lists(row, min_size=1, max_size=40)), dtype=np.int64), v
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_blocks())
+def test_kernels_agree_on_int64_and_narrowest_copies(drawn):
+    wide, v = drawn
+    narrow = wide.astype(np.min_scalar_type(v - 1))
+    assert _kernels.block_intersection_hist(narrow).tolist() == \
+        _kernels.block_intersection_hist(wide).tolist() == pair_loop(wide)
+    assert gram(narrow) == gram(wide) and moments(narrow) == moments(wide)
+    if v <= 1000:  # u(2v-u-1) passes 2^16 at v = 1000, so start(u) must widen
+        assert _kernels.pair_coverage(narrow, v).tolist() == \
+            _kernels.pair_coverage(wide, v).tolist() == _coverage_reference(wide, v)
+
+
+def test_relabel_keeps_dense_labels_and_narrows_the_rest():
+    blocks = develop(construction_family("gr-squares", 5, 1)).blocks
+    cols, u = _kernels._relabel(blocks)
+    assert np.shares_memory(cols, blocks) and u == 25
+    cols, u = _kernels._relabel(np.array([[0, 5], [5, 9]], dtype=np.uint16))
+    assert (cols.tolist(), u, cols.dtype) == ([[0, 1], [1, 2]], 3, np.uint8)
+    cols, u = _kernels._relabel(np.array([[0, 70000]], dtype=np.uint32))  # by sorting
+    assert (cols.tolist(), u, cols.dtype) == ([[0, 1]], 2, np.uint8)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_kernels_on_unsigned_arrays_whose_max_is_zero(dtype):
+    blocks = np.zeros((3, 1), dtype=dtype)
+    cols, u = _kernels._relabel(blocks)
+    assert np.shares_memory(cols, blocks) and u == 1
+    assert _kernels.block_intersection_hist(blocks).tolist() == [0, 3]
+    assert _kernels._gram_hist(cols, u).tolist() == _kernels._moment_hist(cols, u).tolist() \
+        == [0, 3]
+    assert _kernels.pair_coverage(blocks, 1).tolist() == []
+
+
+def test_gram_route_in_uint16_cells():
+    # k = 300 >= 256, so the Gram products are copied into uint16 cells
+    blocks = random_blocks(np.random.default_rng(5), b=7, k=300, v=320)
+    assert gram(blocks.astype(np.uint16)) == gram(blocks) == pair_loop(blocks)
 
 
 def _group_sub(x, y, base, digits):
