@@ -1,13 +1,18 @@
-"""Hot counting kernels: pure numpy, one thread, whole-array passes.
+"""Hot counting kernels: pure numpy, one thread, passes over bounded slices.
 
 Every kernel takes a block array of non-negative integers as its first
 argument, in any integer dtype but uint64: a developed or loaded design
 comes in the narrowest unsigned dtype that holds its points (see
 designs.point_dtype), and the kernels read it as it is, widening only the
-slices they compute offsets from.  They return exact int64 counts; callers
-finish the arithmetic in Python integers, so nothing here can silently
-overflow (the per-kernel counts are bounded by b^2 * v, far below 2^63 at
-the supported sizes).
+slices they compute offsets from.  Beyond its inputs and its result, each
+kernel's working set is bounded by a slice (the module constants below),
+not by its table: a cell table is built in strips of rows, Gram cells are
+histogrammed in slices, and pair coverage is added in place.  The
+histograms are exact int64 counts; callers finish the arithmetic in Python
+integers, so nothing here can silently overflow (the per-kernel counts are
+bounded by b^2 * v, far below 2^63 at the supported sizes).  Pair coverage
+counts are int32, since a count is at most the number of blocks B, and
+int64 only when B >= 2^31, which only a loaded design could reach.
 
 Kernels:
   * diff_cell_hist      -- for listed group elements d, each standing for
@@ -24,7 +29,8 @@ Kernels:
                            and uint16 cells below 2^16;
                            no group arithmetic either way;
   * pair_coverage       -- per point pair u < w, in how many blocks it
-                           appears, in a triangular table of v(v-1)/2.
+                           appears, in a triangular int32 table of
+                           v(v-1)/2.
 """
 
 from __future__ import annotations
@@ -36,17 +42,21 @@ import numpy as np
 # Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
 # elements and b^2 cells stay near 2^16 int64 values (0.5 MB) ran fastest
 # among 2^14..2^20 on the feng families and on wilson-half (7,2) over all
-# negation orbits; a single d whose table is larger is a chunk of its own.
+# negation orbits; a table larger than that is built in strips of rows of
+# about 2^16 cells, one d at a time.
 _CHUNK = 1 << 16
-# Cells per Gram-product chunk of block_intersection_hist: 4 MB of float32
-# products and 1 MB of uint8 copies (2 MB of uint16 when k >= 256), whatever
+# Cells per Gram-product chunk of block_intersection_hist: 2 MB of float32
+# products and 0.5 MB of uint8 copies (1 MB of uint16 when k >= 256), whatever
 # the number of blocks.
-_GRAM_CELLS = 1 << 20
+_GRAM_CELLS = 1 << 19
+# Values per bincount of _cell_hist (cells, or pairs of uint8 cells):
+# bincount reads its input as intp, so this bounds that copy at 0.5 MB.
+_HIST_CELLS = 1 << 16
 # Subset keys per level of block_intersection_hist's moment route: 8 MB of
 # int64, held with its parts, its sorted copy and the level before it.
 _SUBSET_KEYS = 1 << 20
-# Pair indices per bincount of pair_coverage: 32 MB of int64.
-_COVER_INDICES = 1 << 22
+# Pair indices per np.add.at of pair_coverage: 2 MB of int64.
+_COVER_INDICES = 1 << 18
 
 
 def backend() -> str:
@@ -67,12 +77,18 @@ def _distinct(values):
 def _point_layers(blocks, order):
     """(L, order) array: row l maps a point y to the l-th block containing y, or b.
 
-    A disjoint family has one layer, which is the owner of each point.
+    A disjoint family has one layer, which is the owner of each point.  The
+    entries, and the point counts that give L, are in the narrowest unsigned
+    dtype that holds b.
     """
     b, k = blocks.shape
     pts = blocks.ravel()
-    rows = np.arange(pts.size, dtype=np.int64) // k
-    layers = np.full((int(np.bincount(pts).max()), order), b, dtype=np.int64)
+    dtype = np.min_scalar_type(b)
+    rows = np.repeat(np.arange(b, dtype=dtype), k)
+    counts = np.zeros(order, dtype=dtype)
+    np.add.at(counts, pts, dtype.type(1))
+    layers = np.full((int(counts.max()), order), b, dtype=dtype)
+    del counts
     for layer in layers:
         # one of the entries at each point lands; a point is in a block once
         layer[pts] = rows
@@ -85,11 +101,12 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     """Histogram over N of the (i, j, d) cells N_d(i, j) (see module doc).
 
     The group is (Z_base)^digits of the given order, elements packed as
-    sum(c_l * base^l).  For each d in `reps` the b^2 cell table is one
-    bincount of row(x) * (b + 1) + layer(x - d) over the block elements x;
-    the table's cells are histogrammed and added `weights` times (an orbit
-    representative and its orbit size).  Each cell stands for `order`
-    ordered block pairs of the developed design.
+    sum(c_l * base^l).  For each d in `reps` the b^2 cell table is built in
+    strips of rows i: a strip is one bincount of row(x) * (b + 1) +
+    layer(x - d) over the elements x of its D_i, a contiguous slice of the
+    block elements.  Each strip's cells are histogrammed and added `weights`
+    times (an orbit representative and its orbit size).  Each cell stands
+    for `order` ordered block pairs of the developed design.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     reps = np.asarray(reps, dtype=np.int64)
@@ -100,12 +117,17 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     pts = blocks.ravel()
     # row l: digit l of each block element x, in the narrowest dtype that holds it
     pt_digits = np.empty((digits, pts.size), dtype=np.min_scalar_type(base - 1))
-    for l, pow_l in enumerate(pows.tolist()):
-        pt_digits[l] = pts // pow_l % base
-    cells = b * (b + 1)  # column b of row i counts the x in D_i with x - d in no block
-    chunk = max(1, _CHUNK // max(pts.size, cells))
-    offsets = np.arange(chunk, dtype=np.int64)[:, None] * cells \
-        + np.repeat(np.arange(b, dtype=np.int64) * (b + 1), k)
+    for lo in range(0, pts.size, _CHUNK):
+        for l, pow_l in enumerate(pows.tolist()):
+            pt_digits[l, lo:lo + _CHUNK] = pts[lo:lo + _CHUNK] // pow_l % base
+    # column b of row i counts the x in D_i with x - d in no block; a row has
+    # k elements and b + 1 cells, and a pass takes a strip of rows for one d,
+    # or every row for a chunk of d values when the whole table fits
+    width = max(k, b + 1)
+    rows = min(b, max(1, _CHUNK // width))
+    chunk = max(1, _CHUNK // (b * width)) if rows == b else 1
+    offsets = np.arange(chunk, dtype=np.int64)[:, None] * (rows * (b + 1)) \
+        + np.repeat(np.arange(rows, dtype=np.int64) * (b + 1), k)
     # a cell is at most k; a spare cell is at most k per layer
     hist = np.zeros(layers.shape[0] * k + 1, dtype=np.int64)
     for w in _distinct(weights):
@@ -113,17 +135,31 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
         for s in range(0, group.size, chunk):
             d = group[s:s + chunk]
             d_digits = (d[:, None] // pows) % base
-            # x - d, packed: the integer difference plus base^(l+1) for every
-            # digit l that borrows
-            shifted = pts[None, :] - d[:, None]
-            for l in range(digits):
-                shifted += (pt_digits[l][None, :] < d_digits[:, l, None]) * (base * pows[l])
-            table = np.bincount((offsets[:d.size] + layers[:, shifted]).ravel(),
-                                minlength=d.size * cells)
-            hist += w * (np.bincount(table, minlength=hist.size)
-                         - np.bincount(table[b::b + 1], minlength=hist.size))
+            for top in range(0, b, rows):
+                n = min(rows, b - top)  # rows in this strip, so cells n * (b + 1) per d
+                strip = slice(top * k, (top + n) * k)
+                # x - d, packed: the integer difference plus base^(l+1) for
+                # every digit l that borrows
+                shifted = pts[None, strip] - d[:, None]
+                for l in range(digits):
+                    shifted += (pt_digits[l][None, strip] < d_digits[:, l, None]) \
+                        * (base * pows[l])
+                table = np.bincount((offsets[:d.size, :n * k] + layers[:, shifted]).ravel(),
+                                    minlength=d.size * n * (b + 1))
+                hist += w * (np.bincount(table, minlength=hist.size)
+                             - np.bincount(table[b::b + 1], minlength=hist.size))
     hist[k] -= b * int(weights[reps == 0].sum())  # the (i, i, 0) self-pair cells
     return hist[:k + 1]
+
+
+def _sliced_bincount(values, size):
+    """np.bincount of a 1-D array with minlength `size`, in slices of at most
+    _HIST_CELLS values: bincount reads its input as intp, and a slice bounds
+    that copy whatever the array."""
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, values.size, _HIST_CELLS):
+        counts += np.bincount(values[lo:lo + _HIST_CELLS], minlength=size)
+    return counts
 
 
 def _cell_hist(cells, k):
@@ -131,13 +167,14 @@ def _cell_hist(cells, k):
 
     uint8 cells (k < 256) are bincounted two at a time: a uint16 view reads
     each pair as one value lo + 256*hi <= 257*k, and the (k + 1, 256) joint
-    table is summed over both bytes.  Any other dtype is bincounted as it is.
+    table is summed over both bytes.  Any other dtype is bincounted as it
+    is.  Either way the bincounts are sliced (_sliced_bincount).
     """
     if cells.dtype != np.uint8:
-        return np.bincount(cells, minlength=k + 1)
+        return _sliced_bincount(cells, k + 1)
     cells = np.ascontiguousarray(cells)
     even = cells.size & ~1
-    joint = np.bincount(cells[:even].view(np.uint16), minlength=256 * (k + 1))
+    joint = _sliced_bincount(cells[:even].view(np.uint16), 256 * (k + 1))
     joint = joint.reshape(k + 1, 256)[:, :k + 1]
     hist = joint.sum(axis=0) + joint.sum(axis=1)
     hist[cells[even:]] += 1  # the odd cell out, if any
@@ -255,21 +292,23 @@ def pair_coverage(blocks, v):
     """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
     containing both u and w, for u < w; the pairs are in row-major order.
 
-    Rows must be ascending.  The block array is transposed once to columns
-    in its own dtype; column i, widened to int64 alone, pairs with each
-    later column j as start(cols[i]) + cols[j],
-    start(u) = u(2v-u-1)/2 - u - 1, in bincounts of at most
-    max(_COVER_INDICES, B) indices.
+    Rows must be ascending.  The counts are int32, as no count exceeds the
+    B < 2^31 blocks of any developed design, and int64 only for B >= 2^31.
+    The block array is transposed once to columns in its own dtype; column
+    i, widened to int64 alone, pairs with each later column j as
+    start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 - u - 1, added into
+    the table in place by np.add.at, at most max(_COVER_INDICES, B)
+    indices per call.
     """
     blocks = np.asarray(blocks)
     B, k = blocks.shape
     cols = np.ascontiguousarray(blocks.T)
-    pairs = v * (v - 1) // 2
-    cnt = np.zeros(pairs, dtype=np.int64)
+    cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32 if B < 1 << 31 else np.int64)
+    one = cnt.dtype.type(1)  # numpy's add.at fast path needs the table's dtype
     rows = max(1, _COVER_INDICES // max(B, 1))
     for i in range(k - 1):
         u = cols[i].astype(np.int64)
         start = u * (2 * v - u - 1) // 2 - u - 1
         for j in range(i + 1, k, rows):
-            cnt += np.bincount((start + cols[j:j + rows]).ravel(), minlength=pairs)
+            np.add.at(cnt, (start + cols[j:j + rows]).ravel(), one)
     return cnt

@@ -24,7 +24,7 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         quadruple_sums, table_to_csv)
 from .certify import certificate, compare_designs, gate
 from .designs import (check_direct_budget, check_verify_budget, develop,
-                      design_to_text, load_design, profile_direct,
+                      design_text_chunks, load_design, profile_direct,
                       profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_to_text, feng_families, load_family,
@@ -71,12 +71,13 @@ def _family_from_args(args):
     return load_family(args.input, args.kind, args.p)
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(chunks, out: str | None) -> None:
+    """Write the strings of `chunks` in order to the file `out`, or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +86,13 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_construct(args) -> int:
     fam = construction_family(args.construction, args.p, args.r)
-    _write_out(family_to_text(fam), args.out)
+    _write_out([family_to_text(fam)], args.out)
     return 0
 
 
 def cmd_develop(args) -> int:
     fam = _family_from_args(args)
-    _write_out(design_to_text(develop(fam)), args.out)
+    _write_out(design_text_chunks(develop(fam)), args.out)
     return 0
 
 
@@ -100,7 +101,7 @@ def cmd_profile(args) -> int:
         if args.method != "direct":
             raise UsageError("a design file only supports --method direct")
         prof = profile_direct(load_design(args.input))
-        _write_out(prof.to_json() + "\n", args.out)
+        _write_out([prof.to_json() + "\n"], args.out)
         return 0
     fam = _family_from_args(args)
     if args.method != "differences":
@@ -118,7 +119,7 @@ def cmd_profile(args) -> int:
                              f"  differences: {diff.to_json()}\n")
             return 1
         prof = diff
-    _write_out(prof.to_json() + "\n", args.out)
+    _write_out([prof.to_json() + "\n"], args.out)
     return 0
 
 
@@ -137,7 +138,7 @@ def cmd_cyclo(args) -> int:
         sys.stderr.write(f"sum relation e={args.e} vs {2 * args.e}: "
                          f"{'PASS' if ok else f'FAIL at {cell}'}\n")
         status = max(status, 0 if ok else 1)
-    _write_out(table_to_csv(table), args.out)
+    _write_out([table_to_csv(table)], args.out)
     return status
 
 
@@ -163,7 +164,7 @@ def _closed_form_check(args, table) -> int:
 
 
 def cmd_gate(args) -> int:
-    _write_out(json.dumps(asdict(gate(args.p, args.r)), indent=2) + "\n", args.out)
+    _write_out([json.dumps(asdict(gate(args.p, args.r)), indent=2) + "\n"], args.out)
     return 0
 
 
@@ -177,7 +178,7 @@ def cmd_compare(args) -> int:
     result = compare_designs(fam_a, fam_b)
     cert = certificate(args.p, args.r, fam_a, fam_b, result,
                        gate(args.p, args.r), __version__)
-    _write_out(json.dumps(cert, indent=2) + "\n", args.out)
+    _write_out([json.dumps(cert, indent=2) + "\n"], args.out)
     return 0
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from .arith import divisors
 from .errors import BudgetError, ProfileCheckError
-from .families import DifferenceFamily, read_rows, rows_to_text
+from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
 
@@ -464,13 +464,18 @@ class _BudgetStop(Exception):
 # file formats
 # ---------------------------------------------------------------------------
 
+def design_text_chunks(design: Design):
+    """The design file's text in chunks (see families.rows_text_chunks)."""
+    return rows_text_chunks(f"{design.v} {design.block_count} {design.k}", design.blocks)
+
+
 def design_to_text(design: Design) -> str:
-    return rows_to_text(f"{design.v} {design.block_count} {design.k}", design.blocks)
+    return "".join(design_text_chunks(design))
 
 
 def save_design(design: Design, path) -> None:
     with open(path, "w") as fh:
-        fh.write(design_to_text(design))
+        fh.writelines(design_text_chunks(design))
 
 
 def load_design(path) -> Design:

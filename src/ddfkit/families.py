@@ -296,10 +296,11 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
 _TEXT_CHUNK = 1 << 14
 
 
-def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
+def rows_text_chunks(header: str, rows: np.ndarray, sep: str = " "):
     """The header line, then each row of a (b, k) array of non-negative
     integers as decimals separated by `sep` (one ASCII character), one row
-    per line.
+    per line: yielded as the header line and then one string per pass, so a
+    writer holds one chunk of text at a time.
 
     Each pass takes a chunk of entries in the smallest unsigned dtype that
     holds them and builds fixed-width ASCII digit columns plus a separator
@@ -310,7 +311,7 @@ def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
     flat = rows.ravel()
     top = int(flat.max(initial=0))
     width = len(str(top))
-    out = [f"{header}\n"]
+    yield f"{header}\n"
     for lo in range(0, flat.size, _TEXT_CHUNK):
         rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top))
         digits = np.empty((width + 1, rem.size), dtype=np.uint8)
@@ -323,8 +324,12 @@ def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
         digits[:width] += ord("0")
         digits[width] = ord(sep)
         digits[width, (k - 1 - lo) % k :: k] = ord("\n")
-        out.append(digits.T[keep.T].tobytes().decode("ascii"))
-    return "".join(out)
+        yield digits.T[keep.T].tobytes().decode("ascii")
+
+
+def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
+    """The text of rows_text_chunks as one string."""
+    return "".join(rows_text_chunks(header, rows, sep))
 
 
 def family_to_text(fam: DifferenceFamily) -> str:

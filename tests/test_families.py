@@ -12,7 +12,7 @@ from ddfkit import (build_field, build_ring, davis_family, develop, feng_familie
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
 from ddfkit import families
-from ddfkit.designs import Design, design_to_text
+from ddfkit.designs import Design, design_to_text, save_design
 from ddfkit.families import (DifferenceFamily, ValidationReport, _make_family,
                              family_to_text, rows_to_text)
 from ddfkit.groups import field_group, ring_group
@@ -485,6 +485,22 @@ def test_text_writers_match_scalar_writer():
         design = develop(fam)
         header = f"{design.v} {design.block_count} {design.k}"
         assert design_to_text(design) == scalar_rows_text(header, design.blocks), fam.name
+
+
+def test_design_text_is_written_chunk_by_chunk(tmp_path):
+    # gr-squares (37,1): 104044 rows of 18, about 9 MB of text; the writer
+    # holds one 2^14-entry chunk of it at a time
+    design = develop(squares_family(build_ring(37, 1)))
+    path = tmp_path / "design.txt"
+    tracemalloc.start()
+    try:
+        save_design(design, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert text == design_to_text(design)
+    assert peak < len(text) // 8, (peak, len(text))
 
 
 def test_block_array_is_the_read_only_block_table(tmp_path):

@@ -90,6 +90,34 @@ def test_pair_coverage_edge_widths_and_split_bincounts(monkeypatch):
         assert _kernels.pair_coverage(blocks, 20).tolist() == ref, bound
 
 
+@pytest.mark.parametrize("bound", [1 << 18, 1000])
+def test_pair_coverage_on_wide_blocks_counts_in_int32(monkeypatch, bound):
+    # k = 300 >= 256 in uint16 rows; a bound of 1000 indices takes 200 later
+    # columns of the 5 blocks per np.add.at
+    blocks = random_blocks(np.random.default_rng(300), b=5, k=300, v=310)
+    blocks[4] = blocks[0]  # pairs covered twice
+    monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
+    cnt = _kernels.pair_coverage(blocks.astype(np.uint16), 310)
+    assert cnt.dtype == np.int32
+    assert cnt.tolist() == _coverage_reference(blocks, 310)
+
+
+def test_pair_coverage_working_set():
+    # gr-squares (37,1): 104044 blocks of 18 on 1369 points.  The int32 table,
+    # the transposed blocks and 2^18-index slices stay under 16 MB; an int64
+    # table plus a per-column int64 bincount of it and 2^22-index blocks took
+    # 34.5 MB
+    design = develop(construction_family("gr-squares", 37, 1))
+    tracemalloc.start()
+    try:
+        cnt = _kernels.pair_coverage(design.blocks, design.v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cnt == 17).all()
+    assert peak < 4 * cnt.size + design.blocks.nbytes + (8 << 20), peak
+
+
 @st.composite
 def drawn_blocks(draw):
     """An int64 (B, k) array of ascending rows on v points, and v: dense or
@@ -134,10 +162,41 @@ def test_kernels_on_unsigned_arrays_whose_max_is_zero(dtype):
     assert _kernels.pair_coverage(blocks, 1).tolist() == []
 
 
-def test_gram_route_in_uint16_cells():
+def test_gram_route_in_uint16_cells(monkeypatch):
     # k = 300 >= 256, so the Gram products are copied into uint16 cells
     blocks = random_blocks(np.random.default_rng(5), b=7, k=300, v=320)
     assert gram(blocks.astype(np.uint16)) == gram(blocks) == pair_loop(blocks)
+    monkeypatch.setattr(_kernels, "_HIST_CELLS", 4)  # the 21-cell chunk in 6 slices
+    assert gram(blocks.astype(np.uint16)) == pair_loop(blocks)
+
+
+@pytest.mark.parametrize("dtype, k", [(np.uint16, 665), (np.uint16, 300), (np.uint8, 255),
+                                      (np.uint8, 6)])
+def test_cell_hist_across_slice_edges(monkeypatch, dtype, k):
+    # slices of 7 values: uint16 cells one by one, uint8 cells two per value
+    rng = np.random.default_rng(k)
+    monkeypatch.setattr(_kernels, "_HIST_CELLS", 7)
+    for size in (0, 1, 6, 7, 8, 13, 14, 15, 21, 1001):
+        cells = rng.integers(0, k + 1, size=size).astype(dtype)
+        cells[:2] = k  # the top value sits on a slice's first entries
+        ref = np.bincount(cells.astype(np.int64), minlength=k + 1).tolist()
+        assert _kernels._cell_hist(cells, k).tolist() == ref, size
+
+
+def test_gram_working_set_over_the_incidence_matrix():
+    # feng-1: 2662 blocks of 665 on 1331 points, uint16 Gram cells.  Past the
+    # 14 MB float32 incidence matrix, 2^19-cell products, their cells and
+    # 2^16-value bincount slices stay under 6 MB; 2^20-cell chunks, each
+    # bincounted whole through an 8 MB intp copy, took 14.7 MB
+    cols, u = _kernels._relabel(develop(construction_family("feng-1", None, None)).blocks)
+    tracemalloc.start()
+    try:
+        hist = _kernels._gram_hist(cols, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(hist.sum()) == comb(cols.shape[0], 2)
+    assert peak - cols.shape[0] * u * 4 < 6 << 20, peak
 
 
 def _group_sub(x, y, base, digits):
@@ -211,9 +270,13 @@ def test_kernels_match_scalar_references():
         ds = np.sort(rng.choice(v, size=11, replace=False))
         ds[0] = 0  # the self-pair exclusion is weighted too
         weights = rng.integers(1, 6, size=ds.size)
-        hist = _kernels.diff_cell_hist(blocks, base, digits, v, ds, weights)
-        assert hist.tolist() == _diff_hist_reference(
-            blocks, base, digits, ds.tolist(), weights.tolist()), case
+        ref = _diff_hist_reference(blocks, base, digits, ds.tolist(), weights.tolist())
+        # the whole table for a chunk of all 11 d, then strips of 1 row and
+        # of 4 + 2 rows for one d at a time
+        for entries in (_kernels._CHUNK, b + 1, 4 * (b + 1)):
+            with mock.patch.object(_kernels, "_CHUNK", entries):
+                hist = _kernels.diff_cell_hist(blocks, base, digits, v, ds, weights)
+            assert hist.tolist() == ref, (case, entries)
 
         ref = pair_loop(blocks)
         assert _kernels.block_intersection_hist(blocks).tolist() == ref, case
@@ -239,7 +302,7 @@ def test_intersect_hist_wide_rows(monkeypatch):
 @pytest.mark.parametrize("k", [255, 256])
 def test_intersect_hist_either_side_of_byte_cells(monkeypatch, k):
     # k = 255 is the largest k with uint8 cells, whose pairs then reach the
-    # top uint16 value 257*255 = 65535; k = 256 takes int64 cells
+    # top uint16 value 257*255 = 65535; k = 256 takes uint16 cells
     rng = np.random.default_rng(k)
     blocks = random_blocks(rng, b=7, k=k, v=k + 20)
     blocks[6] = blocks[0]  # one pair meets in all k points
@@ -378,6 +441,40 @@ def test_difference_route_matches_per_pair_route_and_direct_scan(fam):
     assert prof == _per_pair_profile(fam), fam.name
     if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
         assert prof == profile_direct(develop(fam)), fam.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(families, st.booleans())
+def test_cell_table_strips_match_per_pair_route(fam, one_row):
+    # strips of one row, or of b - 1 rows and then one (b >= 3), at every
+    # orbit representative; _CHUNK sets the rows of a strip
+    blocks, g = fam.block_array(), fam.group
+    b, k = blocks.shape
+    rows = 1 if one_row or b < 3 else b - 1
+    reps, sizes = difference_orbits(fam)
+    with mock.patch.object(_kernels, "_CHUNK", rows * max(k, b + 1)):
+        hist = _kernels.diff_cell_hist(blocks, g.base, g.digits, g.order, reps, sizes)
+    assert hist.tolist() == _diff_pair_hist(blocks, g.base, g.digits, g.order).tolist(), \
+        fam.name
+
+
+def test_cell_table_working_set():
+    # wilson-half (509,1): 1020 base blocks of 254, so the b(b+1) int64 cell
+    # table alone would be 8.3 MB; strips of 2^16 cells, point layers in
+    # uint16 and digit rows built in slices stay under it (3.0 MB).  The
+    # whole table with int64 layers and index copies took 26 MB
+    fam = construction_family("wilson-half", 509, 1)
+    reps, sizes = difference_orbits(fam)  # builds and caches the field's tables
+    blocks, g = fam.block_array(), fam.group
+    tracemalloc.start()
+    try:
+        hist = _kernels.diff_cell_hist(blocks, g.base, g.digits, g.order, reps, sizes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    b = fam.b
+    assert int(hist.sum()) == b * b * int(sizes.sum()) - b * int(sizes[reps == 0].sum())
+    assert peak < b * (b + 1) * 8, peak
 
 
 @st.composite
