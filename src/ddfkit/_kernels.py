@@ -6,8 +6,9 @@ comes in the narrowest unsigned dtype that holds its points (see
 designs.point_dtype), and the kernels read it as it is, widening only the
 slices they compute offsets from.  Beyond its inputs and its result, each
 kernel's working set is bounded by a slice (the module constants below),
-not by its table: a cell table is built in strips of rows, Gram cells are
-histogrammed in slices, and pair coverage is added in place.  The
+not by its table: a cell table is built in strips of rows, Gram products
+are formed tile by tile from a bit-packed incidence matrix, and pair
+coverage is added in place from slices of transposed blocks.  The
 histograms are exact int64 counts; callers finish the arithmetic in Python
 integers, so nothing here can silently overflow (the per-kernel counts are
 bounded by b^2 * v, far below 2^63 at the supported sizes).  Pair coverage
@@ -24,9 +25,9 @@ Kernels:
                            block indices: for sparse designs from the
                            binomial moments sum_S C(lam_S, 2) of the point
                            subsets S the blocks share, with no block pair
-                           formed, else from Gram products of the 0/1
-                           incidence matrix, in uint8 cells when k < 256
-                           and uint16 cells below 2^16;
+                           formed, else from Gram products of float32 tiles
+                           of the bit-packed 0/1 incidence matrix, two
+                           lanes of block rows per left tile when k < 4096;
                            no group arithmetic either way;
   * pair_coverage       -- per point pair u < w, in how many blocks it
                            appears, in a triangular int32 table of
@@ -45,18 +46,17 @@ import numpy as np
 # negation orbits; a table larger than that is built in strips of rows of
 # about 2^16 cells, one d at a time.
 _CHUNK = 1 << 16
-# Cells per Gram-product chunk of block_intersection_hist: 2 MB of float32
-# products and 0.5 MB of uint8 copies (1 MB of uint16 when k >= 256), whatever
-# the number of blocks.
-_GRAM_CELLS = 1 << 19
-# Values per bincount of _cell_hist (cells, or pairs of uint8 cells):
-# bincount reads its input as intp, so this bounds that copy at 0.5 MB.
-_HIST_CELLS = 1 << 16
+# Block rows per Gram tile of block_intersection_hist: a (256, v) float32
+# column tile, a left tile of two 128-row lanes and 128 x 256 products, about
+# 2 MB at feng-1's v = 1331 whatever the number of blocks.
+_GRAM_ROWS = 256
 # Subset keys per level of block_intersection_hist's moment route: 8 MB of
 # int64, held with its parts, its sorted copy and the level before it.
 _SUBSET_KEYS = 1 << 20
 # Pair indices per np.add.at of pair_coverage: 2 MB of int64.
 _COVER_INDICES = 1 << 18
+# Blocks per transposed slice of pair_coverage: 0.6 MB of uint16 at k = 18.
+_COVER_BLOCKS = 1 << 14
 
 
 def backend() -> str:
@@ -152,109 +152,92 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     return hist[:k + 1]
 
 
-def _sliced_bincount(values, size):
-    """np.bincount of a 1-D array with minlength `size`, in slices of at most
-    _HIST_CELLS values: bincount reads its input as intp, and a slice bounds
-    that copy whatever the array."""
-    counts = np.zeros(size, dtype=np.int64)
-    for lo in range(0, values.size, _HIST_CELLS):
-        counts += np.bincount(values[lo:lo + _HIST_CELLS], minlength=size)
-    return counts
+def _incidence(blocks, v):
+    """(B, ceil(v/8)) uint8: the 0/1 incidence matrix of the blocks on points
+    0..v-1, bit-packed along each row by np.packbits (padding bits are 0).
 
-
-def _cell_hist(cells, k):
-    """Histogram of the values 0..k of a 1-D array of Gram cells.
-
-    uint8 cells (k < 256) are bincounted two at a time: a uint16 view reads
-    each pair as one value lo + 256*hi <= 257*k, and the (k + 1, 256) joint
-    table is summed over both bytes.  Any other dtype is bincounted as it
-    is.  Either way the bincounts are sliced (_sliced_bincount).
+    Built _GRAM_ROWS rows at a time through one boolean tile of them.
     """
-    if cells.dtype != np.uint8:
-        return _sliced_bincount(cells, k + 1)
-    cells = np.ascontiguousarray(cells)
-    even = cells.size & ~1
-    joint = _sliced_bincount(cells[:even].view(np.uint16), 256 * (k + 1))
-    joint = joint.reshape(k + 1, 256)[:, :k + 1]
-    hist = joint.sum(axis=0) + joint.sum(axis=1)
-    hist[cells[even:]] += 1  # the odd cell out, if any
-    return hist
+    B = blocks.shape[0]
+    packed = np.empty((B, (v + 7) // 8), dtype=np.uint8)
+    tile = np.empty((min(_GRAM_ROWS, B), v), dtype=bool)
+    for s in range(0, B, _GRAM_ROWS):
+        rows = tile[:min(_GRAM_ROWS, B - s)]
+        rows.fill(False)
+        rows[np.arange(rows.shape[0])[:, None], blocks[s:s + rows.shape[0]]] = True
+        packed[s:s + rows.shape[0]] = np.packbits(rows, axis=1)
+    return packed
 
 
-def _relabel(blocks):
-    """(cols, u): the (B, k) block array with the points that occur relabelled
-    0..u-1 in their order, u <= B*k.
-
-    By occupancy when every label is below B*k, else by sorting, so memory
-    does not depend on the point labels.  When the labels already are
-    exactly 0..u-1, as in every developed design, the block array itself
-    comes back; new labels are in the narrowest unsigned dtype that holds
-    u - 1.
-    """
-    pts = blocks.ravel()
-    if pts.max(initial=0) < max(pts.size, 1):
-        used = np.bincount(pts) > 0
-        u = int(np.count_nonzero(used))
-        if u == used.size:
-            return blocks, u
-        labels = (np.cumsum(used) - 1).astype(np.min_scalar_type(u - 1))
-        cols = labels[pts]
-    else:
-        points = _distinct(pts)
-        u = points.size
-        cols = np.searchsorted(points, pts).astype(np.min_scalar_type(u - 1))
-    return cols.reshape(blocks.shape), u
-
-
-def _gram_hist(cols, u):
+def _gram_hist(blocks, v):
     """Histogram of |B_i & B_j| from Gram products of the 0/1 incidence matrix.
 
-    `cols` holds points 0..u-1, rows in any order, and is scattered into
-    the (B, u) incidence matrix by a broadcast (row, col) index.  The sizes
-    are integers at most k (exact in float32 below 2^24), in chunks of r
-    rows from the diagonal on; a chunk's symmetric r x r square counts each
-    pair twice.  The entries are copied into the narrowest unsigned cells
-    that hold k: uint8 when k < 256, uint16 below 2^16.
+    `blocks` holds points 0..v-1, rows in any order.  The incidence matrix
+    stays bit-packed (_incidence); tiles of _GRAM_ROWS block rows are
+    unpacked into float32 one at a time, a left tile against each column
+    tile from the diagonal on.  A product entry |B_i & B_j| is an integer
+    at most k < 2^w, w = bit_length(k).  When 2w <= 24 the left tile holds
+    two lanes of h = _GRAM_ROWS/2 rows, rows[:h] + 2^w * rows[h:], so each
+    product is N_low + 2^w * N_high and every partial sum is an integer
+    below 2^24, exact in float32; the lanes are split by & (2^w - 1) and
+    >> w.  Otherwise one lane holds all the rows.  The diagonal tile is
+    the symmetric square of the left tile's rows over both lanes together:
+    its histogram less its diagonal's is halved (one lane's alone can be
+    odd).
     """
-    B, k = cols.shape
-    inc = np.zeros((B, u), dtype=np.float32 if k < 1 << 24 else np.float64)
-    inc[np.arange(B)[:, None], cols] = 1
+    B, k = blocks.shape
+    w = k.bit_length()
+    lanes = 2 if 2 * w <= 24 else 1
+    dtype = np.float32 if k < 1 << 24 else np.float64
+    packed = _incidence(blocks, v)
+    h = -(-_GRAM_ROWS // lanes)  # rows per lane
+    left = np.empty((min(h, B), packed.shape[1] * 8), dtype=dtype)
+    right = np.empty((min(_GRAM_ROWS, B), left.shape[1]), dtype=dtype)
+    products = np.empty((left.shape[0], right.shape[0]), dtype=dtype)
     hist = np.zeros(k + 1, dtype=np.int64)
-    step = max(1, _GRAM_CELLS // max(B, 1))
-    products = np.empty(min(step, B) * B, dtype=inc.dtype)  # both reused by every chunk
-    cells = np.empty(products.size, dtype=np.min_scalar_type(k))
-    for s in range(0, B - 1, step):
-        r, c = min(step, B - s), B - s  # rows s.., columns s..
-        gram = cells[:r * c].reshape(r, c)
-        np.copyto(gram, np.matmul(inc[s:s + r], inc[s:].T,
-                                  out=products[:r * c].reshape(r, c)), casting="unsafe")
-        square = gram[:, :r]
-        hist += _cell_hist(gram.ravel(), k) \
-            - (_cell_hist(square.ravel(), k)
-               + np.bincount(square.diagonal(), minlength=k + 1)) // 2
+    for s in range(0, B, _GRAM_ROWS):
+        n = min(_GRAM_ROWS, B - s)  # block rows s..s+n-1, the first `low` in the low lane
+        low, high = min(h, n), n - min(h, n)
+        np.copyto(left[:low], np.unpackbits(packed[s:s + low], axis=1))
+        if high:
+            left[:high] += np.unpackbits(packed[s + low:s + n], axis=1) * dtype(1 << w)
+        for c in range(s, B, _GRAM_ROWS):
+            m = min(_GRAM_ROWS, B - c)
+            np.copyto(right[:m], np.unpackbits(packed[c:c + m], axis=1))
+            cells = np.matmul(left[:low], right[:m].T,
+                              out=products[:low, :m]).astype(np.intp)
+            lo_cells, hi_cells = cells & ((1 << w) - 1), cells[:high] >> w
+            counts = np.bincount(lo_cells.ravel(), minlength=k + 1) \
+                + np.bincount(hi_cells.ravel(), minlength=k + 1)
+            if c == s:
+                # rows s..s+n-1 against themselves; row i of the high lane is
+                # block s + low + i
+                diagonal = np.concatenate((lo_cells.diagonal(), hi_cells[:, low:].diagonal()))
+                counts = (counts - np.bincount(diagonal, minlength=k + 1)) // 2
+            hist += counts
     return hist
 
 
-def _moment_hist(cols, u):
+def _moment_hist(blocks, v):
     """Histogram of |B_i & B_j| from the binomial moments of the numbers.
 
     A j-subset S of points in lam_S blocks lies in C(lam_S, 2) block pairs,
     and a pair meeting in N points shares C(N, j) j-subsets, so
     M_j = sum_S C(lam_S, 2) = sum_N C(N, j) m_N.  Level j packs each block's
     j-subsets x_1 < ... < x_j (rows sorted, any order given) as the key
-    sum x_i u^(j-i), exact while u^j < 2^63: a (j-1)-subset's key times u
+    sum x_i v^(j-i), exact while v^j < 2^63: a (j-1)-subset's key times v
     plus a later point.  lam_S is a run of equal sorted keys.  The first
     M_j = 0 ends the levels, as no larger subset then lies in two blocks;
     binomial inversion gives m_N = sum_(j>=N) (-1)^(j-N) C(j, N) M_j for
     N >= 1, and m_0 is the rest of C(B, 2).  No block pair is formed.
     """
-    B, k = cols.shape
-    rows = np.sort(cols, axis=1)
+    B, k = blocks.shape
+    rows = np.sort(blocks, axis=1)
     moments = [0]  # M_j at index j
     # the keys of level j - 1, a column per subset, and each subset's last position
     keys, last = np.zeros((B, 1), dtype=np.int64), np.array([-1])
     for j in range(1, k + 1):
-        parts = [keys[:, last < q] * u + rows[:, q, None] for q in range(j - 1, k)]
+        parts = [keys[:, last < q] * v + rows[:, q, None] for q in range(j - 1, k)]
         last = np.repeat(np.arange(j - 1, k), [part.shape[1] for part in parts])
         keys = np.concatenate(parts, axis=1)
         flat = np.sort(keys, axis=None)
@@ -271,21 +254,28 @@ def _moment_hist(cols, u):
     return np.array([comb(B, 2) - sum(hist)] + hist, dtype=np.int64)
 
 
-def block_intersection_hist(blocks):
-    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices.
+def block_intersection_hist(blocks, v):
+    """Histogram of |B_i & B_j| over unordered pairs of distinct block indices
+    of a block array on points 0..v-1.
 
-    The points that occur are relabelled 0..u-1 (see _relabel).  The moment
+    Unused points change no count.  When v exceeds the B*k entries, which
+    only a loaded design can declare, the points that occur are first
+    renumbered 0..u-1 in order by a sort, so memory never grows with v
+    beyond B*k.  The moment
     route (_moment_hist) runs when its subset keys, B*(2^k - 1) over all
     levels, are no more than the C(B, 2) Gram cells, when one level's keys,
-    at most B*C(k, k//2), fit in _SUBSET_KEYS, and when u^k < 2^63 keeps
+    at most B*C(k, k//2), fit in _SUBSET_KEYS, and when v^k < 2^63 keeps
     every key exact; the Gram route (_gram_hist) runs otherwise.
     """
-    cols, u = _relabel(np.asarray(blocks))
-    B, k = cols.shape
+    blocks = np.asarray(blocks)
+    B, k = blocks.shape
+    if v > blocks.size:
+        points = _distinct(blocks.ravel())
+        blocks, v = np.searchsorted(points, blocks), points.size
     if B * (2 ** k - 1) <= comb(B, 2) and B * comb(k, k // 2) <= _SUBSET_KEYS \
-            and u ** k < 2 ** 63:
-        return _moment_hist(cols, u)
-    return _gram_hist(cols, u)
+            and v ** k < 2 ** 63:
+        return _moment_hist(blocks, v)
+    return _gram_hist(blocks, v)
 
 
 def pair_coverage(blocks, v):
@@ -294,21 +284,22 @@ def pair_coverage(blocks, v):
 
     Rows must be ascending.  The counts are int32, as no count exceeds the
     B < 2^31 blocks of any developed design, and int64 only for B >= 2^31.
-    The block array is transposed once to columns in its own dtype; column
-    i, widened to int64 alone, pairs with each later column j as
-    start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 - u - 1, added into
-    the table in place by np.add.at, at most max(_COVER_INDICES, B)
-    indices per call.
+    Slices of _COVER_BLOCKS blocks are transposed in turn to columns in the
+    array's own dtype; column i, widened to int64 alone, pairs with each
+    later column j as start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 -
+    u - 1, added into the table in place by np.add.at, at most
+    max(_COVER_INDICES, slice) indices per call.
     """
     blocks = np.asarray(blocks)
     B, k = blocks.shape
-    cols = np.ascontiguousarray(blocks.T)
     cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32 if B < 1 << 31 else np.int64)
     one = cnt.dtype.type(1)  # numpy's add.at fast path needs the table's dtype
-    rows = max(1, _COVER_INDICES // max(B, 1))
-    for i in range(k - 1):
-        u = cols[i].astype(np.int64)
-        start = u * (2 * v - u - 1) // 2 - u - 1
-        for j in range(i + 1, k, rows):
-            np.add.at(cnt, (start + cols[j:j + rows]).ravel(), one)
+    for lo in range(0, B, _COVER_BLOCKS):
+        cols = np.ascontiguousarray(blocks[lo:lo + _COVER_BLOCKS].T)
+        rows = max(1, _COVER_INDICES // cols.shape[1])
+        for i in range(k - 1):
+            u = cols[i].astype(np.int64)
+            start = u * (2 * v - u - 1) // 2 - u - 1
+            for j in range(i + 1, k, rows):
+                np.add.at(cnt, (start + cols[j:j + rows]).ravel(), one)
     return cnt

@@ -224,7 +224,7 @@ def profile_direct(design: Design) -> IntersectionProfile:
     """Histogram over all C(B, 2) distinct-index block pairs, from the
     blocks alone (see _kernels.block_intersection_hist)."""
     check_direct_budget(design.block_count)
-    hist = _kernels.block_intersection_hist(design.blocks)
+    hist = _kernels.block_intersection_hist(design.blocks, design.v)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 

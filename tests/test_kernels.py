@@ -14,7 +14,8 @@ from ddfkit import (build_field, build_ring, develop, furino_family,
                     profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
 from ddfkit.cli import construction_family
-from ddfkit.designs import PROFILE_DIRECT_BLOCK_BUDGET, IntersectionProfile, difference_orbits
+from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile,
+                            difference_orbits)
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
@@ -26,14 +27,14 @@ def random_blocks(rng, b, k, v):
     return np.sort(np.array(rows, dtype=np.int64), axis=1)
 
 
-def gram(blocks):
+def gram(blocks, v):
     """The Gram route's histogram, whichever route the selection would take."""
-    return _kernels._gram_hist(*_kernels._relabel(np.asarray(blocks))).tolist()
+    return _kernels._gram_hist(np.asarray(blocks), v).tolist()
 
 
-def moments(blocks):
+def moments(blocks, v):
     """The moment route's histogram, whichever route the selection would take."""
-    return _kernels._moment_hist(*_kernels._relabel(np.asarray(blocks))).tolist()
+    return _kernels._moment_hist(np.asarray(blocks), v).tolist()
 
 
 def pair_loop(blocks):
@@ -55,9 +56,9 @@ def test_diff_hist_single_block_z5():
 
 def test_intersect_hist_tiny():
     blocks = np.array([[0, 1], [0, 1], [1, 2]], dtype=np.int64)
-    hist = _kernels.block_intersection_hist(blocks)
+    hist = _kernels.block_intersection_hist(blocks, 3)
     # pairs: (0,1) identical -> 2; (0,2) and (1,2) share point 1 -> 1
-    assert hist.tolist() == gram(blocks) == moments(blocks) == [0, 2, 1]
+    assert hist.tolist() == gram(blocks, 3) == moments(blocks, 3) == [0, 2, 1]
 
 
 def test_pair_coverage_tiny():
@@ -84,10 +85,16 @@ def test_pair_coverage_edge_widths_and_split_bincounts(monkeypatch):
     assert _kernels.pair_coverage(pairs, 10).tolist() == _coverage_reference(pairs, 10)
     blocks = random_blocks(rng, b=50, k=7, v=20)
     ref = _coverage_reference(blocks, 20)
-    # 3, 2 or 1 later columns per bincount; a bound below B still takes one
+    # 3, 2 or 1 later columns per np.add.at; a bound below B still takes one
     for bound in (150, 100, 1):
         monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
         assert _kernels.pair_coverage(blocks, 20).tolist() == ref, bound
+    # transposed slices of 7 blocks (the last one of 1), with 6 or 1 later
+    # columns per np.add.at, and of one block
+    for slice_blocks, bound in ((7, 45), (7, 1), (1, 1)):
+        monkeypatch.setattr(_kernels, "_COVER_BLOCKS", slice_blocks)
+        monkeypatch.setattr(_kernels, "_COVER_INDICES", bound)
+        assert _kernels.pair_coverage(blocks, 20).tolist() == ref, slice_blocks
 
 
 @pytest.mark.parametrize("bound", [1 << 18, 1000])
@@ -104,9 +111,9 @@ def test_pair_coverage_on_wide_blocks_counts_in_int32(monkeypatch, bound):
 
 def test_pair_coverage_working_set():
     # gr-squares (37,1): 104044 blocks of 18 on 1369 points.  The int32 table,
-    # the transposed blocks and 2^18-index slices stay under 16 MB; an int64
-    # table plus a per-column int64 bincount of it and 2^22-index blocks took
-    # 34.5 MB
+    # slices of 2^14 transposed blocks and 2^18 indices stay under 12 MB; an
+    # int64 table plus a per-column int64 bincount of it and 2^22-index blocks
+    # took 34.5 MB, and the whole transposed block array 3.7 MB more
     design = develop(construction_family("gr-squares", 37, 1))
     tracemalloc.start()
     try:
@@ -115,7 +122,7 @@ def test_pair_coverage_working_set():
     finally:
         tracemalloc.stop()
     assert (cnt == 17).all()
-    assert peak < 4 * cnt.size + design.blocks.nbytes + (8 << 20), peak
+    assert peak < 4 * cnt.size + (8 << 20), peak
 
 
 @st.composite
@@ -133,70 +140,74 @@ def drawn_blocks(draw):
 def test_kernels_agree_on_int64_and_narrowest_copies(drawn):
     wide, v = drawn
     narrow = wide.astype(np.min_scalar_type(v - 1))
-    assert _kernels.block_intersection_hist(narrow).tolist() == \
-        _kernels.block_intersection_hist(wide).tolist() == pair_loop(wide)
-    assert gram(narrow) == gram(wide) and moments(narrow) == moments(wide)
+    assert _kernels.block_intersection_hist(narrow, v).tolist() == \
+        _kernels.block_intersection_hist(wide, v).tolist() == pair_loop(wide)
+    assert gram(narrow, v) == gram(wide, v) and moments(narrow, v) == moments(wide, v)
     if v <= 1000:  # u(2v-u-1) passes 2^16 at v = 1000, so start(u) must widen
         assert _kernels.pair_coverage(narrow, v).tolist() == \
             _kernels.pair_coverage(wide, v).tolist() == _coverage_reference(wide, v)
 
 
-def test_relabel_keeps_dense_labels_and_narrows_the_rest():
-    blocks = develop(construction_family("gr-squares", 5, 1)).blocks
-    cols, u = _kernels._relabel(blocks)
-    assert np.shares_memory(cols, blocks) and u == 25
-    cols, u = _kernels._relabel(np.array([[0, 5], [5, 9]], dtype=np.uint16))
-    assert (cols.tolist(), u, cols.dtype) == ([[0, 1], [1, 2]], 3, np.uint8)
-    cols, u = _kernels._relabel(np.array([[0, 70000]], dtype=np.uint32))  # by sorting
-    assert (cols.tolist(), u, cols.dtype) == ([[0, 1]], 2, np.uint8)
+def test_design_with_label_gaps_and_unsorted_rows():
+    # points 0..39 of which only 12 occur, rows in no order: unused points
+    # are zero columns of the incidence matrix and in no subset of a block
+    labels = np.array([0, 3, 7, 8, 14, 15, 21, 22, 30, 31, 38, 39])
+    rng = np.random.default_rng(12)
+    for count, k, route in ((20, 3, "moment"), (12, 6, "gram")):
+        blocks = np.array([rng.choice(labels, size=k, replace=False) for _ in range(count)])
+        ref = pair_loop(blocks)
+        assert _route(blocks, 40) == route
+        design = Design(v=40, blocks=blocks.astype(np.uint8))
+        assert profile_direct(design) == IntersectionProfile(dict(enumerate(ref))), count
+        assert gram(blocks, 40) == moments(blocks, 40) == ref, count
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_kernels_on_unsigned_arrays_whose_max_is_zero(dtype):
     blocks = np.zeros((3, 1), dtype=dtype)
-    cols, u = _kernels._relabel(blocks)
-    assert np.shares_memory(cols, blocks) and u == 1
-    assert _kernels.block_intersection_hist(blocks).tolist() == [0, 3]
-    assert _kernels._gram_hist(cols, u).tolist() == _kernels._moment_hist(cols, u).tolist() \
-        == [0, 3]
+    assert _kernels.block_intersection_hist(blocks, 1).tolist() == [0, 3]
+    assert gram(blocks, 1) == moments(blocks, 1) == [0, 3]
     assert _kernels.pair_coverage(blocks, 1).tolist() == []
 
 
 def test_gram_route_in_uint16_cells(monkeypatch):
-    # k = 300 >= 256, so the Gram products are copied into uint16 cells
+    # k = 300 >= 256 in uint16 block arrays: two lanes of w = 9 bits
     blocks = random_blocks(np.random.default_rng(5), b=7, k=300, v=320)
-    assert gram(blocks.astype(np.uint16)) == gram(blocks) == pair_loop(blocks)
-    monkeypatch.setattr(_kernels, "_HIST_CELLS", 4)  # the 21-cell chunk in 6 slices
-    assert gram(blocks.astype(np.uint16)) == pair_loop(blocks)
+    assert gram(blocks.astype(np.uint16), 320) == gram(blocks, 320) == pair_loop(blocks)
+    monkeypatch.setattr(_kernels, "_GRAM_ROWS", 4)  # tiles of 4 and 3 block rows
+    assert gram(blocks.astype(np.uint16), 320) == pair_loop(blocks)
 
 
-@pytest.mark.parametrize("dtype, k", [(np.uint16, 665), (np.uint16, 300), (np.uint8, 255),
-                                      (np.uint8, 6)])
-def test_cell_hist_across_slice_edges(monkeypatch, dtype, k):
-    # slices of 7 values: uint16 cells one by one, uint8 cells two per value
+@pytest.mark.parametrize("k", [1, 255, 256, 4095, 4096])
+def test_gram_lanes_are_exact_across_tiles(monkeypatch, k):
+    # tiles of 4 block rows: two lanes of 2 rows while k < 4096 (w = 12),
+    # one lane of 4 from k = 4096 (w = 13).  Blocks 0 and 2, the first rows
+    # of the two lanes, equal the last block, in a later tile from 5 blocks
+    # on, so that product is k + 2^w * k: 2^24 - 1 at k = 4095
     rng = np.random.default_rng(k)
-    monkeypatch.setattr(_kernels, "_HIST_CELLS", 7)
-    for size in (0, 1, 6, 7, 8, 13, 14, 15, 21, 1001):
-        cells = rng.integers(0, k + 1, size=size).astype(dtype)
-        cells[:2] = k  # the top value sits on a slice's first entries
-        ref = np.bincount(cells.astype(np.int64), minlength=k + 1).tolist()
-        assert _kernels._cell_hist(cells, k).tolist() == ref, size
+    v = k + 5
+    monkeypatch.setattr(_kernels, "_GRAM_ROWS", 4)
+    for count in (0, 1, 2, 3, 4, 5, 9, 10):
+        blocks = random_blocks(rng, b=max(count, 1), k=k, v=v)[:count]
+        if count >= 3:
+            blocks[2] = blocks[-1] = blocks[0]
+        assert gram(blocks, v) == pair_loop(blocks), count
 
 
 def test_gram_working_set_over_the_incidence_matrix():
-    # feng-1: 2662 blocks of 665 on 1331 points, uint16 Gram cells.  Past the
-    # 14 MB float32 incidence matrix, 2^19-cell products, their cells and
-    # 2^16-value bincount slices stay under 6 MB; 2^20-cell chunks, each
-    # bincounted whole through an 8 MB intp copy, took 14.7 MB
-    cols, u = _kernels._relabel(develop(construction_family("feng-1", None, None)).blocks)
+    # feng-1: 2662 blocks of 665 on 1331 points.  The bit-packed incidence
+    # matrix (0.44 MB), two float32 tiles of 256 block rows and their
+    # products stay under 6 MB; the whole float32 incidence matrix was 14 MB
+    # of the 17.8 MB the Gram route took before
+    design = develop(construction_family("feng-1", None, None))
     tracemalloc.start()
     try:
-        hist = _kernels._gram_hist(cols, u)
+        hist = _kernels._gram_hist(design.blocks, design.v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert int(hist.sum()) == comb(cols.shape[0], 2)
-    assert peak - cols.shape[0] * u * 4 < 6 << 20, peak
+    assert int(hist.sum()) == comb(design.block_count, 2)
+    assert peak < 6 << 20, peak
 
 
 def _group_sub(x, y, base, digits):
@@ -279,8 +290,8 @@ def test_kernels_match_scalar_references():
             assert hist.tolist() == ref, (case, entries)
 
         ref = pair_loop(blocks)
-        assert _kernels.block_intersection_hist(blocks).tolist() == ref, case
-        assert gram(blocks) == moments(blocks) == ref, case
+        assert _kernels.block_intersection_hist(blocks, v).tolist() == ref, case
+        assert gram(blocks, v) == moments(blocks, v) == ref, case
 
         rows = [set(map(int, row)) for row in blocks]
         cover = Counter(pair for row in rows for pair in combinations(sorted(row), 2))
@@ -290,69 +301,70 @@ def test_kernels_match_scalar_references():
 
 
 def test_intersect_hist_wide_rows(monkeypatch):
-    # many more points than blocks, and a Gram product split into row chunks
+    # many more points than blocks, and a Gram product split into tiles
     rng = np.random.default_rng(11)
     blocks = random_blocks(rng, b=40, k=30, v=700)
     ref = pair_loop(blocks)
-    assert gram(blocks) == ref
-    monkeypatch.setattr(_kernels, "_GRAM_CELLS", 7 * 40)  # chunks of 7 rows
-    assert gram(blocks) == ref
+    assert gram(blocks, 700) == ref
+    monkeypatch.setattr(_kernels, "_GRAM_ROWS", 14)  # tiles of two 7-row lanes
+    assert gram(blocks, 700) == ref
 
 
 @pytest.mark.parametrize("k", [255, 256])
 def test_intersect_hist_either_side_of_byte_cells(monkeypatch, k):
-    # k = 255 is the largest k with uint8 cells, whose pairs then reach the
-    # top uint16 value 257*255 = 65535; k = 256 takes uint16 cells
+    # k = 255 is the largest k whose lanes are 8 bits wide; k = 256 takes 9
     rng = np.random.default_rng(k)
     blocks = random_blocks(rng, b=7, k=k, v=k + 20)
     blocks[6] = blocks[0]  # one pair meets in all k points
     ref = pair_loop(blocks)
     assert ref[k] == 1
-    assert gram(blocks) == ref
-    monkeypatch.setattr(_kernels, "_GRAM_CELLS", 3 * 7)  # chunks of 21 and 12 cells
-    assert gram(blocks) == ref
+    assert gram(blocks, k + 20) == ref
+    monkeypatch.setattr(_kernels, "_GRAM_ROWS", 3)  # tiles of 3, 3 and 1 rows
+    assert gram(blocks, k + 20) == ref
 
 
 @st.composite
 def block_arrays(draw):
-    """(B, k) arrays of rows with distinct entries, ascending or as drawn;
-    labels below k (every point used), below B*k (the occupancy relabel,
-    with unused points) or far above it (the sort path)."""
+    """(B, k) arrays of rows with distinct entries, ascending or as drawn,
+    on v points: labels below k (every point used), below B*k (with unused
+    points) or far above it (renumbered by a sort), and that v."""
     count = draw(st.integers(1, 7))
     k = draw(st.integers(1, 5))
     top = draw(st.sampled_from([k, count * k, 3 * count * k, 2 ** 40]))
     block = st.lists(st.integers(0, top - 1), min_size=k, max_size=k, unique=True)
     blocks = np.array(draw(st.lists(block, min_size=count, max_size=count)), dtype=np.int64)
-    return np.sort(blocks, axis=1) if draw(st.booleans()) else blocks
+    return (np.sort(blocks, axis=1) if draw(st.booleans()) else blocks), top
 
 
 @settings(max_examples=150, deadline=None)
-@given(block_arrays(), st.integers(1, 3))
-def test_intersect_hist_matches_pair_loop(blocks, rows_per_chunk):
+@given(block_arrays(), st.integers(1, 6))
+def test_intersect_hist_matches_pair_loop(drawn, tile_rows):
+    blocks, v = drawn
     ref = pair_loop(blocks)
-    assert _kernels.block_intersection_hist(blocks).tolist() == ref
-    assert moments(blocks) == ref
-    assert gram(blocks) == ref
-    # several chunks, each starting with an r x r square on the diagonal
-    with mock.patch.object(_kernels, "_GRAM_CELLS", rows_per_chunk * blocks.shape[0]):
-        assert gram(blocks) == ref
+    assert _kernels.block_intersection_hist(blocks, v).tolist() == ref
+    if v < 2 ** 40:
+        assert moments(blocks, v) == ref
+        assert gram(blocks, v) == ref
+        # several tiles, each starting with its square on the diagonal
+        with mock.patch.object(_kernels, "_GRAM_ROWS", tile_rows):
+            assert gram(blocks, v) == ref
 
 
 def test_intersect_hist_ignores_unused_points():
     # labels far beyond any table size: only the points that occur count
     blocks = np.array([[3, 2 ** 40 - 1], [5, 2 ** 40 - 1], [3, 5]], dtype=np.int64)
-    assert _kernels.block_intersection_hist(blocks).tolist() == [0, 3, 0]
-    assert gram(blocks) == moments(blocks) == [0, 3, 0]
+    assert _kernels.block_intersection_hist(blocks, 2 ** 40).tolist() == [0, 3, 0]
 
 
-def _route(blocks):
-    """The helper block_intersection_hist calls for `blocks`: "moment" or "gram"."""
+def _route(blocks, v):
+    """The helper block_intersection_hist calls for `blocks` on v points:
+    "moment" or "gram"."""
     taken = []
     with mock.patch.object(_kernels, "_moment_hist",
                            side_effect=lambda *a: taken.append("moment")), \
             mock.patch.object(_kernels, "_gram_hist",
                               side_effect=lambda *a: taken.append("gram")):
-        _kernels.block_intersection_hist(blocks)
+        _kernels.block_intersection_hist(blocks, v)
     return taken[0]
 
 
@@ -368,8 +380,8 @@ def test_route_selection_at_key_count_edge(k):
     edge = 2 ** (k + 1) - 1
     for b, route in [(edge - 1, "gram"), (edge, "moment")]:
         blocks = _cyclic_rows(b, k, b * k)
-        assert _route(blocks) == route, b
-        assert gram(blocks) == moments(blocks) == pair_loop(blocks)
+        assert _route(blocks, b * k) == route, b
+        assert gram(blocks, b * k) == moments(blocks, b * k) == pair_loop(blocks)
 
 
 def test_route_selection_at_level_and_exactness_edges(monkeypatch):
@@ -377,24 +389,25 @@ def test_route_selection_at_level_and_exactness_edges(monkeypatch):
     blocks = _cyclic_rows(300, 6, 100)
     level = 300 * comb(6, 3)
     monkeypatch.setattr(_kernels, "_SUBSET_KEYS", level)
-    assert _route(blocks) == "moment"
+    assert _route(blocks, 100) == "moment"
     monkeypatch.setattr(_kernels, "_SUBSET_KEYS", level - 1)
-    assert _route(blocks) == "gram"
+    assert _route(blocks, 100) == "gram"
     monkeypatch.undo()
-    # exact keys: u^k < 2^63, so 511 points of 7-subsets pack and 512 do not
-    for u, route in [(511, "moment"), (512, "gram")]:
-        blocks = _cyclic_rows(300, 7, u)
-        assert _route(blocks) == route, u
-        assert gram(blocks) == pair_loop(blocks), u
-    assert moments(_cyclic_rows(300, 7, 511)) == pair_loop(_cyclic_rows(300, 7, 511))
+    # exact keys: v^k < 2^63, so 511 points of 7-subsets pack and 512 do not
+    for v, route in [(511, "moment"), (512, "gram")]:
+        blocks = _cyclic_rows(300, 7, v)
+        assert _route(blocks, v) == route, v
+        assert gram(blocks, v) == pair_loop(blocks), v
+    assert moments(_cyclic_rows(300, 7, 511), 511) == pair_loop(_cyclic_rows(300, 7, 511))
 
 
 def test_construction_routes():
     # gr-squares (13,1), 4732 blocks of 6, takes the moment route; feng-1,
     # 2662 blocks of 665, the Gram route
-    squares = develop(construction_family("gr-squares", 13, 1)).blocks
-    feng = develop(construction_family("feng-1", None, None)).blocks
-    assert (_route(squares), _route(feng)) == ("moment", "gram")
+    squares = develop(construction_family("gr-squares", 13, 1))
+    feng = develop(construction_family("feng-1", None, None))
+    assert (_route(squares.blocks, squares.v), _route(feng.blocks, feng.v)) == \
+        ("moment", "gram")
 
 
 # ---------------------------------------------------------------------------
