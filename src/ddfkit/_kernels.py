@@ -1,4 +1,4 @@
-"""Hot counting kernels: pure numpy, one thread, passes over bounded slices.
+"""Hot counting kernels: pure numpy, passes over bounded slices.
 
 Every kernel takes a block array of non-negative integers as its first
 argument, in any integer dtype but uint64: a developed or loaded design
@@ -8,12 +8,18 @@ slices they compute offsets from.  Beyond its inputs and its result, each
 kernel's working set is bounded by a slice (the module constants below),
 not by its table: a cell table is built in strips of rows, Gram products
 are formed tile by tile from a bit-packed incidence matrix, and pair
-coverage is added in place from slices of transposed blocks.  The
-histograms are exact int64 counts; callers finish the arithmetic in Python
-integers, so nothing here can silently overflow (the per-kernel counts are
-bounded by b^2 * v, far below 2^63 at the supported sizes).  Pair coverage
-counts are int32, since a count is at most the number of blocks B, and
-int64 only when B >= 2^31, which only a loaded design could reach.
+coverage is added in place from slices of transposed blocks.  The direct
+routes check their own work against the budgets below before they
+allocate anything of its size.  The histograms are exact int64 counts;
+callers finish the arithmetic in Python integers, so nothing here can
+silently overflow (the per-kernel counts are bounded by b^2 * v, far
+below 2^63 at the supported sizes).  Pair coverage counts are int32: a
+count is at most B, and B <= 2^30 within COVER_BUDGET once k >= 2.
+
+No kernel starts a thread, but np.matmul uses OpenBLAS's pool unless
+OPENBLAS_NUM_THREADS=1.  With the other vCPU of a 2-vCPU Xeon VM busy,
+the Gram route of wilson (3,2) took 8.0-8.6 ms pooled, 3.7-3.8 ms pinned,
+and the moment route, which k = 8 takes, 4.4-6.9 ms: it loses only pinned.
 
 Kernels:
   * diff_cell_hist      -- for listed group elements d, each standing for
@@ -22,13 +28,10 @@ Kernels:
                            over the b^2 base-block pairs (i, j) (the
                            (i, i, 0) self-pair cell is excluded);
   * block_intersection_hist -- pairwise |B_i & B_j| histogram over distinct
-                           block indices: for sparse designs from the
-                           binomial moments sum_S C(lam_S, 2) of the point
-                           subsets S the blocks share, with no block pair
-                           formed, else from Gram products of float32 tiles
-                           of the bit-packed 0/1 incidence matrix, two
-                           lanes of block rows per left tile when k < 4096;
-                           no group arithmetic either way;
+                           block indices, from the binomial moments of the
+                           point subsets the blocks share for sparse
+                           designs, else from Gram products of tiles of the
+                           0/1 incidence matrix; no group arithmetic;
   * pair_coverage       -- per point pair u < w, in how many blocks it
                            appears, in a triangular int32 table of
                            v(v-1)/2.
@@ -39,6 +42,16 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+
+from .errors import BudgetError
+
+# Gram multiply-adds, C(B+1, 2)*v/lanes: 12-14 s at 45-49 ps on one thread.
+GRAM_MULADD_BUDGET = 2 ** 38
+# Cells per Gram tile, min(B, _GRAM_ROWS)*v: 16 MB of float32; with the
+# multiply-adds it keeps the packed incidence matrix, B*v/8, under 16 MB.
+GRAM_TILE_BUDGET = 2 ** 22
+# pair_coverage's cells and pair indices, v(v-1)/2 + B*C(k, 2): 4.6 s at 4.3 ns.
+COVER_BUDGET = 2 ** 30
 
 # Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
 # elements and b^2 cells stay near 2^16 int64 values (0.5 MB) ran fastest
@@ -180,27 +193,36 @@ def _gram_hist(blocks, v):
     two lanes of h = _GRAM_ROWS/2 rows, rows[:h] + 2^w * rows[h:], so each
     product is N_low + 2^w * N_high and every partial sum is an integer
     below 2^24, exact in float32; the lanes are split by & (2^w - 1) and
-    >> w.  Otherwise one lane holds all the rows.  The diagonal tile is
+    >> w.  Otherwise one lane holds all the rows, exact as an entry is at
+    most v <= GRAM_TILE_BUDGET < 2^24.  The diagonal tile is
     the symmetric square of the left tile's rows over both lanes together:
     its histogram less its diagonal's is halved (one lane's alone can be
-    odd).
+    odd).  Raises BudgetError before _incidence past GRAM_MULADD_BUDGET
+    multiply-adds or GRAM_TILE_BUDGET cells in a tile.
     """
     B, k = blocks.shape
     w = k.bit_length()
     lanes = 2 if 2 * w <= 24 else 1
-    dtype = np.float32 if k < 1 << 24 else np.float64
+    muladds = comb(B + 1, 2) * v // lanes
+    if muladds > GRAM_MULADD_BUDGET:
+        raise BudgetError(f"direct profile capped at {GRAM_MULADD_BUDGET} multiply-adds "
+                          f"(C(B+1, 2)*v/lanes), got {muladds}")
+    tile = min(B, _GRAM_ROWS) * v
+    if tile > GRAM_TILE_BUDGET:
+        raise BudgetError(f"direct profile capped at {GRAM_TILE_BUDGET} cells per Gram tile "
+                          f"(min(B, {_GRAM_ROWS})*v), got {tile}")
     packed = _incidence(blocks, v)
     h = -(-_GRAM_ROWS // lanes)  # rows per lane
-    left = np.empty((min(h, B), packed.shape[1] * 8), dtype=dtype)
-    right = np.empty((min(_GRAM_ROWS, B), left.shape[1]), dtype=dtype)
-    products = np.empty((left.shape[0], right.shape[0]), dtype=dtype)
+    left = np.empty((min(h, B), packed.shape[1] * 8), dtype=np.float32)
+    right = np.empty((min(_GRAM_ROWS, B), left.shape[1]), dtype=np.float32)
+    products = np.empty((left.shape[0], right.shape[0]), dtype=np.float32)
     hist = np.zeros(k + 1, dtype=np.int64)
     for s in range(0, B, _GRAM_ROWS):
         n = min(_GRAM_ROWS, B - s)  # block rows s..s+n-1, the first `low` in the low lane
         low, high = min(h, n), n - min(h, n)
         np.copyto(left[:low], np.unpackbits(packed[s:s + low], axis=1))
         if high:
-            left[:high] += np.unpackbits(packed[s + low:s + n], axis=1) * dtype(1 << w)
+            left[:high] += np.unpackbits(packed[s + low:s + n], axis=1) * np.float32(1 << w)
         for c in range(s, B, _GRAM_ROWS):
             m = min(_GRAM_ROWS, B - c)
             np.copyto(right[:m], np.unpackbits(packed[c:c + m], axis=1))
@@ -260,12 +282,12 @@ def block_intersection_hist(blocks, v):
 
     Unused points change no count.  When v exceeds the B*k entries, which
     only a loaded design can declare, the points that occur are first
-    renumbered 0..u-1 in order by a sort, so memory never grows with v
-    beyond B*k.  The moment
-    route (_moment_hist) runs when its subset keys, B*(2^k - 1) over all
-    levels, are no more than the C(B, 2) Gram cells, when one level's keys,
-    at most B*C(k, k//2), fit in _SUBSET_KEYS, and when v^k < 2^63 keeps
-    every key exact; the Gram route (_gram_hist) runs otherwise.
+    renumbered 0..u-1 in order by a sort.  The moment route (_moment_hist)
+    runs when its subset keys, B*(2^k - 1) over all levels, are no more
+    than the C(B, 2) Gram cells, when one level's keys, at most
+    B*C(k, k//2), fit in _SUBSET_KEYS, and when v^k < 2^63 keeps every key
+    exact; the Gram route (_gram_hist) runs otherwise, and raises
+    BudgetError past its budgets.
     """
     blocks = np.asarray(blocks)
     B, k = blocks.shape
@@ -282,18 +304,22 @@ def pair_coverage(blocks, v):
     """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
     containing both u and w, for u < w; the pairs are in row-major order.
 
-    Rows must be ascending.  The counts are int32, as no count exceeds the
-    B < 2^31 blocks of any developed design, and int64 only for B >= 2^31.
+    Rows must be ascending.  The counts are int32 (see the module doc).
     Slices of _COVER_BLOCKS blocks are transposed in turn to columns in the
     array's own dtype; column i, widened to int64 alone, pairs with each
     later column j as start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 -
     u - 1, added into the table in place by np.add.at, at most
-    max(_COVER_INDICES, slice) indices per call.
+    max(_COVER_INDICES, slice) indices per call.  Raises BudgetError before
+    the table is allocated when v(v-1)/2 + B*C(k, 2) exceeds COVER_BUDGET.
     """
     blocks = np.asarray(blocks)
     B, k = blocks.shape
-    cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32 if B < 1 << 31 else np.int64)
-    one = cnt.dtype.type(1)  # numpy's add.at fast path needs the table's dtype
+    units = v * (v - 1) // 2 + B * comb(k, 2)
+    if units > COVER_BUDGET:
+        raise BudgetError(f"exhaustive pair counting capped at {COVER_BUDGET} table cells "
+                          f"and pair indices (v(v-1)/2 + B*C(k, 2)), got {units}")
+    cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32)
+    one = np.int32(1)  # numpy's add.at fast path needs the table's dtype
     for lo in range(0, B, _COVER_BLOCKS):
         cols = np.ascontiguousarray(blocks[lo:lo + _COVER_BLOCKS].T)
         rows = max(1, _COVER_INDICES // cols.shape[1])

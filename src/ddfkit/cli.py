@@ -23,8 +23,7 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, quadruple_mask,
                         quadruple_sums, table_to_csv)
 from .certify import certificate, compare_designs, gate
-from .designs import (check_direct_budget, check_verify_budget, develop,
-                      design_text_chunks, load_design, profile_direct,
+from .designs import (develop, design_text_chunks, load_design, profile_direct,
                       profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_to_text, feng_families, load_family,
@@ -104,8 +103,6 @@ def cmd_profile(args) -> int:
         _write_out([prof.to_json() + "\n"], args.out)
         return 0
     fam = _family_from_args(args)
-    if args.method != "differences":
-        check_direct_budget(fam.v * fam.b)
     if args.method == "direct":
         prof = profile_direct(develop(fam))
     elif args.method == "differences":
@@ -194,7 +191,6 @@ def cmd_verify(args) -> int:
     if report.offending_element is not None:
         sys.stdout.write(f"  witness element: {report.offending_element}\n")
     if not args.skip_design:
-        check_verify_budget(fam.v)
         design = develop(fam)
         passed, witness = verify_2design(design, fam.lam)
         sys.stdout.write(f"  2-design with lambda={fam.lam}: {passed}"

@@ -43,8 +43,6 @@ from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
 
-PROFILE_DIRECT_BLOCK_BUDGET = 5000
-VERIFY_POINT_BUDGET = 1500
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
 # Translate entries per chunk of base blocks in develop: one digit's sums
@@ -183,10 +181,10 @@ def _has_repeated_rows(rows: np.ndarray) -> bool:
 def verify_2design(design: Design, lam: int):
     """Exhaustively check that every point pair lies in exactly lam blocks.
 
-    Returns (True, None) or (False, witness_pair).
+    Returns (True, None) or (False, witness_pair).  Raises BudgetError
+    before counting past _kernels.COVER_BUDGET.
     """
     v = design.v
-    check_verify_budget(v)
     bad = np.flatnonzero(_kernels.pair_coverage(design.blocks, v) != lam)
     if bad.size == 0:
         return True, None
@@ -199,31 +197,10 @@ def verify_2design(design: Design, lam: int):
     return False, (u, at - int(starts[u]) + u + 1)
 
 
-def check_verify_budget(v: int) -> None:
-    """Raise BudgetError when exhaustive pair counting on v points is over budget.
-
-    Callers that still have to develop a family check v here first.
-    """
-    if v > VERIFY_POINT_BUDGET:
-        raise BudgetError(
-            f"exhaustive pair counting capped at v <= {VERIFY_POINT_BUDGET}")
-
-
-def check_direct_budget(blocks: int) -> None:
-    """Raise BudgetError when a direct profile of `blocks` blocks is over budget.
-
-    Callers that still have to develop a family check v*b here first, so an
-    oversized request fails before the block array is allocated.
-    """
-    if blocks > PROFILE_DIRECT_BLOCK_BUDGET:
-        raise BudgetError(f"direct profile capped at {PROFILE_DIRECT_BLOCK_BUDGET} "
-                          f"blocks, got {blocks}")
-
-
 def profile_direct(design: Design) -> IntersectionProfile:
     """Histogram over all C(B, 2) distinct-index block pairs, from the
-    blocks alone (see _kernels.block_intersection_hist)."""
-    check_direct_budget(design.block_count)
+    blocks alone (see _kernels.block_intersection_hist, whose Gram route
+    raises BudgetError past its budgets)."""
     hist = _kernels.block_intersection_hist(design.blocks, design.v)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 

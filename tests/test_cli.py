@@ -51,10 +51,13 @@ def test_profile_both_methods_agree(capsys):
 
 
 def test_profile_direct_budget_exit(capsys):
-    code, _, err = run(capsys, "profile", "--p", "5", "--r", "2",
-                       "--construction", "wilson-half", "--method", "direct")
-    assert code == 1
-    assert "budget" in err.lower()
+    # wilson-half (3,3), t = 27: 40824 blocks of 13 need 3.04e11 Gram
+    # multiply-adds, the first construction past the budget
+    code, out, err = run(capsys, "profile", "--p", "3", "--r", "3",
+                         "--construction", "wilson-half", "--method", "direct")
+    assert (code, out) == (1, "")
+    assert err == ("budget exceeded: direct profile capped at 274877906944 multiply-adds "
+                   "(C(B+1, 2)*v/lanes), got 303745103550\n")
 
 
 def test_gate_report(capsys):
@@ -268,39 +271,73 @@ def test_construct_feng(capsys, tmp_path):
     assert fam_path.read_text().splitlines()[0] == "1331 665 664 2"
 
 
-def test_direct_budget_checked_before_develop(capsys, monkeypatch):
-    import ddfkit.cli
+def test_direct_budget_checked_before_the_gram_tiles(capsys, monkeypatch):
+    # wilson-half (7,2) develops into 240100 blocks of 24, within
+    # DEVELOP_ENTRY_BUDGET, whose Gram products are over budget: both
+    # methods exit before the incidence matrix is built
+    import ddfkit._kernels
 
-    def develop_must_not_run(fam):
-        raise AssertionError("develop ran before the budget check")
+    def incidence_must_not_run(*args):
+        raise AssertionError("the incidence matrix was built before the budget check")
 
-    monkeypatch.setattr(ddfkit.cli, "develop", develop_must_not_run)
+    monkeypatch.setattr(ddfkit._kernels, "_incidence", incidence_must_not_run)
     for method in ("direct", "both"):
         code, out, err = run(capsys, "profile", "--p", "7", "--r", "2",
                              "--construction", "wilson-half", "--method", method)
-        assert code == 1
-        assert out == ""
-        assert err == "budget exceeded: direct profile capped at 5000 blocks, got 240100\n"
+        assert (code, out) == (1, "")
+        assert err == ("budget exceeded: direct profile capped at 274877906944 "
+                       "multiply-adds (C(B+1, 2)*v/lanes), got 34603362122525\n")
 
 
-def test_verify_budget_checked_before_develop(capsys, monkeypatch):
-    import ddfkit.cli
+def test_verify_budget_checked_before_the_coverage_table(capsys, monkeypatch, tmp_path):
+    # F_(2^11)* as one base block, a difference family with lambda = 2046:
+    # its development, 2048 blocks of 2047, is within DEVELOP_ENTRY_BUDGET,
+    # but its 2048 * C(2047, 2) pair indices are over COVER_BUDGET
+    import ddfkit._kernels
+    import numpy as np
 
-    def develop_must_not_run(fam):
-        raise AssertionError("develop ran before the budget check")
+    class NoZeros:  # the numpy namespace of _kernels.py, minus np.zeros
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(ddfkit.cli, "develop", develop_must_not_run)
-    code, out, err = run(capsys, "verify", "--construction", "wilson-half",
-                         "--p", "7", "--r", "2")
+        def zeros(self, *args, **kwargs):
+            raise AssertionError("pair_coverage allocated before the budget check")
+
+    fam_path = tmp_path / "units.txt"
+    fam_path.write_text("2048 2047 2046 1\n" + " ".join(map(str, range(1, 2048))) + "\n")
+    monkeypatch.setattr(ddfkit._kernels, "np", NoZeros())
+    argv = ("verify", "--input", str(fam_path), "--kind", "field", "--p", "2")
+    code, out, err = run(capsys, *argv)
     assert code == 1
-    assert out == ("family wilson-half: v=2401 k=24 lambda=23 b=100\n"
-                   "  difference family: True (observed lambda: 23)\n"
+    assert out == ("family imported: v=2048 k=2047 lambda=2046 b=1\n"
+                   "  difference family: True (observed lambda: 2046)\n"
                    "  disjoint: True  near-complete: True\n")
-    assert err == "budget exceeded: exhaustive pair counting capped at v <= 1500\n"
-    code, out, _ = run(capsys, "verify", "--construction", "wilson-half",
-                       "--p", "7", "--r", "2", "--skip-design")
-    assert code == 0
-    assert out.count("\n") == 3
+    assert err == ("budget exceeded: exhaustive pair counting capped at 1073741824 table "
+                   "cells and pair indices (v(v-1)/2 + B*C(k, 2)), got 4290774016\n")
+    assert run(capsys, *argv, "--skip-design") == (0, out, "")
+
+
+def test_design_file_over_the_gram_tile_budget(capsys, monkeypatch, tmp_path):
+    # 300 blocks of 64 points on v = 16385 <= B*k, so the points are read as
+    # they are: 2^22 + 256 cells per tile, though the 3.7e8 multiply-adds
+    # are within budget.  It exits 1 before the incidence matrix is built
+    import ddfkit._kernels
+    import numpy as np
+
+    def incidence_must_not_run(*args):
+        raise AssertionError("the incidence matrix was built before the budget check")
+
+    rng = np.random.default_rng(16385)
+    rows = np.sort([rng.choice(16385, size=64, replace=False) for _ in range(300)], axis=1)
+    design = tmp_path / "design.txt"
+    design.write_text("16385 300 64\n" + "".join(" ".join(map(str, row)) + "\n"
+                                                for row in rows.tolist()))
+    monkeypatch.setattr(ddfkit._kernels, "_incidence", incidence_must_not_run)
+    code, out, err = run(capsys, "profile", "--input", str(design), "--design",
+                         "--method", "direct")
+    assert (code, out) == (1, "")
+    assert err == ("budget exceeded: direct profile capped at 4194304 cells per Gram tile "
+                   "(min(B, 256)*v), got 4194560\n")
 
 
 def test_develop_budget_checked_before_allocation(capsys, monkeypatch):

@@ -14,10 +14,11 @@ from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.cli import construction_family
-from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile,
-                           point_dtype)
+from ddfkit.designs import Design, IntersectionProfile, point_dtype
 from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, ring_group
+
+from test_multipliers import DIRECT_SWEEP_BLOCKS
 
 
 def single_block_family(block=(1, 2)):
@@ -192,11 +193,13 @@ def test_verify_2design_witness_at_the_table_corners(corner):
 
 
 def test_verify_2design_budget():
-    fam = single_block_family()
-    design = develop(fam)
-    big = Design(v=2000, blocks=design.blocks)
-    with pytest.raises(BudgetError):
-        verify_2design(big, 1)
+    # pair coverage budgets its table and pair indices, not v alone: the
+    # five blocks on 2000 points are counted, and (0, 2) is in none; on
+    # 2^16 points the table alone, 2^31 cells, is over COVER_BUDGET
+    design = develop(single_block_family())
+    assert verify_2design(Design(v=2000, blocks=design.blocks), 1) == (False, (0, 2))
+    with pytest.raises(BudgetError, match=r"capped at 1073741824 .* got 2147450885$"):
+        verify_2design(Design(v=1 << 16, blocks=design.blocks), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +225,10 @@ def test_profile_direct_wilson_f9():
 
 
 def test_profile_direct_budget():
+    # no block count caps the direct profile: 5001 equal blocks of two
+    # points take the moment route, whose two levels of keys are bounded
     blocks = np.tile(np.array([[0, 1]], dtype=np.int64), (5001, 1))
-    with pytest.raises(BudgetError):
-        profile_direct(Design(v=3, blocks=blocks))
+    assert profile_direct(Design(v=3, blocks=blocks)).counts == {2: math.comb(5001, 2)}
 
 
 def test_published_profiles_reproduce():
@@ -276,11 +280,11 @@ def test_profile_methods_agree_at_desk_scale():
         assert direct == via_diff, fam.name
 
 
-def construction_families_within_direct_budget():
-    """Every construction family with v*b <= PROFILE_DIRECT_BLOCK_BUDGET.
+def construction_families_within_sweep():
+    """Every construction family with v*b <= DIRECT_SWEEP_BLOCKS.
 
     wilson and gr-teichmuller have b = t + 1 and need t >= 3 (t <= 16 is
-    within budget); the half constructions have b = 2(t + 1) and need odd
+    within the bound); the half constructions have b = 2(t + 1) and need odd
     t >= 5 (t <= 13); the three feng families have v*b = 2662.
     """
     fams = [construction_family(name, p, r)
@@ -291,12 +295,12 @@ def construction_families_within_direct_budget():
              for name in ("wilson-half", "gr-squares")
              for p, r in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]]
     fams += [construction_family(f"feng-{i}", None, None) for i in (1, 2, 3)]
-    assert all(fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET for fam in fams)
+    assert all(fam.v * fam.b <= DIRECT_SWEEP_BLOCKS for fam in fams)
     return fams
 
 
 def test_direct_route_matches_differences_on_every_construction_within_budget():
-    for fam in construction_families_within_direct_budget():
+    for fam in construction_families_within_sweep():
         assert profile_direct(develop(fam)) == profile_via_differences(fam), \
             (fam.name, fam.v, fam.b)
 

@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfkit import (build_field, build_ring, develop, furino_family,
+from ddfkit import (BudgetError, build_field, build_ring, develop, furino_family,
                     profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
 from ddfkit.cli import construction_family
-from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, Design, IntersectionProfile,
-                            difference_orbits)
+from ddfkit.designs import Design, IntersectionProfile, difference_orbits
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
-from test_multipliers import cyclotomic_cases, labelled_orbits
+from test_multipliers import DIRECT_SWEEP_BLOCKS, cyclotomic_cases, labelled_orbits
 
 
 def random_blocks(rng, b, k, v):
@@ -125,6 +124,32 @@ def test_pair_coverage_working_set():
     assert peak < 4 * cnt.size + (8 << 20), peak
 
 
+def _peak_of_refusal(kernel, *args, work):
+    """tracemalloc's peak over kernel(*args), which must raise BudgetError
+    naming `work`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"got {work}$"):
+            kernel(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_cover_budget_counts_the_work_before_the_table(monkeypatch):
+    # 50 random blocks of 5 on 600 points: 179700 table cells and 500 pair
+    # indices.  At that exact work the pairs are counted; at one less the
+    # kernel raises before its 719 KB int32 table is allocated
+    blocks = random_blocks(np.random.default_rng(600), b=50, k=5, v=600)
+    work = comb(600, 2) + 50 * comb(5, 2)
+    monkeypatch.setattr(_kernels, "COVER_BUDGET", work)
+    assert _kernels.pair_coverage(blocks, 600).tolist() == _coverage_reference(blocks, 600)
+    monkeypatch.setattr(_kernels, "COVER_BUDGET", work - 1)
+    peak = _peak_of_refusal(_kernels.pair_coverage, blocks, 600, work=work)
+    assert peak < 4 * comb(600, 2) // 10, peak
+
+
 @st.composite
 def drawn_blocks(draw):
     """An int64 (B, k) array of ascending rows on v points, and v: dense or
@@ -208,6 +233,22 @@ def test_gram_working_set_over_the_incidence_matrix():
         tracemalloc.stop()
     assert int(hist.sum()) == comb(design.block_count, 2)
     assert peak < 6 << 20, peak
+
+
+@pytest.mark.parametrize("budget", ["GRAM_MULADD_BUDGET", "GRAM_TILE_BUDGET"])
+def test_gram_budgets_count_the_work_before_the_tiles(monkeypatch, budget):
+    # 300 random blocks of 40 on 600 points take the Gram route in two lanes:
+    # C(301, 2) * 600 / 2 multiply-adds, and tiles of 256 * 600 cells.  At
+    # its exact work the design is profiled; at one less the kernel raises
+    # before the incidence matrix and the 614 KB float32 tiles are built
+    blocks = random_blocks(np.random.default_rng(40), b=300, k=40, v=600)
+    work = {"GRAM_MULADD_BUDGET": comb(301, 2) * 600 // 2,
+            "GRAM_TILE_BUDGET": 256 * 600}[budget]
+    monkeypatch.setattr(_kernels, budget, work)
+    assert _kernels.block_intersection_hist(blocks, 600).tolist() == pair_loop(blocks)
+    monkeypatch.setattr(_kernels, budget, work - 1)
+    peak = _peak_of_refusal(_kernels.block_intersection_hist, blocks, 600, work=work)
+    assert peak < 4 * 256 * 600 // 10, peak
 
 
 def _group_sub(x, y, base, digits):
@@ -452,7 +493,7 @@ families = st.one_of(
 def test_difference_route_matches_per_pair_route_and_direct_scan(fam):
     prof = profile_via_differences(fam)
     assert prof == _per_pair_profile(fam), fam.name
-    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+    if fam.v * fam.b <= DIRECT_SWEEP_BLOCKS:
         assert prof == profile_direct(develop(fam)), fam.name
 
 
@@ -533,7 +574,7 @@ def test_unit_discovery_on_unit_orbit_families_and_near_misses(fam):
     assert (reps.tolist(), sizes.tolist()) == (ref_reps.tolist(), ref_sizes.tolist())
     prof = profile_via_differences(fam)
     assert prof == _per_pair_profile(fam), fam.name
-    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+    if fam.v * fam.b <= DIRECT_SWEEP_BLOCKS:
         assert prof == profile_direct(develop(fam)), fam.name
 
 

@@ -13,10 +13,14 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import (PROFILE_DIRECT_BLOCK_BUDGET, _scaled, _unit_images,
-                            check_profile, difference_orbits)
+from ddfkit.designs import _scaled, _unit_images, check_profile, difference_orbits
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
+
+# Developed blocks v*b up to which the sweeps here and in test_designs.py and
+# test_kernels.py also run the direct route: it admits far larger designs,
+# but every extra case would add its milliseconds to the suite.
+DIRECT_SWEEP_BLOCKS = 5000
 
 
 def with_changes(fam, **changes):
@@ -267,7 +271,7 @@ def test_linearly_relabelled_wilson_keeps_the_scalar_multipliers(name, p, r, see
     assert sizes[0] == 1 and (sizes[1:] % (p - 1) == 0).all()
     assert reps.size < (fam.v + 1) // 2 or p == 3  # F_3* = {+-1} is negation
     assert profile_via_differences(fam) == profile_via_differences(built)
-    if fam.v * fam.b <= PROFILE_DIRECT_BLOCK_BUDGET:
+    if fam.v * fam.b <= DIRECT_SWEEP_BLOCKS:
         assert profile_via_differences(fam) == profile_direct(develop(fam))
 
 
@@ -280,7 +284,7 @@ def cyclotomic_cases():
         while q <= 400:
             for e in range(2, q):
                 f = (q - 1) // e
-                if (q - 1) % e == 0 and f >= 2 and q * e <= PROFILE_DIRECT_BLOCK_BUDGET:
+                if (q - 1) % e == 0 and f >= 2 and q * e <= DIRECT_SWEEP_BLOCKS:
                     cases.append((p, n, e))
             q, n = q * p, n + 1
     return cases
@@ -289,7 +293,7 @@ def cyclotomic_cases():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(cyclotomic_cases()))
 def test_reduced_route_matches_direct_on_cyclotomic_families(case):
-    # every e with e | q-1 and f >= 2 whose development fits the direct budget
+    # every e with e | q-1 and f >= 2 whose development is within the sweep's bound
     p, n, e = case
     fam = wilson_family(build_field(p, n), e)
     assert profile_via_differences(fam) == profile_direct(develop(fam))
