@@ -14,7 +14,7 @@ allocate anything of its size.  The histograms are exact int64 counts;
 callers finish the arithmetic in Python integers, so nothing here can
 silently overflow (the per-kernel counts are bounded by b^2 * v, far
 below 2^63 at the supported sizes).  Pair coverage counts are int32: a
-count is at most B, and B <= 2^30 within COVER_BUDGET once k >= 2.
+count is at most B, and B <= 2^30 within COVER_INDEX_BUDGET once k >= 2.
 
 No kernel starts a thread, but np.matmul uses OpenBLAS's pool unless
 OPENBLAS_NUM_THREADS=1.  With the other vCPU of a 2-vCPU Xeon VM busy,
@@ -50,8 +50,10 @@ GRAM_MULADD_BUDGET = 2 ** 38
 # Cells per Gram tile, min(B, _GRAM_ROWS)*v: 16 MB of float32; with the
 # multiply-adds it keeps the packed incidence matrix, B*v/8, under 16 MB.
 GRAM_TILE_BUDGET = 2 ** 22
-# pair_coverage's cells and pair indices, v(v-1)/2 + B*C(k, 2): 4.6 s at 4.3 ns.
-COVER_BUDGET = 2 ** 30
+# pair_coverage's pair indices, B*C(k, 2): 3-5 s at 2.9-4.3 ns each.
+COVER_INDEX_BUDGET = 2 ** 30
+# pair_coverage's table cells, v(v-1)/2: 64 MB of int32, 16 MB of flags.
+COVER_CELL_BUDGET = 2 ** 24
 
 # Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
 # elements and b^2 cells stay near 2^16 int64 values (0.5 MB) ran fastest
@@ -203,14 +205,12 @@ def _gram_hist(blocks, v):
     B, k = blocks.shape
     w = k.bit_length()
     lanes = 2 if 2 * w <= 24 else 1
-    muladds = comb(B + 1, 2) * v // lanes
-    if muladds > GRAM_MULADD_BUDGET:
-        raise BudgetError(f"direct profile capped at {GRAM_MULADD_BUDGET} multiply-adds "
-                          f"(C(B+1, 2)*v/lanes), got {muladds}")
-    tile = min(B, _GRAM_ROWS) * v
-    if tile > GRAM_TILE_BUDGET:
-        raise BudgetError(f"direct profile capped at {GRAM_TILE_BUDGET} cells per Gram tile "
-                          f"(min(B, {_GRAM_ROWS})*v), got {tile}")
+    for work, budget, what in ((comb(B + 1, 2) * v // lanes, GRAM_MULADD_BUDGET,
+                                "multiply-adds (C(B+1, 2)*v/lanes)"),
+                               (min(B, _GRAM_ROWS) * v, GRAM_TILE_BUDGET,
+                                f"cells per Gram tile (min(B, {_GRAM_ROWS})*v)")):
+        if work > budget:
+            raise BudgetError(f"direct profile capped at {budget} {what}, got {work}")
     packed = _incidence(blocks, v)
     h = -(-_GRAM_ROWS // lanes)  # rows per lane
     left = np.empty((min(h, B), packed.shape[1] * 8), dtype=np.float32)
@@ -310,14 +310,14 @@ def pair_coverage(blocks, v):
     later column j as start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 -
     u - 1, added into the table in place by np.add.at, at most
     max(_COVER_INDICES, slice) indices per call.  Raises BudgetError before
-    the table is allocated when v(v-1)/2 + B*C(k, 2) exceeds COVER_BUDGET.
+    the table is allocated past COVER_CELL_BUDGET or COVER_INDEX_BUDGET.
     """
     blocks = np.asarray(blocks)
     B, k = blocks.shape
-    units = v * (v - 1) // 2 + B * comb(k, 2)
-    if units > COVER_BUDGET:
-        raise BudgetError(f"exhaustive pair counting capped at {COVER_BUDGET} table cells "
-                          f"and pair indices (v(v-1)/2 + B*C(k, 2)), got {units}")
+    for work, budget, what in ((v * (v - 1) // 2, COVER_CELL_BUDGET, "table cells (v(v-1)/2)"),
+                               (B * comb(k, 2), COVER_INDEX_BUDGET, "pair indices (B*C(k, 2))")):
+        if work > budget:
+            raise BudgetError(f"exhaustive pair counting capped at {budget} {what}, got {work}")
     cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32)
     one = np.int32(1)  # numpy's add.at fast path needs the table's dtype
     for lo in range(0, B, _COVER_BLOCKS):

@@ -182,15 +182,15 @@ def verify_2design(design: Design, lam: int):
     """Exhaustively check that every point pair lies in exactly lam blocks.
 
     Returns (True, None) or (False, witness_pair).  Raises BudgetError
-    before counting past _kernels.COVER_BUDGET.
+    before counting past the budgets of _kernels.pair_coverage.
     """
     v = design.v
-    bad = np.flatnonzero(_kernels.pair_coverage(design.blocks, v) != lam)
-    if bad.size == 0:
+    bad = _kernels.pair_coverage(design.blocks, v) != lam
+    if not bad.any():
         return True, None
     # the table is in row-major order, row u starting at u(2v-u-1)/2, so
-    # its first bad entry is the first bad pair u < w in that order
-    at = int(bad[0])
+    # its first bad flag, argmax's first True, is the first bad pair u < w
+    at = int(bad.argmax())
     rows = np.arange(v, dtype=np.int64)
     starts = rows * (2 * v - rows - 1) // 2
     u = int(np.searchsorted(starts, at, side="right")) - 1

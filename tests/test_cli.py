@@ -292,7 +292,7 @@ def test_direct_budget_checked_before_the_gram_tiles(capsys, monkeypatch):
 def test_verify_budget_checked_before_the_coverage_table(capsys, monkeypatch, tmp_path):
     # F_(2^11)* as one base block, a difference family with lambda = 2046:
     # its development, 2048 blocks of 2047, is within DEVELOP_ENTRY_BUDGET,
-    # but its 2048 * C(2047, 2) pair indices are over COVER_BUDGET
+    # but its 2048 * C(2047, 2) pair indices are over COVER_INDEX_BUDGET
     import ddfkit._kernels
     import numpy as np
 
@@ -312,8 +312,8 @@ def test_verify_budget_checked_before_the_coverage_table(capsys, monkeypatch, tm
     assert out == ("family imported: v=2048 k=2047 lambda=2046 b=1\n"
                    "  difference family: True (observed lambda: 2046)\n"
                    "  disjoint: True  near-complete: True\n")
-    assert err == ("budget exceeded: exhaustive pair counting capped at 1073741824 table "
-                   "cells and pair indices (v(v-1)/2 + B*C(k, 2)), got 4290774016\n")
+    assert err == ("budget exceeded: exhaustive pair counting capped at 1073741824 pair "
+                   "indices (B*C(k, 2)), got 4288677888\n")
     assert run(capsys, *argv, "--skip-design") == (0, out, "")
 
 

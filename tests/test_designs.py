@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -192,14 +193,37 @@ def test_verify_2design_witness_at_the_table_corners(corner):
     assert _first_bad_pair_row_major(broken, 1) == pair
 
 
+def _verify_peak(design, lam):
+    """verify_2design(design, lam), or the BudgetError it raises, and
+    tracemalloc's peak over the call."""
+    tracemalloc.start()
+    try:
+        result = verify_2design(design, lam)
+    except BudgetError as err:
+        result = err
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_verify_2design_budget():
-    # pair coverage budgets its table and pair indices, not v alone: the
-    # five blocks on 2000 points are counted, and (0, 2) is in none; on
-    # 2^16 points the table alone, 2^31 cells, is over COVER_BUDGET
+    # pair coverage budgets its table cells and pair indices, not v: the
+    # five blocks on 2000 points are counted, and almost every pair, from
+    # (0, 2) on, is in none, yet the first is found with one flag per cell
+    # beside the int32 table.  From v = 5794, C(v, 2) is over
+    # COVER_CELL_BUDGET = 2^24: few blocks on many points are refused
+    # before the table is allocated
     design = develop(single_block_family())
-    assert verify_2design(Design(v=2000, blocks=design.blocks), 1) == (False, (0, 2))
-    with pytest.raises(BudgetError, match=r"capped at 1073741824 .* got 2147450885$"):
-        verify_2design(Design(v=1 << 16, blocks=design.blocks), 1)
+    result, peak = _verify_peak(Design(v=2000, blocks=design.blocks), 1)
+    assert result == (False, (0, 2))
+    assert peak < 5 * math.comb(2000, 2) + (1 << 20), peak
+    for v in (5794, 1 << 16):
+        err, peak = _verify_peak(Design(v=v, blocks=design.blocks), 1)
+        assert isinstance(err, BudgetError) and str(err) == (
+            f"exhaustive pair counting capped at 16777216 table cells (v(v-1)/2), "
+            f"got {math.comb(v, 2)}")
+        assert peak < 1 << 20, (v, peak)
 
 
 # ---------------------------------------------------------------------------

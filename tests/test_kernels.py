@@ -137,15 +137,16 @@ def _peak_of_refusal(kernel, *args, work):
     return peak
 
 
-def test_cover_budget_counts_the_work_before_the_table(monkeypatch):
+@pytest.mark.parametrize("budget", ["COVER_CELL_BUDGET", "COVER_INDEX_BUDGET"])
+def test_cover_budgets_count_the_work_before_the_table(monkeypatch, budget):
     # 50 random blocks of 5 on 600 points: 179700 table cells and 500 pair
-    # indices.  At that exact work the pairs are counted; at one less the
+    # indices.  At its exact work the pairs are counted; at one less the
     # kernel raises before its 719 KB int32 table is allocated
     blocks = random_blocks(np.random.default_rng(600), b=50, k=5, v=600)
-    work = comb(600, 2) + 50 * comb(5, 2)
-    monkeypatch.setattr(_kernels, "COVER_BUDGET", work)
+    work = {"COVER_CELL_BUDGET": comb(600, 2), "COVER_INDEX_BUDGET": 50 * comb(5, 2)}[budget]
+    monkeypatch.setattr(_kernels, budget, work)
     assert _kernels.pair_coverage(blocks, 600).tolist() == _coverage_reference(blocks, 600)
-    monkeypatch.setattr(_kernels, "COVER_BUDGET", work - 1)
+    monkeypatch.setattr(_kernels, budget, work - 1)
     peak = _peak_of_refusal(_kernels.pair_coverage, blocks, 600, work=work)
     assert peak < 4 * comb(600, 2) // 10, peak
 
