@@ -1,10 +1,10 @@
 """Hot counting kernels: pure numpy, passes over bounded slices.
 
 Every kernel takes a block array of non-negative integers as its first
-argument, in any integer dtype but uint64: a developed or loaded design
-comes in the narrowest unsigned dtype that holds its points (see
-designs.point_dtype), and the kernels read it as it is, widening only the
-slices they compute offsets from.  Beyond its inputs and its result, each
+argument, in any integer dtype but uint64: a family or a developed or
+loaded design comes in the narrowest unsigned dtype that holds its points
+(see groups.point_dtype), and the kernels read it as it is, widening only
+the slices they compute offsets from.  Beyond its inputs and its result, each
 kernel's working set is bounded by a slice (the module constants below),
 not by its table: a cell table is built in strips of rows, Gram products
 are formed tile by tile from a bit-packed incidence matrix, and pair
@@ -123,7 +123,7 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     times (an orbit representative and its orbit size).  Each cell stands
     for `order` ordered block pairs of the developed design.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
+    blocks = np.asarray(blocks)
     reps = np.asarray(reps, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.int64)
     b, k = blocks.shape
@@ -153,8 +153,8 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
             for top in range(0, b, rows):
                 n = min(rows, b - top)  # rows in this strip, so cells n * (b + 1) per d
                 strip = slice(top * k, (top + n) * k)
-                # x - d, packed: the integer difference plus base^(l+1) for
-                # every digit l that borrows
+                # x - d, packed: the integer difference, widened to int64 a
+                # strip at a time, plus base^(l+1) for every digit l that borrows
                 shifted = pts[None, strip] - d[:, None]
                 for l in range(digits):
                     shifted += (pt_digits[l][None, strip] < d_digits[:, l, None]) \

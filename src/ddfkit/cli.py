@@ -26,7 +26,7 @@ from .certify import certificate, compare_designs, gate
 from .designs import (develop, design_text_chunks, load_design, profile_direct,
                       profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
-from .families import (family_to_text, feng_families, load_family,
+from .families import (family_text_chunks, feng_families, load_family,
                        davis_family, squares_family, validate_ddf,
                        wilson_family)
 from .fields import build_field
@@ -85,7 +85,7 @@ def _write_out(chunks, out: str | None) -> None:
 
 def cmd_construct(args) -> int:
     fam = construction_family(args.construction, args.p, args.r)
-    _write_out([family_to_text(fam)], args.out)
+    _write_out(family_text_chunks(fam), args.out)
     return 0
 
 

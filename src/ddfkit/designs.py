@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field as dfield
+from functools import partial
 from math import comb, gcd
 
 import numpy as np
@@ -42,9 +43,13 @@ from .errors import BudgetError, ProfileCheckError
 from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
+from .groups import point_dtype
 
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
+# Block entries per slice of the orbit search's images: with their int64
+# temporaries, about 2 MB.
+_ORBIT_ENTRIES = 1 << 16
 # Translate entries per chunk of base blocks in develop: one digit's sums
 # and their mask stay near 0.5 MB; a block whose v*k is larger is a chunk
 # of its own.
@@ -108,13 +113,6 @@ class IntersectionProfile:
         return cls({int(n): int(m) for n, m in raw.items()})
 
 
-def point_dtype(v: int) -> np.dtype:
-    """The dtype of a design's block array on v points: the narrowest
-    unsigned dtype that holds v-1, uint8 to uint32, else int64 (numpy
-    promotes uint64 with int64 to float64, and bincount refuses uint64)."""
-    return np.min_scalar_type(v - 1) if v <= 1 << 32 else np.dtype(np.int64)
-
-
 def develop(fam: DifferenceFamily) -> Design:
     """All v*b translates D_i + g, ordered by base index then translate.
 
@@ -160,16 +158,47 @@ def develop(fam: DifferenceFamily) -> Design:
     return Design(v=v, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous (n, k) array as n byte strings, a view."""
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+
+
 def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
     """The rows of an (n, k) integer array as byte strings, sorted."""
-    return np.sort(np.ascontiguousarray(rows).view(f"V{rows.itemsize * rows.shape[1]}"),
-                   axis=None)
+    return np.sort(_row_keys(np.ascontiguousarray(rows)))
 
 
-def _image_keys(image: np.ndarray) -> np.ndarray:
-    """The rows of an (n, k) image of blocks, each sorted, as sorted byte
-    strings, to compare with _sorted_row_keys of the blocks."""
-    return _sorted_row_keys(np.sort(image, axis=1))
+def _image_keys(blocks: np.ndarray, image_of) -> np.ndarray:
+    """The images of the rows of a (b, k) block array under an elementwise
+    map, each image row sorted, as sorted byte strings to compare with
+    _sorted_row_keys(blocks).
+
+    image_of maps a slice of rows to an array of the same shape, in any
+    integer dtype.  The images are written _ORBIT_ENTRIES entries at a time
+    into one key array in the blocks' own dtype, as byte keys compare only
+    at one width, and that array is sorted in place once.
+    """
+    image = np.empty(blocks.shape, dtype=blocks.dtype)
+    rows = max(1, _ORBIT_ENTRIES // blocks.shape[1])
+    for lo in range(0, blocks.shape[0], rows):
+        part = image[lo : lo + rows]
+        part[...] = image_of(blocks[lo : lo + rows])
+        part.sort(axis=1)
+    keys = _row_keys(image)
+    keys.sort()
+    return keys
+
+
+def _maps_blocks_onto_themselves(blocks: np.ndarray, keys: np.ndarray, image_of) -> bool:
+    """Whether an elementwise map permutes the multiset of rows of a block
+    array whose _sorted_row_keys are `keys`: the sorted image rows, compared
+    as byte strings, are the rows.  The first row's image is looked up among
+    the keys first; only a hit is tried on every row.
+    """
+    key = _image_keys(blocks[:1], image_of)
+    at = int(np.searchsorted(keys, key)[0])
+    return at < keys.size and keys[at] == key[0] and \
+        np.array_equal(_image_keys(blocks, image_of), keys)
 
 
 def _has_repeated_rows(rows: np.ndarray) -> bool:
@@ -213,39 +242,34 @@ def _scaled(field, x: np.ndarray, j: int) -> np.ndarray:
 
 def _field_multiplier_step(fam: DifferenceFamily, field) -> int:
     """The least j0 > 0 for which g^j0 maps the multiset of base blocks onto
-    itself: the sorted rows g^j0 * D_i, compared as byte strings, are the
-    rows D_i.
+    itself (see _maps_blocks_onto_themselves).
 
     The j that do form a subgroup of Z_(q-1), so j0 is its least divisor
-    that does, and j = q-1, the identity, always does.  Each candidate is
-    tried on the first block alone, whose image is looked up among the
-    blocks' byte keys; only a hit is tried on every block.
+    that does, and j = q-1, the identity, always does.  Most candidates
+    fail on the first block alone.
     """
     base = fam.block_array()
     keys = _sorted_row_keys(base)
     *candidates, identity = divisors(field.q - 1)
     for j in candidates:
-        key = _image_keys(_scaled(field, base[:1], j))
-        at = int(np.searchsorted(keys, key)[0])
-        if at < keys.size and keys[at] == key[0] and \
-                np.array_equal(_image_keys(_scaled(field, base, j)), keys):
+        if _maps_blocks_onto_themselves(base, keys, partial(_scaled, field, j=j)):
             return j
     return identity
 
 
-def _unit_images(group, x: np.ndarray):
-    """Yield the images of the elements x under generators of the unit group
-    of GR(p^2, r): xi and the principal units 1 + p*x^i, i < r, since
+def _unit_maps(group) -> list:
+    """The maps x -> u*x, on arrays, for generators u of the unit group of
+    GR(p^2, r): xi and the principal units 1 + p*x^i, i < r, since
     T*(1 + pR) is the unit group and (1 + p*a)(1 + p*c) = 1 + p*(a + c).
     """
     ring = build_ring(group.p, group.ext)
-    for unit in [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]:
-        yield ring.mul_arrays(unit, x)
+    units = [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]
+    return [partial(ring.mul_arrays, unit) for unit in units]
 
 
 def _units_permute_blocks(fam: DifferenceFamily) -> bool:
     """Whether every generator u of a ring's unit group maps the multiset of
-    base blocks onto itself, compared as _field_multiplier_step does.
+    base blocks onto itself (see _maps_blocks_onto_themselves).
 
     The units of Z_4 are +-1, so negation alone already acts there.
     """
@@ -254,7 +278,7 @@ def _units_permute_blocks(fam: DifferenceFamily) -> bool:
         return False
     base = fam.block_array()
     keys = _sorted_row_keys(base)
-    return all(np.array_equal(_image_keys(image), keys) for image in _unit_images(g, base))
+    return all(_maps_blocks_onto_themselves(base, keys, image_of) for image_of in _unit_maps(g))
 
 
 def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -462,7 +486,7 @@ def load_design(path) -> Design:
     if len(header) != 3:
         raise ValueError("design header must be 'v b k'")
     v, count, k = (int(x) for x in header)
-    blocks = read_rows(lines[1:], count, k, v).astype(point_dtype(v))
+    blocks = read_rows(lines[1:], count, k, v)
     return Design(v=v, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
 
 

@@ -10,8 +10,9 @@ designs, profiles and exported files are deterministic:
     non-square cosets, then p*T_N*.
 
 A family stores its group, its blocks, its lambda and a name, nothing
-else.  It keeps its blocks only as one read-only (b, k) int64 array of
-encodings whose rows are strictly ascending, so each row is a set; v, k
+else.  It keeps its blocks only as one read-only (b, k) array of
+encodings in groups.point_dtype(v), the narrowest unsigned dtype that
+holds them, whose rows are strictly ascending, so each row is a set; v, k
 and b are read off the group and the array, and disjointness and
 near-completeness are reported by validate_ddf.
 
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import BudgetError
 from .fields import _EXP_CHUNK, FIELD_ORDER_BUDGET, Field
 from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
-from .groups import AdditiveGroup, group_for
+from .groups import AdditiveGroup, group_for, point_dtype
 
 FENG_INDEX_SETS = (
     (0, 2, 4, 6, 8, 10, 12),
@@ -45,8 +46,9 @@ FENG_INDEX_SETS = (
 class DifferenceFamily:
     """Base blocks over an additive group, with a declared lambda.
 
-    `blocks` is any (b, k) integer array-like, kept only as block_array();
-    v is the group's order, and k and b are the array's shape.
+    `blocks` is any (b, k) array-like of encodings, kept only as
+    block_array() in point_dtype(v); v is the group's order, and k and b
+    are the array's shape.
     """
 
     group: AdditiveGroup
@@ -57,7 +59,8 @@ class DifferenceFamily:
 
     def __post_init__(self, blocks):
         # a view, so the caller's array stays writable
-        array = np.asarray(blocks, dtype=np.int64).reshape(len(blocks), -1)
+        dtype = point_dtype(self.group.order)
+        array = np.asarray(blocks, dtype=dtype).reshape(len(blocks), -1)
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
 
@@ -74,7 +77,7 @@ class DifferenceFamily:
         return self._array.shape[0]
 
     def block_array(self) -> np.ndarray:
-        """The blocks as a read-only (b, k) int64 array."""
+        """The blocks as a read-only (b, k) array in point_dtype(v)."""
         return self._array
 
     def __repr__(self):
@@ -101,10 +104,11 @@ def _make_family(group, blocks, k, lam, name):
     """Family from a (b, k) array of base blocks whose rows are ascending sets.
 
     The constructions sort their rows; strictly ascending rows are sets, so
-    the check here stands in for a per-block set round trip.
+    the check here stands in for a per-block set round trip.  It compares
+    neighbours, as a difference would wrap in the unsigned point_dtype(v).
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if blocks.ndim != 2 or blocks.shape[1] != k or (np.diff(blocks, axis=1) <= 0).any():
+    blocks = np.asarray(blocks, dtype=point_dtype(group.order))
+    if blocks.ndim != 2 or blocks.shape[1] != k or (blocks[:, 1:] <= blocks[:, :-1]).any():
         raise AssertionError("constructed block is not an ascending set of k elements")
     return DifferenceFamily(group=group, blocks=blocks, lam=lam, name=name)
 
@@ -112,11 +116,11 @@ def _make_family(group, blocks, k, lam, name):
 def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     """Per part: the cosets (1 + p*alpha)*part for alpha in T order, then p*part.
 
-    Rows come back sorted, in one (b, k) array.  Multiplication by a unit
-    is the linear map of its digit matrix, so the cosets of one part are
-    the part's digit columns mapped by every unit at once
-    (AdditiveGroup.map_columns), in chunks of about _EXP_CHUNK accumulator
-    entries, packed straight into their rows.
+    Rows come back sorted, in one (b, k) array in point_dtype(v).
+    Multiplication by a unit is the linear map of its digit matrix, so the
+    cosets of one part are the part's digit columns mapped by every unit at
+    once (AdditiveGroup.map_columns), in chunks of about _EXP_CHUNK
+    accumulator entries, packed straight into their rows.
     """
     g, size = ring.group, ring.teich_size
     teich = g.digit_matrix(np.array(ring.teichmuller, dtype=np.int64))
@@ -125,7 +129,7 @@ def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     basis = g.base ** np.arange(g.digits, dtype=np.int64)
     units = g.digit_matrix(ring.mul_arrays(principal[:, None], basis))
     k = len(parts[0])
-    rows = np.empty((len(parts) * (size + 1), k), dtype=np.int64)
+    rows = np.empty((len(parts) * (size + 1), k), dtype=point_dtype(g.order))
     chunk = max(1, _EXP_CHUNK // (g.digits * k))
     for i, part in enumerate(parts):
         digits = g.digit_matrix(np.asarray(part, dtype=np.int64))
@@ -332,18 +336,24 @@ def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
     return "".join(rows_text_chunks(header, rows, sep))
 
 
+def family_text_chunks(fam: DifferenceFamily):
+    """The family file's text in chunks (see rows_text_chunks)."""
+    return rows_text_chunks(f"{fam.v} {fam.k} {fam.lam} {fam.b}", fam.block_array())
+
+
 def family_to_text(fam: DifferenceFamily) -> str:
-    return rows_to_text(f"{fam.v} {fam.k} {fam.lam} {fam.b}", fam.block_array())
+    return "".join(family_text_chunks(fam))
 
 
 def save_family(fam: DifferenceFamily, path) -> None:
     with open(path, "w") as fh:
-        fh.write(family_to_text(fam))
+        fh.writelines(family_text_chunks(fam))
 
 
 def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
-    """The non-blank lines as a (count, k) int64 array of strictly ascending
-    rows with entries in [0, v); ValueError for any other text."""
+    """The non-blank lines as a (count, k) array in point_dtype(v) of
+    strictly ascending rows with entries in [0, v); ValueError for any other
+    text."""
     rows = [line.split() for line in lines if line.strip()]
     if len(rows) != count:
         raise ValueError(f"expected {count} blocks, found {len(rows)}")
@@ -356,7 +366,8 @@ def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
         raise ValueError("block entry out of range") from None
     if array.min() < 0 or int(array.max()) >= v:
         raise ValueError("block entry out of range")
-    if (np.diff(array, axis=1) <= 0).any():
+    array = array.astype(point_dtype(v))
+    if (array[:, 1:] <= array[:, :-1]).any():
         raise ValueError("every block must have k distinct entries in ascending order")
     return array
 

@@ -5,8 +5,9 @@ degree n over F_p, ordered by its coefficient sequence (c_0, ..., c_{n-1}).
 This fixed choice makes every downstream artifact (families, profiles,
 exported files) reproducible byte for byte; any other primitive polynomial
 would give isomorphic structures.  The residue class of x is the stored
-generator, and full exp/log tables are precomputed: 16 bytes per element,
-so 16 MB at the budget's top, q = 2^20.
+generator, and full exp/log tables are precomputed: exp in
+groups.point_dtype(q), the width of a family's blocks, and log in int32,
+so at most 8 bytes per element, 8 MB at the budget's top, q = 2^20.
 """
 
 from __future__ import annotations
@@ -159,8 +160,11 @@ def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_{p^n} with packed-integer elements in [0, q).
 
-    exp[t] is the element generator^t for t in [0, q-1); log is its inverse
-    on nonzero elements (log[0] = -1 as a sentinel).
+    exp[t] is the element generator^t for t in [0, q-1), in
+    point_dtype(q); log is its int32 inverse on nonzero elements (log[0] =
+    -1 as a sentinel).  A gather exp[(log[x] + j) % (q-1)] with 0 <= j < q
+    stays in int32, as log[x] + j < 2q, far below 2^31 within
+    FIELD_ORDER_BUDGET.
     """
 
     p: int
@@ -204,7 +208,8 @@ class Field:
 
     # -- cyclotomic cosets ------------------------------------------------
     def class_array(self, e: int) -> np.ndarray:
-        """The e cosets of the e-th powers as an (e, f) array, row i ascending.
+        """The e cosets of the e-th powers as an (e, f) array in exp's dtype,
+        row i ascending.
 
         Row i is C_i = {generator^t : t = i (mod e)}; C_0 is the subgroup of
         order f = (q-1)/e and the rows partition the nonzero elements.
@@ -240,8 +245,9 @@ def _exp_table(group: AdditiveGroup, step: np.ndarray, q: int) -> np.ndarray:
     the smallest dtype that holds base-1.  Multiplying by g^m is the linear
     map given by step^m, so columns [m, 2m) are columns [0, m) mapped by
     step^m (AdditiveGroup.map_columns): about log2(q) doublings.  The
-    columns are packed once at the end.  Serves rings too: with base p^2
-    and q = p^r it lists the powers of a Teichmüller generator.  Raises
+    columns are packed once at the end, straight into the group's
+    point_dtype (AdditiveGroup.pack_columns).  Serves rings too: with base
+    p^2 and q = p^r it lists the powers of a Teichmüller generator.  Raises
     AssertionError unless g^(q-1) = 1.
     """
     cols = np.zeros((group.digits, q - 1), dtype=np.min_scalar_type(group.base - 1))
@@ -265,14 +271,14 @@ def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
 
     Raises AssertionError unless exp hits every nonzero element exactly
     once; exp has q-1 entries, so hitting all of them suffices.  The
-    scatter runs in int32, which holds every exponent within
-    FIELD_ORDER_BUDGET and takes a third of the int64 time at q = 23^4.
+    table is int32, which holds every exponent within FIELD_ORDER_BUDGET;
+    its scatter takes a third of the int64 time at q = 23^4.
     """
     log = np.full(q, -1, dtype=np.int32)
     log[exp] = np.arange(q - 1, dtype=np.int32)
     if (log[1:] < 0).any():
         raise AssertionError("exp table is not a bijection onto the nonzero elements")
-    return log.astype(np.int64)
+    return log
 
 
 # tables kept alive: one `compare` builds at most three (F_{t^2}, F_t and

@@ -23,6 +23,14 @@ import numpy as np
 from .arith import is_prime
 
 
+def point_dtype(v: int) -> np.dtype:
+    """The dtype of an array of elements of a group of order v: the
+    narrowest unsigned dtype that holds v-1, uint8 to uint32, else int64
+    (numpy promotes uint64 with int64 to float64, and bincount refuses
+    uint64)."""
+    return np.min_scalar_type(v - 1) if v <= 1 << 32 else np.dtype(np.int64)
+
+
 @lru_cache(maxsize=None)
 def _powers(base: int, digits: int) -> np.ndarray:
     return base ** np.arange(digits, dtype=np.int64)
@@ -114,8 +122,9 @@ class AdditiveGroup:
         return np.subtract(acc, acc // base * base, out=out, casting="unsafe")
 
     def pack_columns(self, cols: np.ndarray) -> np.ndarray:
-        """The int64 encodings of digit columns (digits on axis -2), by Horner."""
-        packed = cols[..., -1, :].astype(np.int64)
+        """The encodings of digit columns (digits on axis -2), by Horner, in
+        point_dtype(order): every partial value is an encoding too."""
+        packed = cols[..., -1, :].astype(point_dtype(self.order))
         for ell in range(self.digits - 2, -1, -1):
             packed *= self.base
             packed += cols[..., ell, :]

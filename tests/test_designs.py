@@ -15,9 +15,9 @@ from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.cli import construction_family
-from ddfkit.designs import Design, IntersectionProfile, point_dtype
+from ddfkit.designs import Design, IntersectionProfile
 from ddfkit.families import DifferenceFamily, load_family, save_family
-from ddfkit.groups import field_group, ring_group
+from ddfkit.groups import field_group, point_dtype, ring_group
 
 from test_multipliers import DIRECT_SWEEP_BLOCKS
 

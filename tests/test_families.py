@@ -15,7 +15,7 @@ from ddfkit import families
 from ddfkit.designs import Design, design_to_text, save_design
 from ddfkit.families import (DifferenceFamily, ValidationReport, _make_family,
                              family_to_text, rows_to_text)
-from ddfkit.groups import field_group, ring_group
+from ddfkit.groups import field_group, point_dtype, ring_group
 
 
 def block_rows(fam):
@@ -508,16 +508,23 @@ def test_block_array_is_the_read_only_block_table(tmp_path):
     save_family(built, tmp_path / "ring.txt")
     field_fam = wilson_family(build_field(3, 2), 4)
     save_family(field_fam, tmp_path / "field.txt")
+    # v = 66049: uint32 blocks, built and loaded
+    wide = [squares_family(build_ring(257, 1)), wilson_family(build_field(257, 2), 2 * 258)]
+    for i, fam in enumerate(wide):
+        save_family(fam, tmp_path / f"wide{i}.txt")
     ring = build_ring(7, 1)
     fams = [field_fam, built, davis_family(build_ring(3, 2)),
             furino_family(ring, ring.teichmuller[1::3]), *feng_families(build_field(11, 3)),
             load_family(tmp_path / "ring.txt", "ring", 5),
             load_family(tmp_path / "field.txt", "field", 3),
+            *wide, load_family(tmp_path / "wide0.txt", "ring", 257),
+            load_family(tmp_path / "wide1.txt", "field", 257),
             DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), lam=0),
             dataclasses.replace(built, blocks=built.block_array(), lam=0)]
     for fam in fams:
         arr = fam.block_array()
-        assert arr.dtype == np.int64 and arr.shape == (fam.b, fam.k)
+        # uint8 up to v = 256, uint16 for feng's 1331, uint32 for 66049
+        assert arr.dtype == point_dtype(fam.v) and arr.shape == (fam.b, fam.k)
         assert type(fam.b) is int
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -551,5 +558,6 @@ def test_family_holds_only_its_block_array():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fam.block_array().nbytes == 8 * (13 ** 4 - 1)
+    # uint16, point_dtype(13^4): two bytes per block entry
+    assert fam.block_array().nbytes == 2 * (13 ** 4 - 1)
     assert held <= 1.5 * fam.block_array().nbytes

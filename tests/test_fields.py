@@ -10,7 +10,7 @@ from ddfkit import BudgetError, build_field, fields
 from ddfkit.arith import is_prime, multiplicative_order, prime_divisors, primes_below
 from ddfkit.fields import (_ROOT_CELLS, TABLE_CACHE_SIZE, _exp_table, _log_table, _rootless,
                            is_irreducible, is_primitive, least_primitive_poly, poly_mulmod)
-from ddfkit.groups import field_group
+from ddfkit.groups import field_group, point_dtype
 
 
 def brute_order(a, modulus):
@@ -117,6 +117,19 @@ def test_inverse_and_pow_consistency():
         build_field(5, 1).inv(0)
 
 
+@pytest.mark.parametrize("p, n, dtype", [(2, 8, np.uint8), (5, 4, np.uint16), (2, 16, np.uint16),
+                                         (2, 17, np.uint32)])
+def test_tables_are_held_at_their_natural_width(p, n, dtype):
+    # exp at the width of the field's elements, the width of a family's
+    # blocks; log in int32 with its -1 sentinel, whose gathers
+    # log[x] + j < 2q stay in int32
+    f = build_field(p, n)
+    assert f.exp.dtype == point_dtype(f.q) == dtype
+    assert f.log.dtype == np.int32 and f.log[0] == -1
+    assert (f.log[f.exp] + (f.q - 1)).dtype == np.int32
+    assert f.class_array(f.q - 1).dtype == dtype
+
+
 def test_cyclotomic_classes_f5():
     f = build_field(5, 1)
     # squares mod 5 by exhaustion: {1, 4}; non-squares {2, 3}
@@ -134,8 +147,9 @@ def test_cyclotomic_classes_f9_e4():
 def test_cyclotomic_classes_f625_e52():
     f = build_field(5, 4)
     classes = f.class_array(52)
-    assert classes.shape == (52, 12) and classes.dtype == np.int64
-    assert (np.diff(classes, axis=1) > 0).all()
+    # exp's dtype, point_dtype(625); a difference of uint16 rows would wrap
+    assert classes.shape == (52, 12) and classes.dtype == np.uint16
+    assert (classes[:, 1:] > classes[:, :-1]).all()
 
 
 def test_cyclotomic_classes_structure():
@@ -301,11 +315,11 @@ def test_tables_past_one_chunk_take_one_step_per_entry(p, n):
     (1009, 2, "d1c6d408907e8f1299b11c05e1a6734d81af310eb9d17f2a66b98c8863fec5aa"),
 ], ids=["2-20", "3-12", "1009-2"])
 def test_tables_at_the_budget_top_are_pinned(p, n, digest):
-    # SHA-256 of the little-endian int64 exp table, as the int64 digit-row
-    # doubling built it
+    # SHA-256 of the exp table widened to little-endian int64, as the int64
+    # digit-row doubling built it; the table itself is uint32
     exp = build_field(p, n).exp
-    assert exp.dtype == np.dtype("<i8")
-    assert hashlib.sha256(exp.tobytes()).hexdigest() == digest
+    assert exp.dtype == np.uint32
+    assert hashlib.sha256(exp.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_field_cache_is_bounded():

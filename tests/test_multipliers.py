@@ -1,6 +1,7 @@
 """Orbit reduction of the difference route and its self-checks."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -13,8 +14,9 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import _scaled, _unit_images, check_profile, difference_orbits
-from ddfkit.families import DifferenceFamily
+from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _scaled, _unit_maps,
+                            _units_permute_blocks, check_profile, difference_orbits)
+from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, ring_group
 
 # Developed blocks v*b up to which the sweeps here and in test_designs.py and
@@ -230,7 +232,7 @@ def test_unit_images_match_multiplication(kind, p, n):
                   for j in (1, 3)]
         gens = scalar[:1]
     else:
-        images = [image.ravel().tolist() for image in _unit_images(g, x)]
+        images = [image_of(x).ravel().tolist() for image_of in _unit_maps(g)]
         scalar = gens = [[m(a) for a in g.elements()] for m in ring_unit_generators(g)]
     assert images == scalar
     # the generators reach every unit from 1: the field's q - 1 nonzero
@@ -273,6 +275,52 @@ def test_linearly_relabelled_wilson_keeps_the_scalar_multipliers(name, p, r, see
     assert profile_via_differences(fam) == profile_via_differences(built)
     if fam.v * fam.b <= DIRECT_SWEEP_BLOCKS:
         assert profile_via_differences(fam) == profile_direct(develop(fam))
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2), (17, 2)])
+def test_loaded_copies_find_the_multipliers_of_the_construction(tmp_path, p, r):
+    # v = 81, 625 and 83521: uint8, uint16 and uint32 blocks.  A loaded copy
+    # reaches the orbit search at the width of the construction, and the
+    # image keys must have the width of the blocks' own keys, whatever the
+    # map's arithmetic returns.  The relabelled field family keeps only
+    # F_p* (see test_linearly_relabelled_wilson_keeps_the_scalar_multipliers),
+    # and the swapped ring family no unit.
+    fams = constructions(p, r)
+    fams["relabelled"] = linearly_relabelled(fams["wilson-half"], 5)
+    fams["swapped"] = swapped(fams["gr-squares"])
+    for name, built in fams.items():
+        save_family(built, tmp_path / "fam.txt")
+        loaded = load_family(tmp_path / "fam.txt", built.group.kind, p)
+        assert loaded.block_array().dtype == built.block_array().dtype
+        if built.group.kind == "field":
+            field = build_field(p, 2 * r)
+            j0 = _field_multiplier_step(built, field)
+            assert _field_multiplier_step(loaded, field) == j0
+            assert j0 == ((field.q - 1) // (p - 1) if name == "relabelled" else 1), name
+        else:
+            assert _units_permute_blocks(loaded) is _units_permute_blocks(built) \
+                is (name != "swapped"), name
+
+
+@pytest.mark.parametrize("name", ["wilson-half", "gr-squares"])
+def test_orbit_search_holds_two_key_arrays_and_a_slice(name):
+    # t = 1009: 2020 base blocks of 504 in a 4.07 MB uint32 array.  The
+    # search holds the blocks' sorted keys and one image key array, both at
+    # the blocks' width, and the int64 temporaries of one slice of
+    # _ORBIT_ENTRIES entries.  Traced peaks with numpy 2.4: 8.81 MB for
+    # wilson-half and 10.25 MB for gr-squares, within the bound
+    # 2*4.07 + 48*2^16/10^6 = 11.29 MB.
+    fam = constructions(1009, 1)[name]
+    difference_orbits(fam)  # the field or ring tables stay in their caches
+    tracemalloc.start()
+    try:
+        reps, _ = difference_orbits(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reps.size == (2 if name == "wilson-half" else 3)  # every unit permutes
+    assert fam.block_array().nbytes == 4 * 2020 * 504
+    assert peak <= 2 * fam.block_array().nbytes + 48 * _ORBIT_ENTRIES
 
 
 def cyclotomic_cases():
