@@ -14,7 +14,7 @@ from .galois_ring import GaloisRing, UnitDecomposition, build_ring
 from .families import (DifferenceFamily, ValidationReport, davis_family,
                        feng_families, furino_family, load_family, save_family,
                        squares_family, validate_ddf, wilson_family)
-from .designs import (Design, IntersectionProfile, IsoResult, develop,
+from .designs import (Design, Development, IntersectionProfile, IsoResult, develop,
                       iso_oracle, load_design, profile_direct,
                       profile_via_differences, save_design, verify_2design)
 from .cyclotomy import (CyclotomicTable, check_sum_relation,
@@ -34,7 +34,7 @@ __all__ = [
     "DifferenceFamily", "ValidationReport", "davis_family", "feng_families",
     "furino_family", "load_family", "save_family", "squares_family",
     "validate_ddf", "wilson_family",
-    "Design", "IntersectionProfile", "IsoResult", "develop", "iso_oracle",
+    "Design", "Development", "IntersectionProfile", "IsoResult", "develop", "iso_oracle",
     "load_design", "profile_direct", "profile_via_differences", "save_design",
     "verify_2design",
     "CyclotomicTable", "check_sum_relation", "closed_form_order_2e",

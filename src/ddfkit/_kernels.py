@@ -4,14 +4,22 @@ Every kernel takes a block array of non-negative integers as its first
 argument, in any integer dtype but uint64: a family or a developed or
 loaded design comes in the narrowest unsigned dtype that holds its points
 (see groups.point_dtype), and the kernels read it as it is, widening only
-the slices they compute offsets from.  Beyond its inputs and its result, each
-kernel's working set is bounded by a slice (the module constants below),
-not by its table: a cell table is built in strips of rows, Gram products
-are formed tile by tile from a bit-packed incidence matrix, and pair
-coverage is added in place from slices of transposed blocks.  The direct
-routes check their own work against the budgets below before they
-allocate anything of its size.  The histograms are exact int64 counts;
-callers finish the arithmetic in Python integers, so nothing here can
+the slices they compute offsets from.  The direct kernels
+(block_intersection_hist, pair_coverage) also take, in place of the array,
+any iterable of its row slices in order that has the array's `shape`: a
+designs.Development develops each slice as it is read, and an array is its
+own one slice.  The Gram route and pair coverage read a development one
+slice at a time; the moment route, whose subset keys _SUBSET_KEYS bounds
+and outnumber the design's entries, copies the slices into one array.
+Beyond its inputs (a family's blocks, a loaded design, or one slice of a
+development at a time) and its result, each kernel's working set is
+bounded by a slice (the module constants below), not by its table: a cell
+table is built in strips of rows, Gram products are formed tile by tile
+from a bit-packed incidence matrix, and pair coverage is added in place
+from slices of transposed blocks.  The direct routes check their own work
+against the budgets below, on the shape alone, before they allocate
+anything of its size or read a slice.  The histograms are exact int64
+counts; callers finish the arithmetic in Python integers, so nothing here can
 silently overflow (the per-kernel counts are bounded by b^2 * v, far
 below 2^63 at the supported sizes).  Pair coverage counts are int32: a
 count is at most B, and B <= 2^30 within COVER_INDEX_BUDGET once k >= 2.
@@ -68,8 +76,9 @@ _GRAM_ROWS = 256
 # Subset keys per level of block_intersection_hist's moment route: 8 MB of
 # int64, held with its parts, its sorted copy and the level before it.
 _SUBSET_KEYS = 1 << 20
-# Pair indices per np.add.at of pair_coverage: 2 MB of int64.
-_COVER_INDICES = 1 << 18
+# Pair indices per np.add.at of pair_coverage: 256 KB of int64.  On
+# gr-squares (37,1) the median call took 65.3 ms, against 66.5 ms at 2^18.
+_COVER_INDICES = 1 << 15
 # Blocks per transposed slice of pair_coverage: 0.6 MB of uint16 at k = 18.
 _COVER_BLOCKS = 1 << 14
 
@@ -77,6 +86,30 @@ _COVER_BLOCKS = 1 << 14
 def backend() -> str:
     """Name of the counting backend; numpy is the only one."""
     return "numpy"
+
+
+def _row_slices(blocks):
+    """(B, k) and the row slices, in order, of a block array, which is its own
+    one slice, or of an iterable of slices with a `shape` (a designs.Design
+    or designs.Development), which yields them when iterated."""
+    if not hasattr(blocks, "shape"):
+        blocks = np.asarray(blocks)
+    return blocks.shape, (blocks,) if isinstance(blocks, np.ndarray) else blocks
+
+
+def _joined(B, k, slices, copy=False):
+    """The rows of the slices of a (B, k) block array in one array: a slice
+    that holds every row is that array itself unless `copy`, else the slices
+    are copied in order into one new array of their dtype."""
+    out, at = None, 0
+    for part in slices:
+        if part.shape[0] == B and not copy:
+            return part
+        if out is None:
+            out = np.empty((B, k), dtype=part.dtype)
+        out[at:at + part.shape[0]] = part
+        at += part.shape[0]
+    return out
 
 
 def _distinct(values):
@@ -167,28 +200,32 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     return hist[:k + 1]
 
 
-def _incidence(blocks, v):
-    """(B, ceil(v/8)) uint8: the 0/1 incidence matrix of the blocks on points
-    0..v-1, bit-packed along each row by np.packbits (padding bits are 0).
+def _incidence(B, slices, v):
+    """(B, ceil(v/8)) uint8: the 0/1 incidence matrix on points 0..v-1 of
+    the B blocks in a sequence of row slices, bit-packed along each row by
+    np.packbits (padding bits are 0).
 
-    Built _GRAM_ROWS rows at a time through one boolean tile of them.
+    Built _GRAM_ROWS rows of a slice at a time through one boolean tile.
     """
-    B = blocks.shape[0]
     packed = np.empty((B, (v + 7) // 8), dtype=np.uint8)
     tile = np.empty((min(_GRAM_ROWS, B), v), dtype=bool)
-    for s in range(0, B, _GRAM_ROWS):
-        rows = tile[:min(_GRAM_ROWS, B - s)]
-        rows.fill(False)
-        rows[np.arange(rows.shape[0])[:, None], blocks[s:s + rows.shape[0]]] = True
-        packed[s:s + rows.shape[0]] = np.packbits(rows, axis=1)
+    at = 0  # the first row of `part`
+    for part in slices:
+        for s in range(0, part.shape[0], _GRAM_ROWS):
+            rows = tile[:min(_GRAM_ROWS, part.shape[0] - s)]
+            rows.fill(False)
+            rows[np.arange(rows.shape[0])[:, None], part[s:s + rows.shape[0]]] = True
+            packed[at + s:at + s + rows.shape[0]] = np.packbits(rows, axis=1)
+        at += part.shape[0]
     return packed
 
 
 def _gram_hist(blocks, v):
     """Histogram of |B_i & B_j| from Gram products of the 0/1 incidence matrix.
 
-    `blocks` holds points 0..v-1, rows in any order.  The incidence matrix
-    stays bit-packed (_incidence); tiles of _GRAM_ROWS block rows are
+    `blocks` holds points 0..v-1, rows in any order, as an array or its
+    slices (see _row_slices).  The incidence matrix stays bit-packed
+    (_incidence); tiles of _GRAM_ROWS block rows are
     unpacked into float32 one at a time, a left tile against each column
     tile from the diagonal on.  A product entry |B_i & B_j| is an integer
     at most k < 2^w, w = bit_length(k).  When 2w <= 24 the left tile holds
@@ -202,7 +239,7 @@ def _gram_hist(blocks, v):
     odd).  Raises BudgetError before _incidence past GRAM_MULADD_BUDGET
     multiply-adds or GRAM_TILE_BUDGET cells in a tile.
     """
-    B, k = blocks.shape
+    (B, k), slices = _row_slices(blocks)
     w = k.bit_length()
     lanes = 2 if 2 * w <= 24 else 1
     for work, budget, what in ((comb(B + 1, 2) * v // lanes, GRAM_MULADD_BUDGET,
@@ -211,7 +248,7 @@ def _gram_hist(blocks, v):
                                 f"cells per Gram tile (min(B, {_GRAM_ROWS})*v)")):
         if work > budget:
             raise BudgetError(f"direct profile capped at {budget} {what}, got {work}")
-    packed = _incidence(blocks, v)
+    packed = _incidence(B, slices, v)
     h = -(-_GRAM_ROWS // lanes)  # rows per lane
     left = np.empty((min(h, B), packed.shape[1] * 8), dtype=np.float32)
     right = np.empty((min(_GRAM_ROWS, B), left.shape[1]), dtype=np.float32)
@@ -246,15 +283,17 @@ def _moment_hist(blocks, v):
     A j-subset S of points in lam_S blocks lies in C(lam_S, 2) block pairs,
     and a pair meeting in N points shares C(N, j) j-subsets, so
     M_j = sum_S C(lam_S, 2) = sum_N C(N, j) m_N.  Level j packs each block's
-    j-subsets x_1 < ... < x_j (rows sorted, any order given) as the key
+    j-subsets x_1 < ... < x_j (rows of an array or of its slices, copied
+    into one array and sorted there; any order given) as the key
     sum x_i v^(j-i), exact while v^j < 2^63: a (j-1)-subset's key times v
     plus a later point.  lam_S is a run of equal sorted keys.  The first
     M_j = 0 ends the levels, as no larger subset then lies in two blocks;
     binomial inversion gives m_N = sum_(j>=N) (-1)^(j-N) C(j, N) M_j for
     N >= 1, and m_0 is the rest of C(B, 2).  No block pair is formed.
     """
-    B, k = blocks.shape
-    rows = np.sort(blocks, axis=1)
+    (B, k), slices = _row_slices(blocks)
+    rows = _joined(B, k, slices, copy=True)
+    rows.sort(axis=1)
     moments = [0]  # M_j at index j
     # the keys of level j - 1, a column per subset, and each subset's last position
     keys, last = np.zeros((B, 1), dtype=np.int64), np.array([-1])
@@ -278,20 +317,21 @@ def _moment_hist(blocks, v):
 
 def block_intersection_hist(blocks, v):
     """Histogram of |B_i & B_j| over unordered pairs of distinct block indices
-    of a block array on points 0..v-1.
+    of a block array on points 0..v-1, or of its slices (see _row_slices).
 
     Unused points change no count.  When v exceeds the B*k entries, which
     only a loaded design can declare, the points that occur are first
-    renumbered 0..u-1 in order by a sort.  The moment route (_moment_hist)
+    renumbered 0..u-1 in order by a sort.  The route is chosen on B, k and
+    v alone.  The moment route (_moment_hist)
     runs when its subset keys, B*(2^k - 1) over all levels, are no more
     than the C(B, 2) Gram cells, when one level's keys, at most
     B*C(k, k//2), fit in _SUBSET_KEYS, and when v^k < 2^63 keeps every key
     exact; the Gram route (_gram_hist) runs otherwise, and raises
     BudgetError past its budgets.
     """
-    blocks = np.asarray(blocks)
-    B, k = blocks.shape
-    if v > blocks.size:
+    (B, k), slices = _row_slices(blocks)
+    if v > B * k:
+        blocks = _joined(B, k, slices)
         points = _distinct(blocks.ravel())
         blocks, v = np.searchsorted(points, blocks), points.size
     if B * (2 ** k - 1) <= comb(B, 2) and B * comb(k, k // 2) <= _SUBSET_KEYS \
@@ -304,28 +344,36 @@ def pair_coverage(blocks, v):
     """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
     containing both u and w, for u < w; the pairs are in row-major order.
 
-    Rows must be ascending.  The counts are int32 (see the module doc).
-    Slices of _COVER_BLOCKS blocks are transposed in turn to columns in the
-    array's own dtype; column i, widened to int64 alone, pairs with each
+    `blocks` is an array or its slices (see _row_slices), rows ascending.
+    The counts are int32 (see the module doc).  Each slice is read in
+    pieces of _COVER_BLOCKS blocks, transposed in turn to columns in the
+    slice's own dtype; column i, widened to int64 alone, pairs with each
     later column j as start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 -
     u - 1, added into the table in place by np.add.at, at most
     max(_COVER_INDICES, slice) indices per call.  Raises BudgetError before
-    the table is allocated past COVER_CELL_BUDGET or COVER_INDEX_BUDGET.
+    the table is allocated, or a slice read, past COVER_CELL_BUDGET or
+    COVER_INDEX_BUDGET.
     """
-    blocks = np.asarray(blocks)
-    B, k = blocks.shape
+    (B, k), slices = _row_slices(blocks)
     for work, budget, what in ((v * (v - 1) // 2, COVER_CELL_BUDGET, "table cells (v(v-1)/2)"),
                                (B * comb(k, 2), COVER_INDEX_BUDGET, "pair indices (B*C(k, 2))")):
         if work > budget:
             raise BudgetError(f"exhaustive pair counting capped at {budget} {what}, got {work}")
     cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32)
+    for part in slices:
+        _add_pairs(cnt, part, v)
+        del part  # not held while the next slice is developed
+    return cnt
+
+
+def _add_pairs(cnt, part, v):
+    """Add the pairs of one slice of ascending rows into pair_coverage's table."""
     one = np.int32(1)  # numpy's add.at fast path needs the table's dtype
-    for lo in range(0, B, _COVER_BLOCKS):
-        cols = np.ascontiguousarray(blocks[lo:lo + _COVER_BLOCKS].T)
+    for lo in range(0, part.shape[0], _COVER_BLOCKS):
+        cols = np.ascontiguousarray(part[lo:lo + _COVER_BLOCKS].T)
         rows = max(1, _COVER_INDICES // cols.shape[1])
-        for i in range(k - 1):
+        for i in range(part.shape[1] - 1):
             u = cols[i].astype(np.int64)
             start = u * (2 * v - u - 1) // 2 - u - 1
-            for j in range(i + 1, k, rows):
+            for j in range(i + 1, part.shape[1], rows):
                 np.add.at(cnt, (start + cols[j:j + rows]).ravel(), one)
-    return cnt

@@ -23,7 +23,7 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, quadruple_mask,
                         quadruple_sums, table_to_csv)
 from .certify import certificate, compare_designs, gate
-from .designs import (develop, design_text_chunks, load_design, profile_direct,
+from .designs import (Development, design_text_chunks, load_design, profile_direct,
                       profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_text_chunks, feng_families, load_family,
@@ -91,7 +91,7 @@ def cmd_construct(args) -> int:
 
 def cmd_develop(args) -> int:
     fam = _family_from_args(args)
-    _write_out(design_text_chunks(develop(fam)), args.out)
+    _write_out(design_text_chunks(Development(fam)), args.out)
     return 0
 
 
@@ -104,11 +104,11 @@ def cmd_profile(args) -> int:
         return 0
     fam = _family_from_args(args)
     if args.method == "direct":
-        prof = profile_direct(develop(fam))
+        prof = profile_direct(Development(fam))
     elif args.method == "differences":
         prof = profile_via_differences(fam)
     else:  # both, with agreement check
-        direct = profile_direct(develop(fam))
+        direct = profile_direct(Development(fam))
         diff = profile_via_differences(fam)
         if direct != diff:
             sys.stderr.write("profile methods disagree:\n"
@@ -191,8 +191,7 @@ def cmd_verify(args) -> int:
     if report.offending_element is not None:
         sys.stdout.write(f"  witness element: {report.offending_element}\n")
     if not args.skip_design:
-        design = develop(fam)
-        passed, witness = verify_2design(design, fam.lam)
+        passed, witness = verify_2design(Development(fam), fam.lam)
         sys.stdout.write(f"  2-design with lambda={fam.lam}: {passed}"
                          + (f" (witness pair {witness})" if witness else "") + "\n")
         ok = ok and passed

@@ -2,7 +2,8 @@
 
 The development of a family with b base blocks over a group of order v is an
 indexed collection of exactly v*b blocks (translates counted with
-multiplicity); a flag reports whether any orbit collapsed into duplicates.
+multiplicity), developed a chunk of base blocks at a time (Development);
+has_duplicate_blocks reports whether any orbit collapsed into duplicates.
 Block-intersection profiles come from two independent routes:
 
   * profile_direct: all unordered pairs of distinct block indices, from
@@ -33,6 +34,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from functools import partial
+from itertools import product
 from math import comb, gcd
 
 import numpy as np
@@ -50,24 +52,25 @@ DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 
 # Block entries per slice of the orbit search's images: with their int64
 # temporaries, about 2 MB.
 _ORBIT_ENTRIES = 1 << 16
-# Translate entries per chunk of base blocks in develop: one digit's sums
-# and their mask stay near 0.5 MB; a block whose v*k is larger is a chunk
-# of its own.
+# Entries per slice of a Development: whole base blocks while their v*k
+# translate entries fit, else a range of one block's translates.
 _DEVELOP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
 class Design:
-    """An indexed block collection on points {0, ..., v-1}.
+    """An indexed block collection on points {0, ..., v-1}, held whole.
 
-    A developed family stores D_i + t in row i*v + t.
+    A developed family stores D_i + t in row i*v + t.  Like a Development,
+    it has a `shape` and iterates over its row slices, here the one block
+    array, which is what the kernels, verify_2design, profile_direct and
+    design_text_chunks read of either.
     """
 
     v: int
     # (B, k), rows sorted; point_dtype(v) when developed or loaded, and the
     # kernels read any non-negative integer dtype but uint64
     blocks: np.ndarray = dfield(repr=False)
-    has_duplicate_blocks: bool = False
 
     @property
     def k(self) -> int:
@@ -76,6 +79,13 @@ class Design:
     @property
     def block_count(self) -> int:
         return int(self.blocks.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.blocks.shape
+
+    def __iter__(self):
+        yield self.blocks
 
 
 class IntersectionProfile:
@@ -113,49 +123,104 @@ class IntersectionProfile:
         return cls({int(n): int(m) for n, m in raw.items()})
 
 
-def develop(fam: DifferenceFamily) -> Design:
-    """All v*b translates D_i + g, ordered by base index then translate.
+class Development:
+    """A family's v*b translates D_i + g, developed a slice at a time each
+    time it is iterated, never held whole.
 
-    The block array has point_dtype(v).  Digit l of x + g is x_l + g_l,
-    less base when that reaches base; each chunk of base blocks holds one
-    digit's (chunk, v, k) sums at a time, folded by Horner into its rows
-    of the output, whose every partial value is below v.  The rows are
-    sorted in place.
+    Iterating yields (rows, k) arrays in point_dtype(v) whose concatenation
+    is develop(fam).blocks: row i*v + g is D_i + g, sorted.  A slice holds
+    at most _DEVELOP_CHUNK entries (or one translate of k): whole base
+    blocks, or a range of one block's translates.  Digit l of x + g is
+    x_l + g_l, less base when that reaches base; one digit's sums for the
+    slice at a time are folded by Horner into its rows, whose every partial
+    value is below v.  `v`, `k`, `block_count` and `shape` are those of the
+    whole array, known before any slice exists, so each kernel that reads
+    the slices checks its budgets first.
+
+    Raises BudgetError on construction, before anything is allocated, when
+    v*b*k exceeds DEVELOP_ENTRY_BUDGET.
+    """
+
+    def __init__(self, fam: DifferenceFamily):
+        entries = fam.v * fam.b * fam.k
+        if entries > DEVELOP_ENTRY_BUDGET:
+            raise BudgetError(f"development capped at {DEVELOP_ENTRY_BUDGET} block "
+                              f"entries (v*b*k), got {entries}")
+        self.fam = fam
+        self.v, self.k = fam.v, fam.k
+        self.block_count = fam.v * fam.b
+        self.shape = (self.block_count, self.k)
+
+    def __iter__(self):
+        g = self.fam.group
+        v, base = g.order, g.base
+        blocks = self.fam.block_array()
+        b, k = blocks.shape
+        # digit l on axis 0, in a dtype that holds the sum of two digits
+        digit_dtype = np.min_scalar_type(2 * (base - 1))
+        block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 0).astype(digit_dtype)
+        translate_digits = g.digit_matrix(np.arange(v)).T.astype(digit_dtype)
+        # base blocks and translates per slice: chunk > 1 only when span = v
+        chunk = max(1, _DEVELOP_CHUNK // (v * k))
+        span = min(v, max(1, _DEVELOP_CHUNK // k))
+        for lo, t in product(range(0, b, chunk), range(0, v, span)):
+            rows = np.empty((min(chunk, b - lo), min(span, v - t), k), dtype=point_dtype(v))
+            for ell in range(g.digits - 1, -1, -1):
+                sums = block_digits[ell, lo : lo + chunk, None, :] \
+                    + translate_digits[ell, t : t + span, None]
+                np.subtract(sums, base, out=sums, where=sums >= base)
+                if ell < g.digits - 1:
+                    rows *= base
+                    rows += sums
+                else:
+                    rows[...] = sums
+            del sums
+            rows.sort(axis=2)
+            yield rows.reshape(-1, k)
+            del rows  # while the next slice is built, only the caller may hold this one
+
+
+def develop(fam: DifferenceFamily) -> Design:
+    """All v*b translates D_i + g, ordered by base index then translate: the
+    slices of Development(fam), copied into one (v*b, k) array in
+    point_dtype(v).  The CLI never calls it; it reads the slices.
 
     Raises BudgetError before allocating when v*b*k exceeds DEVELOP_ENTRY_BUDGET.
     """
-    entries = fam.v * fam.b * fam.k
-    if entries > DEVELOP_ENTRY_BUDGET:
-        raise BudgetError(f"development capped at {DEVELOP_ENTRY_BUDGET} block "
-                          f"entries (v*b*k), got {entries}")
-    g = fam.group
-    v, base = g.order, g.base
+    development = Development(fam)
+    out = np.empty(development.shape, dtype=point_dtype(fam.v))
+    at = 0
+    for rows in development:
+        out[at : at + rows.shape[0]] = rows
+        at += rows.shape[0]
+    return Design(v=fam.v, blocks=out)
+
+
+def has_duplicate_blocks(fam: DifferenceFamily) -> bool:
+    """Whether two of the v*b translates of the base blocks are equal.
+
+    D_i + g = D_j + h for (i, g) != (j, h) iff D_i - x = D_j - y for some
+    distinct (i, x), (j, y) with x in D_i, y in D_j: a nontrivial
+    stabiliser, or two base blocks that are translates.  So only the b*k
+    translates through 0 are compared, with nothing developed.
+
+    Raises BudgetError before they are built when their b*k^2 entries
+    exceed DEVELOP_ENTRY_BUDGET.  They are held in point_dtype(v), formed
+    _DEVELOP_CHUNK entries of base blocks at a time.
+    """
     blocks = fam.block_array()
     b, k = blocks.shape
-    out = np.empty((b, v, k), dtype=point_dtype(v))
-    # digit l on axis 0, in a dtype that holds the sum of two digits
-    digit_dtype = np.min_scalar_type(2 * (base - 1))
-    block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 0).astype(digit_dtype)
-    translate_digits = g.digit_matrix(np.arange(v)).T.astype(digit_dtype)
-    chunk = max(1, _DEVELOP_CHUNK // (v * k))
+    if b * k * k > DEVELOP_ENTRY_BUDGET:
+        raise BudgetError(f"duplicate check capped at {DEVELOP_ENTRY_BUDGET} translate "
+                          f"entries (b*k^2), got {b * k * k}")
+    # row (i, x) is D_i - x, for x in D_i
+    through_zero = np.empty((b, k, k), dtype=point_dtype(fam.v))
+    chunk = max(1, _DEVELOP_CHUNK // (k * k))
     for lo in range(0, b, chunk):
-        rows = out[lo : lo + chunk]
-        for ell in range(g.digits - 1, -1, -1):
-            sums = block_digits[ell, lo : lo + chunk, None, :] + translate_digits[ell, :, None]
-            np.subtract(sums, base, out=sums, where=sums >= base)
-            if ell < g.digits - 1:
-                rows *= base
-                rows += sums
-            else:
-                rows[...] = sums
-        rows.sort(axis=2)
-    out = out.reshape(b * v, k)
-    # D_i + g = D_j + h for (i, g) != (j, h) iff D_i - x = D_j - y for some
-    # distinct (i, x), (j, y) with x in D_i, y in D_j: a nontrivial
-    # stabiliser, or two base blocks that are translates.  Compare those b*k
-    # translates through 0, which are rows i*v + (-x) of the development.
-    through_zero = out[(np.arange(b)[:, None] * v + g.sub_arrays(0, blocks)).ravel()]
-    return Design(v=v, blocks=out, has_duplicate_blocks=_has_repeated_rows(through_zero))
+        part = blocks[lo : lo + chunk]
+        through_zero[lo : lo + chunk] = fam.group.sub_arrays(part[:, None, :], part[:, :, None])
+    through_zero.sort(axis=2)
+    return _has_repeated_rows(through_zero.reshape(b * k, k))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -207,30 +272,34 @@ def _has_repeated_rows(rows: np.ndarray) -> bool:
     return bool((keys[1:] == keys[:-1]).any())
 
 
-def verify_2design(design: Design, lam: int):
-    """Exhaustively check that every point pair lies in exactly lam blocks.
+def verify_2design(design, lam: int):
+    """Exhaustively check that every point pair of a Design or a
+    Development lies in exactly lam blocks.
 
     Returns (True, None) or (False, witness_pair).  Raises BudgetError
-    before counting past the budgets of _kernels.pair_coverage.
+    before counting, or developing, past the budgets of
+    _kernels.pair_coverage.
     """
     v = design.v
-    bad = _kernels.pair_coverage(design.blocks, v) != lam
-    if not bad.any():
+    off = _kernels.pair_coverage(design, v)
+    off -= lam  # in place: no flag table beside the counts
+    if not off.any():
         return True, None
     # the table is in row-major order, row u starting at u(2v-u-1)/2, so
-    # its first bad flag, argmax's first True, is the first bad pair u < w
-    at = int(bad.argmax())
+    # its first nonzero entry is the first bad pair u < w
+    at = int((off != 0).argmax())
     rows = np.arange(v, dtype=np.int64)
     starts = rows * (2 * v - rows - 1) // 2
     u = int(np.searchsorted(starts, at, side="right")) - 1
     return False, (u, at - int(starts[u]) + u + 1)
 
 
-def profile_direct(design: Design) -> IntersectionProfile:
-    """Histogram over all C(B, 2) distinct-index block pairs, from the
-    blocks alone (see _kernels.block_intersection_hist, whose Gram route
-    raises BudgetError past its budgets)."""
-    hist = _kernels.block_intersection_hist(design.blocks, design.v)
+def profile_direct(design) -> IntersectionProfile:
+    """Histogram over all C(B, 2) distinct-index block pairs of a Design or
+    a Development, from the blocks alone (see
+    _kernels.block_intersection_hist, whose Gram route raises BudgetError
+    past its budgets before reading a slice)."""
+    hist = _kernels.block_intersection_hist(design, design.v)
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
@@ -465,9 +534,10 @@ class _BudgetStop(Exception):
 # file formats
 # ---------------------------------------------------------------------------
 
-def design_text_chunks(design: Design):
-    """The design file's text in chunks (see families.rows_text_chunks)."""
-    return rows_text_chunks(f"{design.v} {design.block_count} {design.k}", design.blocks)
+def design_text_chunks(design):
+    """The file text of a Design or a Development in chunks (see
+    families.rows_text_chunks)."""
+    return rows_text_chunks(f"{design.v} {design.block_count} {design.k}", design)
 
 
 def design_to_text(design: Design) -> str:
@@ -487,7 +557,7 @@ def load_design(path) -> Design:
         raise ValueError("design header must be 'v b k'")
     v, count, k = (int(x) for x in header)
     blocks = read_rows(lines[1:], count, k, v)
-    return Design(v=v, blocks=blocks, has_duplicate_blocks=_has_repeated_rows(blocks))
+    return Design(v=v, blocks=blocks)
 
 
 def save_profile(profile: IntersectionProfile, path) -> None:

@@ -300,45 +300,49 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
 _TEXT_CHUNK = 1 << 14
 
 
-def rows_text_chunks(header: str, rows: np.ndarray, sep: str = " "):
-    """The header line, then each row of a (b, k) array of non-negative
-    integers as decimals separated by `sep` (one ASCII character), one row
-    per line: yielded as the header line and then one string per pass, so a
-    writer holds one chunk of text at a time.
+def rows_text_chunks(header: str, slices, sep: str = " "):
+    """The header line, then each row of the (n, k) arrays of non-negative
+    integers in `slices`, in order, as decimals separated by `sep` (one
+    ASCII character), one row per line: yielded as the header line and then
+    one string per pass, so a writer holds one chunk of text at a time.  An
+    array is passed as its own one slice; a designs.Design or
+    designs.Development iterates over its slices.
 
     Each pass takes a chunk of entries in the smallest unsigned dtype that
-    holds them and builds fixed-width ASCII digit columns plus a separator
-    column (a newline after every k-th entry), then drops the leading zeros
-    of each entry by a mask.
+    holds its slice and builds fixed-width ASCII digit columns plus a
+    separator column (a newline after every k-th entry), then drops the
+    leading zeros of each entry by a mask.
     """
-    k = rows.shape[1]
-    flat = rows.ravel()
-    top = int(flat.max(initial=0))
-    width = len(str(top))
     yield f"{header}\n"
-    for lo in range(0, flat.size, _TEXT_CHUNK):
-        rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top))
-        digits = np.empty((width + 1, rem.size), dtype=np.uint8)
-        keep = np.ones((width + 1, rem.size), dtype=bool)
-        for j in range(width - 1, -1, -1):
-            digits[j] = rem % 10
-            if j:  # the last digit always stays, so 0 prints as "0"
-                rem //= 10
-                keep[j - 1] = rem > 0
-        digits[:width] += ord("0")
-        digits[width] = ord(sep)
-        digits[width, (k - 1 - lo) % k :: k] = ord("\n")
-        yield digits.T[keep.T].tobytes().decode("ascii")
+    for part in slices:
+        k = part.shape[1]
+        flat = part.ravel()
+        top = int(flat.max(initial=0))
+        width = len(str(top))
+        for lo in range(0, flat.size, _TEXT_CHUNK):
+            rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top))
+            digits = np.empty((width + 1, rem.size), dtype=np.uint8)
+            keep = np.ones((width + 1, rem.size), dtype=bool)
+            for j in range(width - 1, -1, -1):
+                digits[j] = rem % 10
+                if j:  # the last digit always stays, so 0 prints as "0"
+                    rem //= 10
+                    keep[j - 1] = rem > 0
+            digits[:width] += ord("0")
+            digits[width] = ord(sep)
+            digits[width, (k - 1 - lo) % k :: k] = ord("\n")
+            yield digits.T[keep.T].tobytes().decode("ascii")
 
 
 def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
     """The text of rows_text_chunks as one string."""
-    return "".join(rows_text_chunks(header, rows, sep))
+    return "".join(rows_text_chunks(header, (rows,), sep))
 
 
 def family_text_chunks(fam: DifferenceFamily):
     """The family file's text in chunks (see rows_text_chunks)."""
-    return rows_text_chunks(f"{fam.v} {fam.k} {fam.lam} {fam.b}", fam.block_array())
+    return rows_text_chunks(f"{fam.v} {fam.k} {fam.lam} {fam.b}",
+                            (fam.block_array(),))
 
 
 def family_to_text(fam: DifferenceFamily) -> str:

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddfkit.designs
 from ddfkit import (BudgetError, build_field, build_ring, davis_family,
                     develop, feng_families, iso_oracle,
                     load_design, profile_direct, profile_via_differences,
                     save_design, squares_family, verify_2design, wilson_family)
 from ddfkit.cli import construction_family
-from ddfkit.designs import Design, IntersectionProfile
+from ddfkit.designs import Design, Development, IntersectionProfile, has_duplicate_blocks
 from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, point_dtype, ring_group
 
@@ -37,7 +38,7 @@ def test_develop_single_block_translation_orbit():
     assert design.block_count == 5
     rows = {tuple(map(int, r)) for r in design.blocks}
     assert rows == {(1, 2), (2, 3), (3, 4), (0, 4), (0, 1)}
-    assert not design.has_duplicate_blocks
+    assert not has_duplicate_blocks(fam)
     # row idx is D_i + t with (i, t) = divmod(idx, v): here D_0 + 0, 1, 2
     for idx in range(3):
         i, t = divmod(idx, fam.v)
@@ -93,6 +94,49 @@ def test_develop_ring_family_in_uint16():
     assert design.blocks.tolist() == _scalar_develop(fam)
 
 
+def _developed_by_add_arrays(fam):
+    """Row i*v + t is the sorted D_i + t, by the group's carrying array add."""
+    g = fam.group
+    blocks = fam.block_array().astype(np.int64)
+    sums = g.add_arrays(blocks[:, None, :], np.arange(g.order)[None, :, None])
+    return np.sort(sums, axis=2).reshape(-1, fam.k)
+
+
+_SQUARES_7_2 = squares_family(build_ring(7, 2))
+_SLICED = {
+    "uint8-ring": (davis_family(build_ring(5, 1)), np.uint8),  # 25 points, cyclic
+    "uint8-field": (wilson_family(build_field(3, 4), 20), np.uint8),  # 81 points, 4 digits
+    # three base blocks of 24 on 2401 points
+    "uint16": (DifferenceFamily(group=_SQUARES_7_2.group,
+                                blocks=_SQUARES_7_2.block_array()[:3], lam=0), np.uint16),
+    "uint32": (DifferenceFamily(group=field_group(257, 2),
+                                blocks=((0, 1, 66048), (256, 257, 30000)), lam=0), np.uint32),
+}
+
+
+# a chunk below k develops one translate per slice (on the small groups
+# alone); 3000 entries split a base block's translates but for the first
+# family, and 2^18 takes whole base blocks but for the last
+@pytest.mark.parametrize("name, chunk", [(name, chunk) for name in _SLICED
+                                         for chunk in (1, 3000, 1 << 18)
+                                         if chunk > 1 or name.startswith("uint8")])
+def test_development_slices_concatenate_to_develop(monkeypatch, name, chunk):
+    fam, dtype = _SLICED[name]
+    monkeypatch.setattr(ddfkit.designs, "_DEVELOP_CHUNK", chunk)
+    development = Development(fam)
+    assert (development.v, development.k) == (fam.v, fam.k)
+    assert development.shape == (development.block_count, fam.k) == (fam.v * fam.b, fam.k)
+    slices = list(development)
+    assert all(part.dtype == dtype and part.ndim == 2 for part in slices)
+    assert max(part.size for part in slices) <= max(chunk, fam.k)
+    whole = np.concatenate(slices)
+    assert np.array_equal(whole, _developed_by_add_arrays(fam))
+    assert whole.dtype == develop(fam).blocks.dtype
+    assert np.array_equal(whole, develop(fam).blocks)
+    # every iteration develops afresh, from the first slice
+    assert np.array_equal(np.concatenate(list(development)), whole)
+
+
 @pytest.mark.parametrize("v, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
                                       (1 << 16, np.uint16), ((1 << 16) + 1, np.uint32),
                                       (1 << 32, np.uint32), ((1 << 32) + 1, np.int64),
@@ -108,7 +152,7 @@ def test_develop_duplicate_flag():
     fam = DifferenceFamily(group=g, blocks=((0, 1, 2, 3),), lam=4)
     design = develop(fam)
     assert design.block_count == 4
-    assert design.has_duplicate_blocks  # every translate of the full set repeats
+    assert has_duplicate_blocks(fam)  # every translate of the full set repeats
 
 
 def _family(group, blocks):
@@ -129,8 +173,8 @@ def _duplicates_by_unique(design):
     (ring_group(2, 2), [(1, 2), (3, 4)], False),
 ])
 def test_duplicate_flag_cases(group, blocks, expected):
-    design = develop(_family(group, blocks))
-    assert design.has_duplicate_blocks == _duplicates_by_unique(design) == expected
+    fam = _family(group, blocks)
+    assert has_duplicate_blocks(fam) == _duplicates_by_unique(develop(fam)) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,8 +186,18 @@ def test_duplicate_flag_matches_unique(group, data):
     block = st.lists(st.integers(0, group.order - 1), min_size=k, max_size=k,
                      unique=True).map(sorted)
     blocks = data.draw(st.lists(block, min_size=1, max_size=3))
-    design = develop(_family(group, blocks))
-    assert design.has_duplicate_blocks == _duplicates_by_unique(design)
+    fam = _family(group, blocks)
+    assert has_duplicate_blocks(fam) == _duplicates_by_unique(develop(fam))
+
+
+def test_duplicate_check_budget(monkeypatch):
+    # wilson-half (5,1): 12 base blocks of 2, so 48 translate entries
+    monkeypatch.setattr(ddfkit.designs, "DEVELOP_ENTRY_BUDGET", 47)
+    fam = wilson_family(build_field(5, 2), 12)
+    with pytest.raises(BudgetError, match="got 48$"):
+        has_duplicate_blocks(fam)
+    monkeypatch.setattr(ddfkit.designs, "DEVELOP_ENTRY_BUDGET", 48)
+    assert not has_duplicate_blocks(fam)
 
 
 # ---------------------------------------------------------------------------

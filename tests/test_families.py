@@ -541,7 +541,7 @@ def test_family_and_design_store_only_what_cannot_be_derived():
     assert list(inspect.signature(DifferenceFamily).parameters) == \
         ["group", "blocks", "lam", "name"]
     assert list(inspect.signature(Design).parameters) == \
-        ["v", "blocks", "has_duplicate_blocks"]
+        ["v", "blocks"]
     fam = davis_family(build_ring(3, 1))
     design = develop(fam)
     assert (fam.v, fam.k, fam.b, design.k) == (9, 2, 4, 2)

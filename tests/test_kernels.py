@@ -14,7 +14,8 @@ from ddfkit import (BudgetError, build_field, build_ring, develop, furino_family
                     profile_direct, profile_via_differences, wilson_family)
 from ddfkit import _kernels
 from ddfkit.cli import construction_family
-from ddfkit.designs import Design, IntersectionProfile, difference_orbits
+from ddfkit.designs import (_DEVELOP_CHUNK, Design, Development, IntersectionProfile,
+                            difference_orbits, verify_2design)
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
@@ -110,7 +111,7 @@ def test_pair_coverage_on_wide_blocks_counts_in_int32(monkeypatch, bound):
 
 def test_pair_coverage_working_set():
     # gr-squares (37,1): 104044 blocks of 18 on 1369 points.  The int32 table,
-    # slices of 2^14 transposed blocks and 2^18 indices stay under 12 MB; an
+    # slices of 2^14 transposed blocks and 2^15 indices stay under 12 MB; an
     # int64 table plus a per-column int64 bincount of it and 2^22-index blocks
     # took 34.5 MB, and the whole transposed block array 3.7 MB more
     design = develop(construction_family("gr-squares", 37, 1))
@@ -122,6 +123,71 @@ def test_pair_coverage_working_set():
         tracemalloc.stop()
     assert (cnt == 17).all()
     assert peak < 4 * cnt.size + (8 << 20), peak
+
+
+class Sliced:
+    """A block array read as the given row slices, as a Development is."""
+
+    def __init__(self, blocks, cuts):
+        self.shape = blocks.shape
+        self.parts = np.split(blocks, cuts)
+
+    def __iter__(self):
+        return iter(self.parts)
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [3, 3, 250], [5, 9, 300]])
+def test_direct_kernels_read_row_slices(monkeypatch, cuts):
+    # 300 blocks of 6 on 40 points, cut into slices of uneven lengths (an
+    # empty one too) that straddle the Gram route's 4-row tiles
+    monkeypatch.setattr(_kernels, "_GRAM_ROWS", 4)
+    monkeypatch.setattr(_kernels, "_COVER_BLOCKS", 7)
+    blocks = random_blocks(np.random.default_rng(6), b=300, k=6, v=40).astype(np.uint8)
+    assert _kernels.pair_coverage(Sliced(blocks, cuts), 40).tolist() == \
+        _coverage_reference(blocks, 40)
+    ref = pair_loop(blocks)
+    assert gram(blocks, 40) == _kernels._gram_hist(Sliced(blocks, cuts), 40).tolist() == ref
+    assert _kernels._moment_hist(Sliced(blocks, cuts), 40).tolist() == ref
+    assert _kernels.block_intersection_hist(Sliced(blocks, cuts), 40).tolist() == ref
+    # a design on more points than entries is renumbered from its slices
+    assert _kernels.block_intersection_hist(Sliced(blocks, cuts), 5000).tolist() == ref
+
+
+def test_verify_working_set_over_a_development():
+    # gr-squares (37,1): 104044 blocks of 18 on 1369 points, developed a
+    # slice of at most 2^18 entries at a time into the int32 table.  Beside
+    # the table, the peak holds a slice, its transposed copy, the index chunk
+    # and the int64 columns it is formed from, under three uint16 slices and
+    # an index chunk; the whole 3.7 MB design took the peak to 10.5 MB
+    fam = construction_family("gr-squares", 37, 1)
+    table = 4 * comb(fam.v, 2)
+    tracemalloc.start()
+    try:
+        assert verify_2design(Development(fam), fam.lam) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table + 3 * 2 * _DEVELOP_CHUNK + 8 * _kernels._COVER_INDICES, peak
+
+
+def test_direct_working_set_over_a_development():
+    # feng-1: 2662 blocks of 665 on 1331 points, developed a slice at a time
+    # into the bit-packed incidence matrix (0.44 MB).  Beside it, the Gram
+    # tiles (2 MB of float32) take as much again for the unpacked bits, the
+    # scaled high lane and the integer products, and a slice is developed
+    # before the tiles exist; the whole 3.5 MB design took the peak to 8 MB
+    fam = construction_family("feng-1", None, None)
+    B, v = fam.v * fam.b, fam.v
+    packed = B * ((v + 7) // 8)
+    tiles = 4 * (_kernels._GRAM_ROWS // 2 + _kernels._GRAM_ROWS) * 8 * ((v + 7) // 8)
+    tracemalloc.start()
+    try:
+        hist = _kernels.block_intersection_hist(Development(fam), v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(hist.sum()) == comb(B, 2)
+    assert peak < packed + 2 * tiles + 2 * _DEVELOP_CHUNK, peak
 
 
 def _peak_of_refusal(kernel, *args, work):
