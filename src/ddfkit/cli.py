@@ -13,10 +13,11 @@ exceeded or a failed profile self-check, 2 = usage error or malformed input.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .cyclotomy import (check_sum_relation, closed_form_order_2e,
@@ -61,6 +62,8 @@ def construction_family(name: str, p: int | None, r: int | None):
 
 
 def _family_from_args(args):
+    if args.construction and args.input is not None:
+        raise UsageError("--construction and --input are alternatives; give one")
     if args.construction:
         return construction_family(args.construction, args.p, args.r)
     if not args.input:
@@ -96,7 +99,9 @@ def cmd_develop(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if args.input and args.design:
+    if args.design and not args.input:
+        raise UsageError("--design reads the design file named by --input")
+    if args.design and not args.construction:  # else _family_from_args refuses the pair
         if args.method != "direct":
             raise UsageError("a design file only supports --method direct")
         prof = profile_direct(load_design(args.input))
@@ -199,87 +204,136 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table: the fast argv reader and the argparse tree both read it
 # ---------------------------------------------------------------------------
 
-def _add_source_args(sp, with_design=False):
-    sp.add_argument("--construction", choices=CONSTRUCTIONS)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--input", help="family file (header 'v k lambda b')")
-    sp.add_argument("--kind", choices=("field", "ring"),
-                    help="group kind of an --input family file")
-    if with_design:
-        sp.add_argument("--design", action="store_true",
-                        help="treat --input as a design file")
+STORE_TRUE = "store_true"
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Option(NamedTuple):
+    """One `--flag` of a subcommand; `type` converts its value as argparse's
+    `type=` does, or is STORE_TRUE for a flag that takes no value."""
+    flag: str
+    type: Callable | str = str
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    func: Callable
+    help: str
+    options: tuple
+
+
+_P, _R, _OUT = Option("--p", int), Option("--r", int), Option("--out")
+_SOURCE = (Option("--construction", choices=CONSTRUCTIONS), _P, _R,
+           Option("--input", help="family file (header 'v k lambda b')"),
+           Option("--kind", choices=("field", "ring"),
+                  help="group kind of an --input family file"))
+
+COMMANDS = {
+    "construct": Command(cmd_construct, "build a family and write its file", (
+        Option("--construction", choices=CONSTRUCTIONS, required=True), _P, _R, _OUT)),
+    "develop": Command(cmd_develop, "develop a family into a design file", (*_SOURCE, _OUT)),
+    "profile": Command(cmd_profile, "intersection profile as JSON", (
+        *_SOURCE,
+        Option("--design", STORE_TRUE, help="treat --input as a design file"),
+        Option("--method", choices=("direct", "differences", "both"), default="differences"),
+        _OUT)),
+    "cyclo": Command(cmd_cyclo, "cyclotomic-number table as CSV", (
+        Option("--p", int, required=True),
+        Option("--r", int, required=True,
+               help="field extension degree; the table lives in F_{p^r}"),
+        Option("--e", int, required=True),
+        Option("--check-closed-form", STORE_TRUE),
+        Option("--check-sum-relation", STORE_TRUE),
+        _OUT)),
+    "gate": Command(cmd_gate, "applicability gate report", (
+        Option("--p", int, required=True), Option("--r", int, required=True), _OUT)),
+    "compare": Command(cmd_compare, "nonisomorphism certificate for two constructions", (
+        _P, _R,
+        Option("--a", default="wilson-half", choices=CONSTRUCTIONS),
+        Option("--b", default="gr-squares", choices=CONSTRUCTIONS),
+        _OUT)),
+    "verify": Command(cmd_verify, "validate a family and its developed design", (
+        *_SOURCE,
+        Option("--skip-design", STORE_TRUE, help="skip the exhaustive 2-design pair count"))),
+}
+
+
+def read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse would return for `argv`, if `argv` has the form
+    `COMMAND (--opt VALUE | --flag)*`: each option named exactly and at most
+    once, no value starting with '-', each value converted by its type and
+    in its choices, every required option present.  None for anything else
+    (help, --version, `--opt=VALUE`, abbreviations, errors), which argparse
+    then reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    by_flag = {opt.flag: opt for opt in command.options}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opt = by_flag.get(flag)
+        if opt is None or flag in given:
+            return None
+        if opt.type is STORE_TRUE:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined like an option
+        if value.startswith("-"):
+            return None
+        try:
+            value = opt.type(value)
+        except (TypeError, ValueError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[flag] = value
+    if any(opt.required and opt.flag not in given for opt in command.options):
+        return None
+    return SimpleNamespace(
+        command=argv[0], func=command.func,
+        **{opt.flag[2:].replace("-", "_"):  # argparse's dest for the flag
+           given.get(opt.flag, False if opt.type is STORE_TRUE else opt.default)
+           for opt in command.options})
+
+
+def build_parser():
+    """The argparse tree of COMMANDS: the source of help, --version and every
+    usage message, and the reader of any argv that `read_argv` declines."""
+    import argparse  # its first use costs ~3 ms, which a well-formed argv skips
+
     ap = argparse.ArgumentParser(
         prog="ddf",
         description="Difference families, 2-designs, intersection profiles and "
                     "nonisomorphism certificates in finite fields and Galois rings.")
     ap.add_argument("--version", action="version", version=f"ddf {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("construct", help="build a family and write its file")
-    sp.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("develop", help="develop a family into a design file")
-    _add_source_args(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_develop)
-
-    sp = sub.add_parser("profile", help="intersection profile as JSON")
-    _add_source_args(sp, with_design=True)
-    sp.add_argument("--method", choices=("direct", "differences", "both"),
-                    default="differences")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("cyclo", help="cyclotomic-number table as CSV")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True,
-                    help="field extension degree; the table lives in F_{p^r}")
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--check-closed-form", action="store_true")
-    sp.add_argument("--check-sum-relation", action="store_true")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_cyclo)
-
-    sp = sub.add_parser("gate", help="applicability gate report")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_gate)
-
-    sp = sub.add_parser("compare", help="nonisomorphism certificate for two constructions")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--a", default="wilson-half", choices=CONSTRUCTIONS)
-    sp.add_argument("--b", default="gr-squares", choices=CONSTRUCTIONS)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("verify", help="validate a family and its developed design")
-    _add_source_args(sp)
-    sp.add_argument("--skip-design", action="store_true",
-                    help="skip the exhaustive 2-design pair count")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            if opt.type is STORE_TRUE:
+                sp.add_argument(opt.flag, action=STORE_TRUE, help=opt.help)
+            else:
+                sp.add_argument(opt.flag, type=opt.type, choices=opt.choices,
+                                default=opt.default, required=opt.required, help=opt.help)
+        sp.set_defaults(func=command.func)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse uses 2 for usage errors
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ddfkit.cli import main
+from ddfkit.cli import COMMANDS, STORE_TRUE, build_parser, main, read_argv
 
 
 def run(capsys, *argv):
@@ -98,6 +98,32 @@ def test_usage_errors(capsys):
     # parameter contradiction: 3 does not divide q - 1
     code, _, err = run(capsys, "cyclo", "--p", "5", "--r", "1", "--e", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["develop", "profile", "verify"])
+def test_construction_and_input_together_are_a_usage_error(capsys, tmp_path, command):
+    # the file does not exist: the construction used to win without opening it
+    out_file = tmp_path / "out.txt"
+    argv = [command, "--construction", "wilson", "--p", "3", "--r", "1",
+            "--input", str(tmp_path / "missing.txt")]
+    if command != "verify":
+        argv += ["--out", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --construction and --input are alternatives; "
+                                       "give one\n")
+    assert not out_file.exists()
+
+
+def test_design_needs_its_input_file(capsys, tmp_path):
+    code, out, err = run(capsys, "profile", "--design", "--construction", "wilson",
+                         "--p", "3", "--r", "1", "--method", "direct")
+    assert (code, out, err) == (2, "", "error: --design reads the design file named by "
+                                       "--input\n")
+    code, out, err = run(capsys, "profile", "--design", "--input", str(tmp_path / "d.txt"),
+                         "--construction", "wilson", "--p", "3", "--r", "1",
+                         "--method", "direct")
+    assert (code, out, err) == (2, "", "error: --construction and --input are alternatives; "
+                                       "give one\n")
 
 
 @pytest.mark.parametrize("e", ["0", "-1"])
@@ -626,3 +652,131 @@ def test_fuzzed_design_files_end_in_an_exit_code(text):
                                   "--method", "direct"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# reading argv: the command table's fast reader against argparse
+# ---------------------------------------------------------------------------
+
+# `ddf -h`, `ddf --version` and `ddf <command> -h` at COLUMNS=80, as argparse
+# printed them before the command table; the same on Python 3.10 to 3.12,
+# while 3.13's argparse wraps the usage of `construct -h` differently
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help.json")) as fh:
+    _HELP = json.load(fh)
+# tokens that only argparse may read: help, version, `--`, `--opt=VALUE`, an
+# abbreviation, values argparse reads as options or int() refuses, and a
+# subcommand name where a value belongs
+_HOSTILE = ("-h", "--help", "--version", "--", "--p=5", "--constr",
+            "-1", "0x10", "1_0", " 7", "", "-", "compare")
+_OPTIONS = [opt for command in COMMANDS.values() for opt in command.options]
+_FLAGS = sorted({opt.flag for opt in _OPTIONS})
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help pinned from Python 3.10-3.12")
+@pytest.mark.parametrize("argv", list(_HELP))
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv.split()) == (0, _HELP[argv], "")
+
+
+def _values(opt, hostile):
+    plain = st.sampled_from(opt.choices or (("5", "2", "1", "7") if opt.type is int
+                                            else ("design.txt", "5")))
+    return st.one_of(plain, st.sampled_from(_HOSTILE)) if hostile else plain
+
+
+@st.composite
+def _argvs(draw):
+    """A command with its options in any order, half of them well formed;
+    the rest mix in other commands' options, repeats, missing values and
+    hostile tokens."""
+    hostile = draw(st.booleans())
+    names = [*COMMANDS, "frobnicate", *_HOSTILE] if hostile else list(COMMANDS)
+    name = draw(st.sampled_from(names))
+    own = list(COMMANDS[name].options) if name in COMMANDS else []
+    chosen = [opt for opt in own if opt.required and (not hostile or draw(st.integers(0, 9)))]
+    optional = [opt for opt in own if opt not in chosen]
+    if hostile:
+        chosen += draw(st.lists(st.sampled_from(own or _OPTIONS), max_size=4))
+        chosen += draw(st.lists(st.sampled_from(_OPTIONS), max_size=1))
+    elif optional:
+        chosen += draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    argv = [name]
+    for opt in draw(st.permutations(chosen)):
+        argv.append(opt.flag)
+        if opt.type is not STORE_TRUE and (not hostile or draw(st.integers(0, 9))):
+            argv.append(draw(_values(opt, hostile)))
+    for _ in range(draw(st.integers(0, 2)) if hostile else 0):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from([*_HOSTILE, *_FLAGS])))
+    return argv
+
+
+def _argparse_namespace(argv):
+    """argparse's namespace for `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["compare", "--p", "5", "--r", "2"])
+@example(["profile", "--construction", "gr-squares", "--p", "13", "--r", "1",
+          "--method", "both"])
+@example(["cyclo", "--p", "17", "--r", "4", "--e", "580", "--check-closed-form"])
+@example(["cyclo", "--p", "5", "--r", "2", "--e", "-1"])
+@example(["gate", "--p", "7", "--r", "1", "--p", "5"])
+@example(["profile", "--input", "", "--design"])
+@example(["verify", "--input", "compare", "--skip-design", "--p", " 7", "--r", "1_0"])
+@example([])
+def test_reader_agrees_with_argparse(argv):
+    fast, reference = read_argv(argv), _argparse_namespace(argv)
+    if reference is None:
+        assert fast is None
+    elif fast is not None:
+        assert vars(fast) == vars(reference)
+
+
+@pytest.mark.parametrize("argv", [
+    # the README's examples and the benchmark's command shapes
+    "compare --p 5 --r 2",
+    "profile --p 5 --r 2 --construction wilson-half --method differences",
+    "construct --construction wilson --p 3 --r 1 --out fam.txt",
+    "develop --input fam.txt --kind field --p 3 --out design.txt",
+    "verify --construction gr-squares --p 5 --r 1",
+    "cyclo --p 5 --r 4 --e 52 --check-closed-form",
+    "gate --p 7 --r 1",
+    "profile --input fam.txt --kind field --p 7",
+    "profile --construction feng-1 --method both",
+])
+def test_reader_reads_the_documented_commands(argv):
+    fast = read_argv(argv.split())
+    assert fast is not None
+    assert vars(fast) == vars(_argparse_namespace(argv.split()))
+
+
+@pytest.mark.parametrize("argv", [
+    "", "-h", "--version", "gate -h", "gate --p=7 --r 1", "gate --p 7 --r 1 --p 5",
+    "cyclo --p 5 --r 2 --e -1", "gate --p 7", "compare --constr wilson", "gate -- --p 7",
+])
+def test_reader_declines_what_only_argparse_reads(argv):
+    assert read_argv(argv.split()) is None
+
+
+def test_well_formed_argv_never_imports_argparse():
+    # in a fresh interpreter: argparse, and the gettext it imports, stay out
+    # of a well-formed run, and a malformed argv still gets argparse's text
+    child = ("import contextlib, io, sys\n"
+             "from ddfkit.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['gate', '--p', '7', '--r', '1'])\n"
+             "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+             "sys.exit(main(['gate', '--p', 'x', '--r', '1']))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env=dict(_child_env(), COLUMNS="80"))
+    assert (proc.returncode, proc.stdout) == (2, "0 False False\n")
+    assert proc.stderr == ("usage: ddf gate [-h] --p P --r R [--out OUT]\n"
+                           "ddf gate: error: argument --p: invalid int value: 'x'\n")
