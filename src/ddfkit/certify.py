@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arith import is_prime, primes_below
+from .cyclotomy import order_two_numbers
 from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
 from .galois_ring import GaloisRing
@@ -43,8 +44,9 @@ def wilson_profile_closed_form(p: int, r: int) -> IntersectionProfile:
 def wilson_half_profile_closed_form(p: int, r: int) -> IntersectionProfile:
     """Profile of the developed e = 2(p^r + 1) cyclotomic family, in closed form.
 
-    The two nontrivial keys depend on p^r mod 4; keys that collide (e.g. the
-    value 1 at p^r = 7 or 9) merge by adding multiplicities.
+    The nontrivial keys read the order-2 numbers of F_{p^r}, each with
+    multiplicity (t^4 - t^2)/2; keys that collide (e.g. the value 1 at
+    p^r = 7 or 9) merge by adding multiplicities.
     """
     if p == 2:
         raise ValueError("require odd p")
@@ -54,13 +56,9 @@ def wilson_half_profile_closed_form(p: int, r: int) -> IntersectionProfile:
     prof: dict[int, int] = {}
     _merge(prof, 0, (3 * t ** 6 + 9 * t ** 5 + t ** 4 - 3 * t ** 3 + 2 * t ** 2) // 2)
     _merge(prof, 1, (t ** 6 - t ** 5 - t ** 4 + t ** 3) // 2)
-    single = (t ** 4 - t ** 2) // 2
-    if t % 4 == 1:
-        _merge(prof, (t - 5) // 4, single)
-        _merge(prof, (t - 1) // 4, 3 * single)
-    else:
-        _merge(prof, (t - 3) // 4, 3 * single)
-        _merge(prof, (t + 1) // 4, single)
+    for row in order_two_numbers(t):
+        for n in row:
+            _merge(prof, n, (t ** 4 - t ** 2) // 2)
     return IntersectionProfile(prof)
 
 
@@ -133,8 +131,10 @@ def sn_coset_counts(ring: GaloisRing) -> CosetCountReport:
 
     Both multisets are unions of full cosets of T_S*; the multiplicity of
     each difference d comes from one count over all pairs, and the tally
-    divides each parity's total by the coset size and checks the closed
-    forms for the two congruence classes of p^r mod 4.
+    divides each parity's total by the coset size.  The expected tallies
+    read the order-2 numbers (i, j) of F_{p^r}: ΔT_S* has ((0,0), (1,0)),
+    and T_S* - T_N* has ((1,1), (0,1)), since s - s' = s'(z - 1) with
+    z = s/s'.
     """
     squares, non_squares = ring.square_split()
     size = len(squares)
@@ -149,13 +149,8 @@ def sn_coset_counts(ring: GaloisRing) -> CosetCountReport:
 
     delta = tally(ring.group.difference_counts(squares, squares))
     cross = tally(ring.group.difference_counts(squares, non_squares))
-    t = ring.teich_size
-    if t % 4 == 1:
-        expected_delta = ((t - 5) // 4, (t - 1) // 4)
-        expected_cross = ((t - 1) // 4, (t - 1) // 4)
-    else:
-        expected_delta = ((t - 3) // 4, (t - 3) // 4)
-        expected_cross = ((t - 3) // 4, (t + 1) // 4)
+    (n00, n01), (n10, n11) = order_two_numbers(ring.teich_size)
+    expected_delta, expected_cross = (n00, n10), (n11, n01)
     return CosetCountReport(delta_squares=delta, squares_minus_nonsquares=cross,
                             expected_delta=expected_delta, expected_cross=expected_cross,
                             matches=delta == expected_delta and cross == expected_cross)
@@ -193,12 +188,12 @@ def bound_report(ring: GaloisRing) -> BoundReport:
     residue4 = t % 4
     if residue4 == 1:
         counts = g.difference_counts(squares, squares)
-        upper = (t - 5) // 4
+        upper = order_two_numbers(t)[0][0]
         upper_applicable = (t - 1) % 24 == 0
         name = "delta-squares"
     else:
         counts = g.difference_counts(squares, non_squares)
-        upper = (t + 1) // 4
+        upper = order_two_numbers(t)[0][1]
         upper_applicable = (t - 1) % 24 == 18
         name = "squares-minus-nonsquares"
     two_coset = g.add_arrays(squares, squares)  # 2 * T_S*

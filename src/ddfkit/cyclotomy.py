@@ -74,6 +74,15 @@ def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     return CyclotomicTable(e=e, q=field.q, f=(field.q - 1) // e, cells=table)
 
 
+def order_two_numbers(q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((0,0), (0,1)), ((1,0), (1,1)) of the order-2 table of F_q, odd q, in closed form."""
+    if q % 2 == 0:
+        raise ValueError("order-2 cyclotomic numbers require odd q")
+    if q % 4 == 1:
+        return ((q - 5) // 4, (q - 1) // 4), ((q - 1) // 4, (q - 1) // 4)
+    return ((q - 3) // 4, (q + 1) // 4), ((q - 3) // 4, (q - 3) // 4)
+
+
 def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
     """The full order-(p^r + 1) table for F_{p^2r}.
 
@@ -92,12 +101,12 @@ def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
 def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
     """The order-2(p^r + 1) table for F_{p^2r}, with unknown cells.
 
-    The four cells with both indices in {0, e} follow the two congruence
-    cases of p^r mod 4.  Six zero patterns cover the remaining row-0/row-e/
-    column-0/column-e/diagonal/shifted-diagonal cells.  Every other cell
-    belongs to a quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)} that sums
-    to 1 with exactly one entry equal to 1; which one is open, so those
-    cells stay unknown.
+    The four cells with both indices in {0, e} read the order-2 numbers of
+    F_{p^r}, (i, j) at (i*e, j*e).  Six zero patterns cover the remaining
+    row-0/row-e/column-0/column-e/diagonal/shifted-diagonal cells.  Every
+    other cell belongs to a quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)}
+    that sums to 1 with exactly one entry equal to 1; which one is open, so
+    those cells stay unknown.
     """
     if p == 2:
         raise ValueError("the order-2e table requires odd p")
@@ -110,10 +119,7 @@ def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
     rows = np.arange(n)
     known[rows, (rows + e) % n] = True
     cells = np.zeros((n, n), dtype=np.int64)
-    if t % 4 == 1:  # cells (0,0), (0,e), (e,0), (e,e)
-        cells[::e, ::e] = [[(t - 5) // 4, (t - 1) // 4], [(t - 1) // 4, (t - 1) // 4]]
-    else:
-        cells[::e, ::e] = [[(t - 3) // 4, (t + 1) // 4], [(t - 3) // 4, (t - 3) // 4]]
+    cells[::e, ::e] = order_two_numbers(t)  # cells (0,0), (0,e), (e,0), (e,e)
     return CyclotomicTable(e=n, q=t * t, f=(t - 1) // 2, cells=cells, known=known)
 
 
@@ -150,21 +156,17 @@ def dickson_counts(p: int, r: int) -> tuple[int, int, int, int]:
     """Consecutive square/non-square counts (QQ, QN, NN, NQ) in F_{p^r}.
 
     These are the cells (0,0), (0,1), (1,1) and (1,0) of the order-2
-    cyclotomic table, asserted against the classical closed forms for both
-    congruence classes of p^r mod 4.
+    cyclotomic table, counted and asserted against the order-2 numbers of
+    F_{p^r} that order_two_numbers reads off in closed form.
     """
     if p == 2:
         raise ValueError("consecutive-residue counts require odd p")
     table = cyclotomic_table(build_field(p, r), 2)
-    qq, qn, nq, nn = (int(x) for x in table.cells.flat)
-    q = table.q
-    if q % 4 == 1:
-        expected = ((q - 5) // 4, (q - 1) // 4, (q - 1) // 4, (q - 1) // 4)
-    else:
-        expected = ((q - 3) // 4, (q + 1) // 4, (q - 3) // 4, (q - 3) // 4)
-    if (qq, qn, nn, nq) != expected:
-        raise AssertionError(
-            f"consecutive-residue counts {(qq, qn, nn, nq)} != closed form {expected}")
+    counted = tuple(map(tuple, table.cells.tolist()))
+    expected = order_two_numbers(table.q)
+    if counted != expected:
+        raise AssertionError(f"order-2 numbers {counted} != closed form {expected}")
+    (qq, qn), (nq, nn) = counted
     return qq, qn, nn, nq
 
 

@@ -159,7 +159,11 @@ class Development:
         # digit l on axis 0, in a dtype that holds the sum of two digits
         digit_dtype = np.min_scalar_type(2 * (base - 1))
         block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 0).astype(digit_dtype)
-        translate_digits = g.digit_matrix(np.arange(v)).T.astype(digit_dtype)
+        translate_digits = np.empty((g.digits, v), dtype=digit_dtype)
+        rest = np.arange(v)
+        for row in translate_digits:  # one digit at a time: no (v, digits) int64 matrix
+            row[...] = rest % base
+            rest //= base
         # base blocks and translates per slice: chunk > 1 only when span = v
         chunk = max(1, _DEVELOP_CHUNK // (v * k))
         span = min(v, max(1, _DEVELOP_CHUNK // k))
@@ -389,8 +393,6 @@ def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
         raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
                           f"elements (orbits * b * k), got {elements}")
     if g.kind == "field":
-        if m == 1:
-            return np.array([0, 1], dtype=np.int64), np.array([1, v - 1], dtype=np.int64)
         # column c of exp, read as ((q-1)/m, m) rows, is the coset log d = c mod m
         reps = np.sort(field.exp.reshape(-1, m).min(axis=0))
         return np.concatenate(([0], reps)), \

@@ -29,7 +29,8 @@ FIELD_ORDER_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 
 def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """Product of a and b reduced modulo the monic polynomial `mod`, over F_p."""
+    """Product of a and b reduced modulo the monic polynomial `mod`, with
+    coefficients mod p: over F_p for a prime p, over Z_(p^2) in GR(p^2, r)."""
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:

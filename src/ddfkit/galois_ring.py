@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BudgetError
-from .fields import TABLE_CACHE_SIZE, _exp_table, build_field
+from .fields import TABLE_CACHE_SIZE, _exp_table, build_field, poly_mulmod, poly_powmod
 from .groups import AdditiveGroup, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
@@ -63,25 +63,8 @@ class GaloisRing:
 
     # -- multiplicative ops ------------------------------------------------
     def mul(self, a: int, b: int) -> int:
-        psq = self.char
-        r = self.r
-        ad = self.group.unpack(a)
-        bd = self.group.unpack(b)
-        res = [0] * (2 * r - 1)
-        for i in range(r):
-            if ad[i] == 0:
-                continue
-            for j in range(r):
-                res[i + j] = (res[i + j] + ad[i] * bd[j]) % psq
-        mod = self.modulus
-        for i in range(2 * r - 2, r - 1, -1):
-            c = res[i]
-            if c == 0:
-                continue
-            res[i] = 0
-            for j in range(r):
-                res[i - r + j] = (res[i - r + j] - c * mod[j]) % psq
-        return self.group.pack(res[:r])
+        g = self.group
+        return g.pack(poly_mulmod(g.unpack(a), g.unpack(b), self.modulus, self.char))
 
     def mul_arrays(self, a, b) -> np.ndarray:
         """a * b, broadcast: digit convolution reduced by the modulus, mod p^2.
@@ -104,14 +87,8 @@ class GaloisRing:
         return g.pack_digits(res[..., :r])[()]  # a scalar for 0-d operands
 
     def pow(self, a: int, e: int) -> int:
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        g = self.group
+        return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.char))
 
     def _residues(self, a) -> np.ndarray:
         """Images in the residue field F_{p^r}, packed base p, of an array."""

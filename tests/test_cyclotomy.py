@@ -8,7 +8,7 @@ from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e, count_summary,
                     cyclotomic_table, dickson_counts, unknown_quadruples)
 from ddfkit.arith import factorize
-from ddfkit.cyclotomy import CyclotomicTable, table_to_csv
+from ddfkit.cyclotomy import CyclotomicTable, order_two_numbers, table_to_csv
 
 # (p, r) pairs indexed by t = p^r; tables live in F_{t^2}
 SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
@@ -258,6 +258,20 @@ def test_dickson_counts_all_odd_prime_powers_to_121():
         # exactly when q = 1 (mod 4)
         assert qq + qn == (q - 1) // 2 - (1 if q % 4 == 1 else 0)
         assert nn + nq == (q - 1) // 2 - (1 if q % 4 == 3 else 0)
+
+
+@pytest.mark.parametrize("q, p, n", [(3, 3, 1), (5, 5, 1), (7, 7, 1), (9, 3, 2), (11, 11, 1),
+                                     (13, 13, 1), (25, 5, 2), (27, 3, 3), (49, 7, 2),
+                                     (81, 3, 4), (121, 11, 2), (125, 5, 3), (343, 7, 3)])
+def test_order_two_numbers_match_counted_table(q, p, n):
+    # both classes mod 4, prime and prime-power q
+    counted = cyclotomic_table(build_field(p, n), 2).cells
+    assert np.array_equal(order_two_numbers(q), counted)
+
+
+def test_order_two_numbers_reject_even_q():
+    with pytest.raises(ValueError):
+        order_two_numbers(16)
 
 
 def test_dickson_rejects_even_characteristic():

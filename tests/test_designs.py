@@ -137,6 +137,22 @@ def test_development_slices_concatenate_to_develop(monkeypatch, name, chunk):
     assert np.array_equal(np.concatenate(list(development)), whole)
 
 
+def test_development_of_few_blocks_on_many_points_stays_small():
+    # sixteen one-point blocks on F_(2^16): the translates' 16 digit rows
+    # take 1 MB in uint8 and a slice of 4 * 2^16 rows 0.5 MB in uint16,
+    # where an int64 (v, digits) digit matrix alone would take 8 MB
+    fam = DifferenceFamily(group=field_group(2, 16), blocks=[[x] for x in range(1, 17)],
+                           lam=0)
+    tracemalloc.start()
+    try:
+        count = sum(rows.shape[0] for rows in Development(fam))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 16 << 16
+    assert peak < 4 << 20, peak
+
+
 @pytest.mark.parametrize("v, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
                                       (1 << 16, np.uint16), ((1 << 16) + 1, np.uint32),
                                       (1 << 32, np.uint32), ((1 << 32) + 1, np.int64),
