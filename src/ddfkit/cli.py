@@ -24,8 +24,8 @@ from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, quadruple_mask,
                         quadruple_sums, table_to_csv)
 from .certify import certificate, compare_designs, gate
-from .designs import (Development, design_text_chunks, load_design, profile_direct,
-                      profile_via_differences, verify_2design)
+from .designs import (Development, check_profile, design_text_chunks, load_design,
+                      profile_direct, profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
 from .families import (family_text_chunks, feng_families, load_family,
                        davis_family, squares_family, validate_ddf,
@@ -110,6 +110,7 @@ def cmd_profile(args) -> int:
     fam = _family_from_args(args)
     if args.method == "direct":
         prof = profile_direct(Development(fam))
+        check_profile(prof, fam.v, fam.b, fam.k)
     elif args.method == "differences":
         prof = profile_via_differences(fam)
     else:  # both, with agreement check

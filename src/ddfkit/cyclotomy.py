@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .families import rows_to_text
+from .families import rows_text_chunks
 from .fields import Field, build_field
 
 CYCLO_CELL_BUDGET = 2 ** 22  # e*e cells; admits every order-2(t+1) table to t = 1009
@@ -209,7 +209,7 @@ def table_to_csv(table: CyclotomicTable) -> str:
     """Header line "e,f,q", then the e rows of cells, "?" for an unknown cell."""
     header = f"{table.e},{table.f},{table.q}"
     if table.fully_known():
-        return rows_to_text(header, table.cells, sep=",")
+        return "".join(rows_text_chunks(header, (table.cells,), sep=","))
     text = np.where(table.known, table.cells.astype(str), "?")
     return "\n".join([header] + [",".join(row) for row in text]) + "\n"
 

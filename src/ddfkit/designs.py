@@ -45,7 +45,7 @@ from .errors import BudgetError, ProfileCheckError
 from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
-from .groups import point_dtype
+from .groups import check_rows, point_dtype
 
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
@@ -61,16 +61,22 @@ _DEVELOP_CHUNK = 1 << 18
 class Design:
     """An indexed block collection on points {0, ..., v-1}, held whole.
 
-    A developed family stores D_i + t in row i*v + t.  Like a Development,
-    it has a `shape` and iterates over its row slices, here the one block
-    array, which is what the kernels, verify_2design, profile_direct and
-    design_text_chunks read of either.
+    `blocks` is any (B, k) integer array-like with every row strictly
+    ascending, kept as a read-only array in point_dtype(v) (see
+    groups.check_rows, whose ValueError it raises).  A developed family
+    stores D_i + t in row i*v + t.  Like a Development, it has a `shape`
+    and iterates over its row slices, here the one block array, which is
+    what the kernels, verify_2design, profile_direct and design_text_chunks
+    read of either.
     """
 
     v: int
-    # (B, k), rows sorted; point_dtype(v) when developed or loaded, and the
-    # kernels read any non-negative integer dtype but uint64
     blocks: np.ndarray = dfield(repr=False)
+
+    def __post_init__(self):
+        blocks = check_rows(self.blocks, self.v)
+        blocks.flags.writeable = False  # a view, so the caller's array stays writable
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k(self) -> int:
@@ -542,10 +548,6 @@ def design_text_chunks(design):
     return rows_text_chunks(f"{design.v} {design.block_count} {design.k}", design)
 
 
-def design_to_text(design: Design) -> str:
-    return "".join(design_text_chunks(design))
-
-
 def save_design(design: Design, path) -> None:
     with open(path, "w") as fh:
         fh.writelines(design_text_chunks(design))
@@ -558,8 +560,7 @@ def load_design(path) -> Design:
     if len(header) != 3:
         raise ValueError("design header must be 'v b k'")
     v, count, k = (int(x) for x in header)
-    blocks = read_rows(lines[1:], count, k, v)
-    return Design(v=v, blocks=blocks)
+    return Design(v=v, blocks=read_rows(lines[1:], count, k))
 
 
 def save_profile(profile: IntersectionProfile, path) -> None:

@@ -12,9 +12,9 @@ designs, profiles and exported files are deterministic:
 A family stores its group, its blocks, its lambda and a name, nothing
 else.  It keeps its blocks only as one read-only (b, k) array of
 encodings in groups.point_dtype(v), the narrowest unsigned dtype that
-holds them, whose rows are strictly ascending, so each row is a set; v, k
-and b are read off the group and the array, and disjointness and
-near-completeness are reported by validate_ddf.
+holds them, checked on construction by groups.check_rows; v, k and b are
+read off the group and the array, and disjointness and near-completeness
+are reported by validate_ddf.
 
 A family records no multipliers.  Every unit m maps each base block of the
 cyclotomic, Teichmüller-coset, furino and feng-1 families onto a base
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetError
 from .fields import _EXP_CHUNK, FIELD_ORDER_BUDGET, Field
 from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
-from .groups import AdditiveGroup, group_for, point_dtype
+from .groups import AdditiveGroup, check_rows, group_for, point_dtype
 
 FENG_INDEX_SETS = (
     (0, 2, 4, 6, 8, 10, 12),
@@ -46,9 +46,10 @@ FENG_INDEX_SETS = (
 class DifferenceFamily:
     """Base blocks over an additive group, with a declared lambda.
 
-    `blocks` is any (b, k) array-like of encodings, kept only as
-    block_array() in point_dtype(v); v is the group's order, and k and b
-    are the array's shape.
+    `blocks` is any (b, k) integer array-like of encodings with every row
+    strictly ascending, kept only as block_array() in point_dtype(v) (see
+    groups.check_rows, whose ValueError it raises); v is the group's order,
+    and k and b are the array's shape.
     """
 
     group: AdditiveGroup
@@ -58,10 +59,8 @@ class DifferenceFamily:
     _array: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self, blocks):
-        # a view, so the caller's array stays writable
-        dtype = point_dtype(self.group.order)
-        array = np.asarray(blocks, dtype=dtype).reshape(len(blocks), -1)
-        array.flags.writeable = False
+        array = check_rows(blocks, self.group.order)
+        array.flags.writeable = False  # a view, so the caller's array stays writable
         object.__setattr__(self, "_array", array)
 
     @property
@@ -98,19 +97,6 @@ class ValidationReport:
     disjoint: bool
     near_complete: bool
     offending_element: int | None = None
-
-
-def _make_family(group, blocks, k, lam, name):
-    """Family from a (b, k) array of base blocks whose rows are ascending sets.
-
-    The constructions sort their rows; strictly ascending rows are sets, so
-    the check here stands in for a per-block set round trip.  It compares
-    neighbours, as a difference would wrap in the unsigned point_dtype(v).
-    """
-    blocks = np.asarray(blocks, dtype=point_dtype(group.order))
-    if blocks.ndim != 2 or blocks.shape[1] != k or (blocks[:, 1:] <= blocks[:, :-1]).any():
-        raise AssertionError("constructed block is not an ascending set of k elements")
-    return DifferenceFamily(group=group, blocks=blocks, lam=lam, name=name)
 
 
 def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
@@ -160,8 +146,8 @@ def wilson_family(field: Field, e: int, name: str = "") -> DifferenceFamily:
     f = (field.q - 1) // e
     if f < 2:
         raise ValueError("require f = (q-1)/e >= 2")
-    return _make_family(field.group, field.class_array(e), f, f - 1,
-                        name or f"cyclotomic-e{e}")
+    return DifferenceFamily(group=field.group, blocks=field.class_array(e), lam=f - 1,
+                            name=name or f"cyclotomic-e{e}")
 
 
 def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFamily:
@@ -173,8 +159,9 @@ def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFa
     size = ring.teich_size
     if size < 3:
         raise ValueError("require p^r >= 3")
-    blocks = _teichmuller_coset_rows(ring, (ring.teichmuller[1:],))
-    return _make_family(ring.group, blocks, size - 1, size - 2, name)
+    return DifferenceFamily(group=ring.group,
+                            blocks=_teichmuller_coset_rows(ring, (ring.teichmuller[1:],)),
+                            lam=size - 2, name=name)
 
 
 def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFamily:
@@ -183,9 +170,9 @@ def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFami
     The 2(p^r + 1) cosets of the subgroup of Teichmüller squares: a
     near-complete (p^2r, (p^r-1)/2, (p^r-3)/2) disjoint difference family.
     """
-    blocks = _teichmuller_coset_rows(ring, ring.square_split())
-    return _make_family(ring.group, blocks, (ring.teich_size - 1) // 2,
-                        (ring.teich_size - 3) // 2, name)
+    return DifferenceFamily(group=ring.group,
+                            blocks=_teichmuller_coset_rows(ring, ring.square_split()),
+                            lam=(ring.teich_size - 3) // 2, name=name)
 
 
 def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> DifferenceFamily:
@@ -203,7 +190,7 @@ def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> Differenc
         for b in sub:
             if ring.mul(a, b) not in sub:
                 raise ValueError("given set is not multiplicatively closed")
-            if a != b and not ring.is_unit(ring.sub(a, b)):
+            if a != b and not ring.is_unit(ring.group.sub(a, b)):
                 raise ValueError(
                     f"difference of subgroup elements {a} - {b} is not a unit")
     k = len(sub)
@@ -221,7 +208,7 @@ def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> Differenc
                 raise AssertionError("coset sweep produced overlapping blocks")
             covered[x] = 1
         blocks.append(block)
-    return _make_family(ring.group, blocks, k, k - 1, name)
+    return DifferenceFamily(group=ring.group, blocks=blocks, lam=k - 1, name=name)
 
 
 def feng_families(field: Field) -> tuple[DifferenceFamily, ...]:
@@ -240,7 +227,8 @@ def feng_families(field: Field) -> tuple[DifferenceFamily, ...]:
     for fam_idx, idx in enumerate(FENG_INDEX_SETS, start=1):
         blocks = np.stack([np.sort(classes[list(idx)], axis=None),
                            np.sort(np.delete(classes, idx, axis=0), axis=None)])
-        out.append(_make_family(field.group, blocks, 665, 664, f"feng-{fam_idx}"))
+        out.append(DifferenceFamily(group=field.group, blocks=blocks, lam=664,
+                                    name=f"feng-{fam_idx}"))
     return tuple(out)
 
 
@@ -296,7 +284,7 @@ def validate_ddf(fam: DifferenceFamily) -> ValidationReport:
 # file format: header "v k lambda b", one base block per line
 # ---------------------------------------------------------------------------
 
-# entries per formatting pass in rows_to_text; bounds its byte buffers
+# entries per formatting pass in rows_text_chunks; bounds its byte buffers
 _TEXT_CHUNK = 1 << 14
 
 
@@ -334,19 +322,10 @@ def rows_text_chunks(header: str, slices, sep: str = " "):
             yield digits.T[keep.T].tobytes().decode("ascii")
 
 
-def rows_to_text(header: str, rows: np.ndarray, sep: str = " ") -> str:
-    """The text of rows_text_chunks as one string."""
-    return "".join(rows_text_chunks(header, (rows,), sep))
-
-
 def family_text_chunks(fam: DifferenceFamily):
     """The family file's text in chunks (see rows_text_chunks)."""
     return rows_text_chunks(f"{fam.v} {fam.k} {fam.lam} {fam.b}",
                             (fam.block_array(),))
-
-
-def family_to_text(fam: DifferenceFamily) -> str:
-    return "".join(family_text_chunks(fam))
 
 
 def save_family(fam: DifferenceFamily, path) -> None:
@@ -354,10 +333,10 @@ def save_family(fam: DifferenceFamily, path) -> None:
         fh.writelines(family_text_chunks(fam))
 
 
-def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
-    """The non-blank lines as a (count, k) array in point_dtype(v) of
-    strictly ascending rows with entries in [0, v); ValueError for any other
-    text."""
+def read_rows(lines, count: int, k: int) -> np.ndarray:
+    """The non-blank lines as a (count, k) int64 array, for
+    groups.check_rows to check; ValueError unless there are count lines of k
+    integer tokens each, every one within int64."""
     rows = [line.split() for line in lines if line.strip()]
     if len(rows) != count:
         raise ValueError(f"expected {count} blocks, found {len(rows)}")
@@ -368,11 +347,6 @@ def read_rows(lines, count: int, k: int, v: int) -> np.ndarray:
                             count=count * k).reshape(count, k)
     except OverflowError:
         raise ValueError("block entry out of range") from None
-    if array.min() < 0 or int(array.max()) >= v:
-        raise ValueError("block entry out of range")
-    array = array.astype(point_dtype(v))
-    if (array[:, 1:] <= array[:, :-1]).any():
-        raise ValueError("every block must have k distinct entries in ascending order")
     return array
 
 
@@ -393,7 +367,8 @@ def load_family(path, kind: str, p: int) -> DifferenceFamily:
         raise BudgetError(f"{group.kind} order {v} exceeds the table budget {budget}")
     if b < 1 or k < 1:
         raise ValueError("a family needs b >= 1 base blocks of k >= 1 elements")
-    blocks = read_rows(lines[1:], b, k, v)
+    fam = DifferenceFamily(group=group, blocks=read_rows(lines[1:], b, k), lam=lam,
+                           name="imported")
     if lam * (v - 1) != b * k * (k - 1):
         raise ValueError("declared parameters violate lambda*(v-1) = b*k*(k-1)")
-    return DifferenceFamily(group=group, blocks=blocks, lam=lam, name="imported")
+    return fam

@@ -177,16 +177,7 @@ class Field:
     exp: np.ndarray = dfield(repr=False)
     log: np.ndarray = dfield(repr=False)
 
-    # -- arithmetic -----------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        return self.group.add(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.group.sub(a, b)
-
-    def neg(self, a: int) -> int:
-        return self.group.neg(a)
-
+    # -- multiplicative ops (add and sub are the group's) ------------------
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -203,9 +194,6 @@ class Field:
                 raise ZeroDivisionError("inversion of zero field element")
             return 0 if e else 1
         return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- cyclotomic cosets ------------------------------------------------
     def class_array(self, e: int) -> np.ndarray:
@@ -282,8 +270,9 @@ def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
     return log
 
 
-# tables kept alive: one `compare` builds at most three (F_{t^2}, F_t and
-# GR(t^2)), and a sweep over t must not keep every earlier table
+# tables kept alive by build_field and by build_ring, each: one `compare`
+# builds F_{t^2} and GR(p^2, r), and a sweep over t must not keep every
+# earlier table
 TABLE_CACHE_SIZE = 4
 
 

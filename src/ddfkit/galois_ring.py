@@ -20,7 +20,8 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import BudgetError
-from .fields import TABLE_CACHE_SIZE, _exp_table, build_field, poly_mulmod, poly_powmod
+from .fields import (TABLE_CACHE_SIZE, _exp_table, least_primitive_poly, poly_mulmod,
+                     poly_powmod)
 from .groups import AdditiveGroup, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
@@ -51,17 +52,7 @@ class GaloisRing:
     teich_log: dict = dfield(repr=False)  # unit t -> exponent of xi
     _teich_by_residue: dict = dfield(repr=False)  # mod-p residue digits -> t
 
-    # -- additive ops ----------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        return self.group.add(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.group.sub(a, b)
-
-    def neg(self, a: int) -> int:
-        return self.group.neg(a)
-
-    # -- multiplicative ops ------------------------------------------------
+    # -- multiplicative ops (add and sub are the group's) ------------------
     def mul(self, a: int, b: int) -> int:
         g = self.group
         return g.pack(poly_mulmod(g.unpack(a), g.unpack(b), self.modulus, self.char))
@@ -114,7 +105,7 @@ class GaloisRing:
     def p_adic(self, a: int) -> tuple[int, int]:
         """The unique (a0, a1) in T x T with a = a0 + p*a1."""
         a0 = self._teich_by_residue[self.residue(a)]
-        rest = self.sub(a, a0)
+        rest = self.group.sub(a, a0)
         a1 = self._teich_by_residue[self._divide_ideal(rest)]
         return a0, a1
 
@@ -125,8 +116,8 @@ class GaloisRing:
             raise ValueError(f"{u} lies in the maximal ideal; not a unit")
         inv0 = self.teich_inverse(a0)
         w = self.mul(u, inv0)  # = 1 + p*a1
-        a1 = self._teich_by_residue[self._divide_ideal(self.sub(w, 1))]
-        if self.mul(a0, self.add(1, self.scalar_p(a1))) != u:
+        a1 = self._teich_by_residue[self._divide_ideal(self.group.sub(w, 1))]
+        if self.mul(a0, self.group.add(1, self.scalar_p(a1))) != u:
             raise AssertionError("unit decomposition reconstruction failed")
         return UnitDecomposition(teich_part=a0, principal_part=a1)
 
@@ -208,8 +199,7 @@ def build_ring(p: int, r: int) -> GaloisRing:
     if order > RING_ENCODING_BUDGET:
         raise BudgetError(f"ring encoding space {order} exceeds budget {RING_ENCODING_BUDGET}")
 
-    fld = build_field(p, r)
-    modulus = fld.modulus  # coefficients in [0, p) reinterpreted mod p^2
+    modulus = least_primitive_poly(p, r)  # coefficients in [0, p) reinterpreted mod p^2
     group = ring_group(p, r)
 
     proto = GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,

@@ -31,6 +31,25 @@ def point_dtype(v: int) -> np.dtype:
     return np.min_scalar_type(v - 1) if v <= 1 << 32 else np.dtype(np.int64)
 
 
+def check_rows(rows, v: int) -> np.ndarray:
+    """Block rows as an (n, k) array in point_dtype(v), a view when they
+    already are in it.
+
+    Raises ValueError unless the values as given, before any cast could
+    wrap one, form a 2-D integer array with every entry in [0, v) and every
+    row strictly ascending, so a set.  Neighbours are compared, not
+    subtracted, as a difference would wrap in an unsigned dtype.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ValueError("blocks must form a 2-D integer array, one row per block")
+    if rows.size and (rows.min() < 0 or int(rows.max()) >= v):
+        raise ValueError("block entry out of range")
+    if (rows[:, 1:] <= rows[:, :-1]).any():
+        raise ValueError("every block must have k distinct entries in ascending order")
+    return rows.astype(point_dtype(v), copy=False).view()
+
+
 @lru_cache(maxsize=None)
 def _powers(base: int, digits: int) -> np.ndarray:
     return base ** np.arange(digits, dtype=np.int64)
@@ -78,12 +97,6 @@ class AdditiveGroup:
             b //= self.base
             m *= self.base
         return r
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- vectorized arithmetic on int64 arrays -------------------------
     def digit_matrix(self, arr: np.ndarray) -> np.ndarray:

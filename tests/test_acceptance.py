@@ -143,11 +143,11 @@ def test_criterion_8_ring_structure_properties():
             ring = build_ring(p, r)
             t = ring.teich_size
             squares, non_squares = ring.square_split()
-            minus_one = ring.neg(1)
+            minus_one = ring.group.sub(0, 1)
             assert (minus_one in set(squares)) == (t % 4 == 1)
             assert (minus_one in set(non_squares)) == (t % 4 == 3)
-            delta = {ring.sub(a, b) for a in squares for b in squares if a != b}
-            cross = {ring.sub(a, b) for a in non_squares for b in squares}
+            delta = {ring.group.sub(a, b) for a in squares for b in squares if a != b}
+            cross = {ring.group.sub(a, b) for a in non_squares for b in squares}
             assert (1 in delta) == (t % 12 == 1)
             assert (1 in cross) == (t % 12 == 7)
             assert (ring.coset_parity(2) == 0) == (t % 8 in (1, 7))

@@ -166,7 +166,7 @@ def _difference_counter(ring, left, right):
     for u in left:
         for w in right:
             if u != w:
-                d = ring.sub(u, w)
+                d = ring.group.sub(u, w)
                 counts[d] = counts.get(d, 0) + 1
     return counts
 
@@ -191,7 +191,7 @@ def _reference_reports(ring):
 
     delta = _difference_counter(ring, squares, squares)
     cross = _difference_counter(ring, squares, non_squares)
-    two_coset = {ring.add(s, s) for s in squares}
+    two_coset = {ring.group.add(s, s) for s in squares}
     t = ring.teich_size
     counts = delta if t % 4 == 1 else cross
     outside = {d: n for d, n in counts.items() if d not in two_coset}
@@ -298,7 +298,7 @@ def test_failure_mode_at_19():
     squares, non_squares = ring.square_split()
     p_sq = [ring.scalar_p(t) for t in squares]
     p_nsq = [ring.scalar_p(t) for t in non_squares]
-    counts = Counter(ring.sub(a, b) for a in p_sq for b in p_nsq)
+    counts = Counter(ring.group.sub(a, b) for a in p_sq for b in p_nsq)
     assert {counts[x] for x in p_nsq} == {(19 + 1) // 4}
     assert {counts[x] for x in p_sq} == {(19 - 3) // 4}
     assert set(counts) <= set(p_sq) | set(p_nsq)

@@ -315,6 +315,25 @@ def test_direct_budget_checked_before_the_gram_tiles(capsys, monkeypatch):
                        "multiply-adds (C(B+1, 2)*v/lanes), got 34603362122525\n")
 
 
+def test_direct_profile_of_a_family_is_self_checked(capsys, monkeypatch):
+    # a direct histogram off by one block pair breaks sum m_N = C(v*b, 2)
+    import ddfkit._kernels
+
+    histogram = ddfkit._kernels.block_intersection_hist
+
+    def off_by_one(*args):
+        hist = histogram(*args).copy()
+        hist[0] += 1
+        return hist
+
+    monkeypatch.setattr(ddfkit._kernels, "block_intersection_hist", off_by_one)
+    code, out, err = run(capsys, "profile", "--p", "5", "--r", "1",
+                         "--construction", "gr-squares", "--method", "direct")
+    assert (code, out) == (1, "")
+    assert err == ("profile self-check failed: sum m_N = 44851, expected 44850 "
+                   "for (v, b, k, lambda) = (25, 12, 2, None)\n")
+
+
 def test_verify_budget_checked_before_the_coverage_table(capsys, monkeypatch, tmp_path):
     # F_(2^11)* as one base block, a difference family with lambda = 2046:
     # its development, 2048 blocks of 2047, is within DEVELOP_ENTRY_BUDGET,

@@ -6,7 +6,7 @@ import pytest
 
 from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e, count_summary,
-                    cyclotomic_table, dickson_counts, unknown_quadruples)
+                    cyclotomic_table, dickson_counts, save_table, unknown_quadruples)
 from ddfkit.arith import factorize
 from ddfkit.cyclotomy import CyclotomicTable, order_two_numbers, table_to_csv
 
@@ -19,7 +19,7 @@ def _cyclotomic_reference(field, e, successors=None):
     (class(x), class(x + 1)) when x + 1 != 0."""
     cls = field.class_index(e)
     if successors is None:
-        successors = [(x, field.add(x, 1)) for x in range(1, field.q)]
+        successors = [(x, field.group.add(x, 1)) for x in range(1, field.q)]
     table = [[0] * e for _ in range(e)]
     for x, y in successors:
         if y != 0:
@@ -86,7 +86,7 @@ def test_table_matches_scalar_reference_every_field_to_2000():
     fields = 0
     for q, p, n in _prime_powers(2000):
         field = build_field(p, n)
-        successors = [(x, field.add(x, 1)) for x in range(1, q)]
+        successors = [(x, field.group.add(x, 1)) for x in range(1, q)]
         divisors = [e for e in range(1, q) if (q - 1) % e == 0]
         orders = {1, divisors[min(1, len(divisors) - 1)],
                   max(e for e in divisors if e * e <= q)}
@@ -303,7 +303,7 @@ def test_row_sum_rule():
         field = build_field(p, n)
         table = cyclotomic_table(field, e)
         classes = field.class_array(e).tolist()
-        minus_one = field.neg(1)
+        minus_one = field.group.sub(0, 1)
         for i in range(e):
             row_sum = sum(table.entry(i, j) for j in range(e))
             expected = table.f - (1 if minus_one in set(classes[i]) else 0)
@@ -325,6 +325,21 @@ def test_csv_export():
     tables += [closed_form_order_2e(p, r) for p, r in [(3, 1), (5, 1), (7, 1), (3, 2)]]
     for table in tables:
         assert table_to_csv(table) == _csv_reference(table), (table.q, table.e)
+
+
+def test_save_table_round_trip(tmp_path):
+    # the file's rows read back as the cells, with "?" where a cell is unknown
+    path = tmp_path / "table.csv"
+    for table in (cyclotomic_table(build_field(7, 2), 16), closed_form_order_2e(5, 1)):
+        save_table(table, path)
+        header, *rows = path.read_text().splitlines()
+        assert header == f"{table.e},{table.f},{table.q}"
+        text = np.array([row.split(",") for row in rows])
+        known = text != "?"
+        again = CyclotomicTable(e=table.e, q=table.q, f=table.f, known=known,
+                                cells=np.where(known, text, "0").astype(np.int64))
+        assert np.array_equal(again.cells, table.cells)
+        assert np.array_equal(again.known, table.known)
 
 
 def test_closed_forms_match_cell_by_cell_references():

@@ -12,9 +12,9 @@ from ddfkit import (build_field, build_ring, davis_family, develop, feng_familie
                     furino_family, load_family, save_family, squares_family,
                     validate_ddf, wilson_family)
 from ddfkit import families
-from ddfkit.designs import Design, design_to_text, save_design
-from ddfkit.families import (DifferenceFamily, ValidationReport, _make_family,
-                             family_to_text, rows_to_text)
+from ddfkit.designs import Design, design_text_chunks, save_design
+from ddfkit.families import (DifferenceFamily, ValidationReport, family_text_chunks,
+                             rows_text_chunks)
 from ddfkit.groups import field_group, point_dtype, ring_group
 
 
@@ -135,7 +135,7 @@ def scalar_coset_blocks(ring, parts):
     blocks = []
     for part in parts:
         for alpha in ring.teichmuller:
-            u = ring.add(1, ring.scalar_p(alpha))
+            u = ring.group.add(1, ring.scalar_p(alpha))
             blocks.append(tuple(sorted(ring.mul(u, x) for x in part)))
         blocks.append(tuple(sorted(ring.scalar_p(x) for x in part)))
     return tuple(blocks)
@@ -174,19 +174,34 @@ def test_coset_rows_in_small_chunks_match_scalar_reference(monkeypatch, chunk):
         assert block_rows(fam) == scalar_coset_blocks(ring, ring.square_split())
 
 
-def test_make_family_checks_rows():
+def test_family_checks_rows():
     g = field_group(5, 1)
-    for rows in ([[1, 1]], [[2, 1]], [[1, 2, 3]], [1, 2]):
-        with pytest.raises(AssertionError):
-            _make_family(g, rows, 2, 1, "bad")
-    report = validate_ddf(_make_family(g, [[1, 2], [2, 3]], 2, 1, "overlap"))
+    for rows in ([[1, 1]], [[2, 1]], [1, 2], [[0.5, 1.5]]):
+        with pytest.raises(ValueError):
+            DifferenceFamily(group=g, blocks=rows, lam=1, name="bad")
+    report = validate_ddf(DifferenceFamily(group=g, blocks=[[1, 2], [2, 3]], lam=1))
     assert not report.disjoint and not report.near_complete
-    report = validate_ddf(_make_family(g, [[0, 1], [2, 3]], 2, 1, "covers zero"))
+    report = validate_ddf(DifferenceFamily(group=g, blocks=[[0, 1], [2, 3]], lam=1))
     assert report.disjoint and not report.near_complete
-    fam = _make_family(g, [[1, 4], [2, 3]], 2, 1, "cosets")
+    fam = DifferenceFamily(group=g, blocks=[[1, 4], [2, 3]], lam=1, name="cosets")
     report = validate_ddf(fam)
     assert report.disjoint and report.near_complete
     assert block_rows(fam) == ((1, 4), (2, 3))
+
+
+# rows that break the block-row rule at v = 9, where points are uint8: 258
+# would wrap to 2 in a cast before the check
+BAD_ROWS = {"descending": [[2, 1], [3, 4]], "repeated point": [[1, 1]],
+            "entry v": [[1, 9]], "entry wrapped by uint8": [[1, 258]],
+            "negative entry": [[-1, 2]]}
+
+
+@pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_family_and_design_refuse_rows_that_break_the_rule(rows):
+    with pytest.raises(ValueError):
+        DifferenceFamily(group=field_group(3, 2), blocks=rows, lam=0)
+    with pytest.raises(ValueError):
+        Design(v=9, blocks=np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +439,7 @@ def test_family_prints_its_blocks():
 
 def test_family_text_deterministic():
     fam = davis_family(build_ring(3, 1))
-    assert family_to_text(fam) == "9 2 1 4\n1 8\n4 5\n2 7\n3 6\n"
+    assert "".join(family_text_chunks(fam)) == "9 2 1 4\n1 8\n4 5\n2 7\n3 6\n"
 
 
 def test_family_load_rejects_bad_files(tmp_path):
@@ -452,7 +467,7 @@ def test_family_load_group_mismatch(tmp_path):
 
 
 def scalar_rows_text(header, rows):
-    """The writer rows_to_text replaced: one str() per entry."""
+    """The writer rows_text_chunks replaced: one str() per entry."""
     lines = [header]
     for row in rows:
         lines.append(" ".join(str(int(x)) for x in row))
@@ -473,7 +488,8 @@ def test_rows_to_text_matches_scalar_writer(monkeypatch, chunk):
     ]
     for rows in cases:
         rows = np.array(rows, dtype=np.int64)
-        assert rows_to_text("9 8 7", rows) == scalar_rows_text("9 8 7", rows), rows
+        text = "".join(rows_text_chunks("9 8 7", (rows,)))
+        assert text == scalar_rows_text("9 8 7", rows), rows
 
 
 def test_text_writers_match_scalar_writer():
@@ -481,10 +497,12 @@ def test_text_writers_match_scalar_writer():
             squares_family(build_ring(5, 1)), feng_families(build_field(11, 3))[0]]
     for fam in fams:
         header = f"{fam.v} {fam.k} {fam.lam} {fam.b}"
-        assert family_to_text(fam) == scalar_rows_text(header, block_rows(fam)), fam.name
+        text = "".join(family_text_chunks(fam))
+        assert text == scalar_rows_text(header, block_rows(fam)), fam.name
         design = develop(fam)
         header = f"{design.v} {design.block_count} {design.k}"
-        assert design_to_text(design) == scalar_rows_text(header, design.blocks), fam.name
+        text = "".join(design_text_chunks(design))
+        assert text == scalar_rows_text(header, design.blocks), fam.name
 
 
 def test_design_text_is_written_chunk_by_chunk(tmp_path):
@@ -499,7 +517,7 @@ def test_design_text_is_written_chunk_by_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     text = path.read_text()
-    assert text == design_to_text(design)
+    assert text == "".join(design_text_chunks(design))
     assert peak < len(text) // 8, (peak, len(text))
 
 
@@ -533,7 +551,8 @@ def test_block_array_is_the_read_only_block_table(tmp_path):
         assert not hasattr(fam, "blocks")
     # the stored table is not shared with the caller's array
     rows = np.array([[1, 4], [2, 3]], dtype=np.int64)
-    _make_family(field_group(5, 1), rows, 2, 1, "cosets")
+    DifferenceFamily(group=field_group(5, 1), blocks=rows, lam=1)
+    Design(v=5, blocks=rows)
     assert rows.flags.writeable
 
 

@@ -95,8 +95,8 @@ def test_field_ops_f9():
 def test_add_zero_identity():
     for p, n in [(5, 1), (3, 2), (7, 1), (2, 3)]:
         f = build_field(p, n)
-        for a in f.elements():
-            assert f.add(a, 0) == a
+        for a in range(f.q):
+            assert f.group.add(a, 0) == a
 
 
 def test_inverse_f5():
@@ -173,17 +173,17 @@ def test_frobenius_additivity():
     # (a+b)^p = a^p + b^p, exhaustively for q <= 121
     for p, n in [(3, 2), (5, 1), (7, 1), (2, 4), (11, 1), (3, 4), (11, 2)]:
         f = build_field(p, n)
-        for a in f.elements():
+        for a in range(f.q):
             ap = f.pow(a, p)
-            for b in f.elements():
-                assert f.pow(f.add(a, b), p) == f.add(ap, f.pow(b, p))
+            for b in range(f.q):
+                assert f.pow(f.group.add(a, b), p) == f.group.add(ap, f.pow(b, p))
 
 
 def test_encoding_roundtrip():
     for p, n in [(5, 1), (3, 2), (11, 3), (2, 5)]:
         f = build_field(p, n)
         g = f.group
-        for a in f.elements():
+        for a in range(f.q):
             assert g.pack(g.unpack(a)) == a
 
 

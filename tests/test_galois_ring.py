@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ddfkit import BudgetError, build_ring
+from ddfkit import BudgetError, build_field, build_ring
 from ddfkit.arith import is_prime
-from ddfkit.fields import TABLE_CACHE_SIZE
+from ddfkit.fields import TABLE_CACHE_SIZE, least_primitive_poly
 from ddfkit.galois_ring import (TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE,
                                 _check_teichmuller, _teichmuller_set)
 
@@ -51,7 +51,7 @@ def test_padic_roundtrip_and_uniqueness():
         for a in range(ring.order):
             a0, a1 = ring.p_adic(a)
             assert a0 in teich and a1 in teich
-            assert ring.add(a0, ring.scalar_p(a1)) == a
+            assert ring.group.add(a0, ring.scalar_p(a1)) == a
             seen.add((a0, a1))
         assert len(seen) == ring.order
 
@@ -75,7 +75,7 @@ def test_unit_decompose_all_units():
                 continue
             d = ring.unit_decompose(u)
             rebuilt = ring.mul(d.teich_part,
-                               ring.add(1, ring.scalar_p(d.principal_part)))
+                               ring.group.add(1, ring.scalar_p(d.principal_part)))
             assert rebuilt == u
 
 
@@ -119,7 +119,7 @@ def test_minus_one_parity():
     for p, r in [(5, 1), (13, 1), (3, 2), (5, 2), (7, 1), (11, 1), (19, 1), (3, 3)]:
         ring = build_ring(p, r)
         squares, non_squares = ring.square_split()
-        minus_one = ring.neg(1)
+        minus_one = ring.group.sub(0, 1)
         if (p ** r) % 4 == 1:
             assert minus_one in set(squares)
         else:
@@ -156,10 +156,10 @@ def test_principal_unit_product_identity():
     for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3), (7, 2)]:
         ring = build_ring(p, r)
         for a in ring.teichmuller:
-            ua = ring.add(1, ring.scalar_p(a))
+            ua = ring.group.add(1, ring.scalar_p(a))
             for b in ring.teichmuller:
-                lhs = ring.mul(ua, ring.add(1, ring.scalar_p(b)))
-                rhs = ring.add(1, ring.scalar_p(ring.add(a, b)))
+                lhs = ring.mul(ua, ring.group.add(1, ring.scalar_p(b)))
+                rhs = ring.group.add(1, ring.scalar_p(ring.group.add(a, b)))
                 assert lhs == rhs
 
 
@@ -172,7 +172,7 @@ def test_sixth_roots_sum_to_zero():
         assert len(roots) == 6
         total = 0
         for u in roots:
-            total = ring.add(total, u)
+            total = ring.group.add(total, u)
         assert total == 0
 
 
@@ -184,8 +184,8 @@ def test_one_in_difference_sets_mod12():
         ring = build_ring(p, r)
         t = ring.teich_size
         squares, non_squares = ring.square_split()
-        delta = {ring.sub(a, b) for a in squares for b in squares if a != b}
-        cross = {ring.sub(a, b) for a in non_squares for b in squares}
+        delta = {ring.group.sub(a, b) for a in squares for b in squares if a != b}
+        cross = {ring.group.sub(a, b) for a in non_squares for b in squares}
         assert (1 in delta) == (t % 12 == 1)
         assert (1 in cross) == (t % 12 == 7)
 
@@ -223,7 +223,7 @@ def test_teichmuller_differences_are_units():
         for a in tstar:
             for b in tstar:
                 if a != b:
-                    assert ring.is_unit(ring.sub(a, b))
+                    assert ring.is_unit(ring.group.sub(a, b))
 
 
 def test_build_errors():
@@ -290,6 +290,16 @@ def test_ring_cache_is_bounded():
         build_ring(p, 1)
         assert build_ring.cache_info().currsize <= TABLE_CACHE_SIZE
     assert build_ring.cache_info().maxsize == TABLE_CACHE_SIZE
+
+
+def test_build_ring_builds_no_field_tables():
+    # the ring needs only the residue field's modulus, not its exp/log tables
+    build_ring.cache_clear()
+    before = build_field.cache_info()
+    ring = build_ring(7, 3)
+    after = build_field.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert ring.modulus == least_primitive_poly(7, 3)
 
 
 def test_teichmuller_checks_reject_bad_sets():

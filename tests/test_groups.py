@@ -42,7 +42,7 @@ def test_array_arithmetic_broadcasts(name):
         assert np.ndim(g.add_arrays(a, b)) == 0
         assert g.add_arrays(a, b) == g.add(int(a), int(b))
         assert g.sub_arrays(a, b) == g.sub(int(a), int(b))
-    assert g.sub_arrays(0, block).tolist() == [g.neg(int(a)) for a in block]
+    assert g.sub_arrays(0, block).tolist() == [g.sub(0, int(a)) for a in block]
 
 
 def test_array_arithmetic_random_pairs_in_f_2_20():
