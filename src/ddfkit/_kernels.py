@@ -205,17 +205,21 @@ def _incidence(B, slices, v):
     the B blocks in a sequence of row slices, bit-packed along each row by
     np.packbits (padding bits are 0).
 
-    Built _GRAM_ROWS rows of a slice at a time through one boolean tile.
+    Built _GRAM_ROWS rows of a slice at a time: each entry is scattered
+    through its flat index row*v + point into one 1-D boolean tile, whose
+    (rows, v) view is packed.
     """
     packed = np.empty((B, (v + 7) // 8), dtype=np.uint8)
-    tile = np.empty((min(_GRAM_ROWS, B), v), dtype=bool)
+    tile = np.empty(min(_GRAM_ROWS, B) * v, dtype=bool)
+    offsets = np.arange(0, tile.size, v, dtype=np.intp)[:, None]  # row*v
     at = 0  # the first row of `part`
     for part in slices:
         for s in range(0, part.shape[0], _GRAM_ROWS):
-            rows = tile[:min(_GRAM_ROWS, part.shape[0] - s)]
+            n = min(_GRAM_ROWS, part.shape[0] - s)
+            rows = tile[:n * v]
             rows.fill(False)
-            rows[np.arange(rows.shape[0])[:, None], part[s:s + rows.shape[0]]] = True
-            packed[at + s:at + s + rows.shape[0]] = np.packbits(rows, axis=1)
+            rows[(part[s:s + n] + offsets[:n]).ravel()] = True
+            packed[at + s:at + s + n] = np.packbits(rows.reshape(n, v), axis=1)
         at += part.shape[0]
     return packed
 

@@ -13,6 +13,7 @@ exceeded or a failed profile self-check, 2 = usage error or malformed input.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -32,6 +33,9 @@ from .families import (family_text_chunks, feng_families, load_family,
                        wilson_family)
 from .fields import build_field
 from .galois_ring import build_ring
+
+# the imports' objects are permanent: keep collections during a command off them
+gc.freeze()
 
 CONSTRUCTIONS = ("wilson", "wilson-half", "gr-teichmuller", "gr-squares",
                  "feng-1", "feng-2", "feng-3")

@@ -34,7 +34,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 from functools import partial
-from itertools import product
 from math import comb, gcd
 
 import numpy as np
@@ -136,12 +135,16 @@ class Development:
     Iterating yields (rows, k) arrays in point_dtype(v) whose concatenation
     is develop(fam).blocks: row i*v + g is D_i + g, sorted.  A slice holds
     at most _DEVELOP_CHUNK entries (or one translate of k): whole base
-    blocks, or a range of one block's translates.  Digit l of x + g is
-    x_l + g_l, less base when that reaches base; one digit's sums for the
-    slice at a time are folded by Horner into its rows, whose every partial
-    value is below v.  `v`, `k`, `block_count` and `shape` are those of the
-    whole array, known before any slice exists, so each kernel that reads
-    the slices checks its budgets first.
+    blocks, or a range of one block's translates.  x + g adds digit by
+    digit with no carry, so each base block gets one (base, k) table per
+    digit l, row s holding ((x_l + s) mod base)*base^l, and D_i + g is the
+    sum of row g_l of every table.  For the m low digits, the most whose
+    base^m*k translate entries fit _DEVELOP_CHUNK, one broadcast outer sum
+    of the tables gives the translates by every g < base^m; a slice adds
+    the rows of the high digits to it.  Every partial sum is below v, so
+    all of it stays in point_dtype(v).  `v`, `k`, `block_count` and
+    `shape` are those of the whole array, known before any slice exists,
+    so each kernel that reads the slices checks its budgets first.
 
     Raises BudgetError on construction, before anything is allocated, when
     v*b*k exceeds DEVELOP_ENTRY_BUDGET.
@@ -159,35 +162,59 @@ class Development:
 
     def __iter__(self):
         g = self.fam.group
-        v, base = g.order, g.base
+        v, base, n = g.order, g.base, g.digits
         blocks = self.fam.block_array()
         b, k = blocks.shape
-        # digit l on axis 0, in a dtype that holds the sum of two digits
+        dtype = point_dtype(v)
+        m = 0
+        while m < n and base ** (m + 1) * k <= _DEVELOP_CHUNK:
+            m += 1
+        low = base ** m
+        # base blocks per slice, more than one only when m = n; translates
+        # per slice when m < n, a multiple of base^m below base^(m+1)
+        chunk = _DEVELOP_CHUNK // (v * k) if m == n else 1
+        span = low * max(1, _DEVELOP_CHUNK // (low * k))
+        # digit l on axis 1, in a dtype that holds the sum of two digits
         digit_dtype = np.min_scalar_type(2 * (base - 1))
-        block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 0).astype(digit_dtype)
-        translate_digits = np.empty((g.digits, v), dtype=digit_dtype)
-        rest = np.arange(v)
-        for row in translate_digits:  # one digit at a time: no (v, digits) int64 matrix
-            row[...] = rest % base
-            rest //= base
-        # base blocks and translates per slice: chunk > 1 only when span = v
-        chunk = max(1, _DEVELOP_CHUNK // (v * k))
-        span = min(v, max(1, _DEVELOP_CHUNK // k))
-        for lo, t in product(range(0, b, chunk), range(0, v, span)):
-            rows = np.empty((min(chunk, b - lo), min(span, v - t), k), dtype=point_dtype(v))
-            for ell in range(g.digits - 1, -1, -1):
-                sums = block_digits[ell, lo : lo + chunk, None, :] \
-                    + translate_digits[ell, t : t + span, None]
-                np.subtract(sums, base, out=sums, where=sums >= base)
-                if ell < g.digits - 1:
-                    rows *= base
-                    rows += sums
-                else:
-                    rows[...] = sums
-            del sums
-            rows.sort(axis=2)
-            yield rows.reshape(-1, k)
-            del rows  # while the next slice is built, only the caller may hold this one
+        block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 1).astype(digit_dtype)
+        shifts = np.arange(base, dtype=digit_dtype)[:, None]
+        for lo in range(0, b, chunk):
+            digits = block_digits[lo : lo + chunk]
+            # row g of sums[i] is D_(lo+i) + g for g < base^m: the outer sum
+            # over l < m of the tables ((x_l + s) mod base)*base^l, s < base
+            sums = None
+            for ell in range(m):
+                table = _digit_rows(digits[:, ell, None, :], shifts, base, ell, dtype)
+                sums = table if sums is None else \
+                    (table[:, :, None] + sums[:, None]).reshape(len(digits), -1, k)
+            if m == n:
+                sums.sort(axis=-1)
+                yield sums.reshape(-1, k)
+                del sums  # while the next slice is built, only the caller may hold this one
+                continue
+            for t in range(0, v, span):
+                high = np.arange(t, min(t + span, v), low)  # translates h*base^m
+                rows = None
+                for ell in range(m, n):
+                    shift = (high // base ** ell % base).astype(digit_dtype)[:, None]
+                    part = _digit_rows(digits[0, ell], shift, base, ell, dtype)
+                    rows = part if rows is None else np.add(rows, part, out=rows)
+                if sums is not None:
+                    rows = np.add(rows[:, None], sums[0])
+                rows.sort(axis=-1)
+                yield rows.reshape(-1, k)
+                del rows  # while the next slice is built, only the caller may hold this one
+
+
+def _digit_rows(x, shift, base, ell, dtype) -> np.ndarray:
+    """((x + shift) mod base)*base^ell, broadcast, in `dtype`: x and shift
+    are digits in a dtype that holds the sum of two."""
+    sums = x + shift
+    np.subtract(sums, base, out=sums, where=sums >= base)
+    rows = sums.astype(dtype, copy=False)
+    if ell:
+        rows *= base ** ell
+    return rows
 
 
 def develop(fam: DifferenceFamily) -> Design:
@@ -340,10 +367,27 @@ def _unit_maps(group) -> list:
     """The maps x -> u*x, on arrays, for generators u of the unit group of
     GR(p^2, r): xi and the principal units 1 + p*x^i, i < r, since
     T*(1 + pR) is the unit group and (1 + p*a)(1 + p*c) = 1 + p*(a + c).
+    Each is Z_(p^2)-linear on digit vectors, so it is applied as the digit
+    matrix of u times the basis x^l (AdditiveGroup.map_columns).
     """
     ring = build_ring(group.p, group.ext)
+    basis = group.base ** np.arange(group.digits, dtype=np.int64)
     units = [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]
-    return [partial(ring.mul_arrays, unit) for unit in units]
+    return [partial(_linear_image, group, group.digit_matrix(ring.mul_arrays(unit, basis)))
+            for unit in units]
+
+
+def _linear_image(group, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The images of an array of elements under the linear map whose rows
+    are the digits of the images of base^l, in point_dtype(order) and x's
+    shape.  The digit columns are taken one digit at a time in the
+    narrowest dtype that holds a digit."""
+    cols = np.empty((group.digits, np.size(x)), dtype=np.min_scalar_type(group.base - 1))
+    rest = np.ravel(x)
+    for row in cols:
+        np.remainder(rest, group.base, out=row, casting="unsafe")
+        rest = rest // group.base
+    return group.pack_columns(group.map_columns(matrix, cols)).reshape(np.shape(x))
 
 
 def _units_permute_blocks(fam: DifferenceFamily) -> bool:

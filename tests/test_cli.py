@@ -785,6 +785,15 @@ def test_reader_declines_what_only_argparse_reads(argv):
     assert read_argv(argv.split()) is None
 
 
+def test_import_freezes_its_objects():
+    # in a fresh interpreter, the objects the imports built are moved out of
+    # the collector's generations, so a collection during a command skips them
+    proc = subprocess.run([sys.executable, "-c",
+                           "import gc, ddfkit.cli; print(gc.get_freeze_count() > 0)"],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
+
+
 def test_well_formed_argv_never_imports_argparse():
     # in a fresh interpreter: argparse, and the gettext it imports, stay out
     # of a well-formed run, and a malformed argv still gets argparse's text

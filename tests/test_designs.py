@@ -137,6 +137,37 @@ def test_development_slices_concatenate_to_develop(monkeypatch, name, chunk):
     assert np.array_equal(np.concatenate(list(development)), whole)
 
 
+# m is the number of low digits whose translates come from one outer sum of
+# per-digit tables: the most with base^m * k entries within the chunk
+_DIGIT_SPLITS = {
+    # m = 0: three blocks of 3 on GR(7^2, 1), 49 * 3 entries per block
+    # against a chunk of 100, so slices of 33 translates
+    "m = 0": (DifferenceFamily(group=ring_group(7, 1),
+                               blocks=squares_family(build_ring(7, 1)).block_array()[:3],
+                               lam=0), 100, [33, 16] * 3),
+    # 0 < m = 2 < 5: F_(3^5), 9 * 4 entries per table sum, so slices of
+    # 18 translates, the last of a block 9
+    "0 < m < n": (DifferenceFamily(group=field_group(3, 5),
+                                   blocks=((0, 1, 5, 77), (2, 100, 200, 242)), lam=0),
+                  100, ([18] * 13 + [9]) * 2),
+    # m = n = 4: F_(2^4), 16 * 3 entries per block, two blocks per slice
+    "m = n": (DifferenceFamily(group=field_group(2, 4),
+                               blocks=((0, 1, 3), (0, 2, 7), (1, 4, 9), (3, 5, 6), (8, 9, 15)),
+                               lam=0), 100, [32, 32, 16]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIGIT_SPLITS))
+def test_development_by_digit_tables(monkeypatch, name):
+    fam, chunk, rows = _DIGIT_SPLITS[name]
+    monkeypatch.setattr(ddfkit.designs, "_DEVELOP_CHUNK", chunk)
+    slices = list(Development(fam))
+    assert [part.shape[0] for part in slices] == rows
+    assert all(part.dtype == point_dtype(fam.v) for part in slices)
+    assert max(part.size for part in slices) <= max(chunk, fam.k)
+    assert np.array_equal(np.concatenate(slices), _developed_by_add_arrays(fam))
+
+
 def test_development_of_few_blocks_on_many_points_stays_small():
     # sixteen one-point blocks on F_(2^16): the translates' 16 digit rows
     # take 1 MB in uint8 and a slice of 4 * 2^16 rows 0.5 MB in uint16,

@@ -17,7 +17,7 @@ from ddfkit.arith import is_prime
 from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _scaled, _unit_maps,
                             _units_permute_blocks, check_profile, difference_orbits)
 from ddfkit.families import DifferenceFamily, load_family, save_family
-from ddfkit.groups import field_group, ring_group
+from ddfkit.groups import field_group, point_dtype, ring_group
 
 # Developed blocks v*b up to which the sweeps here and in test_designs.py and
 # test_kernels.py also run the direct route: it admits far larger designs,
@@ -242,6 +242,19 @@ def test_unit_images_match_multiplication(kind, p, n):
         frontier = list({image[a] for a in frontier for image in gens} - reached)
         reached.update(frontier)
     assert len(reached) == (g.order - 1 if kind == "field" else g.order - p ** n)
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 1), (3, 2), (5, 2), (3, 3)])
+def test_unit_digit_matrices_match_mul_arrays(p, r):
+    # every element of GR(p^2, r), in its point dtype, under each generator
+    g = ring_group(p, r)
+    ring = build_ring(p, r)
+    x = np.arange(g.order, dtype=point_dtype(g.order)).reshape(p, -1)
+    units = [ring.xi] + [1 + p * g.base ** i for i in range(r)]
+    maps = _unit_maps(g)
+    assert len(maps) == len(units)
+    for unit, image_of in zip(units, maps):
+        assert np.array_equal(image_of(x), ring.mul_arrays(unit, x.astype(np.int64)))
 
 
 def linearly_relabelled(fam, seed):
