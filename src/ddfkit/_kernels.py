@@ -51,7 +51,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import check_budget
 
 # Gram multiply-adds, C(B+1, 2)*v/lanes: 12-14 s at 45-49 ps on one thread.
 GRAM_MULADD_BUDGET = 2 ** 38
@@ -246,12 +246,10 @@ def _gram_hist(blocks, v):
     (B, k), slices = _row_slices(blocks)
     w = k.bit_length()
     lanes = 2 if 2 * w <= 24 else 1
-    for work, budget, what in ((comb(B + 1, 2) * v // lanes, GRAM_MULADD_BUDGET,
-                                "multiply-adds (C(B+1, 2)*v/lanes)"),
-                               (min(B, _GRAM_ROWS) * v, GRAM_TILE_BUDGET,
-                                f"cells per Gram tile (min(B, {_GRAM_ROWS})*v)")):
-        if work > budget:
-            raise BudgetError(f"direct profile capped at {budget} {what}, got {work}")
+    check_budget("direct profile", GRAM_MULADD_BUDGET, "multiply-adds (C(B+1, 2)*v/lanes)",
+                 comb(B + 1, 2) * v // lanes)
+    check_budget("direct profile", GRAM_TILE_BUDGET,
+                 f"cells per Gram tile (min(B, {_GRAM_ROWS})*v)", min(B, _GRAM_ROWS) * v)
     packed = _incidence(B, slices, v)
     h = -(-_GRAM_ROWS // lanes)  # rows per lane
     left = np.empty((min(h, B), packed.shape[1] * 8), dtype=np.float32)
@@ -359,10 +357,10 @@ def pair_coverage(blocks, v):
     COVER_INDEX_BUDGET.
     """
     (B, k), slices = _row_slices(blocks)
-    for work, budget, what in ((v * (v - 1) // 2, COVER_CELL_BUDGET, "table cells (v(v-1)/2)"),
-                               (B * comb(k, 2), COVER_INDEX_BUDGET, "pair indices (B*C(k, 2))")):
-        if work > budget:
-            raise BudgetError(f"exhaustive pair counting capped at {budget} {what}, got {work}")
+    check_budget("exhaustive pair counting", COVER_CELL_BUDGET, "table cells (v(v-1)/2)",
+                 v * (v - 1) // 2)
+    check_budget("exhaustive pair counting", COVER_INDEX_BUDGET, "pair indices (B*C(k, 2))",
+                 B * comb(k, 2))
     cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32)
     for part in slices:
         _add_pairs(cnt, part, v)

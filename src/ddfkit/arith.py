@@ -29,6 +29,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime (see is_prime for the range)."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+
+
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending."""
     out = []

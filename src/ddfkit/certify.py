@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import is_prime, primes_below
+from .arith import check_prime, primes_below
 from .cyclotomy import order_two_numbers
 from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
@@ -68,8 +68,7 @@ def wilson_half_profile_closed_form(p: int, r: int) -> IntersectionProfile:
 
 def wieferich(p: int) -> bool:
     """Exact test of 2^(p-1) = 1 (mod p^2); requires prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     return pow(2, p - 1, p * p) == 1
 
 

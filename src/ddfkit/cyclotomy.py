@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import check_budget
 from .families import rows_text_chunks
 from .fields import Field, build_field
 
@@ -63,9 +63,7 @@ def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     Raises BudgetError before any allocation when e*e exceeds
     CYCLO_CELL_BUDGET, and ValueError unless e divides q - 1.
     """
-    if e * e > CYCLO_CELL_BUDGET:
-        raise BudgetError(f"cyclotomic table capped at {CYCLO_CELL_BUDGET} cells (e*e), "
-                          f"got {e * e}")
+    check_budget("cyclotomic table", CYCLO_CELL_BUDGET, "cells (e*e)", e * e)
     cls = field.class_index(e)
     x = np.arange(1, field.q, dtype=np.int64)
     y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .arith import divisors
-from .errors import BudgetError, ProfileCheckError
+from .errors import ProfileCheckError, check_budget
 from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
@@ -73,9 +73,7 @@ class Design:
     blocks: np.ndarray = dfield(repr=False)
 
     def __post_init__(self):
-        blocks = check_rows(self.blocks, self.v)
-        blocks.flags.writeable = False  # a view, so the caller's array stays writable
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", check_rows(self.blocks, self.v))
 
     @property
     def k(self) -> int:
@@ -151,10 +149,8 @@ class Development:
     """
 
     def __init__(self, fam: DifferenceFamily):
-        entries = fam.v * fam.b * fam.k
-        if entries > DEVELOP_ENTRY_BUDGET:
-            raise BudgetError(f"development capped at {DEVELOP_ENTRY_BUDGET} block "
-                              f"entries (v*b*k), got {entries}")
+        check_budget("development", DEVELOP_ENTRY_BUDGET, "block entries (v*b*k)",
+                     fam.v * fam.b * fam.k)
         self.fam = fam
         self.v, self.k = fam.v, fam.k
         self.block_count = fam.v * fam.b
@@ -247,9 +243,7 @@ def has_duplicate_blocks(fam: DifferenceFamily) -> bool:
     """
     blocks = fam.block_array()
     b, k = blocks.shape
-    if b * k * k > DEVELOP_ENTRY_BUDGET:
-        raise BudgetError(f"duplicate check capped at {DEVELOP_ENTRY_BUDGET} translate "
-                          f"entries (b*k^2), got {b * k * k}")
+    check_budget("duplicate check", DEVELOP_ENTRY_BUDGET, "translate entries (b*k^2)", b * k * k)
     # row (i, x) is D_i - x, for x in D_i
     through_zero = np.empty((b, k, k), dtype=point_dtype(fam.v))
     chunk = max(1, _DEVELOP_CHUNK // (k * k))
@@ -438,10 +432,8 @@ def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
         # d = -d for d = 0 alone when p is odd, and for the 2^r elements
         # of 2*GR(4, r)
         count = 3 if units else (v + (1 if g.p % 2 else t)) // 2
-    elements = count * fam.b * fam.k
-    if elements > DIFF_ELEMENT_BUDGET:
-        raise BudgetError(f"difference route capped at {DIFF_ELEMENT_BUDGET} shifted "
-                          f"elements (orbits * b * k), got {elements}")
+    check_budget("difference route", DIFF_ELEMENT_BUDGET, "shifted elements (orbits * b * k)",
+                 count * fam.b * fam.k)
     if g.kind == "field":
         # column c of exp, read as ((q-1)/m, m) rows, is the coset log d = c mod m
         reps = np.sort(field.exp.reshape(-1, m).min(axis=0))

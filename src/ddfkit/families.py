@@ -30,9 +30,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BudgetError
-from .fields import _EXP_CHUNK, FIELD_ORDER_BUDGET, Field
-from .galois_ring import RING_ENCODING_BUDGET, GaloisRing
+from .fields import _EXP_CHUNK, Field, check_field_order
+from .galois_ring import GaloisRing, check_ring_order
 from .groups import AdditiveGroup, check_rows, group_for, point_dtype
 
 FENG_INDEX_SETS = (
@@ -59,9 +58,7 @@ class DifferenceFamily:
     _array: np.ndarray = dfield(init=False, repr=False)
 
     def __post_init__(self, blocks):
-        array = check_rows(blocks, self.group.order)
-        array.flags.writeable = False  # a view, so the caller's array stays writable
-        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_array", check_rows(blocks, self.group.order))
 
     @property
     def v(self) -> int:
@@ -141,12 +138,11 @@ def wilson_family(field: Field, e: int, name: str = "") -> DifferenceFamily:
     """
     if e < 2:
         raise ValueError("require e >= 2")
-    if (field.q - 1) % e != 0:
-        raise ValueError(f"e={e} does not divide q-1={field.q - 1}")
-    f = (field.q - 1) // e
+    blocks = field.class_array(e)  # ValueError unless e divides q-1
+    f = blocks.shape[1]
     if f < 2:
         raise ValueError("require f = (q-1)/e >= 2")
-    return DifferenceFamily(group=field.group, blocks=field.class_array(e), lam=f - 1,
+    return DifferenceFamily(group=field.group, blocks=blocks, lam=f - 1,
                             name=name or f"cyclotomic-e{e}")
 
 
@@ -156,12 +152,9 @@ def davis_family(ring: GaloisRing, name: str = "gr-teichmuller") -> DifferenceFa
     Blocks (1+p*alpha)T* for alpha in T, plus p*T*: a near-complete
     (p^2r, p^r - 1, p^r - 2) disjoint difference family.
     """
-    size = ring.teich_size
-    if size < 3:
-        raise ValueError("require p^r >= 3")
     return DifferenceFamily(group=ring.group,
                             blocks=_teichmuller_coset_rows(ring, (ring.teichmuller[1:],)),
-                            lam=size - 2, name=name)
+                            lam=ring.teich_size - 2, name=name)
 
 
 def squares_family(ring: GaloisRing, name: str = "gr-squares") -> DifferenceFamily:
@@ -334,14 +327,17 @@ def save_family(fam: DifferenceFamily, path) -> None:
 
 
 def read_rows(lines, count: int, k: int) -> np.ndarray:
-    """The non-blank lines as a (count, k) int64 array, for
-    groups.check_rows to check; ValueError unless there are count lines of k
+    """The non-blank lines as a (count, k) int64 array, for groups.check_rows
+    to check; ValueError unless count, k >= 1 and there are count lines of k
     integer tokens each, every one within int64."""
     rows = [line.split() for line in lines if line.strip()]
     if len(rows) != count:
         raise ValueError(f"expected {count} blocks, found {len(rows)}")
-    if count < 1 or k < 1 or any(len(row) != k for row in rows):
+    if count < 1 or k < 1:
         raise ValueError(f"expected at least one block line, each of k = {k} >= 1 entries")
+    for i, row in enumerate(rows, 1):
+        if len(row) != k:
+            raise ValueError(f"block line {i} has {len(row)} entries, expected k = {k}")
     try:
         array = np.fromiter(map(int, chain.from_iterable(rows)), dtype=np.int64,
                             count=count * k).reshape(count, k)
@@ -362,9 +358,7 @@ def load_family(path, kind: str, p: int) -> DifferenceFamily:
     v, k, lam, b = (int(x) for x in header)
     # the constructions' table budgets cap a loaded group too, before any
     # table of v entries is allocated
-    budget = FIELD_ORDER_BUDGET if group.kind == "field" else RING_ENCODING_BUDGET
-    if v > budget:
-        raise BudgetError(f"{group.kind} order {v} exceeds the table budget {budget}")
+    (check_field_order if group.kind == "field" else check_ring_order)(p, group.ext)
     if b < 1 or k < 1:
         raise ValueError("a family needs b >= 1 base blocks of k >= 1 elements")
     fam = DifferenceFamily(group=group, blocks=read_rows(lines[1:], b, k), lam=lam,

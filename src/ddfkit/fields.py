@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, multiplicative_order, prime_divisors
+from .arith import check_prime, multiplicative_order, prime_divisors
 from .errors import BudgetError
 from .groups import AdditiveGroup, field_group
 
@@ -276,19 +276,24 @@ def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
 TABLE_CACHE_SIZE = 4
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def build_field(p: int, n: int) -> Field:
-    """Construct F_{p^n}; deterministic across runs (see module docstring)."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
+def check_field_order(p: int, n: int) -> int:
+    """q = p^n, the size of F_q's tables, or BudgetError past
+    FIELD_ORDER_BUDGET, raised before p^n is formed when n rules it out."""
     if n >= FIELD_ORDER_BUDGET.bit_length():  # p^n >= 2^n, so not even formed
         raise BudgetError(f"field order {p}^{n} exceeds table budget {FIELD_ORDER_BUDGET}")
     q = p ** n
     if q > FIELD_ORDER_BUDGET:
         raise BudgetError(f"field order {q} exceeds table budget {FIELD_ORDER_BUDGET}")
+    return q
 
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def build_field(p: int, n: int) -> Field:
+    """Construct F_{p^n}; deterministic across runs (see module docstring)."""
+    check_prime(p)
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    q = check_field_order(p, n)
     modulus = least_primitive_poly(p, n)
     group = field_group(p, n)
     # companion matrix of the modulus: row i holds the digits of x * x^i, so

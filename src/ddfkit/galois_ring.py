@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import check_prime
 from .errors import BudgetError
 from .fields import (TABLE_CACHE_SIZE, _exp_table, least_primitive_poly, poly_mulmod,
                      poly_powmod)
@@ -186,19 +186,24 @@ class GaloisRing:
         return TWO_SQUARE if self.teich_log[2] % 2 == 0 else TWO_NONSQUARE
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def build_ring(p: int, r: int) -> GaloisRing:
-    """Construct GR(p^2, r); deterministic via the field modulus choice."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+def check_ring_order(p: int, r: int) -> int:
+    """p^(2r), the encoding space of GR(p^2, r), or BudgetError past
+    RING_ENCODING_BUDGET, raised before p^(2r) is formed when r rules it out."""
     if 2 * r >= RING_ENCODING_BUDGET.bit_length():  # p^(2r) >= 4^r, so not even formed
         raise BudgetError(f"ring encoding space {p}^{2 * r} exceeds budget {RING_ENCODING_BUDGET}")
-    if p ** r < 3:
-        raise ValueError("require p^r >= 3")
     order = (p * p) ** r
     if order > RING_ENCODING_BUDGET:
         raise BudgetError(f"ring encoding space {order} exceeds budget {RING_ENCODING_BUDGET}")
+    return order
 
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def build_ring(p: int, r: int) -> GaloisRing:
+    """Construct GR(p^2, r); deterministic via the field modulus choice."""
+    check_prime(p)
+    order = check_ring_order(p, r)
+    if p ** r < 3:
+        raise ValueError("require p^r >= 3")
     modulus = least_primitive_poly(p, r)  # coefficients in [0, p) reinterpreted mod p^2
     group = ring_group(p, r)
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import check_prime
 
 
 def point_dtype(v: int) -> np.dtype:
@@ -32,8 +32,8 @@ def point_dtype(v: int) -> np.dtype:
 
 
 def check_rows(rows, v: int) -> np.ndarray:
-    """Block rows as an (n, k) array in point_dtype(v), a view when they
-    already are in it.
+    """Block rows as a read-only (n, k) array in point_dtype(v), a view when
+    they already are in it, so the caller's array stays writable.
 
     Raises ValueError unless the values as given, before any cast could
     wrap one, form a 2-D integer array with every entry in [0, v) and every
@@ -47,7 +47,9 @@ def check_rows(rows, v: int) -> np.ndarray:
         raise ValueError("block entry out of range")
     if (rows[:, 1:] <= rows[:, :-1]).any():
         raise ValueError("every block must have k distinct entries in ascending order")
-    return rows.astype(point_dtype(v), copy=False).view()
+    rows = rows.astype(point_dtype(v), copy=False).view()
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +190,7 @@ def group_for(kind: str, p: int, order: int) -> AdditiveGroup:
     Used when loading family files, whose header stores only v: the
     extension degree is the exact logarithm of the order.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
+    check_prime(p)
     base = p if kind == "field" else p * p
     digits = 0
     m = 1

@@ -584,7 +584,7 @@ def test_loaded_family_order_is_checked_before_tables(capsys, monkeypatch, tmp_p
     code, out, err = run(capsys, "profile", "--input", str(path),
                          "--kind", "field", "--p", "5")
     assert (code, out) == (1, "")
-    assert err == "budget exceeded: field order 244140625 exceeds the table budget 1048576\n"
+    assert err == "budget exceeded: field order 244140625 exceeds table budget 1048576\n"
 
 
 def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
@@ -608,6 +608,55 @@ def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
                          "--p", "5")
     assert (code, out) == (2, "")
     assert err == "error: invalid literal for int() with base 10: 'x'\n"
+
+
+def test_non_prime_p_reads_the_same_through_every_command(capsys, tmp_path):
+    path = tmp_path / "family.txt"
+    path.write_text("5 2 1 2\n1 4\n2 3\n")
+    for argv in (("compare", "--p", "4", "--r", "1"), ("gate", "--p", "4", "--r", "1"),
+                 ("profile", "--input", str(path), "--kind", "field", "--p", "4")):
+        assert run(capsys, *argv) == (2, "", "error: p = 4 is not a prime\n"), argv
+
+
+@pytest.mark.parametrize("kind, p, v, build, message", [
+    ("field", "5", 5 ** 12, ("cyclo", "--p", "5", "--r", "12", "--e", "2"),
+     "field order 244140625 exceeds table budget 1048576"),
+    ("field", "2", 2 ** 21, ("cyclo", "--p", "2", "--r", "21", "--e", "3"),
+     "field order 2^21 exceeds table budget 1048576"),
+    ("ring", "5", 25 ** 6, ("construct", "--construction", "gr-squares", "--p", "5", "--r", "6"),
+     "ring encoding space 244140625 exceeds budget 67108864"),
+    ("ring", "2", 4 ** 14, ("construct", "--construction", "gr-squares", "--p", "2", "--r", "14"),
+     "ring encoding space 2^28 exceeds budget 67108864"),
+])
+def test_loaded_family_and_builder_share_each_table_cap(capsys, tmp_path, kind, p, v, build,
+                                                        message):
+    # the order check, then the exponent shortcut that never forms the order
+    path = tmp_path / "family.txt"
+    path.write_text(f"{v} 1 0 1\n3\n")  # k = 1, lambda = 0 fits any v
+    expected = (1, "", f"budget exceeded: {message}\n")
+    assert run(capsys, "profile", "--input", str(path), "--kind", kind, "--p", p) == expected
+    assert run(capsys, *build) == expected
+
+
+def test_compare_leaves_the_shape_check_to_compare_designs(capsys):
+    code, out, err = run(capsys, "compare", "--a", "wilson", "--b", "gr-squares",
+                         "--p", "5", "--r", "1")
+    assert (code, out, err) == (2, "", "error: families must share (v, b, k)\n")
+
+
+def test_a_block_line_of_the_wrong_width_is_named(capsys, tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("9 2 1 4\n1 8\n4 5 6\n2 7\n3 6\n")
+    assert run(capsys, "profile", "--input", str(path), "--kind", "field", "--p", "3") == \
+        (2, "", "error: block line 2 has 3 entries, expected k = 2\n")
+    design = ("profile", "--input", str(path), "--design", "--method", "direct")
+    path.write_text("3 3 2\n0 1\n\n0 1 2\n1 2\n")  # blank lines are not block lines
+    assert run(capsys, *design) == (2, "", "error: block line 2 has 3 entries, expected k = 2\n")
+    # no block line, or k < 1, keeps its own message
+    for text, k in (("3 0 2\n", 2), ("3 1 0\n1\n", 0)):
+        path.write_text(text)
+        assert run(capsys, *design) == (2, "", "error: expected at least one block line, "
+                                               f"each of k = {k} >= 1 entries\n"), text
 
 
 _SIZES = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 9, 25, 27, 5 ** 8, 3 ** 11,

@@ -59,12 +59,14 @@ def test_wilson_f9_e2():
 
 
 def test_wilson_parameter_errors():
+    # e | q-1 is checked by the coset table, before f >= 2 is read off its width
     f9 = build_field(3, 2)
-    with pytest.raises(ValueError):
-        wilson_family(f9, 3)  # 3 does not divide 8
-    with pytest.raises(ValueError):
+    for e in (3, 5):
+        with pytest.raises(ValueError, match=f"^e={e} does not divide q-1=8$"):
+            wilson_family(f9, e)
+    with pytest.raises(ValueError, match=r"^require f = \(q-1\)/e >= 2$"):
         wilson_family(f9, 8)  # f = 1 < 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^require e >= 2$"):
         wilson_family(f9, 1)
 
 
@@ -549,11 +551,16 @@ def test_block_array_is_the_read_only_block_table(tmp_path):
             arr[0, 0] = 0
         assert fam.block_array() is arr
         assert not hasattr(fam, "blocks")
-    # the stored table is not shared with the caller's array
-    rows = np.array([[1, 4], [2, 3]], dtype=np.int64)
-    DifferenceFamily(group=field_group(5, 1), blocks=rows, lam=1)
-    Design(v=5, blocks=rows)
-    assert rows.flags.writeable
+    # the stored table is read-only, a copy of int64 rows and a view of rows
+    # already in point_dtype(v), and the caller's array stays writable
+    for dtype in (np.int64, point_dtype(5)):
+        rows = np.array([[1, 4], [2, 3]], dtype=dtype)
+        fam = DifferenceFamily(group=field_group(5, 1), blocks=rows, lam=1)
+        design = Design(v=5, blocks=rows)
+        for stored in (fam.block_array(), design.blocks):
+            assert not stored.flags.writeable
+            assert np.shares_memory(stored, rows) == (dtype != np.int64)
+        assert rows.flags.writeable
 
 
 def test_family_and_design_store_only_what_cannot_be_derived():

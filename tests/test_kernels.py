@@ -16,6 +16,7 @@ from ddfkit import _kernels
 from ddfkit.cli import construction_family
 from ddfkit.designs import (_DEVELOP_CHUNK, Design, Development, IntersectionProfile,
                             difference_orbits, verify_2design)
+from ddfkit.errors import check_budget
 from ddfkit.families import DifferenceFamily
 from ddfkit.groups import field_group, ring_group
 
@@ -188,6 +189,13 @@ def test_direct_working_set_over_a_development():
         tracemalloc.stop()
     assert int(hist.sum()) == comb(B, 2)
     assert peak < packed + 2 * tiles + 2 * _DEVELOP_CHUNK, peak
+
+
+def test_check_budget_admits_the_limit_and_refuses_one_more():
+    check_budget("development", 10, "block entries (v*b*k)", 10)
+    with pytest.raises(BudgetError) as refused:
+        check_budget("development", 10, "block entries (v*b*k)", 11)
+    assert str(refused.value) == "development capped at 10 block entries (v*b*k), got 11"
 
 
 def _peak_of_refusal(kernel, *args, work):
