@@ -60,16 +60,17 @@ class CyclotomicTable:
 def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     """The exact order-e table of F_q, counted over every nonzero x at once.
 
-    Raises BudgetError before any allocation when e*e exceeds
-    CYCLO_CELL_BUDGET, and ValueError unless e divides q - 1.
+    Raises ValueError unless e divides q - 1, then BudgetError before any
+    allocation when e*e exceeds CYCLO_CELL_BUDGET.
     """
+    f = field._coset_size(e)
     check_budget("cyclotomic table", CYCLO_CELL_BUDGET, "cells (e*e)", e * e)
     cls = field.class_index(e)
     x = np.arange(1, field.q, dtype=np.int64)
     y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1
     keep = y != 0
     table = np.bincount(cls[x[keep]] * e + cls[y[keep]], minlength=e * e)
-    return CyclotomicTable(e=e, q=field.q, f=(field.q - 1) // e, cells=table)
+    return CyclotomicTable(e=e, q=field.q, f=f, cells=table)
 
 
 def order_two_numbers(q: int) -> tuple[tuple[int, int], tuple[int, int]]:

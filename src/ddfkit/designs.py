@@ -334,10 +334,15 @@ def profile_direct(design) -> IntersectionProfile:
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
-def _scaled(field, x: np.ndarray, j: int) -> np.ndarray:
-    """g^j * x for the field's primitive element g, elementwise: one gather
-    exp[(log x + j) mod (q-1)], with 0 fixed."""
-    return np.where(x == 0, 0, field.exp[(field.log[x] + j) % (field.q - 1)])
+def _field_unit_map(field, j: int):
+    """The map x -> g^j * x, on arrays, for the field's primitive element g.
+
+    It is F_p-linear on digit vectors, so it is applied as a digit matrix
+    (see _linear_image), whose row l is g^j * x^l = g^(j+l), as g is the
+    class of x; for n = 1 the one row is g^j.  0 is fixed.
+    """
+    rows = field.exp[(j + np.arange(field.n)) % (field.q - 1)]
+    return partial(_linear_image, field.group, field.group.digit_matrix(rows))
 
 
 def _field_multiplier_step(fam: DifferenceFamily, field) -> int:
@@ -352,7 +357,7 @@ def _field_multiplier_step(fam: DifferenceFamily, field) -> int:
     keys = _sorted_row_keys(base)
     *candidates, identity = divisors(field.q - 1)
     for j in candidates:
-        if _maps_blocks_onto_themselves(base, keys, partial(_scaled, field, j=j)):
+        if _maps_blocks_onto_themselves(base, keys, _field_unit_map(field, j)):
             return j
     return identity
 

@@ -330,11 +330,11 @@ def read_rows(lines, count: int, k: int) -> np.ndarray:
     """The non-blank lines as a (count, k) int64 array, for groups.check_rows
     to check; ValueError unless count, k >= 1 and there are count lines of k
     integer tokens each, every one within int64."""
+    if count < 1 or k < 1:
+        raise ValueError(f"expected at least one block line, each of k = {k} >= 1 entries")
     rows = [line.split() for line in lines if line.strip()]
     if len(rows) != count:
         raise ValueError(f"expected {count} blocks, found {len(rows)}")
-    if count < 1 or k < 1:
-        raise ValueError(f"expected at least one block line, each of k = {k} >= 1 entries")
     for i, row in enumerate(rows, 1):
         if len(row) != k:
             raise ValueError(f"block line {i} has {len(row)} entries, expected k = {k}")
@@ -359,8 +359,6 @@ def load_family(path, kind: str, p: int) -> DifferenceFamily:
     # the constructions' table budgets cap a loaded group too, before any
     # table of v entries is allocated
     (check_field_order if group.kind == "field" else check_ring_order)(p, group.ext)
-    if b < 1 or k < 1:
-        raise ValueError("a family needs b >= 1 base blocks of k >= 1 elements")
     fam = DifferenceFamily(group=group, blocks=read_rows(lines[1:], b, k), lam=lam,
                            name="imported")
     if lam * (v - 1) != b * k * (k - 1):

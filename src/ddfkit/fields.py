@@ -1,13 +1,15 @@
-"""Finite field F_{p^n} with discrete-log tables and cyclotomic cosets.
+"""Finite field F_{p^n} with its power table and cyclotomic cosets.
 
 The modulus is the lexicographically least monic primitive polynomial of
 degree n over F_p, ordered by its coefficient sequence (c_0, ..., c_{n-1}).
 This fixed choice makes every downstream artifact (families, profiles,
 exported files) reproducible byte for byte; any other primitive polynomial
 would give isomorphic structures.  The residue class of x is the stored
-generator, and full exp/log tables are precomputed: exp in
-groups.point_dtype(q), the width of a family's blocks, and log in int32,
-so at most 8 bytes per element, 8 MB at the budget's top, q = 2^20.
+generator, and the table exp of its powers is precomputed in
+groups.point_dtype(q), the width of a family's blocks: at most 4 bytes per
+element, 4 MB at the budget's top, q = 2^20.  No inverse table is kept:
+a coset is a residue of the exponent, and multiplying by a fixed element
+is F_p-linear on digit vectors.
 """
 
 from __future__ import annotations
@@ -161,11 +163,7 @@ def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_{p^n} with packed-integer elements in [0, q).
 
-    exp[t] is the element generator^t for t in [0, q-1), in
-    point_dtype(q); log is its int32 inverse on nonzero elements (log[0] =
-    -1 as a sentinel).  A gather exp[(log[x] + j) % (q-1)] with 0 <= j < q
-    stays in int32, as log[x] + j < 2q, far below 2^31 within
-    FIELD_ORDER_BUDGET.
+    exp[t] is the element generator^t for t in [0, q-1), in point_dtype(q).
     """
 
     p: int
@@ -175,25 +173,22 @@ class Field:
     generator: int
     group: AdditiveGroup
     exp: np.ndarray = dfield(repr=False)
-    log: np.ndarray = dfield(repr=False)
 
     # -- multiplicative ops (add and sub are the group's) ------------------
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
+        g = self.group
+        return g.pack(poly_mulmod(g.unpack(a), g.unpack(b), self.modulus, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inversion of zero field element")
-            return 0 if e else 1
-        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
+        if e < 0:
+            a, e = self.inv(a), -e
+        g = self.group
+        return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.p))
 
     # -- cyclotomic cosets ------------------------------------------------
     def class_array(self, e: int) -> np.ndarray:
@@ -211,8 +206,11 @@ class Field:
     def class_index(self, e: int) -> np.ndarray:
         """Array mapping each nonzero element to its coset index (0 stays -1)."""
         self._coset_size(e)
-        idx = np.where(self.log >= 0, self.log % e, -1)
-        return idx.astype(np.int64)
+        residues = np.arange(self.q - 1, dtype=np.int32)  # exponents fit int32 in budget
+        residues %= e
+        idx = np.full(self.q, -1, dtype=np.int64)
+        idx[self.exp] = residues
+        return idx
 
     def _coset_size(self, e: int) -> int:
         if e < 1 or (self.q - 1) % e != 0:
@@ -255,19 +253,13 @@ def _exp_table(group: AdditiveGroup, step: np.ndarray, q: int) -> np.ndarray:
     return group.pack_columns(cols)
 
 
-def _log_table(exp: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of exp on the nonzero elements, with log[0] = -1.
-
-    Raises AssertionError unless exp hits every nonzero element exactly
-    once; exp has q-1 entries, so hitting all of them suffices.  The
-    table is int32, which holds every exponent within FIELD_ORDER_BUDGET;
-    its scatter takes a third of the int64 time at q = 23^4.
-    """
-    log = np.full(q, -1, dtype=np.int32)
-    log[exp] = np.arange(q - 1, dtype=np.int32)
-    if (log[1:] < 0).any():
+def _check_bijection(exp: np.ndarray, q: int) -> None:
+    """Raise AssertionError unless exp hits every nonzero element; exp has
+    q-1 entries, so it then hits each exactly once."""
+    hit = np.zeros(q, dtype=bool)
+    hit[exp] = True
+    if not hit[1:].all():
         raise AssertionError("exp table is not a bijection onto the nonzero elements")
-    return log
 
 
 # tables kept alive by build_field and by build_ring, each: one `compare`
@@ -304,5 +296,5 @@ def build_field(p: int, n: int) -> Field:
     generator = int(group.pack_digits(step[0]))
 
     exp = _exp_table(group, step, q)
-    return Field(p=p, n=n, q=q, modulus=modulus, generator=generator,
-                 group=group, exp=exp, log=_log_table(exp, q))
+    _check_bijection(exp, q)
+    return Field(p=p, n=n, q=q, modulus=modulus, generator=generator, group=group, exp=exp)

@@ -598,7 +598,9 @@ def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
     path.write_text("5 2 0 0\n")
     code, _, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
                        "--p", "5")
-    assert (code, err) == (2, "error: a family needs b >= 1 base blocks of k >= 1 elements\n")
+    # the same line as a design file with no block line
+    assert (code, err) == (2, "error: expected at least one block line, "
+                              "each of k = 2 >= 1 entries\n")
     path.write_text("9 2 1 4\n1 8\n4 5\n2 7\n3 6\n")  # GR(9), loaded as a field
     code, out, err = run(capsys, "profile", "--input", str(path), "--kind", "field",
                          "--p", "5")

@@ -105,6 +105,13 @@ def test_table_rejects_non_divisor():
         cyclotomic_table(build_field(5, 2), 5)
 
 
+def test_table_checks_the_order_before_the_cell_budget():
+    # 5000 does not divide 24; its 5000^2 cells also exceed the cell budget,
+    # but the order is what is wrong
+    with pytest.raises(ValueError, match="^e=5000 does not divide q-1=24$"):
+        cyclotomic_table(build_field(5, 2), 5000)
+
+
 def test_table_arrays_match_cells():
     known_table = cyclotomic_table(build_field(5, 2), 8)
     partial = closed_form_order_2e(5, 1)

@@ -1,5 +1,6 @@
 """Field construction, arithmetic and cyclotomic cosets."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -8,8 +9,9 @@ import pytest
 
 from ddfkit import BudgetError, build_field, fields
 from ddfkit.arith import is_prime, multiplicative_order, prime_divisors, primes_below
-from ddfkit.fields import (_ROOT_CELLS, TABLE_CACHE_SIZE, _exp_table, _log_table, _rootless,
-                           is_irreducible, is_primitive, least_primitive_poly, poly_mulmod)
+from ddfkit.fields import (_ROOT_CELLS, TABLE_CACHE_SIZE, Field, _check_bijection, _exp_table,
+                           _rootless, is_irreducible, is_primitive, least_primitive_poly,
+                           poly_mulmod)
 from ddfkit.groups import field_group, point_dtype
 
 
@@ -117,16 +119,43 @@ def test_inverse_and_pow_consistency():
         build_field(5, 1).inv(0)
 
 
+# n = 1 and p = 2 among them; in F_2, inv(1) is pow(1, q - 2) = pow(1, 0)
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 5), (2, 8), (3, 1), (3, 3), (5, 2), (7, 1),
+                                  (13, 1)])
+def test_scalar_ops_agree_with_the_table(p, n):
+    # the scalar ops run polynomial products, not table lookups, so they
+    # check the table rather than read it
+    f = build_field(p, n)
+    assert [f.pow(f.generator, t) for t in range(f.q - 1)] == f.exp.tolist()
+    for a in range(1, f.q):
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.pow(a, -1) == f.inv(a)
+        assert f.pow(a, -2) == f.mul(f.inv(a), f.inv(a))
+    assert f.pow(0, 0) == 1
+    assert f.pow(0, 3) == 0
+    assert f.mul(0, f.generator) == f.mul(f.generator, 0) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+def test_a_field_holds_only_its_power_table():
+    # no discrete-log table beside exp: classes and multipliers are read
+    # off exp and the digits
+    assert [fld.name for fld in dataclasses.fields(Field)] == \
+        ["p", "n", "q", "modulus", "generator", "group", "exp"]
+    f = build_field(3, 4)
+    assert [name for name, value in vars(f).items() if isinstance(value, np.ndarray)] == ["exp"]
+
+
 @pytest.mark.parametrize("p, n, dtype", [(2, 8, np.uint8), (5, 4, np.uint16), (2, 16, np.uint16),
                                          (2, 17, np.uint32)])
 def test_tables_are_held_at_their_natural_width(p, n, dtype):
     # exp at the width of the field's elements, the width of a family's
-    # blocks; log in int32 with its -1 sentinel, whose gathers
-    # log[x] + j < 2q stay in int32
+    # blocks
     f = build_field(p, n)
     assert f.exp.dtype == point_dtype(f.q) == dtype
-    assert f.log.dtype == np.int32 and f.log[0] == -1
-    assert (f.log[f.exp] + (f.q - 1)).dtype == np.int32
     assert f.class_array(f.q - 1).dtype == dtype
 
 
@@ -190,8 +219,10 @@ def test_encoding_roundtrip():
 def test_exp_log_mutual_inverse():
     for p, n in [(3, 2), (7, 1), (5, 2)]:
         f = build_field(p, n)
+        # the classes of order q - 1 are the discrete logarithm
+        log = f.class_index(f.q - 1)
         for t in range(f.q - 1):
-            assert f.log[f.exp[t]] == t
+            assert log[f.exp[t]] == t
 
 
 def test_least_primitive_poly_is_primitive():
@@ -273,10 +304,21 @@ def test_tables_match_poly_mulmod_walk():
     assert len(cases) == 41
     for p, n in cases:
         f = build_field(p, n)
-        exp, log = scalar_tables(p, n, f.modulus)
+        exp, _ = scalar_tables(p, n, f.modulus)
         assert np.array_equal(f.exp, exp), (p, n)
-        assert np.array_equal(f.log, log), (p, n)
         assert f.generator == exp[1 % (f.q - 1)]  # F_2 has exp = [1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 6), (3, 4), (5, 1), (7, 2), (13, 1)])
+def test_class_index_matches_the_scalar_logarithm(p, n):
+    # every e | q - 1: the class of a nonzero element is its exponent mod e,
+    # by a walk of scalar products; 0 is in no class
+    f = build_field(p, n)
+    _, log = scalar_tables(p, n, f.modulus)
+    for e in (e for e in range(1, f.q) if (f.q - 1) % e == 0):
+        idx = f.class_index(e)
+        assert idx.dtype == np.int64
+        assert idx.tolist() == [-1] + [int(t) % e for t in log[1:]], e
 
 
 def assert_one_step(group, step, table):
@@ -306,7 +348,6 @@ def test_tables_past_one_chunk_take_one_step_per_entry(p, n):
     # q - 1 = 131071 and 177146 entries: more than one doubling chunk
     f = build_field(p, n)
     assert_one_step(f.group, companion(f), f.exp)
-    assert np.array_equal(f.log[f.exp], np.arange(f.q - 1))
 
 
 @pytest.mark.parametrize("p, n, digest", [
@@ -331,9 +372,9 @@ def test_field_cache_is_bounded():
 
 def test_table_checks_reject_bad_tables():
     with pytest.raises(AssertionError):  # 2 twice, 4 never
-        _log_table(np.array([1, 2, 2, 3], dtype=np.int64), 5)
+        _check_bijection(np.array([1, 2, 2, 3], dtype=np.int64), 5)
     with pytest.raises(AssertionError):  # hits 0, so misses a unit
-        _log_table(np.array([1, 0, 4, 3], dtype=np.int64), 5)
+        _check_bijection(np.array([1, 0, 4, 3], dtype=np.int64), 5)
     # the companion matrix of x^2 over F_3 is nilpotent: x^8 = 0, not 1
     nilpotent = np.array([[0, 1], [0, 0]], dtype=np.int64)
     with pytest.raises(AssertionError):
@@ -342,7 +383,7 @@ def test_table_checks_reject_bad_tables():
     exp = _exp_table(field_group(5, 1), np.array([[4]], dtype=np.int64), 5)
     assert exp.tolist() == [1, 4, 1, 4]
     with pytest.raises(AssertionError):
-        _log_table(exp, 5)
+        _check_bijection(exp, 5)
 
 
 def test_is_prime_is_bounded():

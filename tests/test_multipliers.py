@@ -14,7 +14,7 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _scaled, _unit_maps,
+from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _field_unit_map, _unit_maps,
                             _units_permute_blocks, check_profile, difference_orbits)
 from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, point_dtype, ring_group
@@ -225,9 +225,9 @@ def test_unit_images_match_multiplication(kind, p, n):
     g = field_group(p, n) if kind == "field" else ring_group(p, n)
     x = np.arange(g.order).reshape(p, -1)  # the images keep the shape
     if kind == "field":
-        # the gathers that try g^j on the blocks, for j = 1 and for j = 3
+        # the digit matrices that try g^j on the blocks, for j = 1 and for j = 3
         field = build_field(p, n)
-        images = [_scaled(field, x, j).ravel().tolist() for j in (1, 3)]
+        images = [_field_unit_map(field, j)(x).ravel().tolist() for j in (1, 3)]
         scalar = [[field.mul(field.pow(field.generator, j), a) for a in range(g.order)]
                   for j in (1, 3)]
         gens = scalar[:1]
