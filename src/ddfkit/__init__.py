@@ -19,11 +19,10 @@ from .designs import (Design, Development, IntersectionProfile, IsoResult, devel
                       profile_via_differences, save_design, verify_2design)
 from .cyclotomy import (CyclotomicTable, check_sum_relation,
                         closed_form_order_2e, closed_form_order_e,
-                        count_summary, cyclotomic_table, dickson_counts,
-                        save_table, unknown_quadruples)
+                        cyclotomic_table, dickson_counts, unknown_quadruples)
 from .certify import (BoundReport, ComparisonResult, CosetCountReport,
                       GateReport, bound_report, certificate, compare_designs,
-                      gate, sn_coset_counts, wieferich, wieferich_below,
+                      gate, sn_coset_counts, wieferich,
                       wilson_half_profile_closed_form,
                       wilson_profile_closed_form)
 
@@ -38,11 +37,11 @@ __all__ = [
     "load_design", "profile_direct", "profile_via_differences", "save_design",
     "verify_2design",
     "CyclotomicTable", "check_sum_relation", "closed_form_order_2e",
-    "closed_form_order_e", "count_summary", "cyclotomic_table",
-    "dickson_counts", "save_table", "unknown_quadruples",
+    "closed_form_order_e", "cyclotomic_table", "dickson_counts",
+    "unknown_quadruples",
     "BoundReport", "ComparisonResult", "CosetCountReport", "GateReport",
     "bound_report", "certificate", "compare_designs", "gate",
-    "sn_coset_counts", "wieferich", "wieferich_below",
+    "sn_coset_counts", "wieferich",
     "wilson_half_profile_closed_form", "wilson_profile_closed_form",
     "__version__",
 ]

@@ -21,8 +21,12 @@ against the budgets below, on the shape alone, before they allocate
 anything of its size or read a slice.  The histograms are exact int64
 counts; callers finish the arithmetic in Python integers, so nothing here can
 silently overflow (the per-kernel counts are bounded by b^2 * v, far
-below 2^63 at the supported sizes).  Pair coverage counts are int32: a
-count is at most B, and B <= 2^30 within COVER_INDEX_BUDGET once k >= 2.
+below 2^63 at the supported sizes).  Pair coverage counts are exact in
+int32: a count is at most B, and B <= 2^30 within COVER_INDEX_BUDGET once
+k >= 2.  In uint8 or uint16 they are residues mod M = 2^8 or 2^16, which
+still decide a 2-design: rows of k distinct points put exactly B*C(k, 2)
+into the table, so if that is lam*C(v, 2), lam < M and every residue is
+lam, each count is at least lam and none can exceed it.
 
 No kernel starts a thread, but np.matmul uses OpenBLAS's pool unless
 OPENBLAS_NUM_THREADS=1.  With the other vCPU of a 2-vCPU Xeon VM busy,
@@ -41,8 +45,8 @@ Kernels:
                            designs, else from Gram products of tiles of the
                            0/1 incidence matrix; no group arithmetic;
   * pair_coverage       -- per point pair u < w, in how many blocks it
-                           appears, in a triangular int32 table of
-                           v(v-1)/2.
+                           appears, in a triangular table of v(v-1)/2,
+                           exact in int32 or mod 2^8 or 2^16.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ GRAM_MULADD_BUDGET = 2 ** 38
 GRAM_TILE_BUDGET = 2 ** 22
 # pair_coverage's pair indices, B*C(k, 2): 3-5 s at 2.9-4.3 ns each.
 COVER_INDEX_BUDGET = 2 ** 30
-# pair_coverage's table cells, v(v-1)/2: 64 MB of int32, 16 MB of flags.
+# pair_coverage's table cells, v(v-1)/2: 16 MB of uint8 where a design
+# passes, else 64 MB of int32 and 16 MB of flags for the first bad pair.
 COVER_CELL_BUDGET = 2 ** 24
 
 # Entries per pass of diff_cell_hist: chunks of d values whose b*k shifted
@@ -342,40 +347,42 @@ def block_intersection_hist(blocks, v):
     return _gram_hist(blocks, v)
 
 
-def pair_coverage(blocks, v):
+def pair_coverage(blocks, v, dtype=np.int32):
     """Flat (v(v-1)/2,) array: entry u(2v-u-1)/2 + w-u-1 counts the blocks
     containing both u and w, for u < w; the pairs are in row-major order.
 
     `blocks` is an array or its slices (see _row_slices), rows ascending.
-    The counts are int32 (see the module doc).  Each slice is read in
-    pieces of _COVER_BLOCKS blocks, transposed in turn to columns in the
-    slice's own dtype; column i, widened to int64 alone, pairs with each
-    later column j as start(cols[i]) + cols[j], start(u) = u(2v-u-1)/2 -
-    u - 1, added into the table in place by np.add.at, at most
-    max(_COVER_INDICES, slice) indices per call.  Raises BudgetError before
-    the table is allocated, or a slice read, past COVER_CELL_BUDGET or
-    COVER_INDEX_BUDGET.
+    The counts are in `dtype`: exact in the default int32, else mod 2^8
+    or 2^16, which with the pair sum decides a 2-design (see the module doc).
+    Each slice is read in pieces of _COVER_BLOCKS blocks, transposed in
+    turn to columns in the slice's own dtype; column i pairs with each
+    later column j as start[cols[i]] + cols[j], from the v row starts
+    start[u] = u(2v-u-1)/2 - u - 1 in int64, added into the table in place
+    by np.add.at, at most max(_COVER_INDICES, slice) indices per call.
+    Raises BudgetError before the table is allocated, or a slice read, past
+    COVER_CELL_BUDGET or COVER_INDEX_BUDGET.
     """
     (B, k), slices = _row_slices(blocks)
     check_budget("exhaustive pair counting", COVER_CELL_BUDGET, "table cells (v(v-1)/2)",
                  v * (v - 1) // 2)
     check_budget("exhaustive pair counting", COVER_INDEX_BUDGET, "pair indices (B*C(k, 2))",
                  B * comb(k, 2))
-    cnt = np.zeros(v * (v - 1) // 2, dtype=np.int32)
+    cnt = np.zeros(v * (v - 1) // 2, dtype=dtype)
+    u = np.arange(v, dtype=np.int64)
+    starts = u * (2 * v - u - 1) // 2 - u - 1
     for part in slices:
-        _add_pairs(cnt, part, v)
+        _add_pairs(cnt, part, starts)
         del part  # not held while the next slice is developed
     return cnt
 
 
-def _add_pairs(cnt, part, v):
+def _add_pairs(cnt, part, starts):
     """Add the pairs of one slice of ascending rows into pair_coverage's table."""
-    one = np.int32(1)  # numpy's add.at fast path needs the table's dtype
+    one = cnt.dtype.type(1)  # numpy's add.at fast path needs the table's dtype
     for lo in range(0, part.shape[0], _COVER_BLOCKS):
         cols = np.ascontiguousarray(part[lo:lo + _COVER_BLOCKS].T)
         rows = max(1, _COVER_INDICES // cols.shape[1])
         for i in range(part.shape[1] - 1):
-            u = cols[i].astype(np.int64)
-            start = u * (2 * v - u - 1) // 2 - u - 1
+            start = starts[cols[i]]
             for j in range(i + 1, part.shape[1], rows):
                 np.add.at(cnt, (start + cols[j:j + rows]).ravel(), one)

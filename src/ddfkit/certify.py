@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import check_prime, primes_below
+from .arith import check_prime
 from .cyclotomy import order_two_numbers
 from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
@@ -70,10 +70,6 @@ def wieferich(p: int) -> bool:
     """Exact test of 2^(p-1) = 1 (mod p^2); requires prime p."""
     check_prime(p)
     return pow(2, p - 1, p * p) == 1
-
-
-def wieferich_below(limit: int) -> list[int]:
-    return [p for p in primes_below(limit) if p > 2 and pow(2, p - 1, p * p) == 1]
 
 
 @dataclass(frozen=True)
@@ -201,14 +197,13 @@ def bound_report(ring: GaloisRing) -> BoundReport:
     lemma_lower_ok = bool((counts[d] > 1).all())
     if residue4 == 1:
         d = d[ring.coset_parity(d) == 0]
-    in_scope = dict(zip(d.tolist(), counts[d].tolist()))
-
-    lo = min(in_scope.values()) if in_scope else None
-    hi = max(in_scope.values()) if in_scope else None
-    verdict = lemma_lower_ok and all(
-        1 < n and (not upper_applicable or n < upper) for n in in_scope.values())
+    n = counts[d]
+    lo, hi = (int(n.min()), int(n.max())) if n.size else (None, None)
+    # the in-scope d lie outside 2 * T_S*, so lemma_lower_ok gives 1 < N_d
+    verdict = lemma_lower_ok and not (upper_applicable and (n >= upper).any())
     return BoundReport(multiset=name, residue4=residue4, upper_bound=upper,
-                       upper_applicable=upper_applicable, multiplicities=in_scope,
+                       upper_applicable=upper_applicable,
+                       multiplicities=dict(zip(d.tolist(), n.tolist())),
                        min_over_scope=lo, max_over_scope=hi,
                        lemma_lower_ok=lemma_lower_ok, verdict=verdict)
 

@@ -187,23 +187,6 @@ def check_sum_relation(table_e: CyclotomicTable, table_2e: CyclotomicTable):
     return False, divmod(int(bad[0]), e)
 
 
-def count_summary(table: CyclotomicTable) -> dict[int, int]:
-    """Frequency map N -> number of cells equal to N, N ascending; requires a known table."""
-    if not table.fully_known():
-        raise ValueError("count summary requires a fully known table")
-    counts = np.bincount(table.cells.ravel())
-    present = np.flatnonzero(counts)
-    freq = dict(zip(present.tolist(), counts[present].tolist()))
-    if sum(freq.values()) != table.e ** 2:
-        raise AssertionError("cell count does not match e^2")
-    # tables of order p^r + 1 over F_{p^2r} carry known frequencies
-    t = table.e - 1
-    if t > 3 and t * t == table.q:
-        if freq.get(0) != 3 * t or freq.get(1) != t * (t - 1) or freq.get(t - 2) != 1:
-            raise AssertionError("order-(p^r+1) frequency identities failed")
-    return freq
-
-
 def table_to_csv(table: CyclotomicTable) -> str:
     """Header line "e,f,q", then the e rows of cells, "?" for an unknown cell."""
     header = f"{table.e},{table.f},{table.q}"
@@ -211,8 +194,3 @@ def table_to_csv(table: CyclotomicTable) -> str:
         return "".join(rows_text_chunks(header, (table.cells,), sep=","))
     text = np.where(table.known, table.cells.astype(str), "?")
     return "\n".join([header] + [",".join(row) for row in text]) + "\n"
-
-
-def save_table(table: CyclotomicTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_to_csv(table))

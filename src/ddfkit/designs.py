@@ -309,9 +309,18 @@ def verify_2design(design, lam: int):
 
     Returns (True, None) or (False, witness_pair).  Raises BudgetError
     before counting, or developing, past the budgets of
-    _kernels.pair_coverage.
+    _kernels.pair_coverage.  When B*C(k, 2) = lam*C(v, 2), a count mod
+    2^8 (2^16 from lam = 2^8) settles a pass exactly (see the _kernels
+    module doc); else the exact int32 count finds the first bad pair.
     """
-    v = design.v
+    v, (B, k) = design.v, design.shape
+    dtype = np.uint8 if 0 <= lam < 1 << 8 else np.uint16 if 0 <= lam < 1 << 16 else None
+    if dtype is not None and B * comb(k, 2) == lam * comb(v, 2):
+        res = _kernels.pair_coverage(design, v, dtype)
+        res -= dtype(lam)  # in place, modulo M: no flag table
+        if not res.any():
+            return True, None
+        del res  # not held beside the exact table
     off = _kernels.pair_coverage(design, v)
     off -= lam  # in place: no flag table beside the counts
     if not off.any():
@@ -602,8 +611,3 @@ def load_design(path) -> Design:
         raise ValueError("design header must be 'v b k'")
     v, count, k = (int(x) for x in header)
     return Design(v=v, blocks=read_rows(lines[1:], count, k))
-
-
-def save_profile(profile: IntersectionProfile, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(profile.to_json() + "\n")

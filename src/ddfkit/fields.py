@@ -220,7 +220,7 @@ class Field:
 
 # accumulator entries (digits x columns) per doubling chunk in _exp_table:
 # small enough to stay in cache, and a bound on the temporaries.  With it
-# build_field(2, 20) peaks at 57 MB RSS (28 MB traced), with whole-table
+# build_field(2, 20) peaks at 54 MB RSS (24.0 MB traced), with whole-table
 # chunks at 79 MB (50 MB traced) and no faster
 _EXP_CHUNK = 1 << 16
 

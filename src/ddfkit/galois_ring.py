@@ -51,6 +51,9 @@ class GaloisRing:
     teichmuller: tuple[int, ...] = dfield(repr=False)  # [0, 1, xi, xi^2, ...]
     teich_log: dict = dfield(repr=False)  # unit t -> exponent of xi
     _teich_by_residue: dict = dfield(repr=False)  # mod-p residue digits -> t
+    # int32, indexed by mod-p residue: the exponent of xi of the element of
+    # T with that residue, -1 at residue 0
+    residue_exp: np.ndarray = dfield(repr=False, compare=False)
 
     # -- multiplicative ops (add and sub are the group's) ------------------
     def mul(self, a: int, b: int) -> int:
@@ -82,9 +85,13 @@ class GaloisRing:
         return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.char))
 
     def _residues(self, a) -> np.ndarray:
-        """Images in the residue field F_{p^r}, packed base p, of an array."""
-        pows = self.p ** np.arange(self.r, dtype=np.int64)
-        return self.group.digit_matrix(a) % self.p @ pows
+        """Images in the residue field F_{p^r}, packed base p, of an array:
+        the sum of (digit l mod p) * p^l, one pass per digit."""
+        a = np.asarray(a, dtype=np.int64)
+        out = a % self.p
+        for ell in range(1, self.r):
+            out += a // self.char ** ell % self.p * self.p ** ell
+        return out
 
     def is_unit(self, a: int) -> bool:
         return any(d % self.p for d in self.group.unpack(a))
@@ -160,16 +167,13 @@ class GaloisRing:
     def coset_parity(self, units) -> np.ndarray:
         """Per unit u = xi^e * (1 + p*a): e mod 2, 0 for a square coset of T_S*.
 
-        xi^e is the element of T with u's residue mod p, so this is a lookup
-        by residue.  Raises ValueError if any entry is not a unit.
+        xi^e is the element of T with u's residue mod p, so e is a lookup in
+        residue_exp.  Raises ValueError if any entry is not a unit.
         """
-        residues = self._residues(np.array(self.teichmuller))
-        parity = np.full(self.teich_size, -1, dtype=np.int64)  # -1: residue 0
-        parity[residues[1:]] = np.arange(self.teich_size - 1) % 2
-        parity = parity[self._residues(units)]
-        if (parity < 0).any():
+        exps = self.residue_exp[self._residues(units)]
+        if (exps < 0).any():
             raise ValueError("coset parity is defined for units only")
-        return parity
+        return exps % 2
 
     def two_in_teichmuller(self) -> str:
         """Classify the ring element 2 relative to the Teichmüller group.
@@ -209,7 +213,7 @@ def build_ring(p: int, r: int) -> GaloisRing:
 
     proto = GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,
                        group=group, xi=0, teichmuller=(), teich_log={},
-                       _teich_by_residue={})
+                       _teich_by_residue={}, residue_exp=np.empty(0, dtype=np.int32))
     # residue class a of x, then one Frobenius power lifts it into T
     if r >= 2:
         a = group.pack([0, 1] + [0] * (r - 2))
@@ -218,12 +222,16 @@ def build_ring(p: int, r: int) -> GaloisRing:
     xi = proto.pow(a, p ** r)
 
     teich = _teichmuller_set(proto, xi)
-    residues = proto._residues(teich).tolist()
-    teich = teich.tolist()
+    residues = proto._residues(teich)
+    residue_exp = np.full(teich.size, -1, dtype=np.int32)
+    residue_exp[residues[1:]] = np.arange(teich.size - 1)
+    residue_exp.flags.writeable = False  # the cached ring is shared
+    residues, teich = residues.tolist(), teich.tolist()
     return GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,
                       group=group, xi=xi, teichmuller=tuple(teich),
                       teich_log=dict(zip(teich[1:], range(len(teich) - 1))),
-                      _teich_by_residue=dict(zip(residues, teich)))
+                      _teich_by_residue=dict(zip(residues, teich)),
+                      residue_exp=residue_exp)
 
 
 def _teichmuller_set(ring: GaloisRing, xi: int) -> np.ndarray:

@@ -18,9 +18,9 @@ from ddfkit import (bound_report, build_field, build_ring, check_sum_relation,
                     cyclotomic_table, davis_family, develop, dickson_counts,
                     feng_families, furino_family, iso_oracle, profile_direct,
                     profile_via_differences, sn_coset_counts, squares_family,
-                    unknown_quadruples, verify_2design, wieferich_below,
-                    wilson_family, wilson_half_profile_closed_form,
-                    wilson_profile_closed_form)
+                    unknown_quadruples, verify_2design, wieferich, wilson_family,
+                    wilson_half_profile_closed_form, wilson_profile_closed_form)
+from ddfkit.arith import primes_below
 from ddfkit.cli import main as cli_main
 from ddfkit.designs import Design
 
@@ -151,7 +151,7 @@ def test_criterion_8_ring_structure_properties():
             assert (1 in delta) == (t % 12 == 1)
             assert (1 in cross) == (t % 12 == 7)
             assert (ring.coset_parity(2) == 0) == (t % 8 in (1, 7))
-        assert wieferich_below(10 ** 6) == [1093, 3511]
+        assert [p for p in primes_below(10 ** 6)[1:] if wieferich(p)] == [1093, 3511]
 
 
 def test_criterion_9_coset_counts_and_bounds():

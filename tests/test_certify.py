@@ -11,9 +11,9 @@ import pytest
 from ddfkit import (bound_report, build_field, build_ring, certificate,
                     compare_designs, davis_family, feng_families, gate,
                     profile_via_differences, sn_coset_counts, squares_family,
-                    wieferich, wieferich_below, wilson_family,
+                    wieferich, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
-from ddfkit.arith import factorize
+from ddfkit.arith import factorize, primes_below
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_wieferich():
 
 
 def test_wieferich_below_small():
-    assert wieferich_below(5000) == [1093, 3511]
+    assert [p for p in primes_below(5000)[1:] if wieferich(p)] == [1093, 3511]
 
 
 # ---------------------------------------------------------------------------

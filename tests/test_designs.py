@@ -294,6 +294,79 @@ def test_verify_2design_witness_at_the_table_corners(corner):
     assert _first_bad_pair_row_major(broken, 1) == pair
 
 
+def _pair_design(v, lam, counts):
+    """The design on v points whose blocks are point pairs, each pair
+    u < w repeated counts.get((u, w), lam) times."""
+    rows = [pair for pair in combinations(range(v), 2) for _ in range(counts.get(pair, lam))]
+    return Design(v=v, blocks=np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+
+@pytest.fixture
+def coverage_dtypes(monkeypatch):
+    """The dtypes of the pair coverage tables that verify_2design counts in."""
+    seen, real = [], ddfkit._kernels.pair_coverage
+
+    def spy(blocks, v, dtype=np.int32):
+        seen.append(np.dtype(dtype))
+        return real(blocks, v, dtype)
+    monkeypatch.setattr(ddfkit._kernels, "pair_coverage", spy)
+    return seen
+
+
+def test_verify_2design_passes_in_a_byte_per_cell(coverage_dtypes):
+    # gr-squares (37,1), developed a slice at a time: a passing design is
+    # counted once, modulo 2^8, so the peak holds one byte per pair cell
+    # beside the slices and index chunks; the int32 table alone is 3.7 MB
+    fam = construction_family("gr-squares", 37, 1)
+    tracemalloc.start()
+    try:
+        assert verify_2design(Development(fam), fam.lam) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coverage_dtypes == [np.uint8]
+    slack = 3 * 2 * ddfkit.designs._DEVELOP_CHUNK + 16 * ddfkit._kernels._COVER_INDICES
+    assert peak < math.comb(fam.v, 2) + slack < 4 * math.comb(fam.v, 2), peak
+
+
+@pytest.mark.parametrize("counts, dtypes", [
+    # lam + 256 at (0, 1) has residue lam, and (0, 2) in no block has not;
+    # the sum is off, so only the exact count runs
+    ({(0, 1): 356, (0, 2): 0}, [np.int32]),
+    # the same, with (0, 3) and (0, 4) short so that the sum is lam*C(v, 2):
+    # the residues differ at (0, 2), and the exact count runs next
+    ({(0, 1): 356, (0, 2): 0, (0, 3): 0, (0, 4): 44}, [np.uint8, np.int32])])
+def test_verify_2design_reports_the_first_bad_pair_past_a_hidden_one(
+        coverage_dtypes, counts, dtypes):
+    design = _pair_design(6, 100, counts)
+    assert verify_2design(design, 100) == (False, (0, 1))
+    assert _first_bad_pair_row_major(design, 100) == (0, 1)
+    assert coverage_dtypes == dtypes
+
+
+def test_verify_2design_needs_the_pair_sum_identity(coverage_dtypes):
+    # every pair once but (2, 4), 257 times: each residue mod 2^8 is lam = 1,
+    # and only the sum B*C(k, 2) = C(v, 2) + 256 tells the design apart
+    design = _pair_design(7, 1, {(2, 4): 257})
+    assert verify_2design(design, 1) == (False, (2, 4))
+    assert coverage_dtypes == [np.int32]
+
+
+@pytest.mark.parametrize("lam, dtypes", [(255, [np.uint8]), (256, [np.uint16]),
+                                         ((1 << 16) - 1, [np.uint16]),
+                                         (1 << 16, [np.int32])])
+def test_verify_2design_residue_width_follows_lam(coverage_dtypes, lam, dtypes):
+    # pairs as blocks on 3 points, lam times each: uint8 below 2^8, uint16
+    # below 2^16, else only the exact int32 count
+    assert verify_2design(_pair_design(3, lam, {}), lam) == (True, None)
+    assert coverage_dtypes == dtypes
+    coverage_dtypes.clear()
+    # one pair 2^16 more times, a multiple of either modulus: the pair sum
+    # is off, and the exact count finds it
+    assert verify_2design(_pair_design(3, lam, {(1, 2): lam + (1 << 16)}), lam) == \
+        (False, (1, 2))
+
+
 def _verify_peak(design, lam):
     """verify_2design(design, lam), or the BudgetError it raises, and
     tracemalloc's peak over the call."""
@@ -570,10 +643,10 @@ def test_design_load_names_the_header(tmp_path, header):
 
 
 def test_profile_file_roundtrip(tmp_path):
-    from ddfkit.designs import save_profile
+    # a profile file, as `ddf profile --out` writes it, reads back
     prof = profile_via_differences(davis_family(build_ring(3, 1)))
     path = tmp_path / "profile.json"
-    save_profile(prof, path)
+    path.write_text(prof.to_json() + "\n")
     assert IntersectionProfile.from_json(path.read_text()) == prof
 
 

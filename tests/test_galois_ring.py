@@ -272,6 +272,10 @@ def test_teichmuller_set_matches_scalar_power_loop():
         assert ring.teich_log == {t: e for e, t in enumerate(teich[1:])}
         assert ring._teich_by_residue == {ring.residue(t): t for t in teich}
         assert all(type(t) is int for t in ring.teichmuller)
+        # residue -> exponent of xi of the element of T with that residue
+        assert ring.residue_exp.dtype == np.int32
+        exps = {ring.residue(t): e for e, t in enumerate(teich[1:])}
+        assert ring.residue_exp.tolist() == [exps.get(s, -1) for s in range(p ** r)]
 
 
 @pytest.mark.parametrize("p", [251, 1009, 8191])

@@ -110,6 +110,17 @@ def test_pair_coverage_on_wide_blocks_counts_in_int32(monkeypatch, bound):
     assert cnt.tolist() == _coverage_reference(blocks, 310)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_pair_coverage_counts_modulo_its_dtype(dtype):
+    # 600 blocks of 4 on 6 points, so counts of up to 600 pass 2^8: in
+    # uint8 and uint16 the additions wrap, and each entry is its count mod M
+    blocks = random_blocks(np.random.default_rng(8), b=600, k=4, v=6)
+    cnt = _kernels.pair_coverage(blocks, 6, dtype)
+    assert cnt.dtype == dtype
+    ref = np.array(_coverage_reference(blocks, 6))
+    assert max(ref) > 255 and cnt.tolist() == (ref % (1 << 8 * cnt.itemsize)).tolist()
+
+
 def test_pair_coverage_working_set():
     # gr-squares (37,1): 104044 blocks of 18 on 1369 points.  The int32 table,
     # slices of 2^14 transposed blocks and 2^15 indices stay under 12 MB; an
@@ -156,10 +167,12 @@ def test_direct_kernels_read_row_slices(monkeypatch, cuts):
 
 def test_verify_working_set_over_a_development():
     # gr-squares (37,1): 104044 blocks of 18 on 1369 points, developed a
-    # slice of at most 2^18 entries at a time into the int32 table.  Beside
-    # the table, the peak holds a slice, its transposed copy, the index chunk
-    # and the int64 columns it is formed from, under three uint16 slices and
-    # an index chunk; the whole 3.7 MB design took the peak to 10.5 MB
+    # slice of at most 2^18 entries at a time into the pair table, which
+    # takes a byte per cell on this passing design and is bounded here at
+    # the int32 table's four.  Beside the table, the peak holds a slice, its
+    # transposed copy, the index chunk and the int64 columns it is formed
+    # from, under three uint16 slices and an index chunk; the whole 3.7 MB
+    # design took the peak to 10.5 MB
     fam = construction_family("gr-squares", 37, 1)
     table = 4 * comb(fam.v, 2)
     tracemalloc.start()
