@@ -1,31 +1,35 @@
-"""Small exact-integer number theory helpers (primality, factoring, sieves)."""
+"""Small exact-integer number theory helpers (primality, factoring, orders)."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 PRIME_TEST_LIMIT = 1 << 32
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division, for n < 2^32.
-
-    Raises ValueError for larger n, where trial division has no useful bound.
-    """
+    """Deterministic Miller-Rabin test for n < 2^32, else ValueError: the
+    bases 2, 7 and 61 admit no strong pseudoprime below 4,759,123,141."""
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"primality test is limited to n < 2^32, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -61,18 +65,6 @@ def divisors(n: int) -> list[int]:
     for ell in sorted(set(factors)):
         out = [d * ell ** e for d in out for e in range(factors.count(ell) + 1)]
     return sorted(out)
-
-
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit, via a numpy sieve."""
-    if limit <= 2:
-        return []
-    sieve = np.ones(limit, dtype=bool)
-    sieve[:2] = False
-    for d in range(2, int(limit ** 0.5) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = False
-    return [int(x) for x in np.nonzero(sieve)[0]]
 
 
 def multiplicative_order(a: int, modulus: int, group_order: int) -> int:

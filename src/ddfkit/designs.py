@@ -388,13 +388,12 @@ def _unit_maps(group) -> list:
 def _linear_image(group, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The images of an array of elements under the linear map whose rows
     are the digits of the images of base^l, in point_dtype(order) and x's
-    shape.  The digit columns are taken one digit at a time in the
-    narrowest dtype that holds a digit."""
+    shape.  The digit columns are taken by one divmod per digit, the
+    remainder straight into the narrowest dtype that holds a digit."""
     cols = np.empty((group.digits, np.size(x)), dtype=np.min_scalar_type(group.base - 1))
     rest = np.ravel(x)
     for row in cols:
-        np.remainder(rest, group.base, out=row, casting="unsafe")
-        rest = rest // group.base
+        rest = np.divmod(rest, group.base, out=(None, row), casting="unsafe")[0]
     return group.pack_columns(group.map_columns(matrix, cols)).reshape(np.shape(x))
 
 

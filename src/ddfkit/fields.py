@@ -4,8 +4,10 @@ The modulus is the lexicographically least monic primitive polynomial of
 degree n over F_p, ordered by its coefficient sequence (c_0, ..., c_{n-1}).
 This fixed choice makes every downstream artifact (families, profiles,
 exported files) reproducible byte for byte; any other primitive polynomial
-would give isomorphic structures.  The residue class of x is the stored
-generator, and the table exp of its powers is precomputed in
+would give isomorphic structures.  The search tests the order of x, which
+alone decides primitivity, on chunks of candidates at once by
+square-and-multiply on stacked companion matrices.  The class of x is the
+stored generator, and the table exp of its powers is precomputed in
 groups.point_dtype(q), the width of a family's blocks: at most 4 bytes per
 element, 4 MB at the budget's top, q = 2^20.  No inverse table is kept:
 a coset is a residue of the exponent, and multiplying by a fixed element
@@ -63,84 +65,85 @@ def poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def _poly_x(n: int) -> list[int]:
-    return ([0, 1] + [0] * (n - 2))[:n]
-
-
-def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    if f[0] == 0:  # divisible by x
-        return False
-    x = _poly_x(n)
-    if poly_powmod(x, p ** n, f, p) != x:
-        return False
-    for t in prime_divisors(n):
-        if poly_powmod(x, p ** (n // t), f, p) == x:
-            return False
-    return True
-
-
-def _x_generates(f: list[int], p: int) -> bool:
-    """Whether x has order q-1 modulo the irreducible f of degree n >= 2."""
-    n = len(f) - 1
-    q = p ** n
-    x = _poly_x(n)
-    one = [1] + [0] * (n - 1)
-    return all(poly_powmod(x, (q - 1) // ell, f, p) != one for ell in prime_divisors(q - 1))
-
-
-def is_primitive(f: list[int], p: int) -> bool:
-    """True iff f is irreducible and its residue class of x generates F_{p^n}^*."""
-    n = len(f) - 1
-    if n == 1:
-        root = (-f[0]) % p
-        return root != 0 and multiplicative_order(root, p, p - 1) == p - 1
-    return is_irreducible(f, p) and _x_generates(f, p)
-
-
-# Candidates times roots in the largest chunk of _rootless: 512 KB of int64.
-_ROOT_CELLS = 1 << 16
+# The largest chunk of _rootless, 512 KB of int64 each: candidates times
+# roots, and candidates times n^2 in the companion matrices its order test
+# stacks (uncapped, a chunk at (2, 20) would stack 65536 of them, 210 MB)
+_ROOT_CELLS = _ORDER_CELLS = 1 << 16
 
 
 def _rootless(c0: int, p: int, n: int):
-    """Yield the monic [c0, c_1, ..., c_(n-1), 1] with no root in F_p, in
-    lexicographic order of (c_1, ..., c_(n-1)), for n >= 2 and c0 != 0.
+    """Yield (m, n+1) int64 arrays of the monic [c0, c_1, ..., c_(n-1), 1]
+    with no root in F_p, in lexicographic order of (c_1, ..., c_(n-1)),
+    for n >= 2 and c0 != 0.
 
-    Each chunk of candidates is evaluated at every a in F_p* by one Horner
-    pass over a (candidates, p-1) array mod p; a = 0 is never a root, as
-    c0 != 0.  Chunks start at 8 candidates and double up to _ROOT_CELLS
-    values, since the search mostly ends within the first few dozen.
+    Each chunk of candidates is evaluated at every a in F_p* by one
+    product with the powers a^i mod p (sums below (n+1)*(p-1)^2); a = 0
+    is never a root, as c0 != 0.  Chunks start at 8 candidates and double
+    up to _ROOT_CELLS values and _ORDER_CELLS companion-matrix entries,
+    since the search mostly ends within the first few dozen.
     """
     count = p ** (n - 1)
-    places = p ** np.arange(n - 2, -1, -1, dtype=np.int64)  # c_1 is the leading place
-    roots = np.arange(1, p, dtype=np.int64)
-    lo, size = 0, 8
+    a = np.arange(max(p, n + 1), dtype=np.int64)
+    places = p ** a[n - 2 :: -1]  # c_1 is the leading place
+    powers = a[1:p] ** a[: n + 1, None]
+    powers %= p  # row i: a^i for a in F_p*; a^n < p^n fits int64 within the budgets
+    lo, size, top = 0, 8, min(_ROOT_CELLS // (p - 1), _ORDER_CELLS // (n * n))
     while lo < count:
         hi = min(lo + size, count)
-        coeffs = np.arange(lo, hi, dtype=np.int64)[:, None] // places % p
-        values = np.ones((hi - lo, p - 1), dtype=np.int64)
-        for j in range(n - 2, -1, -1):
-            values *= roots
-            values += coeffs[:, j, None]
-            values %= p
-        values *= roots
-        values += c0
+        polys = np.empty((hi - lo, n + 1), dtype=np.int64)
+        polys[:, 0], polys[:, n] = c0, 1
+        np.floor_divide(np.arange(lo, hi, dtype=np.int64)[:, None], places, out=polys[:, 1:n])
+        polys[:, 1:n] %= p
+        values = polys @ powers
         values %= p
-        for at in np.flatnonzero((values != 0).all(axis=1)).tolist():
-            yield [c0, *coeffs[at].tolist(), 1]
-        lo, size = hi, max(size, min(2 * size, _ROOT_CELLS // (p - 1)))
+        # rows with no zero, by a list scan: on the small chunks where searches
+        # end it beats numpy's all(), whose first call in a process costs more
+        yield polys[[0 not in row for row in values.tolist()]]
+        lo, size = hi, max(size, min(2 * size, top))
+
+
+def _x_has_full_order(polys: np.ndarray, p: int) -> list[bool]:
+    """For an (m, n+1) array of monic f over F_p with f(0) != 0, whether x
+    has order q-1 = p^n - 1 modulo each f: exactly when f is primitive, as
+    a reducible f leaves fewer than q-1 units.
+
+    The digits of x^e are e_0 C^e for the companion matrix C (row i: the
+    digits of x * x^i).  Per f, a stack holds C^(2^k) in rows [0, n) and
+    the digits of x^(e_j mod 2^k) in row n + j, for e_j = q-1 and (q-1)/l,
+    l a prime divisor of q-1.  Each step multiplies the stack by its first
+    n rows (int64 mod p, sums below n*(p-1)^2 < 2^41 within the budget)
+    and keeps the old power rows whose bit k is clear.
+    """
+    m, n = polys.shape[0], polys.shape[1] - 1
+    q1 = p ** n - 1
+    exps = [q1] + [q1 // ell for ell in prime_divisors(q1)]
+    rows = n + len(exps)
+    # the stack is linear in the coefficients: row n-1 of C is -c_i =
+    # (p-1)*c_i mod p, and the leading 1 puts the ones above C's diagonal
+    # and the digits of x^0 in each power row
+    build = np.zeros((n + 1, rows, n), dtype=np.int64)
+    for i in range(n):
+        build[i, n - 1, i] = p - 1
+    for i in range(n - 1):
+        build[n, i, i + 1] = 1
+    build[n, n:, 0] = 1
+    stack = (polys @ build.reshape(n + 1, rows * n) % p).reshape(m, rows, n)
+    keeps = np.array([[[e >> k & 1 == 0] for e in exps] for k in range(q1.bit_length())])
+    for keep in keeps:  # keep[j]: bit k of e_j is clear
+        step = stack @ stack[:, :n]
+        step %= p
+        np.copyto(step[:, n:], stack[:, n:], where=keep)
+        stack = step
+    one = [1] + [0] * (n - 1)
+    return [pw[0] == one and one not in pw[1:] for pw in stack[:, n:].tolist()]
 
 
 def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least (by c_0..c_{n-1}) monic primitive polynomial.
 
-    For n >= 2 the candidates with a root in F_p, which have a linear
-    factor, are dropped first (see _rootless).  Below degree 4 a reducible
-    polynomial has a linear factor, so a rootless one is irreducible and
-    only the order of x is left to test.
+    For n >= 2 the candidates with a root in F_p are dropped first (see
+    _rootless), and each chunk of the rest gets one batched order test of
+    x (see _x_has_full_order), which alone decides primitivity.
     """
     for c0 in range(1, p):
         # the norm of x is (-1)^n c_0, which must generate F_p^*
@@ -149,9 +152,10 @@ def least_primitive_poly(p: int, n: int) -> tuple[int, ...]:
             continue
         if n == 1:
             return (c0, 1)  # x + c0 has the root -c0 = norm, a generator
-        for f in _rootless(c0, p, n):
-            if (n <= 3 or is_irreducible(f, p)) and _x_generates(f, p):
-                return tuple(f)
+        for polys in _rootless(c0, p, n):
+            for f, primitive in zip(polys.tolist(), _x_has_full_order(polys, p)):
+                if primitive:
+                    return tuple(f)
     raise AssertionError(f"no primitive polynomial found for p={p}, n={n}")
 
 

@@ -7,8 +7,9 @@ single Frobenius power: starting from the residue class a of x, xi = a^{p^r}
 already satisfies xi^{p^r} = xi at characteristic p^2.  T = {0} plus the
 powers of xi, listed by doubling on digit columns (fields._exp_table),
 which also checks xi^(p^r - 1) = 1.  Construction then checks that T is
-distinct, that it maps bijectively onto the residue field, and
-t^{p^r} = t for every t at once, by square-and-multiply on the whole array.
+distinct, that it maps bijectively onto the residue field, and that xi
+times each listed power is the next, the last wrapping to 1, by one ring
+product over the whole array: so every t in T has t^{p^r} = t.
 """
 
 from __future__ import annotations
@@ -249,10 +250,13 @@ def _teichmuller_set(ring: GaloisRing, xi: int) -> np.ndarray:
 
 
 def _check_teichmuller(ring: GaloisRing, teich: np.ndarray) -> None:
-    """Raise AssertionError unless `teich` is the Teichmüller set.
+    """Raise AssertionError unless `teich` is (0, 1, xi, ..., xi^(p^r - 2))
+    with xi = teich[2], the Teichmüller set.
 
-    Its p^r elements must be distinct, map bijectively onto the residue
-    field, and satisfy t^(p^r) = t, each checked for every t at once.
+    Its p^r elements must be distinct and map bijectively onto the residue
+    field, and one GaloisRing.mul_arrays product must move each unit to the
+    next on multiplying by xi, the last to 1: so xi^(p^r - 1) = 1, and
+    t^(p^r) = t for every t.
     """
     size = ring.teich_size
     ascending = np.sort(teich)
@@ -260,12 +264,9 @@ def _check_teichmuller(ring: GaloisRing, teich: np.ndarray) -> None:
         raise AssertionError("Teichmüller elements are not distinct")
     if (np.bincount(ring._residues(teich), minlength=size) != 1).any():
         raise AssertionError("Teichmüller set does not map bijectively mod p")
-    power, acc, e = np.ones_like(teich), teich, size
-    while e:
-        if e & 1:
-            power = ring.mul_arrays(power, acc)
-        acc = ring.mul_arrays(acc, acc)
-        e >>= 1
-    bad = np.flatnonzero(power != teich)
+    if teich[0] != 0 or teich[1] != 1:
+        raise AssertionError("Teichmüller set does not start 0, 1")
+    units = teich[1:]
+    bad = np.flatnonzero(ring.mul_arrays(units[1], units) != np.roll(units, -1))
     if bad.size:
-        raise AssertionError(f"Teichmüller check t^(p^r) = t failed for {int(teich[bad[0]])}")
+        raise AssertionError(f"Teichmüller check xi * t = next failed for {int(units[bad[0]])}")

@@ -20,9 +20,9 @@ from ddfkit import (bound_report, build_field, build_ring, check_sum_relation,
                     profile_via_differences, sn_coset_counts, squares_family,
                     unknown_quadruples, verify_2design, wieferich, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
-from ddfkit.arith import primes_below
 from ddfkit.cli import main as cli_main
 from ddfkit.designs import Design
+from scalar_oracles import primes_below
 
 
 class criterion:

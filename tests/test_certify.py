@@ -13,7 +13,8 @@ from ddfkit import (bound_report, build_field, build_ring, certificate,
                     profile_via_differences, sn_coset_counts, squares_family,
                     wieferich, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
-from ddfkit.arith import factorize, primes_below
+from ddfkit.arith import factorize
+from scalar_oracles import primes_below
 
 
 # ---------------------------------------------------------------------------

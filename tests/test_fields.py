@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ddfkit import BudgetError, build_field, fields
-from ddfkit.arith import is_prime, multiplicative_order, prime_divisors, primes_below
-from ddfkit.fields import (_ROOT_CELLS, TABLE_CACHE_SIZE, Field, _check_bijection, _exp_table,
-                           _rootless, is_irreducible, is_primitive, least_primitive_poly,
-                           poly_mulmod)
+from ddfkit.arith import is_prime, multiplicative_order, prime_divisors
+from ddfkit.fields import (_ORDER_CELLS, _ROOT_CELLS, FIELD_ORDER_BUDGET, TABLE_CACHE_SIZE, Field,
+                           _check_bijection, _exp_table, _rootless, _x_has_full_order,
+                           least_primitive_poly, poly_mulmod)
 from ddfkit.groups import field_group, point_dtype
+from scalar_oracles import is_irreducible, is_primitive, primes_below, x_generates
 
 
 def brute_order(a, modulus):
@@ -280,7 +281,59 @@ def test_rootless_keeps_exactly_the_candidates_without_a_root(p, n, cells, monke
         want = [[c0, *rest, 1] for rest in itertools.product(range(p), repeat=n - 1)
                 if all(sum(c * a ** i for i, c in enumerate([c0, *rest, 1])) % p
                        for a in range(1, p))]
-        assert list(_rootless(c0, p, n)) == want, c0
+        assert [f for polys in _rootless(c0, p, n) for f in polys.tolist()] == want, c0
+
+
+def scalar_least_primitive_poly(p, n):
+    """The rootless candidates in the library's order, each through
+    Rabin's test (from degree 4, as a rootless polynomial of lower degree
+    is irreducible) and then the order of x, one polynomial at a time."""
+    for c0 in range(1, p):
+        norm = (-c0) % p if n % 2 else c0
+        if multiplicative_order(norm, p, p - 1) != p - 1:
+            continue
+        for polys in _rootless(c0, p, n):
+            for f in polys.tolist():
+                if (n <= 3 or is_irreducible(f, p)) and x_generates(f, p):
+                    return tuple(f)
+    raise AssertionError((p, n))
+
+
+def test_batched_order_test_matches_the_scalar_search_within_the_budget():
+    cases = [(p, n) for p in range(2, 1 << 10) if is_prime(p)
+             for n in range(2, 21) if p ** n <= FIELD_ORDER_BUDGET]
+    assert len(cases) == 242
+    for p, n in cases:
+        assert least_primitive_poly(p, n) == scalar_least_primitive_poly(p, n), (p, n)
+
+
+def test_order_test_alone_rejects_a_rootless_reducible_quartic():
+    # (x^2 + 1)(x^2 + x + 3) over F_7: both factors are irreducible (-1 and
+    # the discriminant 1 - 12 = 3 are non-squares mod 7), the product has no
+    # root, and its c_0 = 3 generates F_7^*, so only the order of x rejects it
+    f = [3, 1, 4, 1, 1]
+    assert poly_mulmod([1, 0, 1], [3, 1, 1], [0, 0, 0, 0, 1], 7) == f[:4]
+    assert multiplicative_order(3, 7, 6) == 6 and not is_irreducible(f, 7)
+    assert f in [g for polys in _rootless(3, 7, 4) for g in polys.tolist()]
+    primitive = list(least_primitive_poly(7, 4))
+    assert _x_has_full_order(np.array([f, primitive]), 7) == [False, True]
+
+
+def test_order_test_stacks_stay_under_their_cap(monkeypatch):
+    # at (2, 20) a chunk of _rootless could hold 2^16 candidates, 210 MB of
+    # companion matrices; with every candidate refused the search walks all
+    # 2^19 of them, so the chunks grow to their cap
+    seen = []
+
+    def refuse_all(polys, p):
+        seen.append(polys.shape[0] * (polys.shape[1] - 1) ** 2)
+        return [False] * polys.shape[0]
+
+    monkeypatch.setattr(fields, "_x_has_full_order", refuse_all)
+    with pytest.raises(AssertionError, match="no primitive polynomial"):
+        least_primitive_poly(2, 20)
+    assert max(seen) <= _ORDER_CELLS
+    assert max(seen) > _ORDER_CELLS // 4  # the chunks did grow to the cap's scale
 
 
 def scalar_tables(p, n, modulus):
@@ -392,3 +445,15 @@ def test_is_prime_is_bounded():
     for n in (1 << 32, 1_000_000_000_000_000_003):
         with pytest.raises(ValueError):
             is_prime(n)
+
+
+def test_is_prime_matches_trial_division_and_refuses_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(20_000) if is_prime(n)] == [n for n in range(20_000) if trial(n)]
+    # strong pseudoprimes to base 2 (2047, 3277), to 2, 3, 5 (25326001) and
+    # to 2, 3, 5, 7 (3215031751), and Carmichael numbers: all composite
+    for n in (2047, 3277, 25_326_001, 3_215_031_751, 561, 1105, 1729, 2821, 6601):
+        assert not trial(n) and not is_prime(n), n
+    assert all(is_prime(p) for p in (2, 7, 61, 1093, 3511, 65_537, 2_147_483_647))

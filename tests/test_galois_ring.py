@@ -8,6 +8,7 @@ from ddfkit.arith import is_prime
 from ddfkit.fields import TABLE_CACHE_SIZE, least_primitive_poly
 from ddfkit.galois_ring import (TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE,
                                 _check_teichmuller, _teichmuller_set)
+from scalar_oracles import is_irreducible
 
 
 def test_build_ring_z25():
@@ -144,7 +145,6 @@ def test_reduction_mod_p_bijection():
 
 
 def test_modulus_reduces_irreducibly():
-    from ddfkit.fields import is_irreducible
     for p, r in [(5, 2), (3, 2), (7, 2), (3, 3)]:
         ring = build_ring(p, r)
         reduced = [c % p for c in ring.modulus]
@@ -322,3 +322,17 @@ def test_teichmuller_checks_reject_bad_sets():
     with pytest.raises(AssertionError, match="failed for 23"):
         _check_teichmuller(ring, np.array([0, 1, 23, 24, 7]))
     _check_teichmuller(ring, np.array(ring.teichmuller))
+
+
+def test_teichmuller_check_needs_the_last_power_to_wrap():
+    ring = build_ring(5, 1)
+    # the powers of 23, which is not lifted, with the residues 0, 1, 3, 4, 2:
+    # distinct and bijective mod 5, and 23 times each entry is the next,
+    # but 23 * 17 = 16 (mod 25), not 1
+    teich = np.array([0, 1, 23, 4, 17])
+    assert ring.mul_arrays(23, teich[1:]).tolist() == [23, 4, 17, 16]
+    with pytest.raises(AssertionError, match="failed for 17"):
+        _check_teichmuller(ring, teich)
+    # a set that starts with p * 1 instead of 0
+    with pytest.raises(AssertionError, match="start 0, 1"):
+        _check_teichmuller(ring, np.array([5, 1, 18, 24, 7]))
