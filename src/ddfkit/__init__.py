@@ -8,6 +8,12 @@ All arithmetic is exact integer arithmetic.
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread unless the caller asks for more: only the Gram route's
+# np.matmul would use a pool, and OpenBLAS reads this once, when numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import BudgetError, ProfileCheckError
 from .fields import Field, build_field
 from .galois_ring import GaloisRing, UnitDecomposition, build_ring

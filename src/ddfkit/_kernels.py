@@ -28,8 +28,9 @@ still decide a 2-design: rows of k distinct points put exactly B*C(k, 2)
 into the table, so if that is lam*C(v, 2), lam < M and every residue is
 lam, each count is at least lam and none can exceed it.
 
-No kernel starts a thread, but np.matmul uses OpenBLAS's pool unless
-OPENBLAS_NUM_THREADS=1.  With the other vCPU of a 2-vCPU Xeon VM busy,
+No kernel starts a thread.  np.matmul would use OpenBLAS's pool, but
+importing ddfkit sets OPENBLAS_NUM_THREADS=1 unless it is set already (or
+numpy was loaded first).  With the other vCPU of a 2-vCPU Xeon VM busy,
 the Gram route of wilson (3,2) took 8.0-8.6 ms pooled, 3.7-3.8 ms pinned,
 and the moment route, which k = 8 takes, 4.4-6.9 ms: it loses only pinned.
 
@@ -56,6 +57,7 @@ from math import comb
 import numpy as np
 
 from .errors import check_budget
+from .groups import floor_divmod
 
 # Gram multiply-adds, C(B+1, 2)*v/lanes: 12-14 s at 45-49 ps on one thread.
 GRAM_MULADD_BUDGET = 2 ** 38
@@ -171,8 +173,9 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     # row l: digit l of each block element x, in the narrowest dtype that holds it
     pt_digits = np.empty((digits, pts.size), dtype=np.min_scalar_type(base - 1))
     for lo in range(0, pts.size, _CHUNK):
-        for l, pow_l in enumerate(pows.tolist()):
-            pt_digits[l, lo:lo + _CHUNK] = pts[lo:lo + _CHUNK] // pow_l % base
+        rest = pts[lo:lo + _CHUNK]
+        for row in pt_digits[:, lo:lo + _CHUNK]:
+            rest = floor_divmod(rest, base, out=row)[0]
     # column b of row i counts the x in D_i with x - d in no block; a row has
     # k elements and b + 1 cells, and a pass takes a strip of rows for one d,
     # or every row for a chunk of d values when the whole table fits

@@ -44,7 +44,7 @@ from .errors import ProfileCheckError, check_budget
 from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
-from .groups import check_rows, point_dtype
+from .groups import check_rows, floor_divmod, mod, point_dtype
 
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
@@ -192,7 +192,7 @@ class Development:
                 high = np.arange(t, min(t + span, v), low)  # translates h*base^m
                 rows = None
                 for ell in range(m, n):
-                    shift = (high // base ** ell % base).astype(digit_dtype)[:, None]
+                    shift = mod(high // base ** ell, base).astype(digit_dtype)[:, None]
                     part = _digit_rows(digits[0, ell], shift, base, ell, dtype)
                     rows = part if rows is None else np.add(rows, part, out=rows)
                 if sums is not None:
@@ -388,12 +388,12 @@ def _unit_maps(group) -> list:
 def _linear_image(group, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The images of an array of elements under the linear map whose rows
     are the digits of the images of base^l, in point_dtype(order) and x's
-    shape.  The digit columns are taken by one divmod per digit, the
-    remainder straight into the narrowest dtype that holds a digit."""
+    shape.  The digit columns take one groups.floor_divmod per digit, the
+    residue straight into the narrowest dtype that holds a digit."""
     cols = np.empty((group.digits, np.size(x)), dtype=np.min_scalar_type(group.base - 1))
     rest = np.ravel(x)
     for row in cols:
-        rest = np.divmod(rest, group.base, out=(None, row), casting="unsafe")[0]
+        rest = floor_divmod(rest, group.base, out=row)[0]
     return group.pack_columns(group.map_columns(matrix, cols)).reshape(np.shape(x))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import _EXP_CHUNK, Field, check_field_order
 from .galois_ring import GaloisRing, check_ring_order
-from .groups import AdditiveGroup, check_rows, group_for, point_dtype
+from .groups import AdditiveGroup, check_rows, floor_divmod, group_for, point_dtype
 
 FENG_INDEX_SETS = (
     (0, 2, 4, 6, 8, 10, 12),
@@ -292,7 +292,8 @@ def rows_text_chunks(header: str, slices, sep: str = " "):
     Each pass takes a chunk of entries in the smallest unsigned dtype that
     holds its slice and builds fixed-width ASCII digit columns plus a
     separator column (a newline after every k-th entry), then drops the
-    leading zeros of each entry by a mask.
+    leading zeros of each entry by a mask.  Each place takes one quotient
+    (groups.floor_divmod), carried to the next place.
     """
     yield f"{header}\n"
     for part in slices:
@@ -301,14 +302,15 @@ def rows_text_chunks(header: str, slices, sep: str = " "):
         top = int(flat.max(initial=0))
         width = len(str(top))
         for lo in range(0, flat.size, _TEXT_CHUNK):
-            rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top))
+            rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top), copy=False)
             digits = np.empty((width + 1, rem.size), dtype=np.uint8)
             keep = np.ones((width + 1, rem.size), dtype=bool)
-            for j in range(width - 1, -1, -1):
-                digits[j] = rem % 10
-                if j:  # the last digit always stays, so 0 prints as "0"
-                    rem //= 10
-                    keep[j - 1] = rem > 0
+            # places from the units up; the units digit always stays, so 0
+            # prints as "0", and place j - 1 stays while a quotient is left
+            for j in range(width - 1, 0, -1):
+                rem = floor_divmod(rem, 10, out=digits[j])[0]
+                keep[j - 1] = rem > 0
+            digits[0] = rem  # below 10 after width - 1 places
             digits[:width] += ord("0")
             digits[width] = ord(sep)
             digits[width, (k - 1 - lo) % k :: k] = ord("\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import check_prime, multiplicative_order, prime_divisors
 from .errors import BudgetError
-from .groups import AdditiveGroup, field_group
+from .groups import AdditiveGroup, field_group, mod
 
 FIELD_ORDER_BUDGET = 1 << 20
 
@@ -211,7 +211,7 @@ class Field:
         """Array mapping each nonzero element to its coset index (0 stays -1)."""
         self._coset_size(e)
         residues = np.arange(self.q - 1, dtype=np.int32)  # exponents fit int32 in budget
-        residues %= e
+        mod(residues, e, out=residues)
         idx = np.full(self.q, -1, dtype=np.int64)
         idx[self.exp] = residues
         return idx

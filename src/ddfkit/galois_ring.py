@@ -23,7 +23,7 @@ from .arith import check_prime
 from .errors import BudgetError
 from .fields import (TABLE_CACHE_SIZE, _exp_table, least_primitive_poly, poly_mulmod,
                      poly_powmod)
-from .groups import AdditiveGroup, ring_group
+from .groups import AdditiveGroup, mod, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
 
@@ -74,11 +74,12 @@ class GaloisRing:
         res = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
         for i in range(r):
             res[..., i : i + r] += ad[..., i : i + 1] * bd
-        res %= psq
-        mod = np.array(self.modulus[:r], dtype=np.int64)
-        for i in range(2 * r - 2, r - 1, -1):  # x^i = -sum_j mod_j x^(i-r+j)
-            res[..., i - r : i] -= res[..., i : i + 1] * mod
-            res[..., i - r : i] %= psq
+        mod(res, psq, out=res)
+        low = np.array(self.modulus[:r], dtype=np.int64)  # f = x^r + sum_j low_j x^j
+        for i in range(2 * r - 2, r - 1, -1):  # x^i = -sum_j low_j x^(i-r+j)
+            part = res[..., i - r : i]
+            part -= res[..., i : i + 1] * low
+            mod(part, psq, out=part)
         return g.pack_digits(res[..., :r])[()]  # a scalar for 0-d operands
 
     def pow(self, a: int, e: int) -> int:
@@ -89,9 +90,9 @@ class GaloisRing:
         """Images in the residue field F_{p^r}, packed base p, of an array:
         the sum of (digit l mod p) * p^l, one pass per digit."""
         a = np.asarray(a, dtype=np.int64)
-        out = a % self.p
+        out = mod(a, self.p)
         for ell in range(1, self.r):
-            out += a // self.char ** ell % self.p * self.p ** ell
+            out += mod(a // self.char ** ell, self.p) * self.p ** ell
         return out
 
     def is_unit(self, a: int) -> bool:
@@ -174,7 +175,7 @@ class GaloisRing:
         exps = self.residue_exp[self._residues(units)]
         if (exps < 0).any():
             raise ValueError("coset parity is defined for units only")
-        return exps % 2
+        return mod(exps, 2)
 
     def two_in_teichmuller(self) -> str:
         """Classify the ring element 2 relative to the Teichmüller group.

@@ -11,6 +11,19 @@ integer sum minus base^(l+1) for every digit l with a_l + b_l >= base, and
 a - b the integer difference plus base^(l+1) for every digit l with
 a_l < b_l.  Digits are taken from each operand before broadcasting, so no
 digit matrix of the broadcast shape is built.
+
+Residues of arrays follow one rule: `mod` takes a mod m as a - m*(a // m),
+and `floor_divmod` returns the quotient with it for digit loops to carry.
+numpy divides an integer array by a scalar on a fast path that `%`,
+np.remainder and np.divmod lack.  Per 16,384 elements (numpy 2.4, one
+core):
+
+    dtype    a % m    np.divmod    a // m    a - m*(a // m)
+    uint32   41 µs    43 µs        3.5 µs    10 µs
+    int64    66 µs    67 µs        15 µs     27 µs
+
+Below about 700 entries `%` is one numpy call against three, so arrays
+bounded by n, r or a search chunk keep `%`, as do Python ints.
 """
 
 from __future__ import annotations
@@ -50,6 +63,24 @@ def check_rows(rows, v: int) -> np.ndarray:
     rows = rows.astype(point_dtype(v), copy=False).view()
     rows.flags.writeable = False
     return rows
+
+
+def floor_divmod(a, m: int, out=None):
+    """(a // m, a mod m) for an integer array (or scalar) a and an integer
+    m > 0, as np.divmod gives them, the residue taken as a - m*(a // m):
+    exact under numpy's floor division, negative entries included.  `out`
+    may be `a` itself, or narrower than a's dtype: the residue, in [0, m),
+    is cast unchecked, so exactly wherever m fits out's dtype."""
+    quot = a // m
+    return quot, np.subtract(a, quot * m, out=out, casting="unsafe")
+
+
+def mod(a, m: int, out=None):
+    """a mod m, as np.remainder gives it, by floor_divmod's rule; the
+    quotient is not kept, so its multiple is formed in place."""
+    quot = a // m
+    quot *= m
+    return np.subtract(a, quot, out=out, casting="unsafe")
 
 
 @lru_cache(maxsize=None)
@@ -103,12 +134,15 @@ class AdditiveGroup:
     # -- vectorized arithmetic on int64 arrays -------------------------
     def digit_matrix(self, arr: np.ndarray) -> np.ndarray:
         """Unpack encodings into a trailing digit axis."""
-        pows = _powers(self.base, self.digits)
-        return (np.asarray(arr, dtype=np.int64)[..., None] // pows) % self.base
+        rest = np.asarray(arr, dtype=np.int64)
+        out = np.empty(rest.shape + (self.digits,), dtype=np.int64)
+        for ell in range(self.digits):
+            rest = floor_divmod(rest, self.base, out=out[..., ell])[0]
+        return out
 
     def pack_digits(self, digs: np.ndarray) -> np.ndarray:
         pows = _powers(self.base, self.digits)
-        return (digs % self.base) @ pows
+        return mod(digs, self.base) @ pows
 
     # -- digit columns: cols[..., l, s] is digit l of element s ----------
     def map_columns(self, matrix: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
@@ -132,9 +166,7 @@ class AdditiveGroup:
             acc += coeffs[..., ell, :, :] * cols[ell]
         if out is None:
             out = np.empty(acc.shape, dtype=cols.dtype)
-        # acc mod base as acc - base*(acc // base): numpy divides by a scalar
-        # on a fast path that np.remainder lacks (3x at int32)
-        return np.subtract(acc, acc // base * base, out=out, casting="unsafe")
+        return mod(acc, base, out=out)
 
     def pack_columns(self, cols: np.ndarray) -> np.ndarray:
         """The encodings of digit columns (digits on axis -2), by Horner, in
@@ -151,10 +183,10 @@ class AdditiveGroup:
         b = np.asarray(b, dtype=np.int64)
         out = np.asarray(a + b)
         for pow_l in _powers(self.base, self.digits).tolist():
-            b_l = b // pow_l % self.base
+            b_l = mod(b // pow_l, self.base)
             if b_l.any():  # digit l carries only where b_l > 0
                 np.subtract(out, pow_l * self.base, out=out,
-                            where=a // pow_l % self.base >= self.base - b_l)
+                            where=mod(a // pow_l, self.base) >= self.base - b_l)
         return out[()]  # a scalar for 0-d operands
 
     def sub_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,9 +195,9 @@ class AdditiveGroup:
         b = np.asarray(b, dtype=np.int64)
         out = np.asarray(a - b)
         for pow_l in _powers(self.base, self.digits).tolist():
-            b_l = b // pow_l % self.base
+            b_l = mod(b // pow_l, self.base)
             if b_l.any():  # digit l borrows only where b_l > 0
-                np.add(out, pow_l * self.base, out=out, where=a // pow_l % self.base < b_l)
+                np.add(out, pow_l * self.base, out=out, where=mod(a // pow_l, self.base) < b_l)
         return out[()]  # a scalar for 0-d operands
 
     def difference_counts(self, left, right) -> np.ndarray:

@@ -845,6 +845,20 @@ def test_import_freezes_its_objects():
     assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_to_one_thread_unless_asked(given, expected):
+    # in a fresh interpreter, before numpy loads: unset, the variable
+    # becomes "1"; a caller's own setting stays
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    child = "import os, ddfkit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, f"{expected}\n")
+
+
 def test_well_formed_argv_never_imports_argparse():
     # in a fresh interpreter: argparse, and the gettext it imports, stay out
     # of a well-formed run, and a malformed argv still gets argparse's text

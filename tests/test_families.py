@@ -492,6 +492,13 @@ def test_rows_to_text_matches_scalar_writer(monkeypatch, chunk):
         rows = np.array(rows, dtype=np.int64)
         text = "".join(rows_text_chunks("9 8 7", (rows,)))
         assert text == scalar_rows_text("9 8 7", rows), rows
+    # two slices, as a Development passes them: up to 3 digits in rows of 2,
+    # then 6 and 7 digits in rows of 4, neither a whole number of chunks of 3
+    # or _TEXT_CHUNK entries
+    narrow = (np.arange(2 * chunk + 2, dtype=np.uint16) * 37 % 1000).reshape(-1, 2)
+    wide = (999_990 + np.arange(20, dtype=np.uint32) * 3).reshape(5, 4)
+    text = "".join(rows_text_chunks("9 8 7", (narrow, wide)))
+    assert text == scalar_rows_text("9 8 7", [*narrow, *wide])
 
 
 def test_text_writers_match_scalar_writer():

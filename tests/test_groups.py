@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddfkit.groups import field_group, ring_group
+from ddfkit.groups import field_group, floor_divmod, mod, ring_group
 
 GROUPS = {
     "F_9": field_group(3, 2),
@@ -84,3 +84,41 @@ def test_digit_columns_match_the_row_product(g):
     out = np.empty((n, 50), dtype=cols.dtype)
     assert g.map_columns(maps[1], cols, out=out) is out
     assert np.array_equal(out, images[1])
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64", "int32", "int64"])
+def test_mod_matches_np_remainder(dtype):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    for m in (1, 2, 10, 23, 25, 127):
+        a = rng.integers(info.min, info.max, size=1000, dtype=dtype, endpoint=True)
+        a[:2] = info.min, info.max
+        expected = np.remainder(a, m)
+        got = mod(a, m)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        quot, rem = floor_divmod(a, m)
+        assert np.array_equal(quot, a // m) and np.array_equal(rem, expected)
+        # a residue written straight into a narrower dtype, as digit rows are
+        narrow = np.empty(a.shape, dtype=np.uint8)
+        assert mod(a, m, out=narrow) is narrow
+        assert np.array_equal(narrow, expected)
+        # out aliasing the input, on a strided view
+        alias = a.copy()
+        mod(alias[::2], m, out=alias[::2])
+        assert np.array_equal(alias[::2], expected[::2])
+        assert np.array_equal(alias[1::2], a[1::2])
+
+
+def test_mod_of_negatives_and_0d_operands():
+    a = np.arange(-1000, 1000, dtype=np.int64)
+    for m in (1, 3, 10, 625):
+        assert np.array_equal(mod(a, m), np.remainder(a, m))
+        assert (mod(a, m) >= 0).all()
+        quot, rem = floor_divmod(a, m)
+        assert np.array_equal(quot, np.floor_divide(a, m))
+        assert np.array_equal(quot * m + rem, a)
+    for x in (np.array(-7), np.int64(-7), np.array(41, dtype=np.uint16), -7, 41):
+        assert np.ndim(mod(x, 5)) == 0 and mod(x, 5) == x % 5
+        assert floor_divmod(x, 5) == divmod(int(x), 5)
+    zero_d = np.array(-7)
+    assert mod(zero_d, 5, out=zero_d) is zero_d and zero_d == 3
