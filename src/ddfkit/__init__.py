@@ -16,7 +16,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import BudgetError, ProfileCheckError
 from .fields import Field, build_field
-from .galois_ring import GaloisRing, UnitDecomposition, build_ring
+from .arith import wieferich
+from .galois_ring import GaloisRing, build_ring
 from .families import (DifferenceFamily, ValidationReport, davis_family,
                        feng_families, furino_family, load_family, save_family,
                        squares_family, validate_ddf, wilson_family)
@@ -28,14 +29,13 @@ from .cyclotomy import (CyclotomicTable, check_sum_relation,
                         cyclotomic_table, dickson_counts, unknown_quadruples)
 from .certify import (BoundReport, ComparisonResult, CosetCountReport,
                       GateReport, bound_report, certificate, compare_designs,
-                      gate, sn_coset_counts, wieferich,
-                      wilson_half_profile_closed_form,
+                      gate, sn_coset_counts, wilson_half_profile_closed_form,
                       wilson_profile_closed_form)
 
 __all__ = [
     "BudgetError", "ProfileCheckError",
     "Field", "build_field",
-    "GaloisRing", "UnitDecomposition", "build_ring",
+    "GaloisRing", "build_ring",
     "DifferenceFamily", "ValidationReport", "davis_family", "feng_families",
     "furino_family", "load_family", "save_family", "squares_family",
     "validate_ddf", "wilson_family",

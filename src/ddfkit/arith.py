@@ -39,6 +39,13 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not a prime")
 
 
+def wieferich(p: int) -> bool:
+    """Exact test of 2^(p-1) = 1 (mod p^2), which holds exactly when 2 lies
+    in the Teichmüller group of GR(p^2, r); requires prime p."""
+    check_prime(p)
+    return pow(2, p - 1, p * p) == 1
+
+
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending."""
     out = []

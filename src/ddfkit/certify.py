@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import check_prime
+from .arith import wieferich
 from .cyclotomy import order_two_numbers
 from .designs import IntersectionProfile, check_profile, profile_via_differences
 from .families import DifferenceFamily
@@ -63,14 +63,8 @@ def wilson_half_profile_closed_form(p: int, r: int) -> IntersectionProfile:
 
 
 # ---------------------------------------------------------------------------
-# Wieferich test and applicability gate
+# applicability gate
 # ---------------------------------------------------------------------------
-
-def wieferich(p: int) -> bool:
-    """Exact test of 2^(p-1) = 1 (mod p^2); requires prime p."""
-    check_prime(p)
-    return pow(2, p - 1, p * p) == 1
-
 
 @dataclass(frozen=True)
 class GateReport:

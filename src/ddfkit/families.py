@@ -106,7 +106,7 @@ def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     accumulator entries, packed straight into their rows.
     """
     g, size = ring.group, ring.teich_size
-    teich = g.digit_matrix(np.array(ring.teichmuller, dtype=np.int64))
+    teich = g.digit_matrix(ring.teichmuller)
     # 1 + p*alpha: the digits of p*alpha are multiples of p, so adding 1 never carries
     principal = 1 + g.pack_digits(teich * ring.p)
     basis = g.base ** np.arange(g.digits, dtype=np.int64)

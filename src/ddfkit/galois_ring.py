@@ -10,16 +10,25 @@ which also checks xi^(p^r - 1) = 1.  Construction then checks that T is
 distinct, that it maps bijectively onto the residue field, and that xi
 times each listed power is the next, the last wrapping to 1, by one ring
 product over the whole array: so every t in T has t^{p^r} = t.
+
+A ring keeps T once, as the array `teichmuller`.  As `residue_exp` holds
+-1 at residue 0, the lift of a packed mod-p residue s to T is
+teichmuller[1 + residue_exp[s]], which is 0 at s = 0.  The decompositions
+are lifts on arrays: a = a0 + p*a1 lifts a and (a - a0)/p, and
+u = xi^e * (1 + p*a1) reads e from residue_exp and lifts
+(u * xi^(-e) - 1)/p.  Each takes a scalar or an array, and raises
+ValueError for an entry outside [0, order).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import check_prime
+from .arith import check_prime, wieferich
 from .errors import BudgetError
 from .fields import (TABLE_CACHE_SIZE, _exp_table, least_primitive_poly, poly_mulmod,
                      poly_powmod)
@@ -33,14 +42,6 @@ TWO_NOT_IN_T = "not-in-T*"
 
 
 @dataclass(frozen=True)
-class UnitDecomposition:
-    """u = teich_part * (1 + p * principal_part), both parts in T."""
-
-    teich_part: int
-    principal_part: int
-
-
-@dataclass(frozen=True)
 class GaloisRing:
     p: int
     r: int
@@ -49,11 +50,10 @@ class GaloisRing:
     modulus: tuple[int, ...]  # monic over Z_{p^2}, low degree first
     group: AdditiveGroup
     xi: int
-    teichmuller: tuple[int, ...] = dfield(repr=False)  # [0, 1, xi, xi^2, ...]
-    teich_log: dict = dfield(repr=False)  # unit t -> exponent of xi
-    _teich_by_residue: dict = dfield(repr=False)  # mod-p residue digits -> t
-    # int32, indexed by mod-p residue: the exponent of xi of the element of
-    # T with that residue, -1 at residue 0
+    # read-only int64 (0, 1, xi, xi^2, ..., xi^(p^r - 2))
+    teichmuller: np.ndarray = dfield(repr=False, compare=False)
+    # read-only int32, indexed by mod-p residue: the exponent of xi of the
+    # element of T with that residue, -1 at residue 0
     residue_exp: np.ndarray = dfield(repr=False, compare=False)
 
     # -- multiplicative ops (add and sub are the group's) ------------------
@@ -86,9 +86,9 @@ class GaloisRing:
         g = self.group
         return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.char))
 
-    def _residues(self, a) -> np.ndarray:
-        """Images in the residue field F_{p^r}, packed base p, of an array:
-        the sum of (digit l mod p) * p^l, one pass per digit."""
+    def residue(self, a) -> np.ndarray:
+        """Images in the residue field F_{p^r}, packed base p, of a scalar or
+        an array: the sum of (digit l mod p) * p^l, one pass per digit."""
         a = np.asarray(a, dtype=np.int64)
         out = mod(a, self.p)
         for ell in range(1, self.r):
@@ -98,60 +98,52 @@ class GaloisRing:
     def is_unit(self, a: int) -> bool:
         return any(d % self.p for d in self.group.unpack(a))
 
-    def residue(self, a: int) -> int:
-        """Image in the residue field F_{p^r}, packed base p."""
-        out, m = 0, 1
-        for d in self.group.unpack(a):
-            out += (d % self.p) * m
-            m *= self.p
-        return out
-
     # -- Teichmüller structure --------------------------------------------
     @property
     def teich_size(self) -> int:
         return self.p ** self.r
 
-    def p_adic(self, a: int) -> tuple[int, int]:
-        """The unique (a0, a1) in T x T with a = a0 + p*a1."""
-        a0 = self._teich_by_residue[self.residue(a)]
-        rest = self.group.sub(a, a0)
-        a1 = self._teich_by_residue[self._divide_ideal(rest)]
-        return a0, a1
+    def _elements(self, a) -> np.ndarray:
+        """a as an int64 array, or ValueError unless every entry lies in
+        [0, order), checked before the cast so a wide int cannot wrap."""
+        a = np.asarray(a)
+        if a.size and (a.min() < 0 or a.max() >= self.order):
+            raise ValueError(f"ring elements must lie in [0, {self.order})")
+        return a.astype(np.int64, copy=False)
 
-    def unit_decompose(self, u: int) -> UnitDecomposition:
-        """The unique a0 in T*, a1 in T with u = a0 * (1 + p*a1)."""
-        a0 = self._teich_by_residue[self.residue(u)]
-        if a0 == 0:
-            raise ValueError(f"{u} lies in the maximal ideal; not a unit")
-        inv0 = self.teich_inverse(a0)
-        w = self.mul(u, inv0)  # = 1 + p*a1
-        a1 = self._teich_by_residue[self._divide_ideal(self.group.sub(w, 1))]
-        if self.mul(a0, self.group.add(1, self.scalar_p(a1))) != u:
-            raise AssertionError("unit decomposition reconstruction failed")
-        return UnitDecomposition(teich_part=a0, principal_part=a1)
+    def _unit_exps(self, u) -> np.ndarray:
+        """Per unit u: the exponent e with u = xi^e * (1 + p*a), the entry of
+        residue_exp at u's residue; ValueError if an entry is not a unit."""
+        exps = self.residue_exp[self.residue(self._elements(u))]
+        if (exps < 0).any():
+            raise ValueError("entry lies in the maximal ideal pR; not a unit")
+        return exps
 
-    def teich_inverse(self, t: int) -> int:
-        e = self.teich_log[t]
-        return self.teichmuller[1 + (-e) % (self.teich_size - 1)]
+    def _lift(self, a) -> np.ndarray:
+        """Per entry of a: the element of T congruent to it mod p, by the lift."""
+        return self.teichmuller[1 + self.residue_exp[self.residue(a)]]
 
-    def scalar_p(self, a: int) -> int:
-        """p * a; stays exact in the packed base-p^2 digits."""
-        digs = [d * self.p % self.char for d in self.group.unpack(a)]
-        return self.group.pack(digs)
+    def p_adic(self, a):
+        """The unique (a0, a1) in T x T with a = a0 + p*a1, entrywise.
 
-    def _divide_ideal(self, m: int) -> int:
-        """For m in pR, the mod-p residue of any b with p*b = m."""
-        out, mult = 0, 1
-        for d in self.group.unpack(m):
-            if d % self.p:
-                raise ValueError("element not in the maximal ideal")
-            out += (d // self.p) * mult
-            mult *= self.p
-        return out
+        a - a0 lies in pR, with digits p times those of a1 mod p, so
+        (a - a0) // p packs a1's residue digits base p^2.
+        """
+        a = self._elements(a)
+        a0 = self._lift(a)
+        return a0[()], self._lift(self.group.sub_arrays(a, a0) // self.p)[()]
+
+    def unit_decompose(self, u):
+        """The unique a0 in T*, a1 in T with u = a0 * (1 + p*a1), entrywise;
+        a0^-1 = xi^(-e) for a0 = xi^e."""
+        exps = self._unit_exps(u)
+        inv0 = self.teichmuller[1 + mod(-exps, self.teich_size - 1)]
+        w = self.mul_arrays(u, inv0)  # 1 + p*a1: digit 0 is at least 1, so w - 1 never borrows
+        return self.teichmuller[1 + exps][()], self._lift((w - 1) // self.p)[()]
 
     # -- squares ----------------------------------------------------------
-    def square_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(squares, non-squares) of T*: even and odd powers of xi.
+    def square_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(squares, non-squares) of T*, each sorted: even and odd powers of xi.
 
         Requires odd p and p^r >= 5.  The labels are canonical up to the
         documented modulus choice, since xi reduces to a primitive element
@@ -162,34 +154,29 @@ class GaloisRing:
         if self.teich_size < 5:
             raise ValueError("square split requires p^r >= 5")
         units = self.teichmuller[1:]
-        squares = tuple(sorted(units[t] for t in range(0, len(units), 2)))
-        non_squares = tuple(sorted(units[t] for t in range(1, len(units), 2)))
-        return squares, non_squares
+        return np.sort(units[0::2]), np.sort(units[1::2])
 
     def coset_parity(self, units) -> np.ndarray:
         """Per unit u = xi^e * (1 + p*a): e mod 2, 0 for a square coset of T_S*.
 
-        xi^e is the element of T with u's residue mod p, so e is a lookup in
-        residue_exp.  Raises ValueError if any entry is not a unit.
+        Raises ValueError if any entry is not a unit.
         """
-        exps = self.residue_exp[self._residues(units)]
-        if (exps < 0).any():
-            raise ValueError("coset parity is defined for units only")
-        return mod(exps, 2)
+        return mod(self._unit_exps(units), 2)
 
     def two_in_teichmuller(self) -> str:
         """Classify the ring element 2 relative to the Teichmüller group.
 
-        2 lies in T* exactly when 2^(p-1) = 1 (mod p^2), i.e. when p is a
-        Wieferich prime; membership does not depend on r.
+        2 lies in T* exactly when p is a Wieferich prime; membership does
+        not depend on r.  Its parity is that of residue_exp at 2's residue.
         """
         if self.p == 2:
             raise ValueError("classification of 2 requires odd p")
-        if pow(2, self.p - 1, self.char) != 1:
+        if not wieferich(self.p):
             return TWO_NOT_IN_T
-        if 2 not in self.teich_log:
-            raise AssertionError("2 passed the membership test but is not in T*")
-        return TWO_SQUARE if self.teich_log[2] % 2 == 0 else TWO_NONSQUARE
+        e = self.residue_exp[self.residue(2)]
+        if self.teichmuller[1 + e] != 2:
+            raise AssertionError("2 passed the Wieferich test but is not in T*")
+        return TWO_SQUARE if e % 2 == 0 else TWO_NONSQUARE
 
 
 def check_ring_order(p: int, r: int) -> int:
@@ -214,8 +201,8 @@ def build_ring(p: int, r: int) -> GaloisRing:
     group = ring_group(p, r)
 
     proto = GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,
-                       group=group, xi=0, teichmuller=(), teich_log={},
-                       _teich_by_residue={}, residue_exp=np.empty(0, dtype=np.int32))
+                       group=group, xi=0, teichmuller=np.empty(0, dtype=np.int64),
+                       residue_exp=np.empty(0, dtype=np.int32))
     # residue class a of x, then one Frobenius power lifts it into T
     if r >= 2:
         a = group.pack([0, 1] + [0] * (r - 2))
@@ -224,16 +211,10 @@ def build_ring(p: int, r: int) -> GaloisRing:
     xi = proto.pow(a, p ** r)
 
     teich = _teichmuller_set(proto, xi)
-    residues = proto._residues(teich)
     residue_exp = np.full(teich.size, -1, dtype=np.int32)
-    residue_exp[residues[1:]] = np.arange(teich.size - 1)
-    residue_exp.flags.writeable = False  # the cached ring is shared
-    residues, teich = residues.tolist(), teich.tolist()
-    return GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,
-                      group=group, xi=xi, teichmuller=tuple(teich),
-                      teich_log=dict(zip(teich[1:], range(len(teich) - 1))),
-                      _teich_by_residue=dict(zip(residues, teich)),
-                      residue_exp=residue_exp)
+    residue_exp[proto.residue(teich[1:])] = np.arange(teich.size - 1)
+    teich.flags.writeable = residue_exp.flags.writeable = False  # the cached ring is shared
+    return dataclasses.replace(proto, xi=xi, teichmuller=teich, residue_exp=residue_exp)
 
 
 def _teichmuller_set(ring: GaloisRing, xi: int) -> np.ndarray:
@@ -263,7 +244,7 @@ def _check_teichmuller(ring: GaloisRing, teich: np.ndarray) -> None:
     ascending = np.sort(teich)
     if teich.size != size or (ascending[1:] == ascending[:-1]).any():
         raise AssertionError("Teichmüller elements are not distinct")
-    if (np.bincount(ring._residues(teich), minlength=size) != 1).any():
+    if (np.bincount(ring.residue(teich), minlength=size) != 1).any():
         raise AssertionError("Teichmüller set does not map bijectively mod p")
     if teich[0] != 0 or teich[1] != 1:
         raise AssertionError("Teichmüller set does not start 0, 1")

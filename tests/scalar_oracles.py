@@ -1,6 +1,7 @@
 """Scalar reference tests the suite checks the library against: a numpy
-sieve of primes, Rabin's irreducibility test and the order of x by
-per-polynomial square-and-multiply (ddfkit.fields.poly_powmod)."""
+sieve of primes, Rabin's irreducibility test, the order of x by
+per-polynomial square-and-multiply (ddfkit.fields.poly_powmod), and the
+p-adic and unit decompositions of a Galois ring by scalar products."""
 
 import numpy as np
 
@@ -56,3 +57,23 @@ def is_primitive(f: list[int], p: int) -> bool:
         root = (-f[0]) % p
         return root != 0 and multiplicative_order(root, p, p - 1) == p - 1
     return is_irreducible(f, p) and x_generates(f, p)
+
+
+def ring_decompositions(ring, teich: list[int]) -> tuple[dict, dict]:
+    """Every a = a0 + p*a1 and every unit u = xi^e * (1 + p*a1) of the ring,
+    over all a0, a1 in T = teich = [0, 1, xi, xi^2, ...], by the scalar
+    GaloisRing.mul and group.add alone: the maps a -> (a0, a1) and
+    u -> (xi^e, a1, e).  Each must reach every element, or every unit,
+    exactly once."""
+    g, p = ring.group, ring.p
+    p_adic, units = {}, {}
+    for a1 in teich:
+        p_a1 = ring.mul(p, a1)
+        principal = g.add(1, p_a1)
+        for a0 in teich:
+            p_adic[g.add(a0, p_a1)] = (a0, a1)
+        for e, a0 in enumerate(teich[1:]):
+            units[ring.mul(a0, principal)] = (a0, a1, e)
+    assert len(p_adic) == ring.order
+    assert len(units) == ring.order - ring.order // len(teich)  # all but pR
+    return p_adic, units

@@ -13,8 +13,9 @@ from ddfkit import (bound_report, build_field, build_ring, certificate,
                     profile_via_differences, sn_coset_counts, squares_family,
                     wieferich, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
+from ddfkit import arith, certify
 from ddfkit.arith import factorize
-from scalar_oracles import primes_below
+from scalar_oracles import primes_below, ring_decompositions
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,8 @@ def test_wieferich():
     assert pow(2, 4, 25) == 16
     with pytest.raises(ValueError):
         wieferich(1094)
+    # one test, importable from the package, arith and certify
+    assert wieferich is arith.wieferich is certify.wieferich
 
 
 def test_wieferich_below_small():
@@ -172,21 +175,24 @@ def _difference_counter(ring, left, right):
     return counts
 
 
-def _parity(ring, u):
-    """Scalar reference: parity of the Teichmüller part of the unit u."""
-    return ring.teich_log[ring.unit_decompose(u).teich_part] % 2
+def _parities(ring):
+    """Scalar reference: each unit u = xi^e * (1 + p*a) -> e mod 2, the
+    parity of its Teichmüller part, from scalar ring products."""
+    _, units = ring_decompositions(ring, ring.teichmuller.tolist())
+    return {u: e % 2 for u, (_, _, e) in units.items()}
 
 
 def _reference_reports(ring):
     """Per-element tallies and in-scope multiplicities, as sn_coset_counts and
     bound_report define them."""
-    squares, non_squares = ring.square_split()
+    squares, non_squares = (part.tolist() for part in ring.square_split())
     size = len(squares)
+    parity = _parities(ring)
 
     def tally(counts):
         by_parity = [0, 0]
         for d, n in counts.items():
-            by_parity[_parity(ring, d)] += n
+            by_parity[parity[d]] += n
         assert by_parity[0] % size == by_parity[1] % size == 0
         return by_parity[0] // size, by_parity[1] // size
 
@@ -197,7 +203,7 @@ def _reference_reports(ring):
     counts = delta if t % 4 == 1 else cross
     outside = {d: n for d, n in counts.items() if d not in two_coset}
     in_scope = {d: n for d, n in outside.items()
-                if t % 4 == 3 or _parity(ring, d) == 0}
+                if t % 4 == 3 or parity[d] == 0}
     lemma_lower_ok = all(n > 1 for n in outside.values())
     return tally(delta), tally(cross), in_scope, lemma_lower_ok
 
@@ -228,11 +234,11 @@ def test_tallies_and_bounds_match_scalar_reference():
 def test_difference_counts_leaves_out_equal_pairs():
     ring = build_ring(5, 2)
     squares, non_squares = ring.square_split()
-    left = squares + non_squares[:3]
+    left = np.concatenate((squares, non_squares[:3]))
     counts = ring.group.difference_counts(left, squares)
     assert counts.shape == (ring.order,) and counts[0] == 0
     assert counts.sum() == len(left) * len(squares) - len(squares)
-    expected = _difference_counter(ring, left, squares)
+    expected = _difference_counter(ring, left.tolist(), squares.tolist())
     assert {int(d): int(counts[d]) for d in np.flatnonzero(counts)} == expected
 
 
@@ -297,8 +303,8 @@ def test_failure_mode_at_19():
     # separate the designs there
     ring = build_ring(19, 1)
     squares, non_squares = ring.square_split()
-    p_sq = [ring.scalar_p(t) for t in squares]
-    p_nsq = [ring.scalar_p(t) for t in non_squares]
+    p_sq = [ring.mul(19, t) for t in squares.tolist()]
+    p_nsq = [ring.mul(19, t) for t in non_squares.tolist()]
     counts = Counter(ring.group.sub(a, b) for a in p_sq for b in p_nsq)
     assert {counts[x] for x in p_nsq} == {(19 + 1) // 4}
     assert {counts[x] for x in p_sq} == {(19 - 3) // 4}

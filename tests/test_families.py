@@ -135,11 +135,11 @@ def scalar_cyclotomic_blocks(field, e):
 def scalar_coset_blocks(ring, parts):
     """(1 + p*alpha)*part for alpha in T order, then p*part, by ring.mul."""
     blocks = []
-    for part in parts:
-        for alpha in ring.teichmuller:
-            u = ring.group.add(1, ring.scalar_p(alpha))
+    for part in (part.tolist() for part in parts):
+        for alpha in ring.teichmuller.tolist():
+            u = ring.group.add(1, ring.mul(ring.p, alpha))
             blocks.append(tuple(sorted(ring.mul(u, x) for x in part)))
-        blocks.append(tuple(sorted(ring.scalar_p(x) for x in part)))
+        blocks.append(tuple(sorted(ring.mul(ring.p, x) for x in part)))
     return tuple(blocks)
 
 

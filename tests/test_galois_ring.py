@@ -1,5 +1,7 @@
 """Galois ring structure: Teichmüller set, decompositions, square split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ddfkit.arith import is_prime
 from ddfkit.fields import TABLE_CACHE_SIZE, least_primitive_poly
 from ddfkit.galois_ring import (TWO_NONSQUARE, TWO_NOT_IN_T, TWO_SQUARE,
                                 _check_teichmuller, _teichmuller_set)
-from scalar_oracles import is_irreducible
+from scalar_oracles import is_irreducible, ring_decompositions
 
 
 def test_build_ring_z25():
@@ -16,13 +18,13 @@ def test_build_ring_z25():
     expected = sorted(t for t in range(25) if pow(t, 5, 25) == t)
     assert expected == [0, 1, 7, 18, 24]
     ring = build_ring(5, 1)
-    assert sorted(ring.teichmuller) == expected
+    assert sorted(ring.teichmuller.tolist()) == expected
 
 
 def test_build_ring_z9():
     expected = sorted(t for t in range(9) if pow(t, 3, 9) == t)
     assert expected == [0, 1, 8]
-    assert sorted(build_ring(3, 1).teichmuller) == expected
+    assert sorted(build_ring(3, 1).teichmuller.tolist()) == expected
 
 
 def test_build_ring_25_2():
@@ -42,64 +44,76 @@ def test_padic_examples():
     assert z25.p_adic(0) == (0, 0)
     z9 = build_ring(3, 1)
     assert z9.p_adic(5) == (8, 8)  # 5 = 8 + 3*8 (mod 9)
+    a0, a1 = z25.p_adic(np.array([[12, 0], [7, 24]]))
+    assert a0.tolist() == [[7, 0], [7, 24]] and a1.tolist() == [[1, 0], [0, 0]]
+
+
+# every odd prime power t <= 49: the rings whose T the scalar power loop checks
+SMALL_RINGS = [(p, r) for p in range(3, 50, 2) if is_prime(p)
+               for r in range(1, 4) if p ** r <= 49]
 
 
 def test_padic_roundtrip_and_uniqueness():
-    for p, r in [(5, 1), (3, 1), (5, 2), (3, 2)]:
+    # against every a0 + p*a1 by scalar products, on every element at once
+    for p, r in SMALL_RINGS:
         ring = build_ring(p, r)
-        teich = set(ring.teichmuller)
-        seen = set()
-        for a in range(ring.order):
-            a0, a1 = ring.p_adic(a)
-            assert a0 in teich and a1 in teich
-            assert ring.group.add(a0, ring.scalar_p(a1)) == a
-            seen.add((a0, a1))
-        assert len(seen) == ring.order
+        expected, _ = ring_decompositions(ring, scalar_teichmuller(ring)[1])
+        a0, a1 = ring.p_adic(np.arange(ring.order))
+        assert list(zip(a0.tolist(), a1.tolist())) == [expected[a] for a in range(ring.order)]
 
 
 def test_unit_decompose_examples():
     z25 = build_ring(5, 1)
-    d = z25.unit_decompose(6)
-    assert (d.teich_part, d.principal_part) == (1, 1)  # 6 = 1 * (1 + 5)
-    d = z25.unit_decompose(7)
-    assert (d.teich_part, d.principal_part) == (7, 0)  # already Teichmüller
+    assert z25.unit_decompose(6) == (1, 1)  # 6 = 1 * (1 + 5)
+    assert z25.unit_decompose(7) == (7, 0)  # already Teichmüller
     z9 = build_ring(3, 1)
-    d = z9.unit_decompose(4)
-    assert (d.teich_part, d.principal_part) == (1, 1)  # 4 = 1 + 3
+    assert z9.unit_decompose(4) == (1, 1)  # 4 = 1 + 3
+    a0, a1 = z25.unit_decompose(np.array([6, 7]))
+    assert a0.tolist() == [1, 7] and a1.tolist() == [1, 0]
 
 
 def test_unit_decompose_all_units():
-    for p, r in [(5, 1), (3, 2), (7, 1)]:
+    # against every xi^e * (1 + p*a1) by scalar products, on every unit at once
+    for p, r in SMALL_RINGS:
         ring = build_ring(p, r)
-        for u in range(ring.order):
-            if not ring.is_unit(u):
-                continue
-            d = ring.unit_decompose(u)
-            rebuilt = ring.mul(d.teich_part,
-                               ring.group.add(1, ring.scalar_p(d.principal_part)))
-            assert rebuilt == u
+        _, expected = ring_decompositions(ring, scalar_teichmuller(ring)[1])
+        units = np.array(sorted(expected))
+        a0, a1 = ring.unit_decompose(units)
+        assert list(zip(a0.tolist(), a1.tolist())) == [expected[u][:2] for u in units.tolist()]
 
 
 def test_unit_decompose_rejects_ideal():
     ring = build_ring(5, 1)
-    with pytest.raises(ValueError):
-        ring.unit_decompose(5)
-    with pytest.raises(ValueError):
-        ring.unit_decompose(0)
+    for non_unit in (5, 0, np.array([6, 7, 10])):
+        with pytest.raises(ValueError, match="not a unit"):
+            ring.unit_decompose(non_unit)
+
+
+@pytest.mark.parametrize("method", ["p_adic", "unit_decompose", "coset_parity"])
+@pytest.mark.parametrize("bad", [25, 27, -1, -23, 2 ** 64 + 2])
+def test_decompositions_reject_out_of_range(method, bad):
+    # on Z_25, 27 would read as 2 and -23 as 2 (mod 25) without the check;
+    # 2^64 + 2 does not fit int64
+    ring = build_ring(5, 1)
+    for a in (bad, np.array([6, bad])):
+        with pytest.raises(ValueError, match="must lie in"):
+            getattr(ring, method)(a)
 
 
 def test_square_split_z25():
     ring = build_ring(5, 1)
     squares, non_squares = ring.square_split()
-    assert set(squares) == {1, 24}
-    assert set(non_squares) == {7, 18}
+    assert squares.dtype == non_squares.dtype == np.int64
+    assert squares.tolist() == [1, 24]
+    assert non_squares.tolist() == [7, 18]
 
 
 def test_square_split_structure():
     for p, r in [(5, 1), (7, 1), (3, 2), (5, 2), (11, 1)]:
         ring = build_ring(p, r)
         t = ring.teich_size
-        squares, non_squares = ring.square_split()
+        squares, non_squares = (part.tolist() for part in ring.square_split())
+        assert squares == sorted(squares) and non_squares == sorted(non_squares)
         assert len(squares) == len(non_squares) == (t - 1) // 2
         sq = set(squares)
         for a in squares:  # subgroup closure
@@ -137,11 +151,22 @@ def test_two_classification():
     assert build_ring(3511, 1).two_in_teichmuller() in (TWO_SQUARE, TWO_NONSQUARE)
 
 
+def test_two_classification_checks_the_lift():
+    # a ring whose T lists 2's residue with another lift: the Wieferich test
+    # passes, but the lift of 2's residue is not 2
+    ring = build_ring(1093, 1)
+    teich = ring.teichmuller.copy()
+    teich[teich == 2] = 2 + 1093
+    with pytest.raises(AssertionError, match="not in T"):
+        dataclasses.replace(ring, teichmuller=teich).two_in_teichmuller()
+
+
 def test_reduction_mod_p_bijection():
     for p, r in [(5, 1), (5, 2), (3, 2), (7, 1)]:
         ring = build_ring(p, r)
-        residues = {ring.residue(t) for t in ring.teichmuller}
-        assert len(residues) == ring.teich_size
+        residues = ring.residue(ring.teichmuller)
+        assert sorted(residues.tolist()) == list(range(ring.teich_size))
+        assert [ring.residue(t) for t in ring.teichmuller.tolist()] == residues.tolist()
 
 
 def test_modulus_reduces_irreducibly():
@@ -155,11 +180,12 @@ def test_principal_unit_product_identity():
     # (1 + p*a)(1 + p*b) = 1 + p*(a + b), exhaustively for p^r <= 49
     for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3), (7, 2)]:
         ring = build_ring(p, r)
-        for a in ring.teichmuller:
-            ua = ring.group.add(1, ring.scalar_p(a))
-            for b in ring.teichmuller:
-                lhs = ring.mul(ua, ring.group.add(1, ring.scalar_p(b)))
-                rhs = ring.group.add(1, ring.scalar_p(ring.group.add(a, b)))
+        teich = ring.teichmuller.tolist()
+        for a in teich:
+            ua = ring.group.add(1, ring.mul(p, a))
+            for b in teich:
+                lhs = ring.mul(ua, ring.group.add(1, ring.mul(p, b)))
+                rhs = ring.group.add(1, ring.mul(p, ring.group.add(a, b)))
                 assert lhs == rhs
 
 
@@ -168,7 +194,7 @@ def test_sixth_roots_sum_to_zero():
         ring = build_ring(p, r)
         t = ring.teich_size
         assert (t - 1) % 6 == 0
-        roots = [u for u in ring.teichmuller[1:] if ring.pow(u, 6) == 1]
+        roots = [u for u in ring.teichmuller[1:].tolist() if ring.pow(u, 6) == 1]
         assert len(roots) == 6
         total = 0
         for u in roots:
@@ -183,7 +209,7 @@ def test_one_in_difference_sets_mod12():
                  (23, 1), (5, 2), (3, 3), (31, 1), (37, 1), (7, 2)]:
         ring = build_ring(p, r)
         t = ring.teich_size
-        squares, non_squares = ring.square_split()
+        squares, non_squares = (part.tolist() for part in ring.square_split())
         delta = {ring.group.sub(a, b) for a in squares for b in squares if a != b}
         cross = {ring.group.sub(a, b) for a in non_squares for b in squares}
         assert (1 in delta) == (t % 12 == 1)
@@ -205,11 +231,11 @@ def test_coset_parity_array_matches_per_element_calls():
         units = np.array([u for u in range(ring.order) if ring.is_unit(u)])
         parity = ring.coset_parity(units)
         assert parity.tolist() == [int(ring.coset_parity(int(u))) for u in units]
-        # u = t * (1 + p*a) is in a square coset exactly when t = xi^even
-        assert parity.tolist() == [
-            ring.teich_log[ring.unit_decompose(int(u)).teich_part] % 2 for u in units]
+        # u = xi^e * (1 + p*a) is in a square coset exactly when e is even
+        _, expected = ring_decompositions(ring, scalar_teichmuller(ring)[1])
+        assert parity.tolist() == [expected[u][2] % 2 for u in units.tolist()]
         assert parity.sum() * 2 == units.size
-        for non_unit in (0, p, ring.scalar_p(ring.xi)):
+        for non_unit in (0, p, ring.mul(p, ring.xi)):
             with pytest.raises(ValueError):
                 ring.coset_parity(non_unit)
             with pytest.raises(ValueError):
@@ -219,7 +245,7 @@ def test_coset_parity_array_matches_per_element_calls():
 def test_teichmuller_differences_are_units():
     for p, r in [(5, 1), (3, 2), (7, 1), (5, 2)]:
         ring = build_ring(p, r)
-        tstar = ring.teichmuller[1:]
+        tstar = ring.teichmuller[1:].tolist()
         for a in tstar:
             for b in tstar:
                 if a != b:
@@ -258,23 +284,26 @@ def scalar_teichmuller(ring):
         cur = ring.mul(cur, xi)
         teich.append(cur)
     assert ring.mul(cur, xi) == 1
-    return xi, tuple(teich)
+    return xi, teich
+
+
+def scalar_residue(ring, a):
+    """a's image in F_{p^r}, packed base p, from its scalar digits."""
+    return sum(d % ring.p * ring.p ** ell for ell, d in enumerate(ring.group.unpack(a)))
 
 
 def test_teichmuller_set_matches_scalar_power_loop():
-    cases = [(p, r) for p in range(3, 50, 2) if is_prime(p)
-             for r in range(1, 4) if p ** r <= 49]
-    assert len(cases) == 18  # every odd prime power up to 49
-    for p, r in cases:
+    assert len(SMALL_RINGS) == 18  # every odd prime power up to 49
+    for p, r in SMALL_RINGS:
         ring = build_ring(p, r)
         xi, teich = scalar_teichmuller(ring)
-        assert ring.xi == xi and ring.teichmuller == teich, (p, r)
-        assert ring.teich_log == {t: e for e, t in enumerate(teich[1:])}
-        assert ring._teich_by_residue == {ring.residue(t): t for t in teich}
-        assert all(type(t) is int for t in ring.teichmuller)
+        assert ring.xi == xi and ring.teichmuller.tolist() == teich, (p, r)
+        assert ring.teichmuller.dtype == np.int64
+        assert not ring.teichmuller.flags.writeable
         # residue -> exponent of xi of the element of T with that residue
         assert ring.residue_exp.dtype == np.int32
-        exps = {ring.residue(t): e for e, t in enumerate(teich[1:])}
+        assert not ring.residue_exp.flags.writeable
+        exps = {scalar_residue(ring, t): e for e, t in enumerate(teich[1:])}
         assert ring.residue_exp.tolist() == [exps.get(s, -1) for s in range(p ** r)]
 
 
@@ -284,7 +313,7 @@ def test_teichmuller_lists_with_wide_sums_take_one_step(p):
     # sums up to 3.97e9, and p = 8191 needs 64-bit sums; each listed power
     # times xi, by the digit convolution, is the next
     ring = build_ring(p, 1)
-    units = np.array(ring.teichmuller[1:])
+    units = ring.teichmuller[1:]
     assert np.array_equal(ring.mul_arrays(ring.xi, units), np.roll(units, -1))
     assert units[0] == 1 and len(set(units.tolist())) == p - 1
 
@@ -308,7 +337,7 @@ def test_build_ring_builds_no_field_tables():
 
 def test_teichmuller_checks_reject_bad_sets():
     ring = build_ring(5, 1)
-    assert ring.teichmuller == (0, 1, 18, 24, 7)
+    assert ring.teichmuller.tolist() == [0, 1, 18, 24, 7]
     # the residue class a = 23 of x, not lifted: a^4 = 16, not 1 (mod 25)
     with pytest.raises(AssertionError, match="order"):
         _teichmuller_set(ring, 23)
@@ -321,7 +350,7 @@ def test_teichmuller_checks_reject_bad_sets():
     # 23 = 18 (mod 5) replaces 18: distinct residues, but 23^5 = 18 (mod 25)
     with pytest.raises(AssertionError, match="failed for 23"):
         _check_teichmuller(ring, np.array([0, 1, 23, 24, 7]))
-    _check_teichmuller(ring, np.array(ring.teichmuller))
+    _check_teichmuller(ring, ring.teichmuller)
 
 
 def test_teichmuller_check_needs_the_last_power_to_wrap():

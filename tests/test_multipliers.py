@@ -54,7 +54,7 @@ def ring_unit_generators(g):
     if g.p ** g.ext < 3:
         return []
     ring = build_ring(g.p, g.ext)
-    units = [ring.xi] + [ring.group.add(1, ring.scalar_p(g.base ** i)) for i in range(ring.r)]
+    units = [ring.xi] + [ring.group.add(1, ring.mul(g.p, g.base ** i)) for i in range(ring.r)]
     return [partial(ring.mul, u) for u in units]
 
 
@@ -177,8 +177,8 @@ def test_feng_and_furino_orbits_match_labeller():
 
 def xi_fixed_family(ring):
     """The single block (1+p)T* of GR(p^2, r)."""
-    one_plus_p = ring.group.add(1, ring.scalar_p(1))
-    block = sorted(ring.mul(one_plus_p, x) for x in ring.teichmuller[1:])
+    one_plus_p = ring.group.add(1, ring.p)
+    block = sorted(ring.mul(one_plus_p, x) for x in ring.teichmuller[1:].tolist())
     return DifferenceFamily(group=ring.group, blocks=(block,), lam=0)
 
 
@@ -189,7 +189,7 @@ def test_block_fixed_by_xi_alone_gets_negation_orbits(p, r):
     ring = build_ring(p, r)
     fam = xi_fixed_family(ring)
     block = fam.block_array()[0].tolist()
-    one_plus_p = ring.group.add(1, ring.scalar_p(1))
+    one_plus_p = ring.group.add(1, ring.p)
     assert sorted(ring.mul(ring.xi, x) for x in block) == block
     assert sorted(ring.mul(one_plus_p, x) for x in block) != block
     fixed = 1 if p > 2 else 2 ** r  # the d with d = -d
