@@ -57,7 +57,7 @@ from math import comb
 import numpy as np
 
 from .errors import check_budget
-from .groups import floor_divmod
+from .groups import digit_columns
 
 # Gram multiply-adds, C(B+1, 2)*v/lanes: 12-14 s at 45-49 ps on one thread.
 GRAM_MULADD_BUDGET = 2 ** 38
@@ -171,11 +171,7 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     pows = base ** np.arange(digits, dtype=np.int64)
     pts = blocks.ravel()
     # row l: digit l of each block element x, in the narrowest dtype that holds it
-    pt_digits = np.empty((digits, pts.size), dtype=np.min_scalar_type(base - 1))
-    for lo in range(0, pts.size, _CHUNK):
-        rest = pts[lo:lo + _CHUNK]
-        for row in pt_digits[:, lo:lo + _CHUNK]:
-            rest = floor_divmod(rest, base, out=row)[0]
+    pt_digits = digit_columns(pts, base, digits)
     # column b of row i counts the x in D_i with x - d in no block; a row has
     # k elements and b + 1 cells, and a pass takes a strip of rows for one d,
     # or every row for a chunk of d values when the whole table fits

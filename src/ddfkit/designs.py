@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field as dfield
-from functools import partial
 from math import comb, gcd
 
 import numpy as np
@@ -44,7 +43,7 @@ from .errors import ProfileCheckError, check_budget
 from .families import DifferenceFamily, read_rows, rows_text_chunks
 from .fields import build_field
 from .galois_ring import build_ring
-from .groups import check_rows, floor_divmod, mod, point_dtype
+from .groups import check_rows, digit_columns, mod, point_dtype
 
 DEVELOP_ENTRY_BUDGET = 2 ** 24  # v*b*k entries of a developed block array
 DIFF_ELEMENT_BUDGET = 2 ** 30  # orbit reps * b*k shifted elements; ~20 s at 18 ns each
@@ -170,19 +169,19 @@ class Development:
         # per slice when m < n, a multiple of base^m below base^(m+1)
         chunk = _DEVELOP_CHUNK // (v * k) if m == n else 1
         span = low * max(1, _DEVELOP_CHUNK // (low * k))
-        # digit l on axis 1, in a dtype that holds the sum of two digits
+        # row l: digit l of each base block, in a dtype that holds the sum of two digits
         digit_dtype = np.min_scalar_type(2 * (base - 1))
-        block_digits = np.moveaxis(g.digit_matrix(blocks), -1, 1).astype(digit_dtype)
+        block_digits = digit_columns(blocks, base, n, digit_dtype).reshape(n, b, k)
         shifts = np.arange(base, dtype=digit_dtype)[:, None]
         for lo in range(0, b, chunk):
-            digits = block_digits[lo : lo + chunk]
+            digits = block_digits[:, lo : lo + chunk]
             # row g of sums[i] is D_(lo+i) + g for g < base^m: the outer sum
             # over l < m of the tables ((x_l + s) mod base)*base^l, s < base
             sums = None
             for ell in range(m):
-                table = _digit_rows(digits[:, ell, None, :], shifts, base, ell, dtype)
+                table = _digit_rows(digits[ell, :, None, :], shifts, base, ell, dtype)
                 sums = table if sums is None else \
-                    (table[:, :, None] + sums[:, None]).reshape(len(digits), -1, k)
+                    (table[:, :, None] + sums[:, None]).reshape(digits.shape[1], -1, k)
             if m == n:
                 sums.sort(axis=-1)
                 yield sums.reshape(-1, k)
@@ -193,7 +192,7 @@ class Development:
                 rows = None
                 for ell in range(m, n):
                     shift = mod(high // base ** ell, base).astype(digit_dtype)[:, None]
-                    part = _digit_rows(digits[0, ell], shift, base, ell, dtype)
+                    part = _digit_rows(digits[ell, 0], shift, base, ell, dtype)
                     rows = part if rows is None else np.add(rows, part, out=rows)
                 if sums is not None:
                     rows = np.add(rows[:, None], sums[0])
@@ -264,37 +263,40 @@ def _sorted_row_keys(rows: np.ndarray) -> np.ndarray:
     return np.sort(_row_keys(np.ascontiguousarray(rows)))
 
 
-def _image_keys(blocks: np.ndarray, image_of) -> np.ndarray:
-    """The images of the rows of a (b, k) block array under an elementwise
-    map, each image row sorted, as sorted byte strings to compare with
-    _sorted_row_keys(blocks).
+def _image_keys(group, matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The images of the rows of a (b, k) block array under the linear map
+    of a digit matrix (AdditiveGroup.linear_image), each image row sorted,
+    as sorted byte strings to compare with _sorted_row_keys(blocks).
 
-    image_of maps a slice of rows to an array of the same shape, in any
-    integer dtype.  The images are written _ORBIT_ENTRIES entries at a time
-    into one key array in the blocks' own dtype, as byte keys compare only
-    at one width, and that array is sorted in place once.
+    The images are written _ORBIT_ENTRIES entries at a time into one key
+    array in the blocks' own dtype, as byte keys compare only at one
+    width, and that array is sorted in place once.
     """
     image = np.empty(blocks.shape, dtype=blocks.dtype)
     rows = max(1, _ORBIT_ENTRIES // blocks.shape[1])
     for lo in range(0, blocks.shape[0], rows):
         part = image[lo : lo + rows]
-        part[...] = image_of(blocks[lo : lo + rows])
+        part[...] = group.linear_image(matrix, blocks[lo : lo + rows])
         part.sort(axis=1)
     keys = _row_keys(image)
     keys.sort()
     return keys
 
 
-def _maps_blocks_onto_themselves(blocks: np.ndarray, keys: np.ndarray, image_of) -> bool:
-    """Whether an elementwise map permutes the multiset of rows of a block
-    array whose _sorted_row_keys are `keys`: the sorted image rows, compared
-    as byte strings, are the rows.  The first row's image is looked up among
-    the keys first; only a hit is tried on every row.
+def _permuting(fam: DifferenceFamily, matrices):
+    """Yield, matrix by matrix, whether the linear map of each digit matrix
+    in `matrices` permutes the multiset of base blocks: the sorted image
+    rows, compared as byte strings, are the rows.  The first block's image
+    is looked up among the blocks' keys first; only a hit is tried on
+    every block.
     """
-    key = _image_keys(blocks[:1], image_of)
-    at = int(np.searchsorted(keys, key)[0])
-    return at < keys.size and keys[at] == key[0] and \
-        np.array_equal(_image_keys(blocks, image_of), keys)
+    g, blocks = fam.group, fam.block_array()
+    keys = _sorted_row_keys(blocks)
+    for matrix in matrices:
+        key = _image_keys(g, matrix, blocks[:1])
+        at = int(np.searchsorted(keys, key)[0])
+        yield at < keys.size and keys[at] == key[0] and \
+            np.array_equal(_image_keys(g, matrix, blocks), keys)
 
 
 def _has_repeated_rows(rows: np.ndarray) -> bool:
@@ -343,72 +345,34 @@ def profile_direct(design) -> IntersectionProfile:
     return IntersectionProfile({n: int(m) for n, m in enumerate(hist)})
 
 
-def _field_unit_map(field, j: int):
-    """The map x -> g^j * x, on arrays, for the field's primitive element g.
-
-    It is F_p-linear on digit vectors, so it is applied as a digit matrix
-    (see _linear_image), whose row l is g^j * x^l = g^(j+l), as g is the
-    class of x; for n = 1 the one row is g^j.  0 is fixed.
-    """
-    rows = field.exp[(j + np.arange(field.n)) % (field.q - 1)]
-    return partial(_linear_image, field.group, field.group.digit_matrix(rows))
-
-
 def _field_multiplier_step(fam: DifferenceFamily, field) -> int:
     """The least j0 > 0 for which g^j0 maps the multiset of base blocks onto
-    itself (see _maps_blocks_onto_themselves).
+    itself (see _permuting), g^j applied as Field.unit_matrix(j).
 
     The j that do form a subgroup of Z_(q-1), so j0 is its least divisor
     that does, and j = q-1, the identity, always does.  Most candidates
     fail on the first block alone.
     """
-    base = fam.block_array()
-    keys = _sorted_row_keys(base)
     *candidates, identity = divisors(field.q - 1)
-    for j in candidates:
-        if _maps_blocks_onto_themselves(base, keys, _field_unit_map(field, j)):
-            return j
-    return identity
-
-
-def _unit_maps(group) -> list:
-    """The maps x -> u*x, on arrays, for generators u of the unit group of
-    GR(p^2, r): xi and the principal units 1 + p*x^i, i < r, since
-    T*(1 + pR) is the unit group and (1 + p*a)(1 + p*c) = 1 + p*(a + c).
-    Each is Z_(p^2)-linear on digit vectors, so it is applied as the digit
-    matrix of u times the basis x^l (AdditiveGroup.map_columns).
-    """
-    ring = build_ring(group.p, group.ext)
-    basis = group.base ** np.arange(group.digits, dtype=np.int64)
-    units = [ring.xi] + [1 + ring.p * group.base ** i for i in range(ring.r)]
-    return [partial(_linear_image, group, group.digit_matrix(ring.mul_arrays(unit, basis)))
-            for unit in units]
-
-
-def _linear_image(group, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The images of an array of elements under the linear map whose rows
-    are the digits of the images of base^l, in point_dtype(order) and x's
-    shape.  The digit columns take one groups.floor_divmod per digit, the
-    residue straight into the narrowest dtype that holds a digit."""
-    cols = np.empty((group.digits, np.size(x)), dtype=np.min_scalar_type(group.base - 1))
-    rest = np.ravel(x)
-    for row in cols:
-        rest = floor_divmod(rest, group.base, out=row)[0]
-    return group.pack_columns(group.map_columns(matrix, cols)).reshape(np.shape(x))
+    found = _permuting(fam, field.unit_matrix(np.array(candidates, dtype=np.int64)))
+    return next((j for j, permutes in zip(candidates, found) if permutes), identity)
 
 
 def _units_permute_blocks(fam: DifferenceFamily) -> bool:
     """Whether every generator u of a ring's unit group maps the multiset of
-    base blocks onto itself (see _maps_blocks_onto_themselves).
+    base blocks onto itself (see _permuting), u applied as
+    GaloisRing.unit_matrix(u).  The generators are xi and the principal
+    units 1 + p*x^i, i < r, since T*(1 + pR) is the unit group and
+    (1 + p*a)(1 + p*c) = 1 + p*(a + c).
 
     The units of Z_4 are +-1, so negation alone already acts there.
     """
     g = fam.group
-    if g.p ** g.ext < 3:
+    if g.p ** g.digits < 3:
         return False
-    base = fam.block_array()
-    keys = _sorted_row_keys(base)
-    return all(_maps_blocks_onto_themselves(base, keys, image_of) for image_of in _unit_maps(g))
+    ring = build_ring(g.p, g.digits)
+    units = [ring.xi] + [1 + ring.p * g.base ** i for i in range(ring.r)]
+    return all(_permuting(fam, ring.unit_matrix(np.array(units, dtype=np.int64))))
 
 
 def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -434,9 +398,9 @@ def difference_orbits(fam: DifferenceFamily) -> tuple[np.ndarray, np.ndarray]:
     orbits, when orbits * b*k exceed DIFF_ELEMENT_BUDGET.
     """
     g = fam.group
-    v, t = g.order, g.p ** g.ext
+    v, t = g.order, g.p ** g.digits
     if g.kind == "field":
-        field = build_field(g.p, g.ext)
+        field = build_field(g.p, g.digits)
         j0 = _field_multiplier_step(fam, field)
         m = j0 if g.p == 2 else gcd(j0, (v - 1) // 2)
         count = 1 + m

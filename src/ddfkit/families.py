@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import _EXP_CHUNK, Field, check_field_order
 from .galois_ring import GaloisRing, check_ring_order
-from .groups import AdditiveGroup, check_rows, floor_divmod, group_for, point_dtype
+from .groups import AdditiveGroup, check_rows, digit_columns, floor_divmod, group_for, point_dtype
 
 FENG_INDEX_SETS = (
     (0, 2, 4, 6, 8, 10, 12),
@@ -100,28 +100,27 @@ def _teichmuller_coset_rows(ring, parts) -> np.ndarray:
     """Per part: the cosets (1 + p*alpha)*part for alpha in T order, then p*part.
 
     Rows come back sorted, in one (b, k) array in point_dtype(v).
-    Multiplication by a unit is the linear map of its digit matrix, so the
-    cosets of one part are the part's digit columns mapped by every unit at
-    once (AdditiveGroup.map_columns), in chunks of about _EXP_CHUNK
-    accumulator entries, packed straight into their rows.
+    Multiplication by a unit is the linear map of its digit matrix
+    (GaloisRing.unit_matrix), and x -> p*x that of p*I, so the rows of one
+    part are its digit columns (groups.digit_columns), unpacked once and
+    mapped by the stack of those matrices (AdditiveGroup.map_columns) in
+    chunks of about _EXP_CHUNK accumulator entries, packed straight into
+    their rows.
     """
     g, size = ring.group, ring.teich_size
-    teich = g.digit_matrix(ring.teichmuller)
+    times_p = ring.p * np.eye(g.digits, dtype=np.int64)
     # 1 + p*alpha: the digits of p*alpha are multiples of p, so adding 1 never carries
-    principal = 1 + g.pack_digits(teich * ring.p)
-    basis = g.base ** np.arange(g.digits, dtype=np.int64)
-    units = g.digit_matrix(ring.mul_arrays(principal[:, None], basis))
+    principal = 1 + g.linear_image(times_p, ring.teichmuller)
+    maps = np.concatenate((ring.unit_matrix(principal), times_p[None]))
     k = len(parts[0])
     rows = np.empty((len(parts) * (size + 1), k), dtype=point_dtype(g.order))
     chunk = max(1, _EXP_CHUNK // (g.digits * k))
     for i, part in enumerate(parts):
-        digits = g.digit_matrix(np.asarray(part, dtype=np.int64))
         top = i * (size + 1)
-        cols = digits.T.astype(np.min_scalar_type(g.base - 1))
-        for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            rows[top + lo : top + hi] = g.pack_columns(g.map_columns(units[lo:hi], cols))
-        rows[top + size] = g.pack_digits(digits * ring.p)
+        cols = digit_columns(part, g.base, g.digits)
+        for lo in range(0, size + 1, chunk):
+            hi = min(lo + chunk, size + 1)
+            rows[top + lo : top + hi] = g.pack_columns(g.map_columns(maps[lo:hi], cols))
     rows.sort(axis=1)
     return rows
 
@@ -176,7 +175,7 @@ def furino_family(ring: GaloisRing, subgroup, name: str = "furino") -> Differenc
     partition the nonzero elements and form a (v, |B|, |B|-1) disjoint
     difference family.
     """
-    sub = sorted(set(subgroup))
+    sub = sorted({int(a) for a in subgroup})  # Python ints: GaloisRing.mul is scalar
     if 1 not in sub:
         raise ValueError("subgroup must contain 1")
     for a in sub:
@@ -360,7 +359,7 @@ def load_family(path, kind: str, p: int) -> DifferenceFamily:
     v, k, lam, b = (int(x) for x in header)
     # the constructions' table budgets cap a loaded group too, before any
     # table of v entries is allocated
-    (check_field_order if group.kind == "field" else check_ring_order)(p, group.ext)
+    (check_field_order if group.kind == "field" else check_ring_order)(p, group.digits)
     fam = DifferenceFamily(group=group, blocks=read_rows(lines[1:], b, k), lam=lam,
                            name="imported")
     if lam * (v - 1) != b * k * (k - 1):

@@ -194,6 +194,13 @@ class Field:
         g = self.group
         return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.p))
 
+    def unit_matrix(self, j) -> np.ndarray:
+        """The (n, n) digit matrices of x -> g^j * x, broadcast over j: row l
+        is g^j * x^l = exp[(j + l) mod (q-1)], as the generator g is the
+        class of x (for n = 1 the one row is g^j)."""
+        rows = self.exp[(np.asarray(j)[..., None] + np.arange(self.n)) % (self.q - 1)]
+        return self.group.digit_matrix(rows)
+
     # -- cyclotomic cosets ------------------------------------------------
     def class_array(self, e: int) -> np.ndarray:
         """The e cosets of the e-th powers as an (e, f) array in exp's dtype,

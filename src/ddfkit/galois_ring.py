@@ -82,6 +82,12 @@ class GaloisRing:
             mod(part, psq, out=part)
         return g.pack_digits(res[..., :r])[()]  # a scalar for 0-d operands
 
+    def unit_matrix(self, u) -> np.ndarray:
+        """The (r, r) digit matrices of x -> u*x, broadcast over u: row l
+        holds the digits of u * x^l, by one mul_arrays against the basis."""
+        basis = self.char ** np.arange(self.r, dtype=np.int64)
+        return self.group.digit_matrix(self.mul_arrays(np.asarray(u)[..., None], basis))
+
     def pow(self, a: int, e: int) -> int:
         g = self.group
         return g.pack(poly_powmod(g.unpack(a), e, self.modulus, self.char))
@@ -220,13 +226,11 @@ def build_ring(p: int, r: int) -> GaloisRing:
 def _teichmuller_set(ring: GaloisRing, xi: int) -> np.ndarray:
     """T = (0, 1, xi, xi^2, ..., xi^(p^r - 2)) as an int64 array.
 
-    The powers are listed by doubling with xi's digit matrix (row i holds
-    the digits of xi * x^i), which raises AssertionError unless
+    The powers are listed by doubling with xi's digit matrix
+    (GaloisRing.unit_matrix), which raises AssertionError unless
     xi^(p^r - 1) = 1; T is then checked by _check_teichmuller.
     """
-    g = ring.group
-    step = g.digit_matrix(ring.mul_arrays(xi, g.base ** np.arange(ring.r, dtype=np.int64)))
-    teich = np.concatenate(([0], _exp_table(g, step, ring.teich_size)))
+    teich = np.concatenate(([0], _exp_table(ring.group, ring.unit_matrix(xi), ring.teich_size)))
     _check_teichmuller(ring, teich)
     return teich
 

@@ -83,6 +83,25 @@ def mod(a, m: int, out=None):
     return np.subtract(a, quot, out=out, casting="unsafe")
 
 
+_DIGIT_CHUNK = 1 << 16  # entries per pass of digit_columns: int64 quotients take 0.5 MB
+
+
+def digit_columns(x, base: int, digits: int, dtype=None) -> np.ndarray:
+    """The (digits, x.size) digit columns of encodings: row l is digit l of
+    each entry of x, flattened, in `dtype` (by default the narrowest that
+    holds base - 1).  One floor_divmod per digit, the quotient carried and
+    the residue written into its row, _DIGIT_CHUNK entries at a time."""
+    flat = np.ravel(x)
+    if dtype is None:
+        dtype = np.min_scalar_type(base - 1)
+    cols = np.empty((digits, flat.size), dtype=dtype)
+    for lo in range(0, flat.size, _DIGIT_CHUNK):
+        rest = flat[lo : lo + _DIGIT_CHUNK]
+        for row in cols[:, lo : lo + _DIGIT_CHUNK]:
+            rest = floor_divmod(rest, base, out=row)[0]
+    return cols
+
+
 @lru_cache(maxsize=None)
 def _powers(base: int, digits: int) -> np.ndarray:
     return base ** np.arange(digits, dtype=np.int64)
@@ -94,9 +113,8 @@ class AdditiveGroup:
 
     kind: str  # "field" or "ring"
     p: int
-    ext: int  # extension degree: n for fields, r for rings
     base: int  # p for fields, p^2 for rings
-    digits: int
+    digits: int  # the extension degree: n for fields, r for rings
     order: int
 
     # -- scalar element arithmetic -------------------------------------
@@ -177,6 +195,14 @@ class AdditiveGroup:
             packed += cols[..., ell, :]
         return packed
 
+    def linear_image(self, matrix: np.ndarray, x) -> np.ndarray:
+        """The images of an array of encodings under the linear maps of a
+        stack of digit matrices (see map_columns), in point_dtype(order)
+        and shape matrix.shape[:-2] + x.shape."""
+        cols = digit_columns(x, self.base, self.digits)
+        images = self.pack_columns(self.map_columns(matrix, cols))
+        return images.reshape(np.shape(matrix)[:-2] + np.shape(x))
+
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b, broadcast: the integer sum less base^(l+1) per carrying digit l."""
         a = np.asarray(a, dtype=np.int64)
@@ -209,11 +235,11 @@ class AdditiveGroup:
 
 
 def field_group(p: int, n: int) -> AdditiveGroup:
-    return AdditiveGroup("field", p, n, p, n, p ** n)
+    return AdditiveGroup("field", p, p, n, p ** n)
 
 
 def ring_group(p: int, r: int) -> AdditiveGroup:
-    return AdditiveGroup("ring", p, r, p * p, r, (p * p) ** r)
+    return AdditiveGroup("ring", p, p * p, r, (p * p) ** r)
 
 
 def group_for(kind: str, p: int, order: int) -> AdditiveGroup:
@@ -231,4 +257,4 @@ def group_for(kind: str, p: int, order: int) -> AdditiveGroup:
         digits += 1
     if m != order or digits == 0:
         raise ValueError(f"order {order} is not a power of {base}")
-    return AdditiveGroup(kind, p, digits, base, digits, order)
+    return AdditiveGroup(kind, p, base, digits, order)

@@ -232,6 +232,10 @@ def test_furino_cube_subgroup_gr49():
     fam = furino_family(ring, cubes)
     assert (fam.v, fam.k, fam.lam, fam.b) == (49, 2, 1, 24)
     assert_valid(fam)
+    # the same subgroup as an int64 slice of T, the ring's own array
+    sliced = ring.teichmuller[1::3]
+    assert sliced.tolist() == cubes
+    assert np.array_equal(furino_family(ring, sliced).block_array(), fam.block_array())
 
 
 def test_furino_rejects_nonunit_differences():
@@ -430,8 +434,8 @@ def test_family_prints_its_blocks():
 
     fam = DifferenceFamily(group=field_group(7, 1), blocks=((1, 2), (3, 5)), lam=1,
                            name="drawn")
-    text = ("DifferenceFamily(group=AdditiveGroup(kind='field', p=7, ext=1, base=7, "
-            "digits=1, order=7), blocks=[[1, 2], [3, 5]], lam=1, name='drawn')")
+    text = ("DifferenceFamily(group=AdditiveGroup(kind='field', p=7, base=7, digits=1, "
+            "order=7), blocks=[[1, 2], [3, 5]], lam=1, name='drawn')")
     assert repr(fam) == text
     assert pretty(fam) == text
     again = eval(text, {"DifferenceFamily": DifferenceFamily, "AdditiveGroup": type(fam.group)})

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ddfkit.groups import field_group, floor_divmod, mod, ring_group
+from ddfkit.groups import (_DIGIT_CHUNK, digit_columns, field_group, floor_divmod, mod,
+                           point_dtype, ring_group)
 
 GROUPS = {
     "F_9": field_group(3, 2),
@@ -84,6 +85,32 @@ def test_digit_columns_match_the_row_product(g):
     out = np.empty((n, 50), dtype=cols.dtype)
     assert g.map_columns(maps[1], cols, out=out) is out
     assert np.array_equal(out, images[1])
+
+
+@pytest.mark.parametrize("g, width", [(field_group(2, 20), "uint8"), (ring_group(13, 2), "uint8"),
+                                      (ring_group(23, 2), "uint16"),
+                                      (field_group(65537, 1), "uint32")],
+                         ids=["F_2^20", "GR(13^2,2)", "GR(23^2,2)", "F_65537"])
+def test_digit_columns_match_digit_matrix(g, width):
+    # digits below 2^8, 2^16 and 2^32 (65537 - 1 = 2^16 needs 32 bits), on
+    # sizes either side of a chunk and across several, from encodings in
+    # point_dtype as blocks hold them and in int64
+    rng = np.random.default_rng(g.base)
+    for size in (0, 1, _DIGIT_CHUNK - 1, _DIGIT_CHUNK, _DIGIT_CHUNK + 1, 2 * _DIGIT_CHUNK + 3):
+        x = rng.integers(0, g.order, size=size)
+        x[:1] = g.order - 1
+        expected = g.digit_matrix(x).T
+        for encodings in (x, x.astype(point_dtype(g.order))):
+            cols = digit_columns(encodings, g.base, g.digits)
+            assert cols.dtype == width and cols.shape == (g.digits, size)
+            assert np.array_equal(cols, expected)
+    # an explicit wider dtype, which holds the sum of two digits (uint16 for
+    # GR(13^2, 2), whose digits fit uint8), on a 2-D input flattened in C order
+    blocks = rng.integers(0, g.order, size=(3, 5))
+    wide = np.min_scalar_type(2 * (g.base - 1))
+    cols = digit_columns(blocks, g.base, g.digits, wide)
+    assert cols.dtype == wide and cols.shape == (g.digits, 15)
+    assert np.array_equal(cols, g.digit_matrix(blocks.ravel()).T)
 
 
 @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64", "int32", "int64"])

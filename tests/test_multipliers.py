@@ -14,8 +14,8 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
 from ddfkit.arith import is_prime
-from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _field_unit_map, _unit_maps,
-                            _units_permute_blocks, check_profile, difference_orbits)
+from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _units_permute_blocks,
+                            check_profile, difference_orbits)
 from ddfkit.families import DifferenceFamily, load_family, save_family
 from ddfkit.groups import field_group, point_dtype, ring_group
 
@@ -51,9 +51,9 @@ def ring_unit_generators(g):
     """Scalar maps x -> u*x for the generators u of the unit group of g's
     ring, from GaloisRing.mul; none for Z_4, whose units +-1 negation
     already covers."""
-    if g.p ** g.ext < 3:
+    if g.p ** g.digits < 3:
         return []
-    ring = build_ring(g.p, g.ext)
+    ring = build_ring(g.p, g.digits)
     units = [ring.xi] + [ring.group.add(1, ring.mul(g.p, g.base ** i)) for i in range(ring.r)]
     return [partial(ring.mul, u) for u in units]
 
@@ -80,7 +80,7 @@ def labelled_orbits(fam):
     g = fam.group
     blocks = Counter(frozenset(row) for row in fam.block_array().tolist())
     if g.kind == "field":
-        field = build_field(g.p, g.ext)
+        field = build_field(g.p, g.digits)
         gens = [partial(field.mul, field.pow(field.generator,
                                              field_multiplier_step(field, blocks)))]
     else:
@@ -218,6 +218,12 @@ def test_budget_counts_the_orbits_before_building_them(monkeypatch):
             difference_orbits(fam)
 
 
+def ring_units(ring):
+    """The unit-group generators the orbit search tries: xi and 1 + p*x^i."""
+    g = ring.group
+    return np.array([ring.xi] + [1 + ring.p * g.base ** i for i in range(ring.r)])
+
+
 @pytest.mark.parametrize("kind, p, n", [("field", 5, 2), ("field", 2, 4), ("field", 7, 1),
                                         ("ring", 5, 1), ("ring", 3, 2), ("ring", 2, 2),
                                         ("ring", 2, 3)])
@@ -227,14 +233,17 @@ def test_unit_images_match_multiplication(kind, p, n):
     if kind == "field":
         # the digit matrices that try g^j on the blocks, for j = 1 and for j = 3
         field = build_field(p, n)
-        images = [_field_unit_map(field, j)(x).ravel().tolist() for j in (1, 3)]
+        matrices = field.unit_matrix(np.array([1, 3]))
         scalar = [[field.mul(field.pow(field.generator, j), a) for a in range(g.order)]
                   for j in (1, 3)]
         gens = scalar[:1]
     else:
-        images = [image_of(x).ravel().tolist() for image_of in _unit_maps(g)]
+        ring = build_ring(p, n)
+        matrices = ring.unit_matrix(ring_units(ring))
         scalar = gens = [[m(a) for a in range(g.order)] for m in ring_unit_generators(g)]
-    assert images == scalar
+    images = g.linear_image(matrices, x)  # one call on the stack
+    assert images.shape == (len(scalar),) + x.shape
+    assert images.reshape(len(scalar), -1).tolist() == scalar
     # the generators reach every unit from 1: the field's q - 1 nonzero
     # elements, or the ring's p^2r - p^r elements outside pR
     reached, frontier = {1}, [1]
@@ -250,11 +259,14 @@ def test_unit_digit_matrices_match_mul_arrays(p, r):
     g = ring_group(p, r)
     ring = build_ring(p, r)
     x = np.arange(g.order, dtype=point_dtype(g.order)).reshape(p, -1)
-    units = [ring.xi] + [1 + p * g.base ** i for i in range(r)]
-    maps = _unit_maps(g)
-    assert len(maps) == len(units)
-    for unit, image_of in zip(units, maps):
-        assert np.array_equal(image_of(x), ring.mul_arrays(unit, x.astype(np.int64)))
+    units = ring_units(ring)
+    matrices = ring.unit_matrix(units)
+    assert matrices.shape == (r + 1, r, r)
+    images = g.linear_image(matrices, x)
+    assert images.dtype == x.dtype
+    for unit, image, matrix in zip(units, images, matrices):
+        assert np.array_equal(image, ring.mul_arrays(unit, x.astype(np.int64)))
+        assert np.array_equal(ring.unit_matrix(unit), matrix)  # a scalar u: one matrix
 
 
 def linearly_relabelled(fam, seed):
