@@ -6,6 +6,16 @@ complete invariant (the three partition families of F_{11^3} share one
 profile yet lie in distinct isomorphism classes).  Closed-form evaluators
 merge coinciding keys by summing multiplicities, since the published tables
 implicitly assume the four key polynomials are pairwise distinct.
+
+Two routes reach a verdict, by one rule (verdict).  compare_constructions
+takes the four coset constructions (wilson, wilson-half, gr-teichmuller,
+gr-squares) by name and counts their cells from tables of size t
+(residue.weighted_cells): no family, no table of t^2 entries and no
+multiplier search.  Each profile must satisfy the 2-design identities,
+the wilson profiles must equal their closed forms, and a witness that only
+a ring profile holds is re-counted in one cell whose two blocks are built
+by ring products.  compare_designs takes any two families through the
+difference route (designs.profile_via_differences), with the identities.
 """
 
 from __future__ import annotations
@@ -16,9 +26,12 @@ import numpy as np
 
 from .arith import wieferich
 from .cyclotomy import order_two_numbers
-from .designs import IntersectionProfile, check_profile, profile_via_differences
+from . import residue
+from .designs import (IntersectionProfile, check_profile, profile_from_cells,
+                      profile_via_differences)
+from .errors import ProfileCheckError
 from .families import DifferenceFamily
-from .galois_ring import GaloisRing
+from .galois_ring import GaloisRing, build_ring
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +227,14 @@ class ComparisonResult:
     profile_b: IntersectionProfile
 
 
-def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily) -> ComparisonResult:
-    """Compare developed designs by their exact intersection profiles.
+def verdict(pa: IntersectionProfile, pb: IntersectionProfile) -> ComparisonResult:
+    """The verdict on two profiles, by the one rule both routes use.
 
-    Any key-set or multiplicity difference certifies nonisomorphism with the
-    smallest differing key as witness; equal profiles are inconclusive
-    (profiles are not a complete invariant).  Both profiles must satisfy the
-    2-design identities for the declared lambda (ProfileCheckError if not).
+    A key in one profile only certifies nonisomorphism, with the smallest
+    such key as witness; else the first key, ascending, whose
+    multiplicities differ; equal profiles are inconclusive (profiles are
+    not a complete invariant).
     """
-    if (fam_a.v, fam_a.b, fam_a.k) != (fam_b.v, fam_b.b, fam_b.k):
-        raise ValueError("families must share (v, b, k)")
-    pa = profile_via_differences(fam_a)
-    pb = profile_via_differences(fam_b)
-    for fam, prof in ((fam_a, pa), (fam_b, pb)):
-        check_profile(prof, fam.v, fam.b, fam.k, fam.lam)
     keys_a, keys_b = set(pa.counts), set(pb.counts)
     sym = keys_a ^ keys_b
     if sym:
@@ -238,10 +245,96 @@ def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily) -> Compari
     return ComparisonResult("inconclusive", None, pa, pb)
 
 
-def certificate(p: int, r: int, fam_a: DifferenceFamily, fam_b: DifferenceFamily,
-                result: ComparisonResult, gate_report: GateReport,
-                tool_version: str) -> dict:
-    """JSON-ready nonisomorphism certificate with a fixed field order."""
+def _check_shapes(a, b) -> None:
+    if (a.v, a.b, a.k) != (b.v, b.b, b.k):
+        raise ValueError("families must share (v, b, k)")
+
+
+def compare_designs(fam_a: DifferenceFamily, fam_b: DifferenceFamily) -> ComparisonResult:
+    """Compare developed designs by their exact intersection profiles from
+    the difference route (see verdict).  Both profiles must satisfy the
+    2-design identities for the declared lambda (ProfileCheckError if not).
+    """
+    _check_shapes(fam_a, fam_b)
+    pa = profile_via_differences(fam_a)
+    pb = profile_via_differences(fam_b)
+    for fam, prof in ((fam_a, pa), (fam_b, pb)):
+        check_profile(prof, fam.v, fam.b, fam.k, fam.lam)
+    return verdict(pa, pb)
+
+
+CLOSED_FORMS = {"wilson": wilson_profile_closed_form,
+                "wilson-half": wilson_half_profile_closed_form}
+
+
+def construction_profile(c: residue.Construction) -> IntersectionProfile:
+    """The profile of a coset construction from its cells on tables of size
+    t (residue.weighted_cells), checked against the 2-design identities
+    and, for wilson and wilson-half, against its closed form
+    (ProfileCheckError if either fails)."""
+    profile = profile_from_cells(residue.weighted_cells(c), c.v)
+    check_profile(profile, c.v, c.b, c.k, c.lam)
+    closed = CLOSED_FORMS.get(c.name)
+    if closed is not None and profile != closed(c.p, c.r):
+        raise ProfileCheckError(f"the {c.name} profile at t = {c.t} is not its closed form")
+    return profile
+
+
+def compare_constructions(a: residue.Construction,
+                          b: residue.Construction) -> ComparisonResult:
+    """Compare two coset constructions (see residue.construction) by their
+    profiles from tables of size t (see construction_profile and verdict).
+
+    A witness that one profile holds and the other lacks, held by a ring
+    profile, is re-counted in one cell (see check_witness_cell).
+    """
+    _check_shapes(a, b)
+    result = verdict(construction_profile(a), construction_profile(b))
+    w = result.witness
+    for c, own, other in ((a, result.profile_a, result.profile_b),
+                          (b, result.profile_b, result.profile_a)):
+        if c.name.startswith("gr-") and w in own.counts and w not in other.counts:
+            check_witness_cell(c, w)
+    return result
+
+
+def _ring_blocks(ring: GaloisRing, c: residue.Construction, indices) -> np.ndarray:
+    """Blocks of a ring construction by ring products, one row each: block
+    part*(t + 1) + a is (1 + p*alpha)*H_part for alpha of index a < t in T
+    order, and p*H_part at a = t; one mul_arrays forms every row."""
+    part, a = np.divmod(np.asarray(indices), c.t + 1)
+    units = ring.teichmuller[1:]  # xi^m, so the square classes are m even and m odd
+    subgroups = units[None, :] if c.name == "gr-teichmuller" else \
+        np.stack((units[0::2], units[1::2]))[part]
+    principal = ring.group.add_arrays(1, ring.mul_arrays(ring.p, ring.teichmuller[a % c.t]))
+    factor = np.where(a == c.t, ring.p, principal)
+    return ring.mul_arrays(factor[:, None], subgroups)
+
+
+def check_witness_cell(c: residue.Construction, witness: int) -> None:
+    """Find one cell (i, j, d) with N_d(i, j) = witness on the tables of
+    size t of a ring construction (residue.find_cell), build D_i and D_j by
+    ring products, and raise ProfileCheckError unless |D_i & (D_j + d)| =
+    witness: O(k) ring work.  The blocks are disjoint, so a witness 0 with
+    no cell at d = 1 or p is the cell (0, 1, 0)."""
+    cell = residue.find_cell(c, witness)
+    if cell is None and witness != 0:
+        raise ProfileCheckError(f"no cell of {c.name} holds the witness {witness}")
+    i, j, d = cell or (0, 1, 0)
+    ring = build_ring(c.p, c.r)
+    block_i, block_j = _ring_blocks(ring, c, (i, j))
+    # Python sets: np.intersect1d would import numpy.ma, about 30 ms
+    met = len(set(block_i.tolist()) & set(ring.group.add_arrays(block_j, d).tolist()))
+    if met != witness:
+        raise ProfileCheckError(f"the witness {witness} of {c.name} is not re-counted: "
+                                f"|D_{i} & (D_{j} + {d})| = {met}")
+
+
+def certificate(p: int, r: int, fam_a, fam_b, result: ComparisonResult,
+                gate_report: GateReport, tool_version: str) -> dict:
+    """JSON-ready nonisomorphism certificate with a fixed field order;
+    `fam_a` and `fam_b` give v, b, k, lam and name: two DifferenceFamily
+    or two residue.Construction."""
     return {
         "parameters": {
             "p": p,

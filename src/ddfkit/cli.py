@@ -24,7 +24,7 @@ from . import __version__
 from .cyclotomy import (check_sum_relation, closed_form_order_2e,
                         closed_form_order_e, cyclotomic_table, quadruple_mask,
                         quadruple_sums, table_to_csv)
-from .certify import certificate, compare_designs, gate
+from .certify import certificate, compare_constructions, compare_designs, gate
 from .designs import (Development, check_profile, design_text_chunks, load_design,
                       profile_direct, profile_via_differences, verify_2design)
 from .errors import BudgetError, ProfileCheckError
@@ -33,6 +33,7 @@ from .families import (family_text_chunks, feng_families, load_family,
                        wilson_family)
 from .fields import build_field
 from .galois_ring import build_ring
+from .residue import CONSTRUCTIONS as COSET_CONSTRUCTIONS, construction
 
 # the imports' objects are permanent: keep collections during a command off them
 gc.freeze()
@@ -172,11 +173,15 @@ def cmd_gate(args) -> int:
 def cmd_compare(args) -> int:
     if args.p is None or args.r is None:
         raise ValueError("compare requires --p and --r")
-    fam_a = construction_family(args.a, args.p, args.r)
-    fam_b = construction_family(args.b, args.p, args.r)
-    result = compare_designs(fam_a, fam_b)
-    cert = certificate(args.p, args.r, fam_a, fam_b, result,
-                       gate(args.p, args.r), __version__)
+    if args.a in COSET_CONSTRUCTIONS and args.b in COSET_CONSTRUCTIONS:
+        a = construction(args.a, args.p, args.r)
+        b = construction(args.b, args.p, args.r)
+        result = compare_constructions(a, b)
+    else:
+        a = construction_family(args.a, args.p, args.r)
+        b = construction_family(args.b, args.p, args.r)
+        result = compare_designs(a, b)
+    cert = certificate(args.p, args.r, a, b, result, gate(args.p, args.r), __version__)
     _write_out([json.dumps(cert, indent=2) + "\n"], args.out)
     return 0
 

@@ -458,18 +458,26 @@ def profile_via_differences(fam: DifferenceFamily) -> IntersectionProfile:
     reps, sizes = difference_orbits(fam)
     hist = _kernels.diff_cell_hist(fam.block_array(), g.base, g.digits, g.order,
                                    reps, sizes)
+    profile = profile_from_cells(hist, g.order)
+    check_profile(profile, fam.v, fam.b, fam.k)
+    return profile
+
+
+def profile_from_cells(cells, v: int) -> IntersectionProfile:
+    """The profile of a developed family from cells[N], the number of cells
+    (i, j, d) with N_d(i, j) = N over every d, the (i, i, 0) cells left
+    out: each cell stands for v ordered block pairs, and the ordered
+    total must be even (ProfileCheckError if not)."""
     counts = {}
-    for n, cells in enumerate(hist):
-        cells = int(cells)
-        if cells == 0:
+    for n, count in enumerate(cells):
+        count = int(count)
+        if count == 0:
             continue
-        ordered = g.order * cells  # each cell stands for v ordered block pairs
+        ordered = v * count
         if ordered % 2:
             raise ProfileCheckError("ordered pair total must be even")
         counts[n] = ordered // 2
-    profile = IntersectionProfile(counts)
-    check_profile(profile, fam.v, fam.b, fam.k)
-    return profile
+    return IntersectionProfile(counts)
 
 
 # ---------------------------------------------------------------------------

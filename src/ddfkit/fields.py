@@ -291,13 +291,20 @@ def check_field_order(p: int, n: int) -> int:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
+def field_modulus(p: int, n: int) -> tuple[int, ...]:
+    """least_primitive_poly(p, n), cached: build_field(p, n) and
+    build_ring(p, n) share it, and compare builds both."""
+    return least_primitive_poly(p, n)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_field(p: int, n: int) -> Field:
     """Construct F_{p^n}; deterministic across runs (see module docstring)."""
     check_prime(p)
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     q = check_field_order(p, n)
-    modulus = least_primitive_poly(p, n)
+    modulus = field_modulus(p, n)
     group = field_group(p, n)
     # companion matrix of the modulus: row i holds the digits of x * x^i, so
     # the generator is the class of x (for n = 1, the root -c_0)

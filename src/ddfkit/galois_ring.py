@@ -30,7 +30,7 @@ import numpy as np
 
 from .arith import check_prime, wieferich
 from .errors import BudgetError
-from .fields import (TABLE_CACHE_SIZE, _exp_table, least_primitive_poly, poly_mulmod,
+from .fields import (TABLE_CACHE_SIZE, _exp_table, field_modulus, poly_mulmod,
                      poly_powmod)
 from .groups import AdditiveGroup, mod, ring_group
 
@@ -203,7 +203,7 @@ def build_ring(p: int, r: int) -> GaloisRing:
     order = check_ring_order(p, r)
     if p ** r < 3:
         raise ValueError("require p^r >= 3")
-    modulus = least_primitive_poly(p, r)  # coefficients in [0, p) reinterpreted mod p^2
+    modulus = field_modulus(p, r)  # coefficients in [0, p) reinterpreted mod p^2
     group = ring_group(p, r)
 
     proto = GaloisRing(p=p, r=r, char=p * p, order=order, modulus=modulus,

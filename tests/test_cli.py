@@ -139,7 +139,7 @@ def test_gate_rejects_degree_below_one(capsys, r):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("compare",), "field order 3^20000000 exceeds table budget 1048576"),
+    (("compare",), "compare capped at 67108864 block elements (t^2), got 3^20000000"),
     (("construct", "--construction", "gr-squares"),
      "ring encoding space 3^20000000 exceeds budget 67108864"),
 ])

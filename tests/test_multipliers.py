@@ -13,6 +13,7 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     build_field, build_ring, compare_designs, davis_family, develop,
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
+from ddfkit import residue
 from ddfkit.arith import is_prime
 from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _units_permute_blocks,
                             check_profile, difference_orbits)
@@ -373,18 +374,20 @@ def test_reduced_route_matches_direct_on_cyclotomic_families(case):
 
 
 def test_planted_kernel_error_is_caught(monkeypatch, capsys):
-    real = _kernels.diff_cell_hist
+    def off_by_one(real):
+        def planted(*args, **kwargs):
+            hist = real(*args, **kwargs)
+            hist[1] += 1
+            return hist
+        return planted
 
-    def off_by_one(*args, **kwargs):
-        hist = real(*args, **kwargs)
-        hist[1] += 1
-        return hist
-
-    monkeypatch.setattr(_kernels, "diff_cell_hist", off_by_one)
+    monkeypatch.setattr(_kernels, "diff_cell_hist", off_by_one(_kernels.diff_cell_hist))
     with pytest.raises(ProfileCheckError):
         profile_via_differences(squares_family(build_ring(5, 1)))
 
+    # compare counts the cells of its constructions on tables of size t
     from ddfkit.cli import main
+    monkeypatch.setattr(residue, "_hist", off_by_one(residue._hist))
     code = main(["compare", "--p", "5", "--r", "1"])
     err = capsys.readouterr().err
     assert code == 1
