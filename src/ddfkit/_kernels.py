@@ -186,7 +186,7 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
         group = reps[weights == w]
         for s in range(0, group.size, chunk):
             d = group[s:s + chunk]
-            d_digits = (d[:, None] // pows) % base
+            d_digits = digit_columns(d, base, digits)
             for top in range(0, b, rows):
                 n = min(rows, b - top)  # rows in this strip, so cells n * (b + 1) per d
                 strip = slice(top * k, (top + n) * k)
@@ -194,7 +194,7 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
                 # strip at a time, plus base^(l+1) for every digit l that borrows
                 shifted = pts[None, strip] - d[:, None]
                 for l in range(digits):
-                    shifted += (pt_digits[l][None, strip] < d_digits[:, l, None]) \
+                    shifted += (pt_digits[l][None, strip] < d_digits[l][:, None]) \
                         * (base * pows[l])
                 table = np.bincount((offsets[:d.size, :n * k] + layers[:, shifted]).ravel(),
                                     minlength=d.size * n * (b + 1))

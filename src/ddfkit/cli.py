@@ -171,17 +171,20 @@ def cmd_gate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.p is None or args.r is None:
+    p, r = args.p, args.r
+    if args.a.startswith("feng-") and args.b.startswith("feng-"):  # both live in F_(11^3)
+        p, r = 11 if p is None else p, 3 if r is None else r
+    if p is None or r is None:
         raise ValueError("compare requires --p and --r")
     if args.a in COSET_CONSTRUCTIONS and args.b in COSET_CONSTRUCTIONS:
-        a = construction(args.a, args.p, args.r)
-        b = construction(args.b, args.p, args.r)
+        a = construction(args.a, p, r)
+        b = construction(args.b, p, r)
         result = compare_constructions(a, b)
     else:
-        a = construction_family(args.a, args.p, args.r)
-        b = construction_family(args.b, args.p, args.r)
+        a = construction_family(args.a, p, r)
+        b = construction_family(args.b, p, r)
         result = compare_designs(a, b)
-    cert = certificate(args.p, args.r, a, b, result, gate(args.p, args.r), __version__)
+    cert = certificate(p, r, a, b, result, gate(p, r), __version__)
     _write_out([json.dumps(cert, indent=2) + "\n"], args.out)
     return 0
 

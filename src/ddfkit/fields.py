@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_prime, multiplicative_order, prime_divisors
-from .errors import BudgetError
-from .groups import AdditiveGroup, field_group, mod
+from .errors import check_power_budget
+from .groups import AdditiveGroup, digit_columns, field_group, mod
 
 FIELD_ORDER_BUDGET = 1 << 20
 
@@ -199,7 +199,7 @@ class Field:
         is g^j * x^l = exp[(j + l) mod (q-1)], as the generator g is the
         class of x (for n = 1 the one row is g^j)."""
         rows = self.exp[(np.asarray(j)[..., None] + np.arange(self.n)) % (self.q - 1)]
-        return self.group.digit_matrix(rows)
+        return digit_columns(rows, self.p, self.n, np.int64).T.reshape(rows.shape + (self.n,))
 
     # -- cyclotomic cosets ------------------------------------------------
     def class_array(self, e: int) -> np.ndarray:
@@ -274,20 +274,17 @@ def _check_bijection(exp: np.ndarray, q: int) -> None:
 
 
 # tables kept alive by build_field and by build_ring, each: one `compare`
-# builds F_{t^2} and GR(p^2, r), and a sweep over t must not keep every
+# builds F_t and GR(p^2, r), and a sweep over t must not keep every
 # earlier table
 TABLE_CACHE_SIZE = 4
 
 
 def check_field_order(p: int, n: int) -> int:
     """q = p^n, the size of F_q's tables, or BudgetError past
-    FIELD_ORDER_BUDGET, raised before p^n is formed when n rules it out."""
-    if n >= FIELD_ORDER_BUDGET.bit_length():  # p^n >= 2^n, so not even formed
-        raise BudgetError(f"field order {p}^{n} exceeds table budget {FIELD_ORDER_BUDGET}")
-    q = p ** n
-    if q > FIELD_ORDER_BUDGET:
-        raise BudgetError(f"field order {q} exceeds table budget {FIELD_ORDER_BUDGET}")
-    return q
+    FIELD_ORDER_BUDGET, raised before p^n is formed when n rules it out
+    (errors.check_power_budget)."""
+    check_power_budget("field order", FIELD_ORDER_BUDGET, "elements (p^n)", p, n)
+    return p ** n
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -311,7 +308,7 @@ def build_field(p: int, n: int) -> Field:
     step = np.zeros((n, n), dtype=np.int64)
     step[np.arange(n - 1), np.arange(1, n)] = 1
     step[n - 1] = [(-c) % p for c in modulus[:n]]
-    generator = int(group.pack_digits(step[0]))
+    generator = group.pack(step[0].tolist())
 
     exp = _exp_table(group, step, q)
     _check_bijection(exp, q)

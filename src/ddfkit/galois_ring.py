@@ -29,10 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_prime, wieferich
-from .errors import BudgetError
+from .errors import check_power_budget
 from .fields import (TABLE_CACHE_SIZE, _exp_table, field_modulus, poly_mulmod,
                      poly_powmod)
-from .groups import AdditiveGroup, mod, ring_group
+from .groups import AdditiveGroup, digit_columns, mod, ring_group
 
 RING_ENCODING_BUDGET = 1 << 26
 
@@ -64,29 +64,37 @@ class GaloisRing:
     def mul_arrays(self, a, b) -> np.ndarray:
         """a * b, broadcast: digit convolution reduced by the modulus, mod p^2.
 
+        Digits lie on the leading axis (groups.digit_columns), so each
+        digit product is one contiguous broadcast over the operands' shape.
         Entries stay below p^2, so a product sum is at most r*(p^2-1)^2,
         below 2^52 within RING_ENCODING_BUDGET and far inside int64.
         """
-        g, r, psq = self.group, self.r, self.char
-        ad = g.digit_matrix(a)
-        bd = g.digit_matrix(b)
-        shape = np.broadcast_shapes(ad.shape[:-1], bd.shape[:-1])
-        res = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
+        r, psq = self.r, self.char
+        shape = np.broadcast(a, b).shape
+        ad, bd = (digit_columns(x, psq, r, np.int64).reshape(
+            (r,) + (1,) * (len(shape) - np.ndim(x)) + np.shape(x)) for x in (a, b))
+        res = np.zeros((2 * r - 1,) + shape, dtype=np.int64)
         for i in range(r):
-            res[..., i : i + r] += ad[..., i : i + 1] * bd
+            res[i : i + r] += ad[i] * bd
         mod(res, psq, out=res)
-        low = np.array(self.modulus[:r], dtype=np.int64)  # f = x^r + sum_j low_j x^j
-        for i in range(2 * r - 2, r - 1, -1):  # x^i = -sum_j low_j x^(i-r+j)
-            part = res[..., i - r : i]
-            part -= res[..., i : i + 1] * low
+        # f = x^r + sum_j low_j x^j, so x^i = -sum_j low_j x^(i-r+j)
+        low = np.array(self.modulus[:r]).reshape((r,) + (1,) * len(shape))
+        for i in range(2 * r - 2, r - 1, -1):
+            part = res[i - r : i]
+            part -= res[i] * low
             mod(part, psq, out=part)
-        return g.pack_digits(res[..., :r])[()]  # a scalar for 0-d operands
+        out = res[r - 1]  # packed by Horner: every partial value is an encoding
+        for ell in range(r - 2, -1, -1):
+            out *= psq
+            out += res[ell]
+        return out[()]  # a scalar for 0-d operands
 
     def unit_matrix(self, u) -> np.ndarray:
         """The (r, r) digit matrices of x -> u*x, broadcast over u: row l
         holds the digits of u * x^l, by one mul_arrays against the basis."""
-        basis = self.char ** np.arange(self.r, dtype=np.int64)
-        return self.group.digit_matrix(self.mul_arrays(np.asarray(u)[..., None], basis))
+        images = self.mul_arrays(np.asarray(u)[..., None], self.char ** np.arange(self.r))
+        cols = digit_columns(images, self.char, self.r, np.int64)
+        return cols.T.reshape(images.shape + (self.r,))
 
     def pow(self, a: int, e: int) -> int:
         g = self.group
@@ -187,13 +195,10 @@ class GaloisRing:
 
 def check_ring_order(p: int, r: int) -> int:
     """p^(2r), the encoding space of GR(p^2, r), or BudgetError past
-    RING_ENCODING_BUDGET, raised before p^(2r) is formed when r rules it out."""
-    if 2 * r >= RING_ENCODING_BUDGET.bit_length():  # p^(2r) >= 4^r, so not even formed
-        raise BudgetError(f"ring encoding space {p}^{2 * r} exceeds budget {RING_ENCODING_BUDGET}")
-    order = (p * p) ** r
-    if order > RING_ENCODING_BUDGET:
-        raise BudgetError(f"ring encoding space {order} exceeds budget {RING_ENCODING_BUDGET}")
-    return order
+    RING_ENCODING_BUDGET, raised before p^(2r) is formed when r rules it
+    out (errors.check_power_budget)."""
+    check_power_budget("ring encoding space", RING_ENCODING_BUDGET, "encodings (p^(2r))", p, 2 * r)
+    return p ** (2 * r)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -10,7 +10,8 @@ On arrays, addition and subtraction use the carry/borrow form: a + b is the
 integer sum minus base^(l+1) for every digit l with a_l + b_l >= base, and
 a - b the integer difference plus base^(l+1) for every digit l with
 a_l < b_l.  Digits are taken from each operand before broadcasting, so no
-digit matrix of the broadcast shape is built.
+digit matrix of the broadcast shape is built.  Whole arrays of encodings
+unpack through digit_columns: digit l on the leading axis, one row each.
 
 Residues of arrays follow one rule: `mod` takes a mod m as a - m*(a // m),
 and `floor_divmod` returns the quotient with it for digit loops to carry.
@@ -149,19 +150,6 @@ class AdditiveGroup:
             m *= self.base
         return r
 
-    # -- vectorized arithmetic on int64 arrays -------------------------
-    def digit_matrix(self, arr: np.ndarray) -> np.ndarray:
-        """Unpack encodings into a trailing digit axis."""
-        rest = np.asarray(arr, dtype=np.int64)
-        out = np.empty(rest.shape + (self.digits,), dtype=np.int64)
-        for ell in range(self.digits):
-            rest = floor_divmod(rest, self.base, out=out[..., ell])[0]
-        return out
-
-    def pack_digits(self, digs: np.ndarray) -> np.ndarray:
-        pows = _powers(self.base, self.digits)
-        return mod(digs, self.base) @ pows
-
     # -- digit columns: cols[..., l, s] is digit l of element s ----------
     def map_columns(self, matrix: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
         """Digit columns of the images of `cols` under linear maps, mod base.
@@ -203,6 +191,7 @@ class AdditiveGroup:
         images = self.pack_columns(self.map_columns(matrix, cols))
         return images.reshape(np.shape(matrix)[:-2] + np.shape(x))
 
+    # -- vectorized arithmetic on int64 arrays -------------------------
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b, broadcast: the integer sum less base^(l+1) per carrying digit l."""
         a = np.asarray(a, dtype=np.int64)

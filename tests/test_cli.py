@@ -141,7 +141,7 @@ def test_gate_rejects_degree_below_one(capsys, r):
 @pytest.mark.parametrize("argv, message", [
     (("compare",), "compare capped at 67108864 block elements (t^2), got 3^20000000"),
     (("construct", "--construction", "gr-squares"),
-     "ring encoding space 3^20000000 exceeds budget 67108864"),
+     "ring encoding space capped at 67108864 encodings (p^(2r)), got 3^20000000"),
 ])
 def test_huge_degree_meets_the_budget_before_the_power(capsys, argv, message):
     # 3^(10^7) has 4.8 million digits: forming it took 13-17 s, and printing
@@ -584,7 +584,8 @@ def test_loaded_family_order_is_checked_before_tables(capsys, monkeypatch, tmp_p
     code, out, err = run(capsys, "profile", "--input", str(path),
                          "--kind", "field", "--p", "5")
     assert (code, out) == (1, "")
-    assert err == "budget exceeded: field order 244140625 exceeds table budget 1048576\n"
+    assert err == ("budget exceeded: field order capped at 1048576 elements (p^n), "
+                   "got 244140625\n")
 
 
 def test_loaded_family_rejects_bad_p_and_empty_families(capsys, tmp_path):
@@ -622,13 +623,13 @@ def test_non_prime_p_reads_the_same_through_every_command(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind, p, v, build, message", [
     ("field", "5", 5 ** 12, ("cyclo", "--p", "5", "--r", "12", "--e", "2"),
-     "field order 244140625 exceeds table budget 1048576"),
+     "field order capped at 1048576 elements (p^n), got 244140625"),
     ("field", "2", 2 ** 21, ("cyclo", "--p", "2", "--r", "21", "--e", "3"),
-     "field order 2^21 exceeds table budget 1048576"),
+     "field order capped at 1048576 elements (p^n), got 2^21"),
     ("ring", "5", 25 ** 6, ("construct", "--construction", "gr-squares", "--p", "5", "--r", "6"),
-     "ring encoding space 244140625 exceeds budget 67108864"),
+     "ring encoding space capped at 67108864 encodings (p^(2r)), got 244140625"),
     ("ring", "2", 4 ** 14, ("construct", "--construction", "gr-squares", "--p", "2", "--r", "14"),
-     "ring encoding space 2^28 exceeds budget 67108864"),
+     "ring encoding space capped at 67108864 encodings (p^(2r)), got 2^28"),
 ])
 def test_loaded_family_and_builder_share_each_table_cap(capsys, tmp_path, kind, p, v, build,
                                                         message):
@@ -644,6 +645,15 @@ def test_compare_leaves_the_shape_check_to_compare_designs(capsys):
     code, out, err = run(capsys, "compare", "--a", "wilson", "--b", "gr-squares",
                          "--p", "5", "--r", "1")
     assert (code, out, err) == (2, "", "error: families must share (v, b, k)\n")
+
+
+def test_feng_pairs_compare_in_their_own_field_without_p_and_r(capsys):
+    explicit = run(capsys, "compare", "--a", "feng-1", "--b", "feng-2", "--p", "11", "--r", "3")
+    assert explicit[0] == 0 and json.loads(explicit[1])["parameters"]["p"] == 11
+    assert run(capsys, "compare", "--a", "feng-1", "--b", "feng-2") == explicit
+    # one feng name alone does not fix the field
+    assert run(capsys, "compare", "--a", "feng-1", "--b", "wilson") == \
+        (2, "", "error: compare requires --p and --r\n")
 
 
 def test_a_block_line_of_the_wrong_width_is_named(capsys, tmp_path):

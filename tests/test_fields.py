@@ -381,9 +381,10 @@ def assert_one_step(group, step, table):
     entry: no doubling, in chunks that bound the int64 digit matrices.
     """
     following = np.roll(table, -1)
+    pows = group.base ** np.arange(group.digits)
     for lo in range(0, table.size, 1 << 16):
-        digits = group.digit_matrix(table[lo : lo + (1 << 16)])
-        assert np.array_equal(group.pack_digits(digits @ step),
+        digits = table[lo : lo + (1 << 16), None] // pows % group.base
+        assert np.array_equal((digits @ step % group.base) @ pows,
                               following[lo : lo + (1 << 16)]), lo
 
 

@@ -274,6 +274,27 @@ def test_mul_arrays_matches_scalar_mul(p, r):
     assert ring.mul_arrays(elems.reshape(-1, 1, p), 2).shape == (ring.order // p, 1, p)
 
 
+@pytest.mark.parametrize("p, r", [(3, 8), (5, 4), (23, 2), (8191, 1)])
+def test_mul_arrays_matches_scalar_mul_on_random_pairs(p, r):
+    # rings too large for a full table, r >= 4 among them: 2000 seeded
+    # pairs each, the top element (every digit p^2 - 1) squared among them
+    ring = build_ring(p, r)
+    rng = np.random.default_rng(ring.order)
+    a, b = rng.integers(0, ring.order, size=(2, 2000))
+    a[0] = b[0] = ring.order - 1
+    got = ring.mul_arrays(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ring.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    # int64 and the broadcast shape for 0-d x 0-d, 0-d x (n,) and (n, 1) x (r,)
+    for x, y in ((int(a[1]), int(b[1])), (a[1], b), (a[:5, None], b[:r])):
+        prod = ring.mul_arrays(x, y)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert prod.dtype == np.int64 and np.shape(prod) == shape
+        pairs = zip(*(np.ravel(z) for z in np.broadcast_arrays(x, y)))
+        expected = [ring.mul(int(u), int(w)) for u, w in pairs]
+        assert np.ravel(prod).tolist() == expected
+
+
 def scalar_teichmuller(ring):
     """xi = a^(p^r) and T = 0, 1, xi, xi^2, ... by scalar ring.mul."""
     p, r = ring.p, ring.r

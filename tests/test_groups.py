@@ -72,7 +72,8 @@ def test_digit_columns_match_the_row_product(g):
     maps[0] = g.base - 1
     elements = rng.integers(0, g.order, size=50)
     elements[0] = g.order - 1
-    rows = g.digit_matrix(elements)  # (50, n)
+    pows = g.base ** np.arange(n)
+    rows = elements[:, None] // pows % g.base  # (50, n), digit l in column l
     cols = rows.T.astype(np.min_scalar_type(g.base - 1))
     images = g.map_columns(maps, cols)
     assert images.shape == (3, n, 50) and images.dtype == cols.dtype
@@ -80,7 +81,7 @@ def test_digit_columns_match_the_row_product(g):
     expected = [(rows.astype(object) @ m.astype(object) % g.base).T for m in maps]
     assert images.astype(object).tolist() == [e.tolist() for e in expected]
     assert g.pack_columns(cols).tolist() == elements.tolist()
-    assert g.pack_columns(images).tolist() == [g.pack_digits(e.T.astype(np.int64)).tolist()
+    assert g.pack_columns(images).tolist() == [(e.T.astype(np.int64) @ pows).tolist()
                                                for e in expected]
     out = np.empty((n, 50), dtype=cols.dtype)
     assert g.map_columns(maps[1], cols, out=out) is out
@@ -91,15 +92,17 @@ def test_digit_columns_match_the_row_product(g):
                                       (ring_group(23, 2), "uint16"),
                                       (field_group(65537, 1), "uint32")],
                          ids=["F_2^20", "GR(13^2,2)", "GR(23^2,2)", "F_65537"])
-def test_digit_columns_match_digit_matrix(g, width):
+def test_digit_columns_match_inline_digits(g, width):
     # digits below 2^8, 2^16 and 2^32 (65537 - 1 = 2^16 needs 32 bits), on
     # sizes either side of a chunk and across several, from encodings in
-    # point_dtype as blocks hold them and in int64
+    # point_dtype as blocks hold them and in int64, against one broadcast
+    # floor division by the places base^l
     rng = np.random.default_rng(g.base)
+    pows = g.base ** np.arange(g.digits)
     for size in (0, 1, _DIGIT_CHUNK - 1, _DIGIT_CHUNK, _DIGIT_CHUNK + 1, 2 * _DIGIT_CHUNK + 3):
         x = rng.integers(0, g.order, size=size)
         x[:1] = g.order - 1
-        expected = g.digit_matrix(x).T
+        expected = (x[:, None] // pows % g.base).T
         for encodings in (x, x.astype(point_dtype(g.order))):
             cols = digit_columns(encodings, g.base, g.digits)
             assert cols.dtype == width and cols.shape == (g.digits, size)
@@ -110,7 +113,7 @@ def test_digit_columns_match_digit_matrix(g, width):
     wide = np.min_scalar_type(2 * (g.base - 1))
     cols = digit_columns(blocks, g.base, g.digits, wide)
     assert cols.dtype == wide and cols.shape == (g.digits, 15)
-    assert np.array_equal(cols, g.digit_matrix(blocks.ravel()).T)
+    assert np.array_equal(cols, (blocks.ravel()[:, None] // pows % g.base).T)
 
 
 @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64", "int32", "int64"])

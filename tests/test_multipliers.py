@@ -276,9 +276,10 @@ def linearly_relabelled(fam, seed):
     commutes with the scalars F_p*."""
     g = fam.group
     rng = np.random.default_rng(seed)
-    digits = g.digit_matrix(np.arange(g.order))
+    pows = g.base ** np.arange(g.digits)
+    digits = np.arange(g.order)[:, None] // pows % g.base
     while True:
-        image = g.pack_digits(digits @ rng.integers(0, g.p, size=(g.digits, g.digits)))
+        image = (digits @ rng.integers(0, g.p, size=(g.digits, g.digits)) % g.base) @ pows
         if np.bincount(image, minlength=g.order).max() == 1:  # a bijection
             break
     return with_changes(fam, blocks=np.sort(image[fam.block_array()], axis=1),
