@@ -35,6 +35,9 @@ the Gram route of wilson (3,2) took 8.0-8.6 ms pooled, 3.7-3.8 ms pinned,
 and the moment route, which k = 8 takes, 4.4-6.9 ms: it loses only pinned.
 
 Kernels:
+  * row_ranges, strip_cells, cell_hist -- the one cell layout, which
+                           diff_cell_hist, residue's tables of size t and
+                           the cyclotomic tables count their cells through;
   * diff_cell_hist      -- for listed group elements d, each standing for
                            a weight of them, tallies how often each value
                            of the cell N_d(i, j) = |D_i & (D_j + d)| occurs
@@ -152,16 +155,46 @@ def _point_layers(blocks, order):
     return layers
 
 
+def row_ranges(rows, width):
+    """(lo, hi) ranges of `rows` rows of `width` entries each, about _CHUNK
+    entries a range and at least one row."""
+    step = max(1, _CHUNK // width)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def strip_cells(cols, b):
+    """The cells of a strip, row by row, each row's b cells and then a spare
+    one: cols[..., i, :] holds the blocks, in [0, b], that row i's elements
+    land in, b for no block; leading axes (layers) add into the same cells.
+    One bincount of row * (b + 1) + block."""
+    rows = cols.shape[-2]
+    codes = cols + np.arange(0, rows * (b + 1), b + 1)[:, None]
+    return np.bincount(codes.ravel(), minlength=rows * (b + 1))
+
+
+def cell_hist(strips, b, k):
+    """hist[N]: the cells equal to N over the rows of the strips (see
+    strip_cells), the spare cells left out.  A cell is at most k."""
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for cols in strips:
+        cells = strip_cells(cols, b)
+        counts = np.bincount(cells, minlength=k + 1)  # a spare cell may pass k
+        counts -= np.bincount(cells[b::b + 1], minlength=counts.size)
+        hist += counts[:k + 1]
+    return hist
+
+
 def diff_cell_hist(blocks, base, digits, order, reps, weights):
     """Histogram over N of the (i, j, d) cells N_d(i, j) (see module doc).
 
     The group is (Z_base)^digits of the given order, elements packed as
     sum(c_l * base^l).  For each d in `reps` the b^2 cell table is built in
-    strips of rows i: a strip is one bincount of row(x) * (b + 1) +
-    layer(x - d) over the elements x of its D_i, a contiguous slice of the
-    block elements.  Each strip's cells are histogrammed and added `weights`
-    times (an orbit representative and its orbit size).  Each cell stands
-    for `order` ordered block pairs of the developed design.
+    strips of rows i: a strip is layers[:, x - d] over the elements x of
+    its D_i, a contiguous slice of the block elements, as an (L, rows, k)
+    array for cell_hist.  Each strip's cells are histogrammed and added
+    `weights` times (an orbit representative and its orbit size).  Each
+    cell stands for `order` ordered block pairs of the developed design.
     """
     blocks = np.asarray(blocks)
     reps = np.asarray(reps, dtype=np.int64)
@@ -172,36 +205,30 @@ def diff_cell_hist(blocks, base, digits, order, reps, weights):
     pts = blocks.ravel()
     # row l: digit l of each block element x, in the narrowest dtype that holds it
     pt_digits = digit_columns(pts, base, digits)
-    # column b of row i counts the x in D_i with x - d in no block; a row has
-    # k elements and b + 1 cells, and a pass takes a strip of rows for one d,
-    # or every row for a chunk of d values when the whole table fits
+    # a row has k elements and b + 1 cells; a pass takes a strip of rows for
+    # one d, or every row for a chunk of d values when the whole table fits
     width = max(k, b + 1)
-    rows = min(b, max(1, _CHUNK // width))
-    chunk = max(1, _CHUNK // (b * width)) if rows == b else 1
-    offsets = np.arange(chunk, dtype=np.int64)[:, None] * (rows * (b + 1)) \
-        + np.repeat(np.arange(rows, dtype=np.int64) * (b + 1), k)
-    # a cell is at most k; a spare cell is at most k per layer
-    hist = np.zeros(layers.shape[0] * k + 1, dtype=np.int64)
-    for w in _distinct(weights):
-        group = reps[weights == w]
+    chunk = max(1, _CHUNK // (b * width)) if _CHUNK // width >= b else 1
+
+    def strips(group):
         for s in range(0, group.size, chunk):
             d = group[s:s + chunk]
             d_digits = digit_columns(d, base, digits)
-            for top in range(0, b, rows):
-                n = min(rows, b - top)  # rows in this strip, so cells n * (b + 1) per d
-                strip = slice(top * k, (top + n) * k)
+            for lo, hi in row_ranges(b, width):
                 # x - d, packed: the integer difference, widened to int64 a
                 # strip at a time, plus base^(l+1) for every digit l that borrows
-                shifted = pts[None, strip] - d[:, None]
+                shifted = pts[None, lo * k:hi * k] - d[:, None]
                 for l in range(digits):
-                    shifted += (pt_digits[l][None, strip] < d_digits[l][:, None]) \
+                    shifted += (pt_digits[l][None, lo * k:hi * k] < d_digits[l][:, None]) \
                         * (base * pows[l])
-                table = np.bincount((offsets[:d.size, :n * k] + layers[:, shifted]).ravel(),
-                                    minlength=d.size * n * (b + 1))
-                hist += w * (np.bincount(table, minlength=hist.size)
-                             - np.bincount(table[b::b + 1], minlength=hist.size))
+                # the rows of each d in the chunk follow those of the one before
+                yield layers[:, shifted].reshape(layers.shape[0], -1, k)
+
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for w in _distinct(weights):
+        hist += w * cell_hist(strips(reps[weights == w]), b, k)
     hist[k] -= b * int(weights[reps == 0].sum())  # the (i, i, 0) self-pair cells
-    return hist[:k + 1]
+    return hist
 
 
 def _incidence(B, slices, v):

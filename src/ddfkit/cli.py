@@ -102,17 +102,18 @@ def cmd_develop(args) -> int:
 def cmd_profile(args) -> int:
     if args.design and not args.input:
         raise ValueError("--design reads the design file named by --input")
+    method = args.method or ("direct" if args.design else "differences")
     if args.design and not args.construction:  # else _family_from_args refuses the pair
-        if args.method != "direct":
+        if method != "direct":
             raise ValueError("a design file only supports --method direct")
         prof = profile_direct(load_design(args.input))
         _write_out([prof.to_json() + "\n"], args.out)
         return 0
     fam = _family_from_args(args)
-    if args.method == "direct":
+    if method == "direct":
         prof = profile_direct(Development(fam))
         check_profile(prof, fam.v, fam.b, fam.k)
-    elif args.method == "differences":
+    elif method == "differences":
         prof = profile_via_differences(fam)
     else:  # both, with agreement check
         direct = profile_direct(Development(fam))
@@ -245,7 +246,7 @@ COMMANDS = {
     "profile": Command(cmd_profile, "intersection profile as JSON", (
         *_SOURCE,
         Option("--design", STORE_TRUE, help="treat --input as a design file"),
-        Option("--method", choices=("direct", "differences", "both"), default="differences"),
+        Option("--method", choices=("direct", "differences", "both")),
         _OUT)),
     "cyclo": Command(cmd_cyclo, "cyclotomic-number table as CSV", (
         Option("--p", int, required=True),

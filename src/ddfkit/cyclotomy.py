@@ -3,11 +3,12 @@
 The cyclotomic number (i, j)_e counts |(C_i + 1) & C_j| for the cyclotomic
 cosets C_0..C_{e-1} of the e-th powers: the cells at d = -1 of the
 difference route for the order-e coset family, counted exactly as one
-bincount of class(x) * e + class(x + 1).  A table keeps its cells as one
-read-only (e, e) int64 array with a read-only bool `known` mask.  Closed
-forms may leave cells unknown; those are masked out (and stored as 0),
-never read as zeros, since conflating them would corrupt the
-order-e/order-2e sum relation.
+strip of the kernel's cell layout (_kernels.strip_cells): row i is C_i,
+and x in it lands in the class of x + 1, or in no class (e) at x = -1.
+A table keeps its cells as one read-only (e, e) int64 array with a
+read-only bool `known` mask.  Closed forms may leave cells unknown; those
+are masked out (and stored as 0), never read as zeros, since conflating
+them would corrupt the order-e/order-2e sum relation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import check_budget
 from .families import rows_text_chunks
 from .fields import Field, build_field
@@ -65,12 +67,12 @@ def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     """
     f = field._coset_size(e)
     check_budget("cyclotomic table", CYCLO_CELL_BUDGET, "cells (e*e)", e * e)
-    cls = field.class_index(e)
-    x = np.arange(1, field.q, dtype=np.int64)
-    y = field.group.add_arrays(x, 1)  # the multiplicative identity packs to 1
-    keep = y != 0
-    table = np.bincount(cls[x[keep]] * e + cls[y[keep]], minlength=e * e)
-    return CyclotomicTable(e=e, q=field.q, f=f, cells=table)
+    classes = field.class_array(e)
+    cls = np.full(field.q, e, dtype=np.int64)  # 0 stays in no class
+    cls[classes] = np.arange(e)[:, None]
+    # the multiplicative identity packs to 1
+    cells = _kernels.strip_cells(cls[field.group.add_arrays(classes, 1)], e)
+    return CyclotomicTable(e=e, q=field.q, f=f, cells=cells.reshape(e, e + 1)[:, :e])
 
 
 def order_two_numbers(q: int) -> tuple[tuple[int, int], tuple[int, int]]:

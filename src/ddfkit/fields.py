@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import check_prime, multiplicative_order, prime_divisors
 from .errors import check_power_budget
-from .groups import AdditiveGroup, digit_columns, field_group, mod
+from .groups import AdditiveGroup, digit_columns, field_group
 
 FIELD_ORDER_BUDGET = 1 << 20
 
@@ -213,15 +213,6 @@ class Field:
         classes = self.exp.reshape(f, e).T.copy()  # C order, so rows are contiguous
         classes.sort(axis=1)
         return classes
-
-    def class_index(self, e: int) -> np.ndarray:
-        """Array mapping each nonzero element to its coset index (0 stays -1)."""
-        self._coset_size(e)
-        residues = np.arange(self.q - 1, dtype=np.int32)  # exponents fit int32 in budget
-        mod(residues, e, out=residues)
-        idx = np.full(self.q, -1, dtype=np.int64)
-        idx[self.exp] = residues
-        return idx
 
     def _coset_size(self, e: int) -> int:
         if e < 1 or (self.q - 1) % e != 0:

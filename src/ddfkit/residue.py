@@ -6,8 +6,8 @@ the block holding x - d is one F_t expression in x's coordinates.  The
 histogram of the cells N_d(i, j) = #{x in D_i : x - d in D_j} (see
 designs.profile_via_differences) is then built without a family, a
 point->block table or any array of t^2 entries: every table here has t
-entries, and the cells are counted strip by strip, about _CELLS at a
-time.
+entries.  This module yields strips of rows, the blocks of x - d; the
+kernel's cell_hist counts their cells, about _kernels._CHUNK at a time.
 
 F_t is taken by logs to the generator g of build_field(p, r): `exp`,
 its inverse `log`, and the Zech table Z[m] = log(1 + g^m), so that
@@ -47,10 +47,11 @@ permutes the blocks, so d = 1 stands for all of F*.
 find_cell finds the first cell of a ring construction that holds a
 given N, for certify to re-count by ring products.  The tests compare
 each histogram with _kernels.diff_cell_hist's on the constructed
-families, per d (tests/route_sweep.py).  The arrays here have at most t
-entries and are built once per construction, so they keep `%` (one numpy
-call, against three for groups.mod); a strip reduces no sum of logs, as
-the sums index doubled tables.
+families, per d (tests/route_sweep.py): the strips are all that differs.
+The arrays here have at most t entries and are built once per
+construction and d, so they keep `%` (one numpy call, against three for
+groups.mod); a strip reduces no sum of logs, as the sums index doubled
+tables.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .arith import check_prime
 from .errors import check_power_budget
 from .fields import TABLE_CACHE_SIZE, build_field
@@ -70,8 +72,6 @@ from .galois_ring import build_ring
 # over them.  `ddf compare` at t = 8191, the largest prime under the cap,
 # took 5.4 s and 35 MB of peak RSS on a 2-vCPU Xeon VM
 TABLE_WORK_BUDGET = 1 << 26
-# cells per strip, (rows)*(b + 1): 0.5 MB of int64 bincount
-_CELLS = 1 << 16
 
 CONSTRUCTIONS = ("wilson", "wilson-half", "gr-teichmuller", "gr-squares")
 
@@ -168,38 +168,6 @@ def _reduce_table(values: np.ndarray, at_zero) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the strip histogram
-# ---------------------------------------------------------------------------
-
-def _strip_cells(cols: np.ndarray, b: int) -> np.ndarray:
-    """The cells of a strip, row by row, each row's b cells and then a
-    spare one: cols[i] holds the blocks, in [0, b], of x - d for the x of
-    row i, b for no block."""
-    rows = cols.shape[0]
-    codes = cols + np.arange(0, rows * (b + 1), b + 1)[:, None]
-    return np.bincount(codes.ravel(), minlength=rows * (b + 1))
-
-
-def _hist(strips, b: int, k: int) -> np.ndarray:
-    """hist[N]: the cells N_d(i, j) = N of the strips' rows (see
-    _strip_cells), the spare cells left out."""
-    hist = np.zeros(k + 1, dtype=np.int64)
-    for _, cols in strips:
-        cells = _strip_cells(cols, b)
-        hist += np.bincount(cells, minlength=k + 1)
-        hist -= np.bincount(cells[b :: b + 1], minlength=k + 1)
-    return hist
-
-
-def _row_ranges(rows: int, width: int):
-    """(lo, hi) ranges of `rows` rows of `width` cells each, about _CELLS
-    cells a range."""
-    step = max(1, _CELLS // width)
-    for lo in range(0, rows, step):
-        yield lo, min(lo + step, rows)
-
-
-# ---------------------------------------------------------------------------
 # rings
 # ---------------------------------------------------------------------------
 
@@ -228,8 +196,8 @@ def _ring_tables(p: int, r: int) -> _RingTables:
 
 
 def _ring_part(c: Construction, F: ResidueField, d: int, h: int, col_of: np.ndarray):
-    """The columns of part h's rows at d = 1 or d = p, as a function of a
-    row range [lo, hi): an (hi - lo, k) array.
+    """Yield (first block, cols) strips of part h's rows at d = 1 or d = p,
+    cols[i] the blocks of x - d for the x of row i; part h's block a is h*(t + 1) + a.
 
     Row a < t of a part is (1 + p*alpha)*H_h for alpha of index a in T
     order (0, 1, xi, ...), so log(alpha bar) = a - 1, the zero sentinel
@@ -281,7 +249,7 @@ def _ring_part(c: Construction, F: ResidueField, d: int, h: int, col_of: np.ndar
         if h == 0:
             last[0] = b  # x - p = 0
 
-    def rows(lo, hi):
+    for lo, hi in _kernels.row_ranges(t + 1, b + 1):
         cols = np.empty((hi - lo, m.size), dtype=np.int64)
         top, bottom = max(lo, 1), min(hi, t)
         if top < bottom:
@@ -290,28 +258,16 @@ def _ring_part(c: Construction, F: ResidueField, d: int, h: int, col_of: np.ndar
             cols[0] = first
         if hi == t + 1:
             cols[-1] = last
-        return cols
-    return rows
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _ring_parts(c: Construction, d: int) -> tuple:
-    """_ring_part of each part at d, kept for find_cell after the profile."""
-    F = residue_field(c.p, c.r)
-    col_of = _reduce_table(np.arange(1, F.n + 1), 0)  # beta's log -> index in T order
-    return tuple(_ring_part(c, F, d, h, col_of) for h in range(c.b // (c.t + 1)))
+        yield h * (t + 1) + lo, cols
 
 
 def _ring_strips(c: Construction, d: int):
     """Yield (first block, cols) strips of the cell table at d = 1 or d = p,
-    part h's block a being h*(t + 1) + a (see _ring_part)."""
-    size = c.t + 1
-    parts = _ring_parts(c, d)
-    for lo, hi in _row_ranges(c.b, c.b + 1):
-        pieces = [rows(max(lo - top, 0), min(hi - top, size))
-                  for top, rows in zip(range(0, c.b, size), parts)
-                  if top < hi and lo < top + size]
-        yield lo, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    part by part (see _ring_part)."""
+    F = residue_field(c.p, c.r)
+    col_of = _reduce_table(np.arange(1, F.n + 1), 0)  # beta's log -> index in T order
+    for h in range(c.b // (c.t + 1)):
+        yield from _ring_part(c, F, d, h, col_of)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +335,7 @@ def _classes_of_lines(powers, t: int, n: int, e: int) -> np.ndarray:
 
 
 def _field_strips(c: Construction):
-    """Yield (None, cols) strips of the cell table at d = 1 (see _hist).
+    """Yield the strips of the cell table at d = 1, (rows, k) arrays.
 
     A row is a line c with a character bit (one row per line for wilson),
     its elements b*(c + theta) for the b of that bit; the last rows are
@@ -404,11 +360,7 @@ def _field_strips(c: Construction):
     unit_cls = _reduce_table((t + 1) * bit, b)
     special = np.stack((cls[w + 3 * n * bit], unit_cls[lb + zech[w]]))  # c = 0, F_t*
 
-    def rows(cols):  # (s, n) over every b -> (bits*s, n/bits), one row per bit
-        s = cols.shape[0]
-        return cols.reshape(s, n // bits, bits).swapaxes(1, 2).reshape(bits * s, n // bits)
-
-    for lo, hi in _row_ranges(n, bits * (b + 1)):
+    for lo, hi in _kernels.row_ranges(n, bits * (b + 1)):
         lc = np.arange(lo, hi)
         idx = lc[:, None] + zech[w + (n - lc)[:, None]]  # log(c - 1/b)
         if bits == 2:
@@ -416,7 +368,8 @@ def _field_strips(c: Construction):
         cols = cls[idx]
         if hi == n:
             cols = np.concatenate((cols, special))
-        yield None, rows(cols)
+        s = cols.shape[0]  # (s, n) over every b -> (bits*s, n/bits), one row per bit
+        yield cols.reshape(s, n // bits, bits).swapaxes(1, 2).reshape(bits * s, n // bits)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +381,9 @@ def cell_hists(c: Construction) -> dict[int, np.ndarray]:
     uses: hist[N] counts the cells N_d(i, j) = N over the b^2 pairs (i, j),
     from tables of t entries."""
     if c.name.startswith("gr-"):
-        return {d: _hist(_ring_strips(c, d), c.b, c.k) for d in (1, c.p)}
-    return {1: _hist(_field_strips(c), c.b, c.k)}
+        return {d: _kernels.cell_hist((cols for _, cols in _ring_strips(c, d)), c.b, c.k)
+                for d in (1, c.p)}
+    return {1: _kernels.cell_hist(_field_strips(c), c.b, c.k)}
 
 
 def weighted_cells(c: Construction) -> list[int]:
@@ -452,9 +406,8 @@ def find_cell(c: Construction, value: int) -> tuple[int, int, int] | None:
     indices; strips are built until one holds it.  None if none does."""
     for d in (1, c.p):
         for top, cols in _ring_strips(c, d):
-            at = np.flatnonzero(_strip_cells(cols, c.b) == value)
-            at = at[at % (c.b + 1) != c.b]  # not a spare cell
+            cells = _kernels.strip_cells(cols, c.b).reshape(-1, c.b + 1)[:, :c.b]  # no spares
+            at = np.argwhere(cells == value)  # in row order
             if at.size:
-                i, j = divmod(int(at[0]), c.b + 1)
-                return top + i, j, d
+                return top + int(at[0, 0]), int(at[0, 1]), d
     return None

@@ -195,9 +195,22 @@ def test_profile_from_design_file(capsys, tmp_path):
                        "--design", "--method", "direct")
     assert code == 0
     assert out == '{"0":"37950","1":"6900"}\n'
+    # direct is a design file's one method, so it is the default there
+    assert run(capsys, "profile", "--input", str(design_path), "--design") == (0, out, "")
     code, _, _ = run(capsys, "profile", "--input", str(design_path),
                      "--design", "--method", "differences")
     assert code == 2
+
+
+def test_method_defaults_to_differences_for_a_family(capsys, monkeypatch):
+    import ddfkit.cli
+    calls, real = [], ddfkit.cli.profile_via_differences
+    monkeypatch.setattr(ddfkit.cli, "profile_via_differences",
+                        lambda fam: calls.append(fam) or real(fam))
+    family = ("--construction", "gr-squares", "--p", "5", "--r", "1")
+    assert run(capsys, "profile", *family) == \
+        run(capsys, "profile", *family, "--method", "differences")
+    assert len(calls) == 2
 
 
 def test_verify_detects_invalid_family(capsys, tmp_path):

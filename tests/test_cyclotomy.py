@@ -18,8 +18,10 @@ SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (
 
 def _cyclotomic_reference(field, e, successors=None):
     """The scalar table: one field.add per nonzero x, counted into cell
-    (class(x), class(x + 1)) when x + 1 != 0."""
-    cls = field.class_index(e)
+    (class(x), class(x + 1)) when x + 1 != 0; the class of exp[t] is t mod e."""
+    cls = [None] * field.q
+    for t, x in enumerate(field.exp.tolist()):
+        cls[x] = t % e
     if successors is None:
         successors = [(x, field.group.add(x, 1)) for x in range(1, field.q)]
     table = [[0] * e for _ in range(e)]

@@ -220,8 +220,10 @@ def test_encoding_roundtrip():
 def test_exp_log_mutual_inverse():
     for p, n in [(3, 2), (7, 1), (5, 2)]:
         f = build_field(p, n)
-        # the classes of order q - 1 are the discrete logarithm
-        log = f.class_index(f.q - 1)
+        # exp is onto the nonzero elements, so inverting it gives a log of each
+        log = np.full(f.q, -1)
+        log[f.exp] = np.arange(f.q - 1)
+        assert log[0] == -1 and (log[1:] >= 0).all()
         for t in range(f.q - 1):
             assert log[f.exp[t]] == t
 
@@ -336,20 +338,17 @@ def test_order_test_stacks_stay_under_their_cap(monkeypatch):
     assert max(seen) > _ORDER_CELLS // 4  # the chunks did grow to the cap's scale
 
 
-def scalar_tables(p, n, modulus):
-    """exp and log by walking powers of the generator with poly_mulmod."""
+def scalar_exp(p, n, modulus):
+    """exp by walking powers of the generator with poly_mulmod."""
     q = p ** n
     gen = [0, 1] + [0] * (n - 2) if n >= 2 else [(-modulus[0]) % p]
     exp = np.zeros(q - 1, dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
     cur = [1] + [0] * (n - 1)
     for t in range(q - 1):
-        packed = sum(c * p ** i for i, c in enumerate(cur))
-        exp[t] = packed
-        log[packed] = t
+        exp[t] = sum(c * p ** i for i, c in enumerate(cur))
         cur = poly_mulmod(cur, gen, list(modulus), p)
     assert cur == [1] + [0] * (n - 1)
-    return exp, log
+    return exp
 
 
 def test_tables_match_poly_mulmod_walk():
@@ -357,21 +356,9 @@ def test_tables_match_poly_mulmod_walk():
     assert len(cases) == 41
     for p, n in cases:
         f = build_field(p, n)
-        exp, _ = scalar_tables(p, n, f.modulus)
+        exp = scalar_exp(p, n, f.modulus)
         assert np.array_equal(f.exp, exp), (p, n)
         assert f.generator == exp[1 % (f.q - 1)]  # F_2 has exp = [1]
-
-
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 6), (3, 4), (5, 1), (7, 2), (13, 1)])
-def test_class_index_matches_the_scalar_logarithm(p, n):
-    # every e | q - 1: the class of a nonzero element is its exponent mod e,
-    # by a walk of scalar products; 0 is in no class
-    f = build_field(p, n)
-    _, log = scalar_tables(p, n, f.modulus)
-    for e in (e for e in range(1, f.q) if (f.q - 1) % e == 0):
-        idx = f.class_index(e)
-        assert idx.dtype == np.int64
-        assert idx.tolist() == [-1] + [int(t) % e for t in log[1:]], e
 
 
 def assert_one_step(group, step, table):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddfkit import (BudgetError, build_field, build_ring, develop, furino_family,
                     profile_direct, profile_via_differences, wilson_family)
-from ddfkit import _kernels
+from ddfkit import _kernels, residue
 from ddfkit.cli import construction_family
 from ddfkit.designs import (_DEVELOP_CHUNK, Design, Development, IntersectionProfile,
                             difference_orbits, verify_2design)
@@ -428,6 +428,25 @@ def test_kernels_match_scalar_references():
         cnt = _kernels.pair_coverage(blocks, v).tolist()
         assert {pair: c for pair, c in zip(combinations(range(v), 2), cnt) if c} == \
             dict(cover), case
+
+    # compare's tables of size t take their strips from the same row ranges:
+    # a field and a ring construction, b = 24, whose ring parts of t + 1 = 12
+    # rows strips of 5 rows split unevenly; find_cell's first N = 3 cell is
+    # row 23 at d = 11, the last row of the second part
+    field = residue.construction("wilson-half", 11, 1)
+    ring = residue.construction("gr-squares", 11, 1)
+    b = ring.b
+
+    def tables():
+        hists = {c.name: {d: h.tolist() for d, h in residue.cell_hists(c).items()}
+                 for c in (field, ring)}
+        return hists, [residue.find_cell(ring, n) for n in range(ring.k + 1)]
+
+    expected = tables()
+    assert expected[1][3] == (23, 11, 11)
+    for entries in (b + 1, 4 * (b + 1), 5 * (b + 1)):
+        with mock.patch.object(_kernels, "_CHUNK", entries):
+            assert tables() == expected, entries
 
 
 def test_intersect_hist_wide_rows(monkeypatch):

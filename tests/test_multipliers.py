@@ -13,7 +13,6 @@ from ddfkit import (BudgetError, IntersectionProfile, ProfileCheckError, _kernel
                     build_field, build_ring, compare_designs, davis_family, develop,
                     feng_families, furino_family, profile_direct,
                     profile_via_differences, squares_family, wilson_family)
-from ddfkit import residue
 from ddfkit.arith import is_prime
 from ddfkit.designs import (_ORBIT_ENTRIES, _field_multiplier_step, _units_permute_blocks,
                             check_profile, difference_orbits)
@@ -375,25 +374,29 @@ def test_reduced_route_matches_direct_on_cyclotomic_families(case):
 
 
 def test_planted_kernel_error_is_caught(monkeypatch, capsys):
-    def off_by_one(real):
-        def planted(*args, **kwargs):
-            hist = real(*args, **kwargs)
-            hist[1] += 1
-            return hist
-        return planted
+    # one off-by-one in the strip layout that the difference kernel, compare's
+    # tables of size t and the cyclotomic tables all count their cells with
+    real = _kernels.strip_cells
 
-    monkeypatch.setattr(_kernels, "diff_cell_hist", off_by_one(_kernels.diff_cell_hist))
+    def planted(*args, **kwargs):
+        cells = real(*args, **kwargs)
+        cells[0] += 1
+        return cells
+
+    monkeypatch.setattr(_kernels, "strip_cells", planted)
     with pytest.raises(ProfileCheckError):
         profile_via_differences(squares_family(build_ring(5, 1)))
 
-    # compare counts the cells of its constructions on tables of size t
     from ddfkit.cli import main
-    monkeypatch.setattr(residue, "_hist", off_by_one(residue._hist))
     code = main(["compare", "--p", "5", "--r", "1"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("profile self-check failed:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+    code = main(["cyclo", "--p", "5", "--r", "2", "--e", "6", "--check-closed-form"])
+    assert code == 1
+    assert capsys.readouterr().err == "order-(t+1) closed form: FAIL\n"
 
 
 def test_compare_checks_the_lambda_identity():
