@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import wieferich
 from .cyclotomy import order_two_numbers
-from . import residue
+from . import _kernels, residue
 from .designs import (IntersectionProfile, check_profile, profile_from_cells,
                       profile_via_differences)
 from .errors import ProfileCheckError
@@ -119,6 +119,16 @@ def gate(p: int, r: int) -> GateReport:
 # coset tallies and multiplicity bounds in GR(p^2, r)
 # ---------------------------------------------------------------------------
 
+# For s != s' in T*, s - s' = s'(z - 1) with z = s/s' = xi^m != 1, and
+# xi^m - 1 = xi^(e_m)*(1 + p*gamma_m) (residue.ring_tables).  As s' runs
+# over T_S* (m even) or T_N* (m odd), s'(xi^m - 1) runs over the whole coset
+# xi^(e_m + shift + 2j)*(1 + p*gamma_m) of T_S*, shift 0 for ΔT_S* and 1 for
+# T_S* - T_N*.  So each multiset is a union of cosets of T_S*, one per m,
+# labelled ((e_m + shift) mod 2, gamma_m); the units split into these
+# 2t disjoint cosets, and each d has the multiplicity of its label: a
+# count over t - 2 values of m, with no difference formed.
+
+
 @dataclass(frozen=True)
 class CosetCountReport:
     delta_squares: tuple[int, int]  # (square cosets, non-square cosets) in ΔT_S*
@@ -128,29 +138,45 @@ class CosetCountReport:
     matches: bool
 
 
+def _minus_one_labels(ring: GaloisRing) -> tuple[np.ndarray, np.ndarray]:
+    """(e, k) over m in [0, t - 1), entry 0 unused: xi^m - 1 =
+    xi^(e[m])*(1 + p*teichmuller[k[m]]), read from residue.ring_tables.
+
+    Raises AssertionError unless each e_m is log(g^m - 1) = log(-1) +
+    Z[m - log(-1)] by the Zech table of F_t, as the residue of xi^m - 1 is
+    g^m - 1: O(t).  gamma_m has log G[m], or is 0 at the sentinel 2n.
+    """
+    tabs = residue.ring_tables(ring)
+    F = residue.residue_field(ring.p, ring.r)
+    n = F.n
+    m = np.arange(1, n)
+    if not np.array_equal(tabs.e[1:], (F.minus_one + F.zech[m - F.minus_one + n]) % n):
+        raise AssertionError("xi^m - 1 is not xi^(e_m)*(1 + p*gamma_m) with e_m = log(g^m - 1)")
+    return tabs.e, np.where(tabs.G == 2 * n, 0, tabs.G + 1)
+
+
+def _label_counts(ring: GaloisRing, e: np.ndarray, k: np.ndarray, shift: int) -> np.ndarray:
+    """(2, t) counts of the coset labels (parity, T index of gamma) over
+    the m of ΔT_S* (shift 0: m even, m != 0) or of T_S* - T_N* (shift 1:
+    m odd): one bincount of ((e_m + shift) mod 2, k_m) into 2t cells."""
+    t = ring.teich_size
+    m = np.arange(2 - shift, t - 1, 2)
+    return np.bincount((e[m] + shift) % 2 * t + k[m], minlength=2 * t).reshape(2, t)
+
+
 def sn_coset_counts(ring: GaloisRing) -> CosetCountReport:
     """Tally square vs non-square cosets making up ΔT_S* and T_S* - T_N*.
 
-    Both multisets are unions of full cosets of T_S*; the multiplicity of
-    each difference d comes from one count over all pairs, and the tally
-    divides each parity's total by the coset size.  The expected tallies
-    read the order-2 numbers (i, j) of F_{p^r}: ΔT_S* has ((0,0), (1,0)),
-    and T_S* - T_N* has ((1,1), (0,1)), since s - s' = s'(z - 1) with
-    z = s/s'.
+    Each m contributes one coset of T_S*, of parity (e_m + shift) mod 2
+    (see _label_counts), so a tally counts the m of each parity.  The
+    expected tallies read the order-2 numbers (i, j) of F_{p^r}: ΔT_S* has
+    ((0,0), (1,0)), and T_S* - T_N* has ((1,1), (0,1)).  Requires odd p and
+    p^r >= 5, as GaloisRing.square_split does.
     """
-    squares, non_squares = ring.square_split()
-    size = len(squares)
-
-    def tally(counts) -> tuple[int, int]:
-        d = np.flatnonzero(counts)
-        odd = ring.coset_parity(d) == 1
-        by_parity = int(counts[d[~odd]].sum()), int(counts[d[odd]].sum())
-        if any(c % size for c in by_parity):
-            raise AssertionError("difference multiset is not a union of cosets")
-        return by_parity[0] // size, by_parity[1] // size
-
-    delta = tally(ring.group.difference_counts(squares, squares))
-    cross = tally(ring.group.difference_counts(squares, non_squares))
+    ring.square_split()  # refuses p = 2 and p^r < 5
+    e, k = _minus_one_labels(ring)
+    delta, cross = (tuple(_label_counts(ring, e, k, shift).sum(axis=1).tolist())
+                    for shift in (0, 1))
     (n00, n01), (n10, n11) = order_two_numbers(ring.teich_size)
     expected_delta, expected_cross = (n00, n10), (n11, n01)
     return CosetCountReport(delta_squares=delta, squares_minus_nonsquares=cross,
@@ -179,38 +205,59 @@ class BoundReport:
     verdict: bool
 
 
+def _coset_elements(ring: GaloisRing, squares: np.ndarray, parity: np.ndarray,
+                    index: np.ndarray, counts: np.ndarray) -> dict:
+    """{d: N} over the cosets xi^parity*(1 + p*teichmuller[index])*T_S*,
+    each d taking its coset's count, keys ascending; the cosets' elements
+    are formed by mul_arrays, about _kernels._CHUNK at a time."""
+    factors = ring.mul_arrays(ring.teichmuller[1 + parity], ring.group.add_arrays(
+        1, ring.mul_arrays(ring.p, ring.teichmuller[index])))
+    keys = np.empty((factors.size, squares.size), dtype=np.int64)
+    for lo, hi in _kernels.row_ranges(factors.size, squares.size):
+        keys[lo:hi] = ring.mul_arrays(factors[lo:hi, None], squares)
+    order = np.argsort(keys, axis=None)
+    values = np.repeat(counts, squares.size)[order]
+    return dict(zip(keys.ravel()[order].tolist(), values.tolist()))
+
+
 def bound_report(ring: GaloisRing) -> BoundReport:
+    """N_d over the in-scope cosets of T_S* (see _label_counts), every
+    element of a coset taking its label's count.  2*T_S* is the coset of
+    2 = -(xi^(n/2) - 1) = xi^(n/2 + e_(n/2))*(1 + p*gamma_(n/2)), as
+    -1 = xi^(n/2) with n = p^r - 1.  Requires odd, non-Wieferich p and
+    p^r >= 5."""
     p, t = ring.p, ring.teich_size
     if p == 2:
         raise ValueError("bounds require odd p")
     if wieferich(p):
         raise ValueError("bounds require a non-Wieferich prime")
-    g = ring.group
-    squares, non_squares = ring.square_split()
+    squares, _ = ring.square_split()
     residue4 = t % 4
     if residue4 == 1:
-        counts = g.difference_counts(squares, squares)
+        shift = 0
         upper = order_two_numbers(t)[0][0]
         upper_applicable = (t - 1) % 24 == 0
         name = "delta-squares"
     else:
-        counts = g.difference_counts(squares, non_squares)
+        shift = 1
         upper = order_two_numbers(t)[0][1]
         upper_applicable = (t - 1) % 24 == 18
         name = "squares-minus-nonsquares"
-    two_coset = g.add_arrays(squares, squares)  # 2 * T_S*
-    counts[two_coset] = 0  # only d outside 2 * T_S* are bounded
-    d = np.flatnonzero(counts)
-    lemma_lower_ok = bool((counts[d] > 1).all())
+    e, k = _minus_one_labels(ring)
+    cells = _label_counts(ring, e, k, shift)
+    half = (t - 1) // 2
+    cells[(half + e[half]) % 2, k[half]] = 0  # only d outside 2 * T_S* are bounded
+    lemma_lower_ok = bool((cells[cells > 0] > 1).all())
     if residue4 == 1:
-        d = d[ring.coset_parity(d) == 0]
-    n = counts[d]
+        cells[1] = 0  # the square cosets alone are in scope
+    parity, index = np.nonzero(cells)
+    n = cells[parity, index]
     lo, hi = (int(n.min()), int(n.max())) if n.size else (None, None)
     # the in-scope d lie outside 2 * T_S*, so lemma_lower_ok gives 1 < N_d
     verdict = lemma_lower_ok and not (upper_applicable and (n >= upper).any())
     return BoundReport(multiset=name, residue4=residue4, upper_bound=upper,
                        upper_applicable=upper_applicable,
-                       multiplicities=dict(zip(d.tolist(), n.tolist())),
+                       multiplicities=_coset_elements(ring, squares, parity, index, n),
                        min_over_scope=lo, max_over_scope=hi,
                        lemma_lower_ok=lemma_lower_ok, verdict=verdict)
 

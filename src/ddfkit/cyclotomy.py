@@ -21,6 +21,7 @@ from . import _kernels
 from .errors import check_budget
 from .families import rows_text_chunks
 from .fields import Field, build_field
+from .groups import mod
 
 CYCLO_CELL_BUDGET = 2 ** 22  # e*e cells; admits every order-2(t+1) table to t = 1009
 
@@ -68,10 +69,13 @@ def cyclotomic_table(field: Field, e: int) -> CyclotomicTable:
     f = field._coset_size(e)
     check_budget("cyclotomic table", CYCLO_CELL_BUDGET, "cells (e*e)", e * e)
     classes = field.class_array(e)
-    cls = np.full(field.q, e, dtype=np.int64)  # 0 stays in no class
+    cls = np.full(field.q, e, dtype=np.min_scalar_type(e))  # 0 stays in no class
     cls[classes] = np.arange(e)[:, None]
-    # the multiplicative identity packs to 1
-    cells = _kernels.strip_cells(cls[field.group.add_arrays(classes, 1)], e)
+    # x + 1 adds 1 to digit 0 mod p (the identity packs to 1): x + 1, less
+    # p where digit 0 is p - 1, in the classes' own dtype
+    one_more = classes + 1
+    np.subtract(one_more, field.p, out=one_more, where=mod(classes, field.p) == field.p - 1)
+    cells = _kernels.strip_cells(cls[one_more], e)
     return CyclotomicTable(e=e, q=field.q, f=f, cells=cells.reshape(e, e + 1)[:, :e])
 
 

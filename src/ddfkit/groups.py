@@ -215,13 +215,6 @@ class AdditiveGroup:
                 np.add(out, pow_l * self.base, out=out, where=mod(a // pow_l, self.base) < b_l)
         return out[()]  # a scalar for 0-d operands
 
-    def difference_counts(self, left, right) -> np.ndarray:
-        """counts[d] = #{(u, w) in left x right : u - w = d}, pairs u = w left out."""
-        d = self.sub_arrays(np.asarray(left)[:, None], np.asarray(right)[None, :])
-        counts = np.bincount(d.ravel(), minlength=self.order)
-        counts[0] = 0  # u - w = 0 exactly when u = w
-        return counts
-
 
 def field_group(p: int, n: int) -> AdditiveGroup:
     return AdditiveGroup("field", p, p, n, p ** n)

@@ -19,7 +19,8 @@ Rings, GR(p^2, r) with Teichmüller set T and H = T* or one of its square
 classes.  A unit u = tau*(1 + p*gamma), tau in T*, gamma in T, lies in
 the block (1 + p*gamma)*H of tau's part; p*tau lies in p*(tau's part).
 For s = xi^m != 1, s - 1 = xi^(e_m)*(1 + p*gamma_m), from one
-GaloisRing.unit_decompose of the t - 2 elements s - 1 and of -1.  For x
+GaloisRing.unit_decompose of the t - 2 elements s - 1 and of -1
+(ring_tables, which certify's coset tallies read too).  For x
 in row (alpha, H), x = s*(1 + p*alpha), or in row p*H, x = p*s:
 
   d = 1:  x - 1 = xi^(e_m)*(1 + p*beta), beta = gamma_m + alpha*s/(s - 1);
@@ -66,7 +67,7 @@ from . import _kernels
 from .arith import check_prime
 from .errors import check_power_budget
 from .fields import TABLE_CACHE_SIZE, build_field
-from .galois_ring import build_ring
+from .galois_ring import GaloisRing, build_ring
 
 # block elements t^2 of a construction, about b*k: each d takes one pass
 # over them.  `ddf compare` at t = 8191, the largest prime under the cap,
@@ -171,7 +172,7 @@ def _reduce_table(values: np.ndarray, at_zero) -> np.ndarray:
 # rings
 # ---------------------------------------------------------------------------
 
-class _RingTables(NamedTuple):
+class RingTables(NamedTuple):
     """Per m in [0, n), for s = xi^m: e[m] and G[m] = log of gamma_m's
     residue with s - 1 = xi^(e_m)*(1 + p*gamma_m) (entry 0 unused); and
     e_neg, G_neg for -1 = xi^(e_neg)*(1 + p*gamma_neg)."""
@@ -183,16 +184,18 @@ class _RingTables(NamedTuple):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _ring_tables(p: int, r: int) -> _RingTables:
-    F = residue_field(p, r)
-    ring = build_ring(p, r)
+def ring_tables(ring: GaloisRing) -> RingTables:
+    """The decompositions of xi^m - 1 and of -1 in `ring`, by logs in
+    residue_field(p, r), from one GaloisRing.unit_decompose of the t - 1
+    elements; the cell tables here and certify's coset tallies read them."""
+    F = residue_field(ring.p, ring.r)
     if not np.array_equal(ring.residue(ring.teichmuller[1:]), F.exp):
         raise AssertionError("xi does not reduce to the generator of F_t")
     units = ring.group.sub_arrays(np.append(ring.teichmuller[2:], 0), 1)  # xi^m - 1, then -1
     a0, a1 = ring.unit_decompose(units)
     e, G = F.log[ring.residue(a0)], F.log[ring.residue(a1)]
-    return _RingTables(e=np.concatenate(([0], e[:-1])), G=np.concatenate(([0], G[:-1])),
-                       e_neg=int(e[-1]), G_neg=int(G[-1]))
+    return RingTables(e=np.concatenate(([0], e[:-1])), G=np.concatenate(([0], G[:-1])),
+                      e_neg=int(e[-1]), G_neg=int(G[-1]))
 
 
 def _ring_part(c: Construction, F: ResidueField, d: int, h: int, col_of: np.ndarray):
@@ -205,7 +208,7 @@ def _ring_part(c: Construction, F: ResidueField, d: int, h: int, col_of: np.ndar
     col_of[l] = l + 1 in its part (0 for beta = 0); a block of pR is index
     t.
     """
-    tabs = _ring_tables(c.p, c.r)
+    tabs = ring_tables(build_ring(c.p, c.r))
     t, n, b = c.t, F.n, c.b
     parts = b // (t + 1)
     zech, zero = F.zech, 2 * n

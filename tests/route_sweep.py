@@ -4,9 +4,13 @@
 
 runs the sweep of the CI step: every odd prime power t <= 1009 for the
 four coset constructions, then t = 3^7 and 61^2 for the two ring
-constructions, whose fields are past the field-order budget.  It prints
-one line per t and exits 1 naming every mismatch.  The tier-1 tests run
-`mismatches` on the prime powers up to 61.
+constructions, whose fields are past the field-order budget.  At each of
+those t with p^r >= 5 and p not Wieferich it also compares
+certify.sn_coset_counts and certify.bound_report, which read the ring's
+decompositions of xi^m - 1, with the array references that count every
+Teichmüller difference (tally_reference).  It prints one line per t and
+exits 1 naming every mismatch.  The tier-1 tests run `mismatches` on the
+prime powers up to 61, and the reports up to 243.
 """
 
 import sys
@@ -14,8 +18,9 @@ import time
 
 import numpy as np
 
-from ddfkit import _kernels, residue
+from ddfkit import _kernels, bound_report, build_ring, residue, sn_coset_counts, wieferich
 from ddfkit.cli import construction_family
+from tally_reference import reference_bound_report, reference_coset_counts
 
 
 def prime_powers(top: int, odd: bool = False) -> list[tuple[int, int]]:
@@ -57,6 +62,22 @@ def mismatches(p: int, r: int, names=residue.CONSTRUCTIONS) -> list[str]:
     return found
 
 
+def tally_mismatches(p: int, r: int) -> list[str]:
+    """Both ring reports of GR(p^2, r) against their array references,
+    multiplicities in the same order; none for p^r < 5 or Wieferich p,
+    which bound_report refuses."""
+    if p == 2 or p ** r < 5 or wieferich(p):
+        return []
+    ring = build_ring(p, r)
+    found = []
+    for name, report, reference in (("sn_coset_counts", sn_coset_counts, reference_coset_counts),
+                                    ("bound_report", bound_report, reference_bound_report)):
+        got, expected = report(ring), reference(ring)
+        if str(got) != str(expected):  # the dict's order too, which == leaves out
+            found.append(f"{name} ({p},{r}) is not the reference's report")
+    return found
+
+
 def main() -> int:
     rings = tuple(name for name in residue.CONSTRUCTIONS if name.startswith("gr-"))
     cases = [(p, r, residue.CONSTRUCTIONS) for p, r in prime_powers(1009, odd=True)]
@@ -64,7 +85,7 @@ def main() -> int:
     failures = []
     for p, r, names in cases:
         start = time.perf_counter()
-        found = mismatches(p, r, names)
+        found = mismatches(p, r, names) + tally_mismatches(p, r)
         print(f"t = {p}^{r}: {'ok' if not found else 'MISMATCH'} "
               f"({time.perf_counter() - start:.2f} s)")
         failures += found

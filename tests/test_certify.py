@@ -13,9 +13,11 @@ from ddfkit import (bound_report, build_field, build_ring, certificate,
                     profile_via_differences, sn_coset_counts, squares_family,
                     wieferich, wilson_family,
                     wilson_half_profile_closed_form, wilson_profile_closed_form)
-from ddfkit import arith, certify
+from ddfkit import arith, certify, residue
 from ddfkit.arith import factorize
 from scalar_oracles import primes_below, ring_decompositions
+from tally_reference import (difference_counts, reference_bound_report,
+                             reference_coset_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +233,49 @@ def test_tallies_and_bounds_match_scalar_reference():
         assert report.max_over_scope == max(in_scope.values(), default=None)
 
 
+def test_reports_match_array_reference():
+    # the count over the decompositions of xi^m - 1 against every
+    # Teichmüller difference formed and counted, at every t <= 243
+    rings = list(_odd_non_wieferich_rings(243))
+    assert len(rings) == 60 and (3, 5) in rings
+    for p, r in rings:
+        ring = build_ring(p, r)
+        assert sn_coset_counts(ring) == reference_coset_counts(ring), (p, r)
+        report, reference = bound_report(ring), reference_bound_report(ring)
+        assert report == reference, (p, r)
+        assert list(report.multiplicities) == list(reference.multiplicities), (p, r)
+
+
+def test_sn_coset_counts_refusals():
+    with pytest.raises(ValueError, match="^square/non-square split requires odd p$"):
+        sn_coset_counts(build_ring(2, 3))
+    with pytest.raises(ValueError, match=r"^square split requires p\^r >= 5$"):
+        sn_coset_counts(build_ring(3, 1))
+    with pytest.raises(ValueError, match="^bounds require odd p$"):
+        bound_report(build_ring(2, 3))
+
+
+def test_wrong_decomposition_table_is_refused(monkeypatch):
+    # e_m off by one at any single m: both reports raise, at m = (t - 1)/2
+    # too, whose decomposition places 2 * T_S*
+    ring = build_ring(5, 2)
+    tables = residue.ring_tables(ring)
+    for m in range(1, ring.teich_size - 1):
+        e = tables.e.copy()
+        e[m] = (e[m] + 1) % (ring.teich_size - 1)
+        monkeypatch.setattr(residue, "ring_tables", lambda ring, e=e: tables._replace(e=e))
+        for report in (sn_coset_counts, bound_report):
+            with pytest.raises(AssertionError, match="e_m = log"):
+                report(ring)
+    monkeypatch.undo()
+    assert sn_coset_counts(ring).matches and bound_report(ring).verdict
+
+
 def test_difference_counts_leaves_out_equal_pairs():
     ring = build_ring(5, 2)
     squares, non_squares = ring.square_split()
     left = np.concatenate((squares, non_squares[:3]))
-    counts = ring.group.difference_counts(left, squares)
+    counts = difference_counts(ring.group, left, squares)
     assert counts.shape == (ring.order,) and counts[0] == 0
     assert counts.sum() == len(left) * len(squares) - len(squares)
     expected = _difference_counter(ring, left.tolist(), squares.tolist())

@@ -16,6 +16,7 @@ from ddfkit.designs import Design, design_text_chunks, save_design
 from ddfkit.families import (DifferenceFamily, ValidationReport, family_text_chunks,
                              rows_text_chunks)
 from ddfkit.groups import field_group, point_dtype, ring_group
+from tally_reference import difference_counts
 
 
 def block_rows(fam):
@@ -312,7 +313,7 @@ def scalar_validate(fam):
     counts = np.zeros(g.order, dtype=np.int64)
     seen = np.zeros(g.order, dtype=np.int64)
     for block in block_rows(fam):
-        counts += g.difference_counts(block, block)
+        counts += difference_counts(g, block, block)
         seen += np.bincount(block, minlength=g.order)
     nonzero = counts[1:]
     constant = bool(nonzero.size) and int(nonzero.min()) == int(nonzero.max())
