@@ -21,9 +21,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .cyclotomy import (check_sum_relation, closed_form_order_2e,
-                        closed_form_order_e, cyclotomic_table, quadruple_mask,
-                        quadruple_sums, table_to_csv)
+from .cyclotomy import check_sum_relation, closed_form_holds, cyclotomic_table, table_to_csv
 from .certify import certificate, compare_constructions, compare_designs, gate
 from .designs import (Development, check_profile, design_text_chunks, load_design,
                       profile_direct, profile_via_differences, verify_2design)
@@ -131,9 +129,7 @@ def cmd_profile(args) -> int:
 def cmd_cyclo(args) -> int:
     field = build_field(args.p, args.r)
     table = cyclotomic_table(field, args.e)
-    status = 0
-    if args.check_closed_form:
-        status = max(status, _closed_form_check(args, table))
+    status = _closed_form_check(args, table) if args.check_closed_form else 0
     if args.check_sum_relation:
         if (field.q - 1) % (2 * args.e):
             raise ValueError("sum-relation check needs 2e | q-1")
@@ -149,21 +145,13 @@ def _closed_form_check(args, table) -> int:
     # recover (base prime, half degree) so q = t^2 with t = base^half
     if args.r % 2:
         raise ValueError("closed forms apply to square-order fields only")
-    half = args.r // 2
-    t = args.p ** half
-    if args.e == t + 1:
-        closed = closed_form_order_e(args.p, half)
-        ok = bool((closed.cells == table.cells).all())
-        sys.stderr.write(f"order-(t+1) closed form: {'PASS' if ok else 'FAIL'}\n")
-        return 0 if ok else 1
-    if args.e == 2 * (t + 1):
-        closed = closed_form_order_2e(args.p, half)
-        known = closed.known
-        ok = bool((table.cells[known] == closed.cells[known]).all()
-                  and (quadruple_sums(table.cells)[quadruple_mask(known)] == 1).all())
-        sys.stderr.write(f"order-2(t+1) closed form: {'PASS' if ok else 'FAIL'}\n")
-        return 0 if ok else 1
-    raise ValueError("closed forms exist for e = t+1 or e = 2(t+1) with t = sqrt(q)")
+    t = args.p ** (args.r // 2)
+    if args.e not in (t + 1, 2 * (t + 1)):
+        raise ValueError("closed forms exist for e = t+1 or e = 2(t+1) with t = sqrt(q)")
+    ok = closed_form_holds(table, t)
+    sys.stderr.write(f"order-{'(t+1)' if args.e == t + 1 else '2(t+1)'} closed form: "
+                     f"{'PASS' if ok else 'FAIL'}\n")
+    return 0 if ok else 1
 
 
 def cmd_gate(args) -> int:

@@ -24,6 +24,7 @@ from .fields import Field, build_field
 from .groups import mod
 
 CYCLO_CELL_BUDGET = 2 ** 22  # e*e cells; admits every order-2(t+1) table to t = 1009
+_STRIP_CELLS = 1 << 16  # cells per row strip of closed_form_holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +32,8 @@ class CyclotomicTable:
     """The order-e table of F_q with coset size f = (q-1)/e.
 
     `cells` is any (e, e) integer array-like and `known` an (e, e) bool
-    mask (default: every cell known); unknown cells must hold 0.  Both are
-    kept as read-only views.
+    mask (default: every cell known, one True broadcast); unknown cells must
+    hold 0.  Both are kept as read-only views.
     """
 
     e: int
@@ -43,9 +44,9 @@ class CyclotomicTable:
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.int64).reshape(self.e, self.e)
-        known = np.ones((self.e, self.e), dtype=bool) if self.known is None \
+        known = np.broadcast_to(True, (self.e, self.e)) if self.known is None \
             else np.asarray(self.known, dtype=bool).reshape(self.e, self.e)
-        if cells[~known].any():
+        if self.known is not None and np.any(cells, where=~known):
             raise ValueError("unknown cells must hold 0")
         for name, array in (("cells", cells), ("known", known)):
             array.flags.writeable = False  # a view, so the caller's array stays writable
@@ -88,71 +89,78 @@ def order_two_numbers(q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((q - 3) // 4, (q + 1) // 4), ((q - 3) // 4, (q - 3) // 4)
 
 
-def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
-    """The full order-(p^r + 1) table for F_{p^2r}.
+def _known_cells(t: int, m: int):
+    """Rows and columns, as broadcasting (m, m, 3t + 1) index arrays, of the
+    cells that the order-m(t + 1) closed form of F_(t^2) gives outright, and
+    the (m, m) values at their corners, index 0 of the last axis.  With
+    e = t + 1 these are the cells (a*e + i, b*e + j), a, b < m, at i = 0,
+    j = 0 or i = j, each 0 but the corner (a*e, b*e).  For every other
+    (i, j) the m*m cells (a*e + i, b*e + j) add up to 1."""
+    span, shifts = np.arange(t + 1), (t + 1) * np.arange(m)
+    i = np.concatenate((0 * span, span[1:], span[1:]))
+    j = np.concatenate((span, 0 * span[1:], span[1:]))
+    corners = [[t - 2]] if m == 1 else order_two_numbers(t)
+    return shifts[:, None, None] + i, shifts[None, :, None] + j, corners
 
-    (0,0) = p^r - 2; first row, first column and diagonal vanish elsewhere;
-    every remaining entry is 1.
-    """
+
+def closed_form_order_e(p: int, r: int) -> CyclotomicTable:
+    """The full order-(p^r + 1) table for F_{p^2r}: (0,0) = p^r - 2; first
+    row, first column and diagonal vanish elsewhere; every other entry is 1."""
     t = p ** r
-    e = t + 1
-    cells = np.ones((e, e), dtype=np.int64)
-    cells[0] = cells[:, 0] = 0
-    np.fill_diagonal(cells, 0)
-    cells[0, 0] = t - 2
-    return CyclotomicTable(e=e, q=t * t, f=t - 1, cells=cells)
+    cells = np.ones((t + 1, t + 1), dtype=np.int64)
+    rows, cols, corners = _known_cells(t, 1)
+    cells[rows, cols] = 0
+    cells[:: t + 1, :: t + 1] = corners  # (0,0)
+    return CyclotomicTable(e=t + 1, q=t * t, f=t - 1, cells=cells)
 
 
 def closed_form_order_2e(p: int, r: int) -> CyclotomicTable:
     """The order-2(p^r + 1) table for F_{p^2r}, with unknown cells.
 
-    The four cells with both indices in {0, e} read the order-2 numbers of
-    F_{p^r}, (i, j) at (i*e, j*e).  Six zero patterns cover the remaining
-    row-0/row-e/column-0/column-e/diagonal/shifted-diagonal cells.  Every
-    other cell belongs to a quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)}
-    that sums to 1 with exactly one entry equal to 1; which one is open, so
-    those cells stay unknown.
+    Rows and columns 0 and e, the diagonal and the shifted diagonal are 0
+    but the cells (i*e, j*e), which read the order-2 numbers of F_{p^r}.
+    Every other cell is in a quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)}
+    holding one 1 and three 0s; which one is open, so they stay unknown.
     """
     if p == 2:
         raise ValueError("the order-2e table requires odd p")
     t = p ** r
-    e = t + 1
-    n = 2 * e
+    n = 2 * (t + 1)
+    rows, cols, corners = _known_cells(t, 2)
     known = np.zeros((n, n), dtype=bool)
-    known[::e] = known[:, ::e] = True  # rows and columns 0 and e
-    np.fill_diagonal(known, True)
-    rows = np.arange(n)
-    known[rows, (rows + e) % n] = True
-    cells = np.zeros((n, n), dtype=np.int64)
-    cells[::e, ::e] = order_two_numbers(t)  # cells (0,0), (0,e), (e,0), (e,e)
+    known[rows, cols] = True
+    cells = np.zeros((n, n), dtype=np.int64)  # written at the corners only
+    cells[:: t + 1, :: t + 1] = corners  # (0,0), (0,e), (e,0), (e,e)
     return CyclotomicTable(e=n, q=t * t, f=(t - 1) // 2, cells=cells, known=known)
 
 
-def quadruple_sums(values: np.ndarray) -> np.ndarray:
-    """(e, e) sums a[i,j] + a[i,j+e] + a[i+e,j] + a[i+e,j+e] of a (2e, 2e) array."""
-    e = values.shape[0] // 2
-    return values[:e, :e] + values[:e, e:] + values[e:, :e] + values[e:, e:]
-
-
-def quadruple_mask(known: np.ndarray) -> np.ndarray:
-    """(e, e) mask of the (i, j) with 1 <= i, j < e and i != j.
-
-    `known` is the (2e, 2e) known mask of an order-2e table.  Each masked
-    (i, j) stands for the quadruple {(i,j), (i,j+e), (i+e,j), (i+e,j+e)},
-    none of whose cells may be known (AssertionError otherwise).
+def closed_form_holds(table: CyclotomicTable, t: int) -> bool:
+    """Whether a counted order-(t + 1) or order-2(t + 1) table of F_(t^2) is
+    its closed form (_known_cells), with no closed-form table built: one
+    gather of the known cells, then the sums of the other (i, j), 1 <= i,
+    j < e, from an (m, e, m, e) view of the cells in strips of about 2^16.
     """
-    e = known.shape[0] // 2
-    mask = ~np.eye(e, dtype=bool)
-    mask[0] = mask[:, 0] = False
-    if quadruple_sums(known)[mask].any():
-        raise AssertionError("quadruple cell unexpectedly known")
-    return mask
+    e, m = t + 1, table.e // (t + 1)
+    rows, cols, corners = _known_cells(t, m)
+    given = table.cells[rows, cols]
+    given[:, :, 0] -= corners
+    quads = table.cells.reshape(m, e, m, e)  # cell (a*e + i, b*e + j) at [a, i, b, j]
+    step = max(1, _STRIP_CELLS // e)  # rows per strip
+    # the sums at i = j are known zeros: e - 2 ones per row are 1 at every other j
+    return not given.any() and all(
+        np.count_nonzero(quads[:, lo : lo + step, :, 1:].sum(axis=(0, 2)) == 1)
+        == (min(lo + step, e) - lo) * (e - 2) for lo in range(1, e, step))
 
 
 def unknown_quadruples(table: CyclotomicTable) -> list[tuple]:
-    """Index quadruples {(i,j), (i,j+e), (i+e,j), (i+e,j+e)} left unknown."""
+    """Index quadruples {(i,j), (i,j+e), (i+e,j), (i+e,j+e)} left unknown,
+    1 <= i, j < e, i != j; AssertionError if any of their cells is known."""
     e = table.e // 2
-    rows, cols = np.nonzero(quadruple_mask(table.known))
+    mask = ~np.eye(e, dtype=bool)
+    mask[0] = mask[:, 0] = False
+    if (table.known.reshape(2, e, 2, e).any(axis=(0, 2)) & mask).any():
+        raise AssertionError("quadruple cell unexpectedly known")
+    rows, cols = np.nonzero(mask)
     return [((i, j), (i, j + e), (i + e, j), (i + e, j + e))
             for i, j in zip(rows.tolist(), cols.tolist())]
 
@@ -187,7 +195,7 @@ def check_sum_relation(table_e: CyclotomicTable, table_2e: CyclotomicTable):
         raise ValueError("second table must have twice the order of the first")
     if not (table_e.fully_known() and table_2e.fully_known()):
         raise ValueError("sum relation needs fully known tables")
-    bad = np.flatnonzero(table_e.cells != quadruple_sums(table_2e.cells))
+    bad = np.flatnonzero(table_e.cells != table_2e.cells.reshape(2, e, 2, e).sum(axis=(0, 2)))
     if bad.size == 0:
         return True, None
     return False, divmod(int(bad[0]), e)
@@ -198,5 +206,6 @@ def table_to_csv(table: CyclotomicTable) -> str:
     header = f"{table.e},{table.f},{table.q}"
     if table.fully_known():
         return "".join(rows_text_chunks(header, (table.cells,), sep=","))
-    text = np.where(table.known, table.cells.astype(str), "?")
-    return "\n".join([header] + [",".join(row) for row in text]) + "\n"
+    rows = (",".join(np.where(known, cells.astype(str), "?").tolist())  # one row at a time
+            for cells, known in zip(table.cells, table.known))
+    return "\n".join([header, *rows]) + "\n"

@@ -288,20 +288,22 @@ def rows_text_chunks(header: str, slices, sep: str = " "):
     array is passed as its own one slice; a designs.Design or
     designs.Development iterates over its slices.
 
-    Each pass takes a chunk of entries in the smallest unsigned dtype that
-    holds its slice and builds fixed-width ASCII digit columns plus a
-    separator column (a newline after every k-th entry), then drops the
-    leading zeros of each entry by a mask.  Each place takes one quotient
-    (groups.floor_divmod), carried to the next place.
+    Each pass ravels the fewest whole rows that hold _TEXT_CHUNK entries, in
+    the smallest unsigned dtype that holds its slice, and builds fixed-width
+    ASCII digit columns plus a separator column (a newline after every k-th
+    entry), then drops the leading zeros of each entry by a mask.  Each
+    place takes one quotient (groups.floor_divmod), carried to the next place.
     """
     yield f"{header}\n"
     for part in slices:
+        if not part.size:  # no entries, so no lines
+            continue
         k = part.shape[1]
-        flat = part.ravel()
-        top = int(flat.max(initial=0))
+        top = int(part.max())
         width = len(str(top))
-        for lo in range(0, flat.size, _TEXT_CHUNK):
-            rem = flat[lo : lo + _TEXT_CHUNK].astype(np.min_scalar_type(top), copy=False)
+        step = -(-_TEXT_CHUNK // k)
+        for lo in range(0, part.shape[0], step):
+            rem = part[lo : lo + step].ravel().astype(np.min_scalar_type(top), copy=False)
             digits = np.empty((width + 1, rem.size), dtype=np.uint8)
             keep = np.ones((width + 1, rem.size), dtype=bool)
             # places from the units up; the units digit always stays, so 0
@@ -312,7 +314,7 @@ def rows_text_chunks(header: str, slices, sep: str = " "):
             digits[0] = rem  # below 10 after width - 1 places
             digits[:width] += ord("0")
             digits[width] = ord(sep)
-            digits[width, (k - 1 - lo) % k :: k] = ord("\n")
+            digits[width, k - 1 :: k] = ord("\n")
             yield digits.T[keep.T].tobytes().decode("ascii")
 
 

@@ -1,6 +1,7 @@
 """Cyclotomic-number tables: vectorised counts vs a scalar reference and
 closed forms, Dickson counts."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from ddfkit import (build_field, build_ring, check_sum_relation,
                     closed_form_order_2e, closed_form_order_e,
                     cyclotomic_table, dickson_counts, unknown_quadruples)
+from ddfkit import cyclotomy
 from ddfkit.arith import factorize
-from ddfkit.cyclotomy import CyclotomicTable, order_two_numbers, table_to_csv
+from ddfkit.cyclotomy import (CyclotomicTable, closed_form_holds, order_two_numbers,
+                              table_to_csv)
 
 # (p, r) pairs indexed by t = p^r; tables live in F_{t^2}
 SUBFIELD_CASES = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
@@ -358,3 +361,84 @@ def test_closed_forms_match_cell_by_cell_references():
         closed = closed_form_order_2e(p, r)
         assert (closed.e, closed.q, closed.f) == (2 * (t + 1), t * t, (t - 1) // 2)
         assert _rows(closed) == _closed_form_order_2e_reference(p, r), t
+
+
+def _traced_peak(call):
+    """call() and tracemalloc's peak over it, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, peak
+
+
+def _raised(table, i, j):
+    cells = table.cells.copy()
+    cells[i, j] += 1
+    return CyclotomicTable(e=table.e, q=table.q, f=table.f, cells=cells)
+
+
+@pytest.mark.parametrize("strip", [1, 50, cyclotomy._STRIP_CELLS])
+def test_closed_form_holds_on_counted_tables_and_finds_each_corruption(monkeypatch, strip):
+    # strips of one row (strip < e), of a few rows, and the default
+    monkeypatch.setattr(cyclotomy, "_STRIP_CELLS", strip)
+    for p, r in [(3, 1), (2, 2), (5, 1), (3, 2), (11, 1), (13, 1)]:
+        t = p ** r
+        field = build_field(p, 2 * r)
+        orders = [t + 1] + ([2 * (t + 1)] if p > 2 else [])
+        for e in orders:
+            table = cyclotomic_table(field, e)
+            assert closed_form_holds(table, t), (t, e)
+            # a corner, a zero of each known pattern, and open cells in the
+            # first and the last strip
+            cells = [(0, 0), (0, t), (t, 0), (2, 2), (1, 2), (t, t - 1)]
+            if e == 2 * (t + 1):
+                cells += [(t + 1, t + 1), (0, t + 1), (3, t + 4), (t + 2, 4)]
+            for i, j in cells:
+                assert not closed_form_holds(_raised(table, i, j), t), (t, e, i, j)
+    # a quadruple that still sums to 1, its 1 moved to another cell: PASS
+    table = cyclotomic_table(build_field(5, 2), 12)
+    cells = table.cells.copy()
+    quad = [(1, 2), (1, 8), (7, 2), (7, 8)]
+    values = [cells[c] for c in quad]
+    for c, value in zip(quad, values[1:] + values[:1]):
+        cells[c] = value
+    assert closed_form_holds(CyclotomicTable(e=12, q=25, f=2, cells=cells), 5)
+
+
+def test_closed_form_check_builds_no_table_of_the_tables_size(monkeypatch):
+    # the order-2(t+1) check of F_(211^2), e = 424: with strips of 2^10
+    # cells, the whole check stays under e^2 bytes, so it builds nothing of
+    # e^2 entries, not even a bool mask; with the default strips it stays
+    # under half an int64 copy of the table
+    t, e = 211, 424
+    table = cyclotomic_table(build_field(t, 2), e)
+    ok, peak = _traced_peak(lambda: closed_form_holds(table, t))
+    assert ok and peak < table.cells.nbytes // 2, peak
+    monkeypatch.setattr(cyclotomy, "_STRIP_CELLS", 1 << 10)
+    ok, peak = _traced_peak(lambda: closed_form_holds(table, t))
+    assert ok and peak < e * e, peak
+
+
+def test_fully_known_tables_allocate_no_mask():
+    cells = np.ones((300, 300), dtype=np.int64)
+    table, peak = _traced_peak(lambda: CyclotomicTable(e=300, q=0, f=0, cells=cells))
+    assert peak < 300 * 300 // 8, peak  # not even one bool (e, e) array
+    assert table.fully_known() and table.known.strides == (0, 0)
+    counted = cyclotomic_table(build_field(7, 2), 16)
+    assert counted.known.strides == (0, 0) and not counted.known.flags.writeable
+
+
+def test_partial_tables_stay_within_their_own_size():
+    # t = 211: a (424, 424) table.  Building it holds its int64 cells, its
+    # known mask and one bool mask more (no int64 gather of the unknown
+    # cells); its CSV text is written row by row, under one int64 copy of
+    # the cells (no (e, e) arrays of strings)
+    closed, peak = _traced_peak(lambda: closed_form_order_2e(211, 1))
+    e = closed.e
+    assert peak < closed.cells.nbytes + 3 * e * e, peak
+    text, peak = _traced_peak(lambda: table_to_csv(closed))
+    assert peak < closed.cells.nbytes, peak
+    assert text == _csv_reference(closed)

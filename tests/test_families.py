@@ -483,7 +483,7 @@ def scalar_rows_text(header, rows):
 
 @pytest.mark.parametrize("chunk", [1, 3, families._TEXT_CHUNK])
 def test_rows_to_text_matches_scalar_writer(monkeypatch, chunk):
-    # chunks of 1 and 3 entries split rows of 2 or more
+    # chunks of 1 and 3 entries hold one row each when rows are longer
     monkeypatch.setattr(families, "_TEXT_CHUNK", chunk)
     cases = [
         [[0]],
@@ -504,6 +504,31 @@ def test_rows_to_text_matches_scalar_writer(monkeypatch, chunk):
     wide = (999_990 + np.arange(20, dtype=np.uint32) * 3).reshape(5, 4)
     text = "".join(rows_text_chunks("9 8 7", (narrow, wide)))
     assert text == scalar_rows_text("9 8 7", [*narrow, *wide])
+
+
+def test_rows_text_of_a_strided_view_is_never_copied_whole(monkeypatch):
+    # the (e, e) view of an (e, e+1) array, as cyclotomic_table's cells are:
+    # the writer copies one chunk of its rows at a time, so it holds less
+    # than half of one copy of the view
+    base = np.arange(600 * 601, dtype=np.int64).reshape(600, 601) % 97
+    view = base[:, :600]
+    assert not view.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        size = sum(map(len, rows_text_chunks("h", (view,), sep=",")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < view.nbytes // 2, (peak, view.nbytes)
+    # the text is the contiguous copy's, whatever the chunk boundaries:
+    # passes of one row (chunks of 1 and 29), two rows (30), four (88), all
+    view = (base[:, :600] * 1031)[:45:2, 7:36]
+    expected = scalar_rows_text("h", view)
+    assert size == len("".join(rows_text_chunks("h", (base[:, :600].copy(),), sep=",")))
+    for chunk in (1, 29, 30, 3 * 29 + 1, 10 ** 6):
+        monkeypatch.setattr(families, "_TEXT_CHUNK", chunk)
+        assert "".join(rows_text_chunks("h", (view,))) == expected, chunk
+        assert "".join(rows_text_chunks("h", (np.ascontiguousarray(view),))) == expected
 
 
 def test_text_writers_match_scalar_writer():
